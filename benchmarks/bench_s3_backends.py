@@ -1,28 +1,25 @@
-"""S3 — generator vs array execution backends (ISSUE 3).
+"""S3 — generator vs array execution backends.
 
-Measures the same workload executed by both :class:`ExecutionBackend`
-implementations:
+Measures the same workload executed by both backends through the
+public wrappers (``luby_mis`` / ``israeli_itai_matching`` with
+``backend=``):
 
 * **generator** — ``Network``: one Python generator per vertex, real
   message objects, per-group validation/sizing, inbox delivery;
-* **array** — ``ArrayBackend``: the algorithm's array-program twin,
+* **array** — the algorithm's array program run as a one-lane batch:
   per-round vectorized NumPy updates over SoA state with CSR
   scatter/gather in place of the whole message plane.
 
 Every cell asserts the two backends produce **equal** ``RunResult``s
 (rounds, messages, bits, peak, outputs) before any time is reported —
 the speedup is for the *same* computation, not an approximation of it.
-Two timings per leg: the **round loop** (``run()`` only, with per-node
-setup — node/generator objects and the RNG spawn, identical work on
-both legs — done beforehand, the same isolation bench_s2 used) and
-**end-to-end** (construction + run).  The headline speedup is the
-round loop's; both are recorded.
+Timings are end to end (engine construction, RNG setup and the run),
+best of ``reps``.
 
 Workloads: Luby MIS and Israeli–Itai maximal matching across the
-scenario families, at n = 2000 and 5000.  Shape: the array backend is
-faster everywhere, ≥ 3× on at least one family at n = 5000 (the ISSUE
-3 acceptance bar); the committed full run lives at
-``benchmarks/results/s3_backends.json``.
+scenario families, at n = 2000 and 5000.  The committed full run
+(``benchmarks/results/s3_backends.json``) timed the round loop alone,
+from before single-seed array runs became one-lane batches.
 
 Run as a script for the JSON artifact::
 
@@ -43,9 +40,8 @@ import time
 from typing import Any, Callable
 
 from repro.analysis import format_table, print_banner
-from repro.baselines.israeli_itai import israeli_itai_array, israeli_itai_program
-from repro.baselines.luby_mis import luby_mis_array, luby_mis_program
-from repro.distributed.backends import ArrayBackend, GeneratorBackend
+from repro.baselines.israeli_itai import israeli_itai_matching
+from repro.baselines.luby_mis import luby_mis
 
 try:
     from conftest import once
@@ -75,51 +71,37 @@ def _build_families() -> None:
 
 _build_families()
 
-WORKLOADS: dict[str, tuple[Callable, Callable, bool]] = {
-    # name -> (generator program, array program, needs n param)
-    "luby_mis": (luby_mis_program, luby_mis_array, True),
-    "israeli_itai": (israeli_itai_program, israeli_itai_array, False),
+#: name -> public wrapper ``run(g, seed=, backend=) -> (output, RunResult)``.
+WORKLOADS: dict[str, Callable] = {
+    "luby_mis": luby_mis,
+    "israeli_itai": israeli_itai_matching,
 }
 
 #: The CI smoke cell: (workload, family, n).
 SMOKE_CELL = ("luby_mis", "barabasi_albert", 2000)
 
 
-def _measure(backend_cls, g, program, params, seed: int, reps: int):
-    """Best-of-reps (round-loop seconds, end-to-end seconds, RunResult).
-
-    The round-loop timer covers ``run()`` only; per-node setup — node /
-    generator objects and the RNG spawn for ``Network``, the RNG spawn
-    via ``prepare()`` for ``ArrayBackend`` — happens before it, the
-    same isolation bench_s2 used for the engine loop.  End-to-end
-    covers construction + run.
-    """
-    loop_times = []
-    total_times = []
-    result = None
+def _measure(run: Callable, g, backend: str, seed: int, reps: int):
+    """Best-of-reps end-to-end seconds and the run's ``RunResult``."""
+    best, result = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
-        net = backend_cls(g, program, params=params, seed=seed)
-        if hasattr(net, "prepare"):
-            net.prepare()
-        t1 = time.perf_counter()
-        result = net.run()
-        t2 = time.perf_counter()
-        loop_times.append(t2 - t1)
-        total_times.append(t2 - t0)
-    return min(loop_times), min(total_times), result
+        _, result = run(g, seed=seed, backend=backend)
+        dt = time.perf_counter() - t0
+        if best is None or dt < best:
+            best = dt
+    return best, result
 
 
 def bench_cell(
     workload: str, family: str, n: int, reps: int, seed: int = 1
 ) -> dict[str, Any]:
     """One backend-comparison cell; asserts result identity."""
-    gen_prog, arr_prog, needs_n = WORKLOADS[workload]
+    run = WORKLOADS[workload]
     g = FAMILIES[family](n, 0)
     g.neighbor_sets()  # warm the shared graph caches for both legs
-    params = {"n": g.n} if needs_n else None
-    l_gen, t_gen, r_gen = _measure(GeneratorBackend, g, gen_prog, params, seed, reps)
-    l_arr, t_arr, r_arr = _measure(ArrayBackend, g, arr_prog, params, seed, reps)
+    t_gen, r_gen = _measure(run, g, "generator", seed, reps)
+    t_arr, r_arr = _measure(run, g, "array", seed, reps)
     assert r_gen == r_arr, f"backends diverged on {workload}/{family} n={n}"
     return {
         "workload": workload,
@@ -128,14 +110,9 @@ def bench_cell(
         "m": g.m,
         "rounds": r_gen.rounds,
         "messages": r_gen.total_messages,
-        "generator_loop_s": l_gen,
-        "array_loop_s": l_arr,
         "generator_s": t_gen,
         "array_s": t_arr,
-        "speedup": l_gen / l_arr,
-        "end_to_end_speedup": t_gen / t_arr,
-        "generator_rounds_per_s": r_gen.rounds / l_gen if l_gen else 0.0,
-        "array_rounds_per_s": r_arr.rounds / l_arr if l_arr else 0.0,
+        "speedup": t_gen / t_arr,
         "identical_results": True,
     }
 
@@ -172,18 +149,16 @@ def show(data: dict[str, Any]) -> None:
     )
     print(format_table(
         ["workload", "family", "n", "rounds", "msgs",
-         "gen loop s", "arr loop s", "loop speedup", "e2e speedup"],
+         "gen s", "arr s", "speedup"],
         [
             [c["workload"], c["family"], c["n"], c["rounds"], c["messages"],
-             c["generator_loop_s"], c["array_loop_s"], c["speedup"],
-             c["end_to_end_speedup"]]
+             c["generator_s"], c["array_s"], c["speedup"]]
             for c in data["cells"]
         ],
     ))
     best = max(data["cells"], key=lambda c: c["speedup"])
-    print(f"\nbest round-loop speedup {best['speedup']:.2f}x "
-          f"({best['workload']}/{best['family']} n={best['n']}, "
-          f"end-to-end {best['end_to_end_speedup']:.2f}x)")
+    print(f"\nbest end-to-end speedup {best['speedup']:.2f}x "
+          f"({best['workload']}/{best['family']} n={best['n']})")
 
 
 def test_backend_speedup(benchmark, report):

@@ -1,44 +1,29 @@
-"""S4 — seed-axis batched array execution vs sequential array runs (ISSUE 4).
+"""S4 — one seed-axis batched run vs one-lane runs per seed.
 
-A sweep repeats the same graph over many seeds.  PR 3's array backend
-made one run fast; this bench measures what batching the *seeds* buys:
+A sweep repeats the same graph over many seeds.  A single-seed array
+run is itself a one-lane batch of the same array program, so this
+bench compares two ways of covering a seed list:
 
-* **sequential** — ``len(seeds)`` independent ``ArrayBackend`` runs,
-  each paying backend construction, the O(n) per-node RNG spawn, and a
-  full NumPy dispatch chain per seed (exactly what a sweep cell does
-  today);
-* **batched** — one ``BatchedArrayBackend`` run over ``(num_seeds, n)``
-  SoA state, with all per-(seed, node) RNG streams replicated
-  bit-exactly but vectorized by ``repro.distributed.batch_rng``.
+* **sequential** — one public single-seed call per seed
+  (``luby_mis(..., backend="array")``), each paying backend
+  construction, the RNG lane setup and a full NumPy dispatch chain
+  (what a sweep cell pays without ``seed_batch``);
+* **batched** — one ``*_batched`` call over ``(num_seeds, n)`` SoA
+  state, with every per-(seed, node) RNG stream replicated bit-exactly
+  by ``repro.distributed.batch_rng``.
 
 Every cell asserts the batched run's per-seed ``RunResult``s **equal**
 the sequential runs' before any time is reported — the speedup is for
-the *same* computation.  Two timings per leg: **end-to-end** (backend
-construction + RNG spawn + run; the graph is shared and excluded) and
-the **round loop** alone (``run()`` after ``prepare()``, bench_s3's
-isolation).  End-to-end is the headline — it is what a sweep cell
-actually pays per seed, and the RNG spawn it contains is precisely one
-of the per-seed costs batching amortizes.
+the *same* computation.  Timings are end to end (the graph is shared
+and excluded), best of ``reps``.
 
 Workloads: Luby MIS and Israeli–Itai across the scenario families at
-n = 2000 with a 16-seed batch.  The committed full run
-(``benchmarks/results/s4_batched.json``, captured at PR 4) shows
-batched Luby ≥ 9x end-to-end and Israeli–Itai ~5–8x — against
-sequential legs that still paid a per-seed Generator spawn and a
-per-node Python draw loop.
-
-**Post-ISSUE-5 note.**  The single-seed array programs now draw
-through the same bulk RNG lanes the batch uses (see
-``ArrayContext.lanes`` and ``benchmarks/bench_s5_weighted.py``), which
-collapsed exactly the per-seed costs this batch amortized: at n = 2000
-the sequential and batched legs are within ~±10% of each other, and
-the seed-axis win concentrates where per-run dispatch overhead
-dominates — many seeds on small-to-mid graphs (~2–4x at n ≤ 500) and
-the weighted pipeline's per-iteration box runs (bench_s5's batched
-cells).  The CI smoke gate therefore runs at n = 500 × 16 seeds, the
-regime the batch seam is *for*; the n = 2000 cells remain in the full
-matrix (with their identity asserts) to keep the historical
-comparison measurable.
+n = 2000 with a 16-seed batch.  The seed-axis win concentrates where
+per-run dispatch overhead dominates — many seeds on small-to-mid
+graphs — so the CI smoke gate runs at n = 500 × 16 seeds.  The
+committed full run (``benchmarks/results/s4_batched.json``) predates
+bulk lane draws in single-seed runs: its sequential leg still spawned
+per-node Generators, hence its ~9–21x.
 
 Run as a script for the JSON artifact::
 
@@ -60,11 +45,10 @@ from typing import Any, Callable
 
 from repro.analysis import format_table, print_banner
 from repro.baselines.israeli_itai import (
-    israeli_itai_array,
-    israeli_itai_array_batched,
+    israeli_itai_matching,
+    israeli_itai_matching_batched,
 )
-from repro.baselines.luby_mis import luby_mis_array, luby_mis_array_batched
-from repro.distributed.backends import ArrayBackend, BatchedArrayBackend
+from repro.baselines.luby_mis import luby_mis, luby_mis_batched
 
 try:
     from conftest import once
@@ -94,64 +78,43 @@ def _build_families() -> None:
 
 _build_families()
 
-WORKLOADS: dict[str, tuple[Callable, Callable, bool]] = {
-    # name -> (sequential array program, batched array program, needs n)
-    "luby_mis": (luby_mis_array, luby_mis_array_batched, True),
-    "israeli_itai": (israeli_itai_array, israeli_itai_array_batched, False),
+WORKLOADS: dict[str, tuple[Callable, Callable]] = {
+    # name -> (single-seed wrapper, batched wrapper)
+    "luby_mis": (luby_mis, luby_mis_batched),
+    "israeli_itai": (israeli_itai_matching, israeli_itai_matching_batched),
 }
 
-#: The CI smoke cell: (workload, family, n, num_seeds).  n = 500 is the
-#: dispatch-dominated regime the batch seam targets post-ISSUE-5 (see
-#: the module docstring).
+#: The CI smoke cell: (workload, family, n, num_seeds) — the
+#: dispatch-dominated regime the batch seam is for.
 SMOKE_CELL = ("luby_mis", "barabasi_albert", 500, 16)
 
 
-def _measure_sequential(g, program, params, seeds, reps):
-    """Best-of-reps (sum of end-to-end seconds, sum of loop seconds, results)."""
-    best = None
-    for _ in range(reps):
-        total = loop = 0.0
-        results = []
-        for s in seeds:
-            t0 = time.perf_counter()
-            net = ArrayBackend(g, program, params=params, seed=s)
-            net.prepare()
-            t1 = time.perf_counter()
-            results.append(net.run())
-            t2 = time.perf_counter()
-            total += t2 - t0
-            loop += t2 - t1
-        if best is None or total < best[0]:
-            best = (total, loop, results)
-    return best
-
-
-def _measure_batched(g, program, params, seeds, reps):
-    """Best-of-reps (end-to-end seconds, loop seconds, per-seed results)."""
-    best = None
+def _best_of(fn: Callable[[], Any], reps: int) -> tuple[float, Any]:
+    """Best-of-reps seconds and the last result."""
+    best, result = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
-        net = BatchedArrayBackend(g, program, params=params, seeds=seeds)
-        net.prepare()
-        t1 = time.perf_counter()
-        results = net.run()
-        t2 = time.perf_counter()
-        if best is None or t2 - t0 < best[0]:
-            best = (t2 - t0, t2 - t1, results)
-    return best
+        result = fn()
+        dt = time.perf_counter() - t0
+        if best is None or dt < best:
+            best = dt
+    return best, result
 
 
 def bench_cell(
     workload: str, family: str, n: int, num_seeds: int, reps: int
 ) -> dict[str, Any]:
     """One batched-vs-sequential cell; asserts per-seed result identity."""
-    seq_prog, batch_prog, needs_n = WORKLOADS[workload]
+    single, batched = WORKLOADS[workload]
     g = FAMILIES[family](n, 0)
     g.neighbor_sets()  # warm the shared graph caches for both legs
-    params = {"n": g.n} if needs_n else None
     seeds = list(range(1, num_seeds + 1))
-    t_seq, l_seq, r_seq = _measure_sequential(g, seq_prog, params, seeds, reps)
-    t_bat, l_bat, r_bat = _measure_batched(g, batch_prog, params, seeds, reps)
+    t_seq, r_seq = _best_of(
+        lambda: [single(g, seed=s, backend="array")[1] for s in seeds], reps
+    )
+    t_bat, r_bat = _best_of(
+        lambda: [res for _, res in batched(g, seeds)], reps
+    )
     assert r_seq == r_bat, f"batched diverged on {workload}/{family} n={n}"
     return {
         "workload": workload,
@@ -161,11 +124,8 @@ def bench_cell(
         "num_seeds": num_seeds,
         "rounds_per_seed": [r.rounds for r in r_seq],
         "sequential_s": t_seq,
-        "sequential_loop_s": l_seq,
         "batched_s": t_bat,
-        "batched_loop_s": l_bat,
         "speedup": t_seq / t_bat,
-        "loop_speedup": l_seq / l_bat,
         "per_seed_ms_sequential": 1e3 * t_seq / num_seeds,
         "per_seed_ms_batched": 1e3 * t_bat / num_seeds,
         "identical_results": True,
@@ -213,22 +173,22 @@ def smoke_speedup(data: dict[str, Any]) -> float:
 def show(data: dict[str, Any]) -> None:
     print_banner(
         "S4 — batched multi-seed array execution",
-        "per-seed RunResults asserted equal; one batch vs N sequential runs",
+        "per-seed RunResults asserted equal; one batch vs N one-lane runs",
     )
     print(format_table(
         ["workload", "family", "n", "seeds",
-         "seq s", "batched s", "speedup", "loop speedup", "ms/seed"],
+         "seq s", "batched s", "speedup", "ms/seed"],
         [
             [c["workload"], c["family"], c["n"], c["num_seeds"],
              c["sequential_s"], c["batched_s"], c["speedup"],
-             c["loop_speedup"], c["per_seed_ms_batched"]]
+             c["per_seed_ms_batched"]]
             for c in data["cells"]
         ],
     ))
     best = max(data["cells"], key=lambda c: c["speedup"])
     print(f"\nbest end-to-end speedup {best['speedup']:.2f}x "
           f"({best['workload']}/{best['family']} n={best['n']} × "
-          f"{best['num_seeds']} seeds, round loop {best['loop_speedup']:.2f}x)")
+          f"{best['num_seeds']} seeds)")
 
 
 def test_batched_speedup(benchmark, report):

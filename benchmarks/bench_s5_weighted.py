@@ -6,7 +6,7 @@ port of the paper's headline weighted side:
 * **derived_weights** — the vectorized w_M kernel vs the scalar
   per-edge ``wrap_gain`` accumulation it replaces;
 * **lps_mwm** — the weight-class (¼−ε)-MWM box: generator engine vs
-  the :func:`~repro.baselines.lps_mwm.lps_mwm_array` program;
+  its array program (a one-lane batch);
 * **weighted_mwm** — Algorithm 5 end to end (kernel + box + bulk wrap
   surgery), generator vs array — the acceptance cell;
 * **kopt_mwm** — the centralized k-opt reference with vectorized
@@ -44,7 +44,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.analysis import format_table, print_banner
-from repro.baselines.israeli_itai import israeli_itai_array, israeli_itai_program
+from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
 from repro.core.kopt_mwm import kopt_mwm
 from repro.core.weighted_mwm import (
@@ -53,7 +53,6 @@ from repro.core.weighted_mwm import (
     weighted_mwm_batched,
     wrap_gain,
 )
-from repro.distributed.backends import ArrayBackend, GeneratorBackend
 from repro.graphs.weights import assign_uniform_weights
 from repro.matching.greedy import greedy_maximal_matching
 
@@ -191,18 +190,11 @@ def cell_israeli_itai(family: str, n: int, reps: int,
     """bench_s3's II cell re-measured after the lane-draw rewrite."""
     g = FAMILIES[family](n, 0)
     g.neighbor_sets()
-
-    def run(backend_cls, program):
-        net = backend_cls(g, program, seed=seed)
-        if hasattr(net, "prepare"):
-            net.prepare()
-        return net.run()
-
     cell = _cell(
         "israeli_itai", family, n, reps,
-        lambda: run(GeneratorBackend, israeli_itai_program),
-        lambda: run(ArrayBackend, israeli_itai_array),
-        lambda a, b: a == b,
+        lambda: israeli_itai_matching(g, seed=seed),
+        lambda: israeli_itai_matching(g, seed=seed, backend="array"),
+        lambda a, b: a[1] == b[1] and sorted(a[0].edges()) == sorted(b[0].edges()),
         {"m": g.m, "previous_bound": II_PREVIOUS_BOUND},
     )
     cell["beats_previous_bound"] = cell["speedup"] > II_PREVIOUS_BOUND

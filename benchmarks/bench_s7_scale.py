@@ -1,9 +1,8 @@
 """S7 — the million-node scale tier (ISSUE 7).
 
-PR 7 made n=10^6+ a supported regime: compact int32 CSR indices,
-streamed chunked generators (no Python edge lists), and a
-scipy.sparse kernel tier behind the ``ArrayContext`` selection seam.
-This bench measures three things:
+The scale tier makes n=10^6+ a supported regime: compact int32 CSR
+indices and streamed chunked generators (no Python edge lists).  This
+bench measures three things:
 
 * **speedup cells** (under ``"cells"``) — byte-identity asserted per
   cell before any time is reported:
@@ -12,9 +11,6 @@ This bench measures three things:
     committed s5 run), re-measured after the vectorized
     order-faithful walk enumeration; the before cell is quoted from
     ``benchmarks/results/s5_weighted.json`` so the lift is auditable.
-  - ``luby_kernel_sparse`` — the ``"sparse"`` kernel vs the
-    ``"reduceat"`` reference on the same graph/seed (skipped when
-    scipy is absent; the tier degrades gracefully).
   - ``luby_int32_tier`` — the compact-dtype CSR vs the same graph
     pinned to int64 via :func:`repro.graphs.graph.forced_index_dtype`.
 
@@ -34,8 +30,8 @@ Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s7_scale.py --out s7.json
 
-``--quick`` restricts to the n=240 kopt cell, the n=10^4 kernel/dtype
-cells, and one n=10^5 curve point per workload; ``--check`` exits
+``--quick`` restricts to the n=240 kopt cell, the n=10^4 dtype cell,
+and one n=10^5 curve point per workload; ``--check`` exits
 nonzero if (a) the kopt array leg is below ``--min-speedup`` vs the
 generator leg, or (b) any curve cell at n <= ``--rss-gate-n`` peaked
 above ``--max-rss-mb`` — the CI fail-if-slower + peak-RSS gate.  The
@@ -115,17 +111,13 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
         "build_s": build_s,
     }
     if spec["workload"] == "luby_mis":
-        from repro.baselines.luby_mis import luby_mis_array
-        from repro.distributed.backends import ArrayBackend
+        from repro.baselines.luby_mis import luby_mis
 
-        be = ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=seed,
-                          kernel=spec.get("kernel"))
-        be.prepare()
         t0 = time.perf_counter()
-        res = be.run()
+        mis, res = luby_mis(g, seed=seed, backend="array")
         out["run_s"] = time.perf_counter() - t0
         out["rounds"] = res.rounds
-        out["mis_size"] = sum(1 for v in res.outputs.values() if v)
+        out["mis_size"] = len(mis)
     elif spec["workload"] == "generic_mcm":
         from repro.core.generic_mcm import generic_mcm
 
@@ -216,42 +208,9 @@ def cell_kopt(n: int, reps: int, k: int = 2) -> dict[str, Any]:
     return cell
 
 
-def cell_kernel(n: int, reps: int, seed: int = 1) -> dict[str, Any] | None:
-    """"sparse" kernel vs the "reduceat" reference on Luby MIS."""
-    from repro.baselines.luby_mis import luby_mis_array
-    from repro.distributed.backends import ArrayBackend
-    from repro.distributed.kernels import available_kernels
-    from repro.graphs.generators import gnp_random
-
-    if "sparse" not in available_kernels():
-        return None
-    g = gnp_random(n, CURVE_DEG / n, seed=seed)
-
-    def run(kernel: str):
-        be = ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=seed,
-                          kernel=kernel)
-        be.prepare()
-        return be.run()
-
-    t_ref, r_ref = _best_of(lambda: run("reduceat"), reps)
-    t_sp, r_sp = _best_of(lambda: run("sparse"), reps)
-    assert r_ref == r_sp, f"kernels diverged at n={n}"
-    return {
-        "workload": "luby_kernel_sparse",
-        "family": "gnp",
-        "n": g.n,
-        "m": g.m,
-        "reduceat_s": t_ref,
-        "sparse_s": t_sp,
-        "speedup": t_ref / t_sp,
-        "identical_results": True,
-    }
-
-
 def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
     """Compact int32 CSR vs the same graph pinned to int64."""
-    from repro.baselines.luby_mis import luby_mis_array
-    from repro.distributed.backends import ArrayBackend
+    from repro.baselines.luby_mis import luby_mis
     from repro.graphs.generators import gnp_random
     from repro.graphs.graph import forced_index_dtype
 
@@ -262,9 +221,7 @@ def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
             return gnp_random(n, CURVE_DEG / n, seed=seed)
 
     def run(g):
-        be = ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=seed)
-        be.prepare()
-        return be.run()
+        return luby_mis(g, seed=seed, backend="array")[1]
 
     def csr_bytes(g):
         indptr, indices, eids = g.adjacency_arrays()
@@ -297,11 +254,7 @@ def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
 def run_s7(reps: int, quick: bool = False,
            subprocess_ok: bool = True) -> dict[str, Any]:
     if quick:
-        cells = [c for c in (
-            cell_kopt(240, reps),
-            cell_kernel(10_000, reps),
-            cell_dtype(10_000, reps),
-        ) if c is not None]
+        cells = [cell_kopt(240, reps), cell_dtype(10_000, reps)]
         curves = {
             "luby_mis": [curve_cell("luby_mis", 100_000,
                                     subprocess_ok=subprocess_ok)],
@@ -311,12 +264,11 @@ def run_s7(reps: int, quick: bool = False,
         return {"quick": True, "cells": cells, "curves": curves,
                 "ceiling": [], "largest_graph": None}
 
-    cells = [c for c in (
+    cells = [
         cell_kopt(240, reps),
         cell_kopt(2000, max(1, reps - 1)),
-        cell_kernel(100_000, reps),
         cell_dtype(100_000, reps),
-    ) if c is not None]
+    ]
     curves = {
         "luby_mis": [
             curve_cell("luby_mis", n, subprocess_ok=subprocess_ok)
@@ -437,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="best-of reps per speedup leg (default: 2, or 1 "
                          "with --quick)")
     ap.add_argument("--quick", action="store_true",
-                    help="kopt n=240 + n=10^4 kernel/dtype cells + one "
+                    help="kopt n=240 + n=10^4 dtype cell + one "
                          "n=10^5 curve point per workload")
     ap.add_argument("--check", action="store_true",
                     help="exit 2 if the kopt array leg is below "

@@ -18,10 +18,12 @@ A phase costs 3 communication rounds (propose / accept / announce).
 Nodes terminate locally when matched or out of unmatched neighbors, so
 the network run ends exactly when the matching is maximal.
 
-Two executable forms (ISSUE 3): :func:`israeli_itai_program` is the
-generator spec, :func:`israeli_itai_array` the vectorized array
-program; ``israeli_itai_matching(..., backend=...)`` picks, and both
-produce byte-identical ``RunResult``s from the same seed.
+Two executable forms: :func:`israeli_itai_program` is the generator
+spec and :func:`israeli_itai_array_batched` the array program, written
+over a lane axis of seeds.  ``israeli_itai_matching(...,
+backend="array")`` runs the array program as a one-lane batch and
+:func:`israeli_itai_matching_batched` over a whole seed list; every
+form produces byte-identical ``RunResult``s from the same seed.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from typing import Generator, Sequence
 import numpy as np
 
 from repro.distributed.backends import (
-    ArrayContext,
     BatchedArrayContext,
+    choose_targets,
+    lane_nonzero,
     replay_acceptor_choices,
-    run_program,
     run_program_batched,
     segment_bounds,
+    sorted_csr,
 )
 from repro.distributed.faults import NEVER, FaultPlan, FaultState
 from repro.distributed.network import Network, RunResult
@@ -104,45 +107,14 @@ def israeli_itai_program(node: Node) -> Generator[None, None, int]:
                 announced.add(src)
 
 
-class _SingleLaneOps:
-    """Accounting/draw seam running the fault core on an ArrayContext."""
-
-    __slots__ = ("ctx", "lanes")
-
-    def __init__(self, ctx: ArrayContext) -> None:
-        self.ctx = ctx
-        self.lanes = ctx.lanes
-
-    def rounds(self) -> int:
-        return self.ctx.result.rounds
-
-    def begin(self, live: int) -> None:
-        self.ctx.begin_step(live)
-
-    def end(self) -> None:
-        self.ctx.end_step(True)
-
-    def account(self, bits: np.ndarray, counts: np.ndarray) -> None:
-        self.ctx.account_groups(bits, counts)
-
-    def faults(self, **kw: int) -> None:
-        self.ctx.add_fault_counts(**kw)
-
-    def draw(
-        self, low: int, high: np.ndarray | int, ids: np.ndarray
-    ) -> np.ndarray:
-        return self.lanes.integers(low, high, ids)
-
-
 class _BatchedLaneOps:
     """One batch lane's view of a BatchedArrayContext.
 
-    Faulted batches run the single-seed fault core once per lane (the
-    per-lane crash/link schedules differ, so the lanes share no phase
-    structure to vectorize across); this adapter routes the core's
-    accounting to lane ``s``'s counters and its draws to the lane-offset
-    RNG streams, so each lane's run stays byte-identical to its
-    single-seed twin.
+    Faulted batches run the fault core once per lane (the per-lane
+    crash/link schedules differ, so the lanes share no phase structure
+    to vectorize across); this adapter routes the core's accounting to
+    lane ``s``'s counters and its draws to the lane-offset RNG streams,
+    so each lane's run stays byte-identical to its generator run.
     """
 
     __slots__ = ("ctx", "lanes", "s", "_base", "_live", "_yielded")
@@ -183,7 +155,7 @@ class _BatchedLaneOps:
 def _israeli_itai_faulty(
     g: Graph,
     fs: FaultState,
-    ops: "_SingleLaneOps | _BatchedLaneOps",
+    ops: _BatchedLaneOps,
     outputs: list,
 ) -> None:
     """Vectorized Israeli–Itai under an active fault plan (one lane).
@@ -375,146 +347,62 @@ def _israeli_itai_faulty(
         ops.end()
 
 
-def israeli_itai_array(ctx: ArrayContext) -> list[int]:
-    """Array program twin of :func:`israeli_itai_program`.
-
-    SoA state: an ``int64`` ``mate`` column and an ``alive`` mask of
-    not-yet-returned nodes.  A live node's *active* set in the
-    generator form is its never-matched neighbors (every matched node
-    announces ``_MATCHED`` in its matching phase, and a node that quits
-    unmatched provably has no unmatched neighbors left), so the
-    residual graph is implied by ``mate == -1``.
-
-    Randomness comes from ``ctx.lanes`` — the bulk bit-exact replica
-    of the per-node Generator streams — with the draw sets of each
-    resume precomputed as arrays: live nodes flip their coins in one
-    bulk call, proposers and accepting acceptors each consume one bulk
-    bounded draw (``choice(seq)`` consumes exactly ``integers(0,
-    len(seq))``), and nodes that returned draw nothing.  Only the
-    selection of the chosen neighbor from each proposer's candidate
-    list stays a per-node loop — this is the attack on the documented
-    ~1.3x RNG-replay bound (ISSUE 5; bench_s5 records the before/
-    after).
-    """
-    g = ctx.graph
-    size = ctx.n
-    outputs: list[int | None] = [None] * size
-    if ctx.faults is not None:
-        _israeli_itai_faulty(g, ctx.faults, _SingleLaneOps(ctx), outputs)
-        return outputs
-    mate = np.full(size, -1, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    degrees = g.degrees()
-    snbrs = [g.sorted_neighbors(v) for v in range(size)]
-    lanes = ctx.lanes
-    eight = np.int64(8)  # every tag payload is one 8-bit character
-    while alive.any():
-        # Resume A: matched nodes and nodes with no unmatched neighbor
-        # return; the rest flip proposer coins and send invitations.
-        ctx.begin_step(int(alive.sum()))
-        unmatched = mate == -1
-        residual_deg = ctx.masked_degrees(unmatched)
-        for v in np.flatnonzero(alive & ~unmatched).tolist():
-            outputs[v] = int(mate[v])
-        for v in np.flatnonzero(alive & unmatched & (residual_deg == 0)).tolist():
-            outputs[v] = -1
-        alive &= unmatched & (residual_deg > 0)
-        live = np.flatnonzero(alive)
-        if live.size == 0:
-            break  # everyone returned without yielding: no round counted
-        coins = lanes.integers(0, 2, live)
-        proposer_ids = live[coins == 1]
-        # Each proposer replays choice(cands): one bounded draw, then
-        # the idx-th entry of its sorted unmatched-neighbor list.
-        idx = lanes.integers(0, residual_deg[proposer_ids], proposer_ids)
-        proposer = np.zeros(size, dtype=bool)
-        proposer[proposer_ids] = True
-        target = np.full(size, -1, dtype=np.int64)
-        for k in range(proposer_ids.size):
-            v = int(proposer_ids[k])
-            cand = snbrs[v][unmatched[snbrs[v]]]
-            target[v] = cand[idx[k]]
-        ctx.account_groups(
-            np.full(proposer_ids.size, eight), np.ones(proposer_ids.size, np.int64)
-        )
-        ctx.end_step(True)
-        # Resume B: each acceptor (non-proposer) picks one incoming
-        # proposal uniformly at random and replies.
-        ctx.begin_step(live.size)
-        accepted_by = np.full(size, -1, dtype=np.int64)
-        targets = target[proposer_ids]
-        acceptors, chosen = replay_acceptor_choices(
-            lanes, targets, proposer_ids, proposer
-        )
-        accepted_by[acceptors] = chosen
-        ctx.account_groups(
-            np.full(acceptors.size, eight), np.ones(acceptors.size, np.int64)
-        )
-        ctx.end_step(True)
-        # Resume C: proposers learn acceptance; every freshly matched
-        # node broadcasts _MATCHED to its *full* neighborhood.
-        ctx.begin_step(live.size)
-        successful = proposer_ids[accepted_by[targets] == proposer_ids]
-        mate[successful] = target[successful]
-        mate[acceptors] = accepted_by[acceptors]
-        matched_now = np.concatenate((successful, acceptors))
-        ctx.account_groups(
-            np.full(matched_now.size, eight), degrees[matched_now]
-        )
-        ctx.end_step(True)
-    return outputs
-
-
-#: fault-seam marker: israeli_itai_array may run under an active plan.
-israeli_itai_array.supports_faults = True
-
-
 def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
-    """Seed-axis batched twin of :func:`israeli_itai_array`.
+    """Array program of :func:`israeli_itai_program`, one lane per seed.
 
-    The same three-resume phase over ``(num_seeds, n)`` SoA state, with
-    all coin flips of a resume drawn as one bulk ``ctx.lanes`` call and
-    the two ``choice`` replays (proposal targets, accepted proposals)
-    drawn as one bulk bounded draw each — ``choice(seq)`` consumes
-    exactly ``integers(0, len(seq))``, so only the *selection* of the
-    chosen neighbor from each lane's candidate list stays a per-lane
-    loop.  Seeds terminate independently (masked rows), and every
-    seed's ``RunResult`` is byte-identical to its single-seed run.
+    SoA state with a leading seed axis: an ``int64`` ``mate`` column and
+    an ``alive`` mask of not-yet-returned nodes.  A live node's *active*
+    set in the generator form is its never-matched neighbors (every
+    matched node announces ``_MATCHED`` in its matching phase, and a
+    node that quits unmatched provably has no unmatched neighbors
+    left), so the residual graph is implied by ``mate == -1`` — and a
+    returned node's mate never changes again, so the final ``mate``
+    rows are the outputs.
+
+    Every draw of a resume is one bulk ``ctx.lanes`` call: live nodes
+    flip their coins, then proposers and accepting acceptors each
+    consume one bounded draw (``choice(seq)`` consumes exactly
+    ``integers(0, len(seq))``); nodes that returned draw nothing.  The
+    picks are array selections too — each proposer's from its sorted
+    unmatched-neighbor list by one rank-select over the sorted CSR
+    (:func:`~repro.distributed.backends.choose_targets`), each
+    acceptor's by
+    :func:`~repro.distributed.backends.replay_acceptor_choices`.  Seeds
+    terminate independently (masked rows).  Under an active fault plan
+    each lane runs the fault core instead.
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
-    outputs: list[list[int | None]] = [[None] * size for _ in range(num_seeds)]
     if ctx.faults is not None:
         # Per-lane fault schedules share no cross-seed phase structure;
-        # run the single-lane fault core once per lane (see
-        # _BatchedLaneOps) — each lane stays byte-identical to its
-        # single-seed run.
+        # run the fault core once per lane (see _BatchedLaneOps).
+        outputs: list[list[int | None]] = [
+            [None] * size for _ in range(num_seeds)
+        ]
         for s, fstate in enumerate(ctx.faults):
             _israeli_itai_faulty(
                 g, fstate, _BatchedLaneOps(ctx, s), outputs[s]
             )
         return outputs
+    indptr = ctx.indptr
+    sidx, s_nbr = sorted_csr(indptr, ctx.indices)
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
     alive = np.ones((num_seeds, size), dtype=bool)
     degrees = g.degrees()
-    snbrs = [g.sorted_neighbors(v) for v in range(size)]
     lanes = ctx.lanes
-    eight = np.int64(8)
+    eight = np.int64(8)  # every tag payload is one 8-bit character
     while alive.any():
         # Resume A: matched nodes and nodes with no unmatched neighbor
         # return; the rest flip proposer coins and send invitations.
         ctx.begin_step(alive.sum(axis=1))
         unmatched = mate == -1
         residual_deg = ctx.masked_degrees(unmatched)
-        for s, v in zip(*np.nonzero(alive & ~unmatched)):
-            outputs[s][v] = int(mate[s, v])
-        for s, v in zip(*np.nonzero(alive & unmatched & (residual_deg == 0))):
-            outputs[s][v] = -1
         alive &= unmatched & (residual_deg > 0)
-        in_phase = alive.any(axis=1)
-        lrows, lcols = np.nonzero(alive)  # row-major: per-seed node order
+        lrows, lcols = lane_nonzero(alive)  # row-major: per-seed node order
         if lrows.size == 0:
             break  # every seed returned without yielding: no rounds
+        live = alive.sum(axis=1)
+        in_phase = live > 0
         coins = lanes.integers(0, 2, lrows * size + lcols)
         picked = coins == 1
         prows, pcols = lrows[picked], lcols[picked]
@@ -523,45 +411,43 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
         idx = lanes.integers(
             0, residual_deg[prows, pcols], prows * size + pcols
         )
-        proposer = np.zeros((num_seeds, size), dtype=bool)
-        proposer[prows, pcols] = True
-        tgt = np.empty(prows.size, dtype=np.int64)
-        for k in range(prows.size):
-            s, v = int(prows[k]), int(pcols[k])
-            cand = snbrs[v][unmatched[s, snbrs[v]]]
-            tgt[k] = cand[idx[k]]
+        tgt = choose_targets(
+            indptr, s_nbr, sidx, pcols, idx,
+            lambda seg, pos, nbr: unmatched[prows[seg], nbr],
+        )
         ctx.account_groups(
             np.full(prows.size, eight), np.ones(prows.size, np.int64), prows
         )
         ctx.end_step(in_phase)
         # Resume B: each acceptor (non-proposer) picks one incoming
         # proposal uniformly at random and replies.
-        ctx.begin_step(alive.sum(axis=1))
-        accepted_by = np.full((num_seeds, size), -1, dtype=np.int64)
+        ctx.begin_step(live)
+        proposer = np.zeros(num_seeds * size, dtype=bool)
+        proposer[prows * size + pcols] = True
         acc_lanes, chosen = replay_acceptor_choices(
-            lanes, prows * size + tgt, pcols, proposer.reshape(-1)
+            lanes, prows * size + tgt, pcols, proposer
         )
-        accepted_by.reshape(-1)[acc_lanes] = chosen
+        accepted_by = np.full(num_seeds * size, -1, dtype=np.int64)
+        accepted_by[acc_lanes] = chosen
+        arows, acols = np.divmod(acc_lanes, size)
         ctx.account_groups(
-            np.full(acc_lanes.size, eight),
-            np.ones(acc_lanes.size, np.int64),
-            acc_lanes // size,
+            np.full(acc_lanes.size, eight), np.ones(acc_lanes.size, np.int64),
+            arows,
         )
         ctx.end_step(in_phase)
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED to its *full* neighborhood.
-        ctx.begin_step(alive.sum(axis=1))
-        succeeded = accepted_by[prows, tgt] == pcols
+        ctx.begin_step(live)
+        succeeded = accepted_by[prows * size + tgt] == pcols
         mate[prows[succeeded], pcols[succeeded]] = tgt[succeeded]
-        arows, acols = np.nonzero(accepted_by != -1)
-        mate[arows, acols] = accepted_by[arows, acols]
+        mate[arows, acols] = chosen
         m_rows = np.concatenate((prows[succeeded], arows))
         m_cols = np.concatenate((pcols[succeeded], acols))
         ctx.account_groups(
             np.full(m_rows.size, eight), degrees[m_cols], m_rows
         )
         ctx.end_step(in_phase)
-    return outputs
+    return [row.tolist() for row in mate]
 
 
 #: fault-seam marker: the batched port may run under an active plan.
@@ -615,22 +501,16 @@ def israeli_itai_matching(
     """Run Israeli–Itai on ``g``; returns (maximal matching, run metrics).
 
     ``backend`` selects the execution engine (``"generator"`` or
-    ``"array"``); both yield byte-identical results from the same seed
-    — including under an active ``faults`` plan, where the returned
-    matching keeps only symmetric survivor pairs (use
+    ``"array"`` — the array program as a one-lane batch); both yield
+    byte-identical results from the same seed — including under an
+    active ``faults`` plan, where the returned matching keeps only
+    symmetric survivor pairs (use
     :func:`repro.matching.certify.certify_degraded_matching` for the
     full degradation report).
     """
-    res = run_program(
-        g,
-        backend=backend,
-        generator_program=israeli_itai_program,
-        array_program=israeli_itai_array,
-        seed=seed,
-        max_rounds=max_rounds,
-        faults=faults,
-    )
-    return _assemble(g, res, faults), res
+    return israeli_itai_matching_batched(
+        g, [seed], max_rounds=max_rounds, backend=backend, faults=faults
+    )[0]
 
 
 def matching_from_mates(g: Graph, mates: dict[int, int]) -> Matching:

@@ -117,7 +117,7 @@ def lps_interleaved_array(
     heaviest weight class with a live incident edge — is a masked CSR
     segment reduction over per-half-edge classes; the coin flips and
     the two ``choice`` replays follow the per-node RNG streams exactly
-    as :func:`repro.baselines.israeli_itai.israeli_itai_array` does.
+    as the generator program draws them.
     """
     g = ctx.graph
     size = ctx.n
@@ -161,7 +161,7 @@ def lps_interleaved_array(
         if indices.size:
             # Zero sentinel: keeps trailing degree-0 vertices' starts
             # in range without shifting the last non-empty segment's
-            # boundary (see ArrayContext.neighbor_max).
+            # boundary.
             best = np.maximum.reduceat(
                 np.concatenate((inverted, [np.int64(0)])), starts
             )

@@ -34,13 +34,13 @@ Global knowledge: nodes are parameterized by n and wmax (the standard
 assumptions; the paper's O(log n)-bit messages already presuppose
 weights polynomial in n).
 
-Three executable forms (ISSUE 5): :func:`lps_mwm_program` is the
-generator spec, :func:`lps_mwm_array` the vectorized array program,
-and :func:`lps_mwm_array_batched` its seed-axis batched twin (which
-also accepts per-lane weight classes so
+Two executable forms: :func:`lps_mwm_program` is the generator spec
+and :func:`lps_mwm_array_batched` the array program, written over a
+lane axis of seeds (it also accepts per-lane weight classes so
 :func:`repro.core.weighted_mwm.weighted_mwm_batched` can run one box
-call per lane over a shared CSR).  ``lps_mwm(..., backend=...)`` /
-:func:`lps_mwm_batched` pick, and every form produces byte-identical
+call per lane over a shared CSR).  ``lps_mwm(..., backend="array")``
+runs the array program as a one-lane batch and :func:`lps_mwm_batched`
+over a whole seed list; every form produces byte-identical
 ``RunResult``s from the same seed.
 """
 
@@ -52,11 +52,12 @@ from typing import Generator, Sequence
 import numpy as np
 
 from repro.distributed.backends import (
-    ArrayContext,
     BatchedArrayContext,
+    choose_targets,
+    lane_nonzero,
     replay_acceptor_choices,
-    run_program,
     run_program_batched,
+    sorted_csr,
 )
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
@@ -117,154 +118,6 @@ def _weight_class_array(
     return np.maximum(j, 0)
 
 
-def _sorted_csr(
-    indptr: np.ndarray, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex neighbor order made ascending, as one flat permutation.
-
-    Returns ``(sidx, s_nbr)``: ``sidx`` permutes half-edge slots so that
-    each vertex's segment ``indptr[v]:indptr[v+1]`` lists neighbors in
-    ascending id order (the generator program's ``sorted(active)``
-    order) and ``s_nbr = indices[sidx]``.  Replaces the per-vertex
-    ``argsort`` setup loop of both array programs.
-    """
-    size = indptr.size - 1
-    vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    sidx = np.argsort(vhe * size + indices.astype(np.int64))
-    return sidx, indices.astype(np.int64)[sidx]
-
-
-def _choose_targets(
-    indptr: np.ndarray,
-    s_nbr: np.ndarray,
-    sidx: np.ndarray,
-    pv: np.ndarray,
-    idx: np.ndarray,
-    eligible,
-) -> np.ndarray:
-    """Vectorized replay of each proposer's ``choice(sorted(active))``.
-
-    Proposer ``k`` at vertex ``pv[k]`` drew ``idx[k]`` ∈ [0, #active)
-    and picks the ``idx[k]``-th entry of its ascending-id active
-    neighbor list.  ``eligible(seg, pos, nbr)`` returns the active mask
-    for the flat candidate rows — ``seg`` is the proposer row, ``pos``
-    the original CSR half-edge slot, ``nbr`` the candidate id.  One
-    rank-select over ``sum(deg(pv))`` flat rows replaces the
-    per-proposer Python loop that dominated the batched weighted sweep
-    (see ARCHITECTURE.md).
-    """
-    deg = (indptr[pv + 1] - indptr[pv]).astype(np.int64)
-    seg = np.repeat(np.arange(pv.size, dtype=np.int64), deg)
-    off = np.zeros(pv.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    flat = indptr[pv[seg]] + (np.arange(seg.size, dtype=np.int64) - off[seg])
-    nbr = s_nbr[flat]
-    elig = eligible(seg, sidx[flat], nbr)
-    csum = np.cumsum(elig)
-    base = np.concatenate(([0], csum[off[1:] - 1][:-1]))
-    hit = elig & ((csum - elig - base[seg]) == idx[seg])
-    return nbr[hit]
-
-
-def lps_mwm_array(
-    ctx: ArrayContext,
-    n: int,
-    wmax: float,
-    num_classes: int,
-    phases_per_class: int,
-) -> list[int]:
-    """Array program twin of :func:`lps_mwm_program`.
-
-    The protocol is fully lockstep — every node runs the identical
-    ``num_classes × phases_per_class`` schedule of 3-round phases and
-    only returns after it — so there is no ``alive`` mask: every
-    resume has all ``n`` nodes live and every resume counts a round.
-    SoA state is an ``int64`` ``mate`` column plus a ``dead`` mask of
-    delivered ``_MATCHED`` announcements (a broadcast, so one global
-    mask agrees with every generator node's private ``dead`` set; it
-    flips *after* resume C, landing next phase exactly like the
-    generator's post-yield inbox scan).  Coin flips and the two
-    ``choice`` replays are bulk ``ctx.lanes`` draws and the
-    chosen-neighbor selection is one flat rank-select
-    (:func:`_choose_targets`).  A class with no drawer left stays
-    drawerless (mate only sets, dead only grows), so its remaining
-    phases fast-forward through
-    :meth:`~repro.distributed.backends.ArrayContext.idle_steps` with
-    identical accounting — most of the ``num_classes ×
-    phases_per_class`` schedule is that idle tail.
-    """
-    g = ctx.graph
-    size = ctx.n
-    indptr, indices = ctx.indptr, ctx.indices
-    _, _, eids = g.adjacency_arrays()
-    he_cls = _weight_class_array(g.weights_array(), wmax)[eids]
-    vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    degrees = g.degrees()
-    # Ascending-neighbor order per vertex — the order the generator
-    # program's sorted(active) lists use.
-    sidx, s_nbr = _sorted_csr(indptr, indices)
-    # Half-edges of each class, precomputed (classes partition them).
-    cls_he = [np.flatnonzero(he_cls == c) for c in range(num_classes)]
-    mate = np.full(size, -1, dtype=np.int64)
-    dead = np.zeros(size, dtype=bool)
-    lanes = ctx.lanes
-    eight = np.int64(8)
-    for cls in range(num_classes):
-        for _phase in range(phases_per_class):
-            # --- round 1: proposals ----------------------------------
-            he = cls_he[cls]
-            live_he = he[~dead[indices[he]]]
-            cnt = np.bincount(vhe[live_he], minlength=size)
-            drawers = np.flatnonzero((mate == -1) & (cnt > 0))
-            if drawers.size == 0:
-                # mate only sets and dead only grows, so a draw-free
-                # phase makes every remaining phase of this class a
-                # no-op too; the generator runs them literally (3 idle
-                # rounds each, no sends, no draws) — account the same.
-                ctx.idle_steps(size, 3 * (phases_per_class - _phase))
-                break
-            ctx.begin_step(size)
-            coins = lanes.integers(0, 2, drawers)
-            prop = drawers[coins == 1]
-            idx = lanes.integers(0, cnt[prop], prop)
-            tgt = _choose_targets(
-                indptr, s_nbr, sidx, prop, idx,
-                lambda seg, pos, nbr: (he_cls[pos] == cls) & ~dead[nbr],
-            )
-            ctx.account_groups(
-                np.full(prop.size, eight), np.ones(prop.size, np.int64)
-            )
-            ctx.end_step(True)
-            # --- round 2: accepts ------------------------------------
-            # Every proposal lands in its target's active set (the
-            # edge's class is symmetric and an unmatched proposer was
-            # never announced), so acceptors are exactly the unmatched
-            # non-proposer targets.
-            ctx.begin_step(size)
-            accepted_by = np.full(size, -1, dtype=np.int64)
-            ignores = mate != -1
-            ignores[prop] = True
-            acc, chosen = replay_acceptor_choices(lanes, tgt, prop, ignores)
-            accepted_by[acc] = chosen
-            mate[acc] = chosen
-            ctx.account_groups(
-                np.full(acc.size, eight), np.ones(acc.size, np.int64)
-            )
-            ctx.end_step(True)
-            # --- round 3: confirm + announce -------------------------
-            ctx.begin_step(size)
-            succ = accepted_by[tgt] == prop
-            mate[prop[succ]] = tgt[succ]
-            matched_now = np.concatenate((prop[succ], acc))
-            ctx.account_groups(
-                np.full(matched_now.size, eight), degrees[matched_now]
-            )
-            ctx.end_step(True)
-            dead[matched_now] = True  # the broadcast lands next resume
-    ctx.begin_step(size)  # final resume: every program returns
-    return [int(x) for x in mate]
-
-
 def lps_mwm_array_batched(
     ctx: BatchedArrayContext,
     n: int,
@@ -274,12 +127,24 @@ def lps_mwm_array_batched(
     he_cls: np.ndarray | None = None,
     lane_degrees: np.ndarray | None = None,
 ) -> list[list[int]]:
-    """Seed-axis batched twin of :func:`lps_mwm_array`.
+    """Array program of :func:`lps_mwm_program`, one lane per seed.
 
-    The same lockstep schedule over ``(num_seeds, n)`` SoA state —
-    every lane runs exactly ``num_classes × phases_per_class × 3``
-    rounds, so no termination masking is needed and every lane's
-    ``RunResult`` is byte-identical to its single-seed run.
+    The protocol is fully lockstep — every node runs the identical
+    ``num_classes × phases_per_class`` schedule of 3-round phases and
+    only returns after it — so there is no ``alive`` mask and no
+    termination masking: every resume has all ``n`` nodes of every lane
+    live and counts a round.  SoA state is an ``int64`` ``mate`` column
+    plus a ``dead`` mask of delivered ``_MATCHED`` announcements (a
+    broadcast, so one mask row per lane agrees with every generator
+    node's private ``dead`` set; it flips *after* resume C, landing
+    next phase exactly like the generator's post-yield inbox scan).
+    Coin flips and the two ``choice`` replays are bulk ``ctx.lanes``
+    draws, and the chosen-neighbor selection is one flat rank-select
+    (:func:`~repro.distributed.backends.choose_targets`).  A class with
+    no drawer left in any lane stays drawerless (mate only sets, dead
+    only grows), so its remaining phases fast-forward through
+    :meth:`~repro.distributed.backends.BatchedArrayContext.idle_steps`
+    with identical accounting — most of the schedule is that idle tail.
 
     Two extra hooks exist for Algorithm 5's batched pipeline
     (:func:`repro.core.weighted_mwm.weighted_mwm_batched`), where each
@@ -317,9 +182,9 @@ def lps_mwm_array_batched(
     vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
     # Ascending-neighbor order per vertex; a proposer's candidate
     # classes come from its lane's he_cls row via the CSR positions.
-    sidx, s_nbr = _sorted_csr(indptr, indices)
+    sidx, s_nbr = sorted_csr(indptr, indices)
     # (lane, half-edge) pairs of each class, precomputed once.
-    cls_part = [np.nonzero(he_cls == c) for c in range(num_classes)]
+    cls_part = [lane_nonzero(he_cls == c) for c in range(num_classes)]
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
     dead = np.zeros((num_seeds, size), dtype=bool)
     lanes = ctx.lanes
@@ -335,7 +200,7 @@ def lps_mwm_array_batched(
                 rows_c[alive_he] * size + vhe[he_c[alive_he]],
                 minlength=num_seeds * size,
             ).reshape(num_seeds, size)
-            pr_all, pv_all = np.nonzero((mate == -1) & (cnt > 0))
+            pr_all, pv_all = lane_nonzero((mate == -1) & (cnt > 0))
             if pr_all.size == 0:
                 # No lane has a drawer left in this class (monotone:
                 # mate only sets, dead only grows) — the rest of the
@@ -348,7 +213,7 @@ def lps_mwm_array_batched(
             picked = coins == 1
             pr, pv = pr_all[picked], pv_all[picked]
             idx = lanes.integers(0, cnt[pr, pv], pr * size + pv)
-            tgt = _choose_targets(
+            tgt = choose_targets(
                 indptr, s_nbr, sidx, pv, idx,
                 lambda seg, pos, nbr: (
                     (he_cls[pr[seg], pos] == cls) & ~dead[pr[seg], nbr]
@@ -388,7 +253,7 @@ def lps_mwm_array_batched(
             ctx.end_step(all_yield)
             dead[m_rows, m_cols] = True  # broadcast lands next resume
     ctx.begin_step(all_live)  # final resume: every program returns
-    return [[int(x) for x in row] for row in mate]
+    return [row.tolist() for row in mate]
 
 
 def lps_mwm_program(
@@ -453,7 +318,7 @@ def _lps_params(
     g: Graph, num_classes: int | None, phases_per_class: int | None
 ) -> dict[str, object]:
     """Shared parameter resolution for every execution form."""
-    wmax = max(w for _, _, w in g.iter_weighted_edges())
+    wmax = float(g.weights_array().max())
     log_n = max(1, math.ceil(math.log2(max(2, g.n))))
     if num_classes is None:
         num_classes = 2 * log_n + 4
@@ -479,24 +344,16 @@ def lps_mwm(
 
     Defaults: ``num_classes = 2⌈log₂ n⌉ + 4`` and ``phases_per_class =
     4⌈log₂ n⌉ + 4`` (w.h.p. maximal per class).  ``backend`` selects
-    the execution engine (``"generator"`` or ``"array"``); both yield
-    byte-identical results from the same seed, so Algorithm 5's black
-    box runs vectorized end to end when ``"array"`` is chosen.
+    the execution engine (``"generator"`` or ``"array"`` — the array
+    program as a one-lane batch); both yield byte-identical results
+    from the same seed, so Algorithm 5's black box runs vectorized end
+    to end when ``"array"`` is chosen.
     """
-    if not g.weighted:
-        raise ValueError("lps_mwm needs a weighted graph")
-    if g.m == 0:
-        return Matching(g), RunResult()
-    res = run_program(
-        g,
+    return lps_mwm_batched(
+        g, [seed], num_classes=num_classes,
+        phases_per_class=phases_per_class, max_rounds=max_rounds,
         backend=backend,
-        generator_program=lps_mwm_program,
-        array_program=lps_mwm_array,
-        params=_lps_params(g, num_classes, phases_per_class),
-        seed=seed,
-        max_rounds=max_rounds,
-    )
-    return matching_from_mates(g, res.outputs), res
+    )[0]
 
 
 def lps_mwm_batched(

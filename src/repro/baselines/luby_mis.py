@@ -16,10 +16,12 @@ are drawn from [1, N⁴] as in Section 3.2, so a message is O(log N)
 bits.  Nodes terminate locally once decided, and announce their
 decision so undecided neighbors can prune.
 
-Two executable forms (ISSUE 3): :func:`luby_mis_program` is the
-generator spec, :func:`luby_mis_array` the vectorized array program;
-``luby_mis(..., backend=...)`` picks, and both produce byte-identical
-``RunResult``s from the same seed.
+Two executable forms: :func:`luby_mis_program` is the generator spec
+and :func:`luby_mis_array_batched` the array program, written over a
+lane axis of seeds.  ``luby_mis(..., backend="array")`` runs the array
+program as a one-lane batch and :func:`luby_mis_batched` over a whole
+seed list; every form produces byte-identical ``RunResult``s from the
+same seed.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from typing import Generator, Sequence
 import numpy as np
 
 from repro.distributed.backends import (
-    ArrayContext,
     BatchedArrayContext,
     int_payload_bits,
-    run_program,
+    lane_nonzero,
     run_program_batched,
 )
 from repro.distributed.faults import FaultPlan
@@ -104,87 +105,25 @@ def luby_mis_program(node: Node, n: int) -> Generator[None, None, bool]:
         yield  # round 3: withdrawals in flight
 
 
-def luby_mis_array(ctx: ArrayContext, n: int) -> list[bool]:
-    """Array program twin of :func:`luby_mis_program`.
-
-    State is struct-of-arrays: an ``alive`` mask (undecided nodes) and
-    per-phase ``int64`` number columns.  The residual graph is implied
-    by the mask — a live node's *active* set in the generator form is
-    exactly its live neighbors, because withdrawers announce ``_OUT``
-    and MIS winners eliminate their whole neighborhood in the same
-    phase — so each 3-resume phase is a handful of CSR segment
-    reductions.  The random numbers come from ``ctx.lanes``, whose
-    per-node streams replicate the generator program's draws bit for
-    bit but batch a whole resume's draws into one array call (ISSUE 5
-    removed the last per-node Python draw loop).
-    """
-    size = ctx.n
-    outputs: list[bool | None] = [None] * size
-    alive = np.ones(size, dtype=bool)
-    hi = _number_bound(n)
-    lanes = ctx.lanes
-    while alive.any():
-        # Resume A: withdrawals from last phase are already folded into
-        # ``alive``; isolated-in-the-residual nodes join and return.
-        ctx.begin_step(int(alive.sum()))
-        live_deg = ctx.masked_degrees(alive)
-        live = np.flatnonzero(alive)
-        isolated = live[live_deg[live] == 0]
-        for v in isolated.tolist():
-            outputs[v] = True
-        alive[isolated] = False
-        senders = live[live_deg[live] > 0]
-        if senders.size == 0:
-            break  # everyone returned without yielding: no round counted
-        numbers = lanes.integers(1, hi + 1, senders)
-        ctx.account_groups(int_payload_bits(numbers), live_deg[senders])
-        ctx.end_step(True)
-        # Resume B: a node wins iff its number beats every live
-        # neighbor's; winners announce membership (8-bit tag).
-        ctx.begin_step(senders.size)
-        scattered = np.zeros(size, dtype=np.int64)
-        scattered[senders] = numbers
-        winner = numbers > ctx.neighbor_max(scattered, mask=alive)[senders]
-        winner_ids = senders[winner]
-        ctx.account_groups(
-            np.full(winner_ids.size, 8, dtype=np.int64), live_deg[winner_ids]
-        )
-        ctx.end_step(True)
-        # Resume C: winners return; their neighbors withdraw (8-bit
-        # ``_OUT`` to the whole phase-start active set) and return.
-        ctx.begin_step(senders.size)
-        won = np.zeros(size, dtype=bool)
-        won[winner_ids] = True
-        beaten = ctx.neighbor_any(won)[senders]
-        loser_ids = senders[~winner & beaten]
-        ctx.account_groups(
-            np.full(loser_ids.size, 8, dtype=np.int64), live_deg[loser_ids]
-        )
-        ctx.end_step(bool((~winner & ~beaten).any()))
-        for v in winner_ids.tolist():
-            outputs[v] = True
-        for v in loser_ids.tolist():
-            outputs[v] = False
-        alive[winner_ids] = False
-        alive[loser_ids] = False
-    return outputs
-
-
 def luby_mis_array_batched(ctx: BatchedArrayContext, n: int) -> list[list[bool]]:
-    """Seed-axis batched twin of :func:`luby_mis_array`.
+    """Array program of :func:`luby_mis_program`, one lane per seed.
 
-    The same resume structure over ``(num_seeds, n)`` SoA state: every
-    seed of the batch advances through its own phases simultaneously,
-    with a row of the ``alive`` mask per seed.  Seeds terminate
-    independently — a finished seed's row is all-False, so it
+    State is struct-of-arrays over ``(num_seeds, n)``: an ``alive`` mask
+    (undecided nodes), a ``joined`` mask, and per-phase ``int64`` number
+    columns.  The residual graph is implied by the mask — a live node's
+    *active* set in the generator form is exactly its live neighbors,
+    because withdrawers announce ``_OUT`` and MIS winners eliminate
+    their whole neighborhood in the same phase — so each 3-resume phase
+    is a handful of CSR segment reductions.  Seeds terminate
+    independently: a finished seed's row is all-False, so it
     contributes no rounds, groups, or draws while stragglers run.  The
     random numbers come from ``ctx.lanes``, whose per-(seed, node)
-    streams replicate the single-seed ``ctx.rngs`` draws bit for bit,
-    but batch a whole resume's draws into a few array ops.
+    streams replicate the generator program's draws bit for bit, one
+    bulk call per resume.
     """
     num_seeds, size = ctx.num_seeds, ctx.n
-    outputs: list[list[bool | None]] = [[None] * size for _ in range(num_seeds)]
     alive = np.ones((num_seeds, size), dtype=bool)
+    joined = np.zeros((num_seeds, size), dtype=bool)
     hi = _number_bound(n)
     lanes = ctx.lanes
     eight = np.int64(8)
@@ -193,47 +132,43 @@ def luby_mis_array_batched(ctx: BatchedArrayContext, n: int) -> list[list[bool]]
         # rest draw numbers and send them to their live neighbors.
         ctx.begin_step(alive.sum(axis=1))
         live_deg = ctx.masked_degrees(alive)
-        isolated = alive & (live_deg == 0)
-        for s, v in zip(*np.nonzero(isolated)):
-            outputs[s][v] = True
         senders = alive & (live_deg > 0)
+        joined |= alive & ~senders
         in_phase = senders.any(axis=1)  # seeds with a live, non-isolated node
-        srows, scols = np.nonzero(senders)  # row-major: per-seed node order
+        srows, scols = lane_nonzero(senders)  # row-major: per-seed node order
         numbers = lanes.integers(1, hi + 1, srows * size + scols)
-        sender_deg = live_deg[srows, scols]
-        ctx.account_groups(int_payload_bits(numbers), sender_deg, srows)
+        ctx.account_groups(
+            int_payload_bits(numbers), live_deg[srows, scols], srows
+        )
         ctx.end_step(in_phase)
         # Resume B: a node wins iff its number beats every live
-        # neighbor's; winners announce membership (8-bit tag).
-        ctx.begin_step(senders.sum(axis=1))
+        # neighbor's (non-senders scatter 0, below every number);
+        # winners announce membership (8-bit tag).
+        live = senders.sum(axis=1)
+        ctx.begin_step(live)
         scattered = np.zeros((num_seeds, size), dtype=np.int64)
         scattered[srows, scols] = numbers
         winner = np.zeros((num_seeds, size), dtype=bool)
         winner[srows, scols] = (
-            numbers > ctx.neighbor_max(scattered, mask=senders)[srows, scols]
+            numbers > ctx.neighbor_max(scattered)[srows, scols]
         )
-        wrows, wcols = np.nonzero(winner)
+        wrows, wcols = lane_nonzero(winner)
         ctx.account_groups(
             np.full(wrows.size, eight), live_deg[wrows, wcols], wrows
         )
         ctx.end_step(in_phase)
         # Resume C: winners return; their neighbors withdraw (8-bit
         # ``_OUT`` to the whole phase-start active set) and return.
-        ctx.begin_step(senders.sum(axis=1))
+        ctx.begin_step(live)
         beaten = ctx.neighbor_any(winner)
-        loser = senders & ~winner & beaten
-        lrows, lcols = np.nonzero(loser)
+        lrows, lcols = lane_nonzero(senders & ~winner & beaten)
         ctx.account_groups(
             np.full(lrows.size, eight), live_deg[lrows, lcols], lrows
         )
-        survivors = senders & ~winner & ~beaten
-        ctx.end_step(survivors.any(axis=1))
-        for s, v in zip(wrows.tolist(), wcols.tolist()):
-            outputs[s][v] = True
-        for s, v in zip(lrows.tolist(), lcols.tolist()):
-            outputs[s][v] = False
-        alive = survivors
-    return outputs
+        alive = senders & ~winner & ~beaten
+        ctx.end_step(alive.any(axis=1))
+        joined |= winner
+    return [row.tolist() for row in joined]
 
 
 def luby_mis_batched(
@@ -250,8 +185,8 @@ def luby_mis_batched(
     ``"generator"`` falls back to one ``Network`` per seed.  Both
     return per-seed ``(MIS, RunResult)`` pairs identical to
     ``[luby_mis(g, seed=s) for s in seeds]``.  Active ``faults`` plans
-    are generator-backend-only for Luby (the array ports declare no
-    fault seam and are rejected at construction).
+    are generator-backend-only for Luby (the array program declares no
+    fault seam and is rejected at construction).
     """
     results = run_program_batched(
         g,
@@ -277,21 +212,14 @@ def luby_mis(
     """Run Luby's MIS on ``g``; returns (MIS vertex set, run metrics).
 
     ``backend`` selects the execution engine (``"generator"`` or
-    ``"array"``); both yield byte-identical results from the same seed.
-    Active ``faults`` plans require the generator backend (Luby's array
-    ports declare no fault seam).
+    ``"array"`` — the array program as a one-lane batch); both yield
+    byte-identical results from the same seed.  Active ``faults`` plans
+    require the generator backend (Luby's array program declares no
+    fault seam).
     """
-    res = run_program(
-        g,
-        backend=backend,
-        generator_program=luby_mis_program,
-        array_program=luby_mis_array,
-        params={"n": g.n},
-        seed=seed,
-        max_rounds=max_rounds,
-        faults=faults,
-    )
-    return {v for v, joined in res.outputs.items() if joined}, res
+    return luby_mis_batched(
+        g, [seed], max_rounds=max_rounds, backend=backend, faults=faults
+    )[0]
 
 
 def verify_mis(g: Graph, mis: set[int]) -> bool:

@@ -256,18 +256,19 @@ def weighted_mwm(
                 gprime, seed=box_seed, max_rounds=max_rounds, backend=backend
             )
         total = total.merge(res)
-        gain_lb = sum(float(wm[g.edge_id(u, v)]) for u, v in mprime.edges())
-        old_weight = m.weight()
-        if backend == "array":
-            m = apply_wraps_array(m, mprime.edges())
-        else:
-            m = apply_wraps(m, mprime.edges())
+        edges = mprime.edges()
+        wrap = apply_wraps_array if backend == "array" else apply_wraps
+        wrapped = wrap(m, edges)
         # Applying the wraps is 2 more rounds (evict mates, set new).
         total.charged_rounds += 2
-        if check_lemma41 and m.weight() < old_weight + gain_lb - 1e-9:
-            raise AssertionError(
-                f"Lemma 4.1 violated: {m.weight()} < {old_weight} + {gain_lb}"
-            )
+        if check_lemma41:
+            gain_lb = sum(float(wm[g.edge_id(u, v)]) for u, v in edges)
+            if wrapped.weight() < m.weight() + gain_lb - 1e-9:
+                raise AssertionError(
+                    f"Lemma 4.1 violated: {wrapped.weight()} < "
+                    f"{m.weight()} + {gain_lb}"
+                )
+        m = wrapped
     total.outputs = {v: m.mate(v) for v in range(g.n)}
     return m, total, it
 

@@ -1,58 +1,69 @@
 """Pluggable execution backends for the round engine.
 
-Layer 2 exposes *two* ways to execute a distributed algorithm, behind
-one :class:`ExecutionBackend` protocol:
+Layer 2 exposes two ways to execute a distributed algorithm, behind one
+:class:`ExecutionBackend` protocol:
 
 * :class:`GeneratorBackend` (= :class:`~repro.distributed.network.Network`)
   — the reference semantics.  One Python generator per vertex, resumed
   in lockstep; messages are real objects validated and delivered
   through inboxes.  Every algorithm has a generator program, and the
   generator run *defines* correct output and accounting.
-* :class:`ArrayBackend` — executes **array programs**: the same
+* the **array backends** — execute **array programs**: the same
   algorithm expressed as per-round vectorized NumPy updates over
   struct-of-arrays node state (``int64``/``float64`` state columns and
   boolean active masks), with message *effects* computed by CSR-indexed
   scatter/gather instead of materialized message objects.
 
-Both backends are constructed as ``Backend(graph, program, params=None,
-seed=0, model=LOCAL)`` and driven with ``run(max_rounds)``; they differ
-only in what ``program`` is.  An array program is a callable
+**The seed count is a lane count.**  A ported algorithm has exactly one
+array program, written over ``(num_seeds, n)`` state and executed by
+:class:`BatchedArrayBackend`:
 
-    ``program(ctx: ArrayContext, **params) -> Sequence[Any] | None``
+    ``program(ctx: BatchedArrayContext, **params) -> per-seed outputs``
 
-that owns its round loop and reports everything observable through the
-context:
+A single-seed ``backend="array"`` run is a one-lane batch
+(``run_program_batched(..., seeds=[seed])[0]``), so there is no second
+program to keep byte-identical by hand.  The program owns its round
+loop and reports everything observable through the context:
 
-* ``ctx.rngs`` — per-node RNGs spawned exactly as the generator engine
-  spawns them (one ``SeedSequence(seed)``, ``spawn(n)``).  For seed
-  identity an array program must make the *same sequence of calls on
-  the same per-node generators* as its generator twin — randomness is
-  per node by construction, so this is the one part that stays a
-  (cheap) Python loop while everything else vectorizes.
-* ``ctx.begin_step(live)`` — start of one lockstep resume: raises the
-  same budget ``RuntimeError`` the generator engine raises when live
-  nodes remain past ``max_rounds``.
-* ``ctx.account_groups(bits, counts)`` — account one resume's grouped
-  sends.  A group is "one payload to ``count`` recipients" (what
-  ``Node.send_many``/``broadcast`` queue); totals, the bit-volume dot
-  product, the per-message peak, and the CONGEST bound check all match
-  :meth:`Network.run` exactly.  Empty groups are dropped, as the
-  generator engine drops them.
-* ``ctx.end_step(yielded)`` — a round is counted iff some node yielded
-  in this resume (programs that return without yielding cost zero
-  rounds), after the resume's messages are flushed — the same order as
-  the generator loop.
+* ``ctx.lanes`` — per-(seed, node) RNG streams
+  (:class:`~repro.distributed.batch_rng.LaneRngs`): lane ``s * n + v``
+  replicates, bit for bit, the RNG the generator engine hands node
+  ``v`` under ``seeds[s]``.  For seed identity a program must make the
+  *same draws on the same per-node streams* as its generator program;
+  a resume's draws for every lane are one bulk call.
+* ``ctx.begin_step(live)`` — top of one lockstep resume: ``live[s]`` is
+  seed ``s``'s live-node count, and the generator engine's budget
+  ``RuntimeError`` is raised when a seed with live nodes is out of
+  rounds.  Seeds whose programs have returned pass 0 and are never
+  checked — the masked-termination rule.
+* ``ctx.account_groups(bits, counts, seed_of)`` — account one resume's
+  grouped sends.  A group is "one payload to ``count`` recipients"
+  (what ``Node.send_many``/``broadcast`` queue) sent by a node of seed
+  ``seed_of``; totals, the bit-volume dot product, the per-message
+  peak, and the CONGEST bound check all match :meth:`Network.run`
+  exactly.  Empty groups are dropped, as the generator engine drops
+  them.
+* ``ctx.end_step(yielded)`` — seed ``s`` gains a round iff some node of
+  it yielded in this resume (programs that return without yielding
+  cost zero rounds), after the resume's messages are flushed — the
+  same order as the generator loop.
 
 Message *routing* needs no per-message work at all: senders may only
 address graph neighbors, so an array program reads "what did my
 neighbors send" straight off the CSR arrays.  The port-numbering
 invariant (see ``repro.graphs.graph``) makes this exact: vertex ``v``'s
 half-edges occupy ``indptr[v]:indptr[v+1]`` in a stable per-vertex
-order, so a value scattered to ``values[u]`` is gathered by every
-neighbor ``v`` via ``values[indices[indptr[v]:indptr[v+1]]]`` — the
-segment helpers below (:meth:`ArrayContext.masked_degrees`,
-:meth:`ArrayContext.neighbor_max`, :meth:`ArrayContext.neighbor_any`)
-are that gather fused with a per-vertex reduction.
+order, so a value scattered to ``values[s, u]`` is gathered by every
+neighbor ``v`` via ``values[s, indices[indptr[v]:indptr[v+1]]]`` — the
+segment reductions (:meth:`BatchedArrayContext.masked_degrees`,
+:meth:`BatchedArrayContext.neighbor_max`,
+:meth:`BatchedArrayContext.neighbor_any`) are that gather fused with a
+per-vertex ``reduceat``.
+
+:class:`ArrayBackend` / :class:`ArrayContext` remain only for the
+programs with no batched form (the Algorithm 2 flood, the interleaved
+LPS matching and the Cole–Vishkin ring pipeline): one seed, per-node
+``ctx.rngs``, and the same three lockstep calls with scalar arguments.
 
 Divergence note (documented, deliberate): error *messages* carry less
 per-node context on the array side (no single offending node mid-scan).
@@ -61,28 +72,9 @@ before the offending resume's groups reach the counters (the generator
 engine batches its per-round flush, so an exception mid-scan drops that
 resume's batch too).  Everything on the success path — rounds,
 messages, bits, peak, outputs — is byte-identical, pinned by
-``tests/test_backend_identity.py`` against the seed-identity goldens.
-
-**Seed-axis batching (ISSUE 4).**  A sweep repeats the same graph over
-many seeds; running the seeds one at a time pays the whole Python
-per-run overhead — backend construction, the O(n) RNG spawn, and one
-NumPy dispatch chain per seed — once *per seed*.
-:class:`BatchedArrayBackend` executes a **batched array program** over
-SoA state with a leading ``(num_seeds, n)`` axis instead: one run
-computes every seed's execution simultaneously, with
-
-* per-(seed, node) RNG streams via :class:`~repro.distributed.batch_rng.
-  LaneRngs` — a bit-exact, vectorized replication of the per-node
-  ``Generator`` streams ``Network`` spawns, so draws for *all* lanes of
-  a resume are a few array ops;
-* masked per-seed termination — a seed whose nodes have all returned
-  contributes no rounds, no groups, and no budget checks while the
-  batch finishes the stragglers;
-* batched accounting (:meth:`BatchedArrayContext.account_groups` rows
-  carry a seed index) that still produces one byte-identical
-  :class:`RunResult` *per seed*, pinned against the generator backend
-  and the seed-identity goldens by ``tests/test_distributed/
-  test_batched_backend.py``.
+``tests/test_backend_identity.py`` and
+``tests/test_distributed/test_batched_backend.py`` against the
+seed-identity goldens.
 """
 
 from __future__ import annotations
@@ -93,7 +85,6 @@ import numpy as np
 
 from repro.distributed.batch_rng import LaneRngs
 from repro.distributed.faults import FaultPlan, FaultState, bind_many
-from repro.distributed.kernels import make_kernel
 from repro.distributed.metrics import RunResult
 from repro.distributed.models import LOCAL, CongestViolation, Model
 from repro.distributed.network import Network
@@ -102,8 +93,14 @@ from repro.graphs.graph import Graph
 #: The reference backend: the generator-per-vertex engine.
 GeneratorBackend = Network
 
-#: An array program: drives its own round loop through an ArrayContext.
+#: A single-seed array program: drives its own round loop through an
+#: :class:`ArrayContext`.
 ArrayProgram = Callable[..., "Sequence[Any] | None"]
+
+#: A batched array program: drives its own round loop through a
+#: :class:`BatchedArrayContext`; state carries a leading seed axis and
+#: outputs are returned per seed.
+BatchedArrayProgram = Callable[..., "Sequence[Sequence[Any]] | None"]
 
 
 @runtime_checkable
@@ -152,8 +149,8 @@ def segment_bounds(sorted_keys: np.ndarray) -> np.ndarray:
     ``sorted_keys[bounds[k]:bounds[k+1]]`` for
     ``k in range(bounds.size - 1)``; an empty input yields ``[0]`` (no
     runs).  The proposal-routing idiom shared by the Israeli–Itai and
-    interleaved-LPS array programs: sort proposals by target, then walk
-    the per-target runs.
+    LPS array programs: sort proposals by target, then walk the
+    per-target runs.
     """
     if sorted_keys.size == 0:
         return np.zeros(1, dtype=np.int64)
@@ -161,6 +158,72 @@ def segment_bounds(sorted_keys: np.ndarray) -> np.ndarray:
         np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
     )
     return np.append(heads, sorted_keys.size)
+
+
+def sorted_csr(
+    indptr: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex neighbor order made ascending, as one flat permutation.
+
+    Returns ``(sidx, s_nbr)``: ``sidx`` permutes half-edge slots so that
+    each vertex's segment ``indptr[v]:indptr[v+1]`` lists neighbors in
+    ascending id order (the generator programs' ``sorted(...)``
+    candidate order) and ``s_nbr = indices[sidx]``.  The keys are
+    unique, so every sort gives the same permutation; the stable sort
+    is near-linear on the common CSR whose segments already ascend
+    (graphs built from lexicographically ordered edge lists).
+    """
+    size = indptr.size - 1
+    vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
+    sidx = np.argsort(vhe * size + indices, kind="stable")
+    return sidx, indices.astype(np.int64)[sidx]
+
+
+def choose_targets(
+    indptr: np.ndarray,
+    s_nbr: np.ndarray,
+    sidx: np.ndarray,
+    pv: np.ndarray,
+    idx: np.ndarray,
+    eligible: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Vectorized replay of each proposer's ``choice(sorted(active))``.
+
+    Proposer ``k`` at vertex ``pv[k]`` drew ``idx[k]`` ∈ [0, #active)
+    and picks the ``idx[k]``-th entry of its ascending-id active
+    neighbor list.  ``eligible(seg, pos, nbr)`` returns the active mask
+    for the flat candidate rows — ``seg`` is the proposer row, ``pos``
+    the original CSR half-edge slot, ``nbr`` the candidate id.  One
+    rank-select over ``sum(deg(pv))`` flat rows (a cumsum ranks each
+    segment's eligible entries; the drawn index picks per segment)
+    replaces a per-proposer Python loop.  ``s_nbr``/``sidx`` come from
+    :func:`sorted_csr`.
+    """
+    deg = (indptr[pv + 1] - indptr[pv]).astype(np.int64)
+    seg = np.repeat(np.arange(pv.size, dtype=np.int64), deg)
+    off = np.zeros(pv.size + 1, dtype=np.int64)
+    np.cumsum(deg, out=off[1:])
+    flat = indptr[pv[seg]] + (np.arange(seg.size, dtype=np.int64) - off[seg])
+    nbr = s_nbr[flat]
+    elig = eligible(seg, sidx[flat], nbr)
+    csum = np.cumsum(elig)
+    base = np.concatenate(([0], csum[off[1:] - 1][:-1]))
+    hit = elig & ((csum - elig - base[seg]) == idx[seg])
+    return nbr[hit]
+
+
+def lane_nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a ``(num_seeds, n)`` lane mask.
+
+    Returns ``(rows, cols)`` — seed index and vertex of every set entry
+    in row-major (per-seed vertex) order — from one flat
+    ``flatnonzero``, which costs a fraction of NumPy's 2-D ``nonzero``;
+    a one-lane mask needs no division at all.
+    """
+    flat = np.flatnonzero(mask)
+    if mask.shape[0] == 1:
+        return np.zeros_like(flat), flat
+    return np.divmod(flat, mask.shape[1])
 
 
 def replay_acceptor_choices(
@@ -172,47 +235,31 @@ def replay_acceptor_choices(
     """Replay every acceptor's ``choice(sorted(proposals))`` in bulk.
 
     The proposal-acceptance idiom shared by the Israeli–Itai and
-    weight-class LPS array programs (single-seed and batched): group
-    the proposals by target, drop targets whose nodes ignore proposals
-    this round, and draw each remaining target's uniform pick — one
-    bulk bounded lane draw, selection per group.
+    weight-class LPS array programs: group the proposals by target,
+    drop targets whose nodes ignore proposals this round, and draw each
+    remaining target's uniform pick — one bulk bounded lane draw, then
+    one gather at each group's head plus its drawn offset.
 
     ``keys[i]`` is proposal ``i``'s target as a flat lane id
-    (``seed_index * n + vertex``; plain vertex ids when single-seed),
-    ``srcs[i]`` its proposer vertex, and ``skip`` a bool array indexed
-    by flat lane id marking targets that ignore proposals (proposers,
-    and — where the protocol allows matched targets to be addressed —
-    matched nodes).  Proposals must arrive with ascending ``srcs`` per
-    target (callers enumerate proposers in index order), so the stable
-    per-key sort reproduces the generator program's ``sorted(
-    proposals)`` candidate order.  Returns ``(acceptors, chosen)`` —
-    the accepting flat lane ids (ascending) and each one's selected
-    proposer.
+    (``seed_index * n + vertex``), ``srcs[i]`` its proposer vertex, and
+    ``skip`` a bool array indexed by flat lane id marking targets that
+    ignore proposals (proposers, and — where the protocol allows
+    matched targets to be addressed — matched nodes).  Proposals must
+    arrive with ascending ``srcs`` per target (callers enumerate
+    proposers in index order), so the stable per-key sort reproduces
+    the generator program's ``sorted(proposals)`` candidate order.
+    Returns ``(acceptors, chosen)`` — the accepting flat lane ids
+    (ascending) and each one's selected proposer.
     """
     order = np.argsort(keys, kind="stable")  # per-target, src ascending
     sorted_keys = keys[order]
-    sorted_srcs = srcs[order]
     bounds = segment_bounds(sorted_keys)
-    acc: list[int] = []
-    acc_off: list[int] = []
-    acc_cnt: list[int] = []
-    for k in range(bounds.size - 1):
-        b0 = int(bounds[k])
-        key = int(sorted_keys[b0])
-        if skip[key]:
-            continue
-        acc.append(key)
-        acc_off.append(b0)
-        acc_cnt.append(int(bounds[k + 1]) - b0)
-    acceptors = np.asarray(acc, dtype=np.int64)
-    chosen = np.empty(acceptors.size, dtype=np.int64)
-    if acceptors.size:
-        aidx = lanes.integers(
-            0, np.asarray(acc_cnt, dtype=np.int64), acceptors
-        )
-        for k in range(acceptors.size):
-            chosen[k] = int(sorted_srcs[acc_off[k] + aidx[k]])
-    return acceptors, chosen
+    heads = bounds[:-1]
+    accept = ~skip[sorted_keys[heads]]
+    heads = heads[accept]
+    acceptors = sorted_keys[heads]
+    pick = lanes.integers(0, np.diff(bounds)[accept], acceptors)
+    return acceptors, srcs[order[heads + pick]]
 
 
 def _check_fault_support(program: Callable, plan: FaultPlan) -> None:
@@ -241,11 +288,13 @@ def _check_fault_support(program: Callable, plan: FaultPlan) -> None:
 
 
 class ArrayContext:
-    """Execution context handed to an array program.
+    """Execution context of a single-seed array program.
 
-    Owns the CSR views, the lazily spawned per-node RNGs, and the
-    accounting that keeps :class:`ArrayBackend` runs byte-identical to
-    :class:`GeneratorBackend` runs (see module docstring).
+    Only the programs with no batched form run here (see the module
+    docstring).  Owns the CSR views, the lazily spawned per-node RNGs,
+    and the lockstep accounting that keeps :class:`ArrayBackend` runs
+    byte-identical to :class:`GeneratorBackend` runs: the three calls
+    of :class:`BatchedArrayContext`, with scalar arguments.
     """
 
     __slots__ = (
@@ -256,13 +305,9 @@ class ArrayContext:
         "model",
         "result",
         "max_rounds",
-        "faults",
         "_limit",
         "_seed",
         "_rngs",
-        "_lanes",
-        "_kernel_name",
-        "_kernel",
     )
 
     def __init__(
@@ -273,8 +318,6 @@ class ArrayContext:
         limit: int | None,
         result: RunResult,
         max_rounds: int,
-        kernel: str | None = None,
-        faults: "FaultState | None" = None,
     ) -> None:
         self.graph = graph
         self.n = graph.n
@@ -282,15 +325,9 @@ class ArrayContext:
         self.model = model
         self.result = result
         self.max_rounds = max_rounds
-        #: bound fault state, or None on fault-free runs (programs that
-        #: declare ``supports_faults`` branch on this).
-        self.faults = faults
         self._limit = limit
         self._seed = seed
         self._rngs: list[np.random.Generator] | None = None
-        self._lanes: LaneRngs | None = None
-        self._kernel_name = kernel
-        self._kernel = None
 
     @property
     def rngs(self) -> list[np.random.Generator]:
@@ -303,24 +340,6 @@ class ArrayContext:
             seq = np.random.SeedSequence(self._seed)
             self._rngs = [np.random.default_rng(c) for c in seq.spawn(self.n)]
         return self._rngs
-
-    @property
-    def lanes(self) -> LaneRngs:
-        """The same per-node streams as :attr:`rngs`, as bulk RNG lanes.
-
-        A single-seed :class:`~repro.distributed.batch_rng.LaneRngs`
-        whose lane ``v`` replicates ``rngs[v]`` bit for bit, so an
-        array program can draw one resume's coins / choice indices for
-        *all* drawing nodes in a few array ops instead of a per-node
-        Python loop (the RNG-replay cost that capped Israeli–Itai's
-        single-run array speedup — see ARCHITECTURE.md).  A program
-        must draw each node's stream through either :attr:`rngs` or
-        :attr:`lanes`, never both: the two objects do not share
-        stream positions.
-        """
-        if self._lanes is None:
-            self._lanes = LaneRngs([self._seed], self.n)
-        return self._lanes
 
     # -- lockstep accounting ------------------------------------------
 
@@ -368,84 +387,16 @@ class ArrayContext:
         if yielded:
             self.result.rounds += 1
 
-    def add_fault_counts(
-        self,
-        dropped: int = 0,
-        delayed: int = 0,
-        crashed: int = 0,
-        links: int = 0,
-    ) -> None:
-        """Accumulate fault counters (mirrors the generator seam)."""
-        res = self.result
-        res.messages_dropped += dropped
-        res.messages_delayed += delayed
-        res.nodes_crashed += crashed
-        res.links_failed += links
-
-    def idle_steps(self, live: int, count: int) -> None:
-        """Fast-forward ``count`` resumes in which every node yields idle.
-
-        Equivalent to ``count`` iterations of ``begin_step(live)`` +
-        ``end_step(True)`` with no groups accounted — for protocol
-        stretches a program can prove are no-ops (e.g. the exhausted
-        tail of a weight class in the lockstep LPS schedule): same
-        budget semantics, same round count, no messages, no draws.
-        """
-        if count <= 0:
-            return
-        if live and self.result.rounds + count > self.max_rounds:
-            # the iterative loop completes the resumes up to the budget
-            # before its begin_step raises
-            self.result.rounds = max(self.result.rounds, self.max_rounds)
-            raise RuntimeError(
-                f"{live} node(s) still running after {self.max_rounds} "
-                "rounds; lockstep protocol bug or budget too small"
-            )
-        self.result.rounds += count
-
-    # -- CSR scatter/gather helpers -----------------------------------
-    #
-    # Delegated to the selected segment kernel (the kernel-selection
-    # seam of the scale tier): ``"reduceat"`` (the pure-NumPy reference,
-    # default) or a compiled tier such as ``"sparse"`` — all registered
-    # implementations are byte-identical (see repro.distributed.kernels).
-
-    @property
-    def kernel(self):
-        """The selected segment kernel, instantiated on first use."""
-        if self._kernel is None:
-            self._kernel = make_kernel(
-                self._kernel_name, self.indptr, self.indices, self.n
-            )
-        return self._kernel
-
-    def masked_degrees(self, mask: np.ndarray) -> np.ndarray:
-        """Per-vertex count of neighbors with ``mask`` set (``int64[n]``)."""
-        return self.kernel.masked_degrees(mask)
-
-    def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
-        """Per-vertex "some neighbor has ``mask`` set" (``bool[n]``)."""
-        return self.kernel.masked_degrees(mask) > 0
-
-    def neighbor_max(
-        self, values: np.ndarray, mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-vertex max of ``values`` over (optionally masked) neighbors.
-
-        Vertices with no (masked) neighbors get 0; ``values`` must be
-        nonnegative (every kernel relies on 0 as the identity).
-        """
-        return self.kernel.neighbor_max(values, mask)
-
 
 class ArrayBackend:
-    """Executes an array program over SoA node state.
+    """Executes a single-seed array program over SoA node state.
 
-    Drop-in for :class:`Network` on ported algorithms: same constructor
-    shape, same ``run``/``charge_rounds`` surface, byte-identical
-    :class:`RunResult` from the same seed.  ``run`` is one-shot (the
-    whole execution happens inside the program); calling it again
-    returns the finished result, as a drained ``Network`` does.
+    Drop-in for :class:`Network` on the programs with no batched form:
+    same constructor shape, same ``run``/``charge_rounds`` surface,
+    byte-identical :class:`RunResult` from the same seed.  ``run`` is
+    one-shot (the whole execution happens inside the program); calling
+    it again returns the finished result, as a drained ``Network``
+    does.
 
     Parameters
     ----------
@@ -463,17 +414,6 @@ class ArrayBackend:
     model:
         ``LOCAL`` (default) or a CONGEST variant enforcing the
         per-message bit bound through :meth:`ArrayContext.account_groups`.
-    kernel:
-        Segment-kernel name (``repro.distributed.kernels``): ``None``
-        uses the process default (``"reduceat"`` unless overridden via
-        ``set_default_kernel``); every registered kernel is
-        byte-identical, so this only changes the wall clock.
-    faults:
-        Optional :class:`~repro.distributed.faults.FaultPlan`.  Only
-        programs that declare ``supports_faults = True`` may run under
-        an active plan (the program owns its round loop, so the fault
-        seam is inside it — see the Israeli–Itai fault core); bounded
-        message *delay* is generator-engine-only and rejected here.
     """
 
     def __init__(
@@ -483,8 +423,6 @@ class ArrayBackend:
         params: dict[str, Any] | None = None,
         seed: int = 0,
         model: Model = LOCAL,
-        kernel: str | None = None,
-        faults: FaultPlan | None = None,
     ) -> None:
         self.graph = graph
         self.model = model
@@ -492,30 +430,8 @@ class ArrayBackend:
         self._program = program
         self._params = params or {}
         self.result = RunResult()
-        fstate = faults.bind(graph, seed) if faults is not None else None
-        if fstate is not None:
-            _check_fault_support(program, faults)
-        self._ctx = ArrayContext(
-            graph, seed, model, self._limit, self.result, 0, kernel=kernel,
-            faults=fstate,
-        )
+        self._ctx = ArrayContext(graph, seed, model, self._limit, self.result, 0)
         self._ran = False
-
-    def prepare(self) -> "ArrayBackend":
-        """Eagerly do the per-node RNG setup and return self.
-
-        ``Network`` pays the per-node stream spawn in its constructor;
-        the array context spawns lazily so programs that never draw
-        skip it.  Benchmarks call ``prepare()`` to keep setup out of
-        timed round-loop sections, making the two backends' ``run``
-        timings directly comparable.  The lane-drawing ports (Luby,
-        Israeli–Itai, the weight-class LPS box) warm the cheap
-        vectorized :attr:`ArrayContext.lanes`; ports still replaying
-        through real per-node Generators (``ctx.rngs``) pay that spawn
-        inside ``run``, as ``Network`` pays it inside its constructor.
-        """
-        _ = self._ctx.lanes
-        return self
 
     def run(self, max_rounds: int = 1_000_000) -> RunResult:
         """Execute the array program to completion (idempotent)."""
@@ -532,42 +448,23 @@ class ArrayBackend:
         self.result.charged_rounds += extra
 
 
-#: A batched array program: like :data:`ArrayProgram`, but state carries
-#: a leading seed axis and outputs are returned per seed.
-BatchedArrayProgram = Callable[..., "Sequence[Sequence[Any]] | None"]
-
-
 class BatchedArrayContext:
-    """Execution context for a **batched** array program.
+    """Execution context of a batched array program.
 
-    The same contract as :class:`ArrayContext`, lifted to a leading
-    seed axis: state columns are ``(num_seeds, n)`` arrays, the three
-    lockstep calls take per-seed vectors, and accounting rows carry a
-    seed index.  Per-seed counters accumulate in ``int64`` arrays and
-    are materialized into one :class:`RunResult` per seed by
-    :meth:`finalize` — each byte-identical to the corresponding
-    single-seed run.
+    State columns are ``(num_seeds, n)`` arrays, the three lockstep
+    calls take per-seed vectors, and accounting rows carry a seed index
+    (the contract is in the module docstring).  Per-seed counters
+    accumulate in ``int64`` arrays and are materialized into one
+    :class:`RunResult` per seed by :meth:`finalize` — each
+    byte-identical to the generator run of that seed.
 
-    * ``lanes`` — per-(seed, node) RNG streams
-      (:class:`~repro.distributed.batch_rng.LaneRngs`); lane
-      ``s * n + v`` replicates ``Network(..., seed=seeds[s])``'s node
-      ``v`` RNG bit for bit.  Built on first access, like
-      :attr:`ArrayContext.rngs`.
-    * ``begin_step(live)`` — ``live[s]`` is seed ``s``'s live-node
-      count entering the resume; raises the budget ``RuntimeError``
-      when any seed with live nodes is out of rounds.  Seeds whose
-      programs have fully returned pass 0 and are never checked — the
-      masked-termination rule.
-    * ``account_groups(bits, counts, seed_of)`` — one row per grouped
-      send, tagged with the sending seed; totals, volumes, peaks, and
-      the CONGEST check land on each seed's counters exactly as the
-      generator engine computes them.
-    * ``end_step(yielded)`` — ``yielded[s]`` says whether some node of
-      seed ``s`` yielded; only those seeds gain a round.
-
-    The CSR helpers (:meth:`masked_degrees`, :meth:`neighbor_any`,
-    :meth:`neighbor_max`) accept ``(num_seeds, n)`` inputs and reduce
-    every seed's segments in one pass.
+    The CSR reductions (:meth:`masked_degrees`, :meth:`neighbor_any`,
+    :meth:`neighbor_max`) take ``(num_seeds, n)`` inputs and reduce
+    every seed's segments in one ``reduceat`` pass.  One-lane batches —
+    every single-seed ``backend="array"`` run — go through the same
+    calls; where a call's cost depends on the lane count, the one-lane
+    fast path lives here and in the shared helpers of this module,
+    never in a program.
     """
 
     __slots__ = (
@@ -587,8 +484,9 @@ class BatchedArrayContext:
         "_bits",
         "_peak",
         "_fault_counts",
-        "_kernel_name",
-        "_kernel",
+        "_gather",
+        "_starts",
+        "_nonempty",
     )
 
     def __init__(
@@ -598,7 +496,6 @@ class BatchedArrayContext:
         model: Model,
         limit: int | None,
         max_rounds: int,
-        kernel: str | None = None,
         faults: "list[FaultState | None] | None" = None,
     ) -> None:
         self.graph = graph
@@ -612,23 +509,28 @@ class BatchedArrayContext:
         self._limit = limit
         self._seeds = list(seeds)
         self._lanes: LaneRngs | None = None
-        self._kernel_name = kernel
-        self._kernel = None
         self._rounds = np.zeros(self.num_seeds, dtype=np.int64)
         self._messages = np.zeros(self.num_seeds, dtype=np.int64)
         self._bits = np.zeros(self.num_seeds, dtype=np.int64)
         self._peak = np.zeros(self.num_seeds, dtype=np.int64)
         # rows: dropped / delayed / crashed / links, one column per seed.
         self._fault_counts = np.zeros((4, self.num_seeds), dtype=np.int64)
+        # Gather/reduce indices in the platform index type, converted
+        # once instead of on every call.  reduceat runs over non-empty
+        # segments only: a degree-0 vertex's start repeats its
+        # successor's (or runs off the end), and reduceat would read one
+        # element for it instead of none.
+        self._gather = self.indices.astype(np.intp, copy=False)
+        nonempty = self.indptr[:-1] != self.indptr[1:]
+        self._starts = self.indptr[:-1][nonempty].astype(np.intp)
+        self._nonempty = None if nonempty.all() else nonempty
 
     @property
     def lanes(self) -> LaneRngs:
         """Per-(seed, node) RNG lanes, spawned on first access.
 
         Lane ``s * n + v`` is byte-identical to the RNG the generator
-        engine hands node ``v`` under ``seeds[s]``; a batched program
-        must make the same draws on the same lanes as its single-seed
-        twin makes on ``ctx.rngs``.
+        engine hands node ``v`` under ``seeds[s]``.
         """
         if self._lanes is None:
             self._lanes = LaneRngs(self._seeds, self.n)
@@ -686,6 +588,11 @@ class BatchedArrayContext:
                 f"{self._limit} bits (round {int(self._rounds[s])}, "
                 f"seed index {s})"
             )
+        if self.num_seeds == 1:  # one lane: plain sums, no scatter
+            self._messages[0] += counts.sum()
+            self._bits[0] += bits @ counts
+            self._peak[0] = max(int(self._peak[0]), peak)
+            return
         np.add.at(self._messages, seed_of, counts)
         np.add.at(self._bits, seed_of, bits * counts)
         np.maximum.at(self._peak, seed_of, bits)
@@ -712,10 +619,12 @@ class BatchedArrayContext:
     def idle_steps(self, live: np.ndarray, count: int) -> None:
         """Fast-forward ``count`` fully lockstep idle resumes.
 
-        The batched twin of :meth:`ArrayContext.idle_steps`: every seed
-        gains ``count`` rounds (the caller asserts all lanes yield in
-        each skipped resume), with the same per-seed budget semantics as
-        the iterative ``begin_step``/``end_step`` loop and no messages.
+        Equivalent to ``count`` iterations of ``begin_step(live)`` +
+        ``end_step`` with every seed yielding and no groups accounted —
+        for protocol stretches a program can prove are no-ops (e.g. the
+        exhausted tail of a weight class in the lockstep LPS schedule):
+        every seed gains ``count`` rounds, with the same per-seed budget
+        semantics as the iterative loop, no messages and no draws.
         """
         if count <= 0:
             return
@@ -739,57 +648,68 @@ class BatchedArrayContext:
         self, outputs: Sequence[Sequence[Any]] | None
     ) -> list[RunResult]:
         """Materialize one :class:`RunResult` per seed."""
-        results = []
-        for s in range(self.num_seeds):
-            res = RunResult(
+        return [
+            RunResult(
                 rounds=int(self._rounds[s]),
                 total_messages=int(self._messages[s]),
                 total_bits=int(self._bits[s]),
                 max_message_bits=int(self._peak[s]),
+                outputs=(
+                    dict.fromkeys(range(self.n)) if outputs is None
+                    else dict(enumerate(outputs[s]))
+                ),
                 messages_dropped=int(self._fault_counts[0, s]),
                 messages_delayed=int(self._fault_counts[1, s]),
                 nodes_crashed=int(self._fault_counts[2, s]),
                 links_failed=int(self._fault_counts[3, s]),
             )
-            for v in range(self.n):
-                res.outputs[v] = None if outputs is None else outputs[s][v]
-            results.append(res)
-        return results
+            for s in range(self.num_seeds)
+        ]
 
-    # -- CSR scatter/gather helpers (seed axis leading) ---------------
-    #
-    # Delegated to the selected segment kernel's batched twins (same
-    # seam as :class:`ArrayContext`; see repro.distributed.kernels).
+    # -- CSR scatter/gather reductions (seed axis leading) ------------
 
-    @property
-    def kernel(self):
-        """The selected segment kernel, instantiated on first use."""
-        if self._kernel is None:
-            self._kernel = make_kernel(
-                self._kernel_name, self.indptr, self.indices, self.n
-            )
-        return self._kernel
+    def _reduce(
+        self, ufunc: np.ufunc, gathered: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
+        """Per-(seed, vertex) ``ufunc`` over each vertex's CSR segment.
+
+        ``gathered`` is ``(num_seeds, half_edges)``, CSR-aligned;
+        degree-0 vertices get 0.
+        """
+        shape = (self.num_seeds, self.n)
+        if self._starts.size == 0:
+            return np.zeros(shape, dtype=dtype)
+        red = ufunc.reduceat(gathered, self._starts, axis=1, dtype=dtype)
+        if self._nonempty is None:
+            return red
+        out = np.zeros(shape, dtype=dtype)
+        out[:, self._nonempty] = red
+        return out
 
     def masked_degrees(self, mask: np.ndarray) -> np.ndarray:
         """Per-(seed, vertex) count of neighbors with ``mask`` set.
 
-        ``mask`` is ``bool[num_seeds, n]``.
+        ``mask`` is ``bool[num_seeds, n]``; counts are ``int64``.
         """
-        return self.kernel.batched_masked_degrees(mask)
+        gathered = np.take(mask, self._gather, axis=1)
+        return self._reduce(np.add, gathered, np.dtype(np.int64))
 
     def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
         """Per-(seed, vertex) "some neighbor has ``mask`` set"."""
-        return self.kernel.batched_masked_degrees(mask) > 0
+        return self.masked_degrees(mask) > 0
 
     def neighbor_max(
         self, values: np.ndarray, mask: np.ndarray | None = None
     ) -> np.ndarray:
         """Per-(seed, vertex) max of ``values`` over (masked) neighbors.
 
-        ``values`` is ``(num_seeds, n)`` and must be nonnegative;
-        vertices with no (masked) neighbors get 0.
+        ``values`` is ``(num_seeds, n)`` and must be nonnegative (0 is
+        the identity); vertices with no (masked) neighbors get 0.
         """
-        return self.kernel.batched_neighbor_max(values, mask)
+        gathered = np.take(values, self._gather, axis=1)
+        if mask is not None:
+            gathered[~np.take(mask, self._gather, axis=1)] = 0
+        return self._reduce(np.maximum, gathered, values.dtype)
 
 
 class BatchedArrayBackend:
@@ -799,8 +719,8 @@ class BatchedArrayBackend:
     ``seed``; ``run`` executes every seed's computation simultaneously
     over ``(num_seeds, n)`` SoA state and returns **one**
     :class:`RunResult` **per seed**, each byte-identical to the
-    single-seed run of the same algorithm (generator or array backend)
-    under that seed.
+    generator run of the same algorithm under that seed.  A one-lane
+    batch is how every single-seed ``backend="array"`` run executes.
 
     Parameters
     ----------
@@ -808,8 +728,8 @@ class BatchedArrayBackend:
         The shared topology.  Batching is across *seeds*, so all lanes
         of the batch execute on this one graph.
     program:
-        A :data:`BatchedArrayProgram` — the algorithm's seed-axis twin
-        (e.g. :func:`repro.baselines.luby_mis.luby_mis_array_batched`).
+        A :data:`BatchedArrayProgram` (e.g.
+        :func:`repro.baselines.luby_mis.luby_mis_array_batched`).
     params:
         Extra keyword arguments passed to the program.
     seeds:
@@ -818,6 +738,13 @@ class BatchedArrayBackend:
     model:
         ``LOCAL`` or a CONGEST variant; the bit bound applies to every
         seed's messages.
+    faults:
+        Optional :class:`~repro.distributed.faults.FaultPlan`, bound
+        per lane seed.  Only programs that declare ``supports_faults =
+        True`` may run under an active plan (the program owns its round
+        loop, so the fault seam is inside it — see the Israeli–Itai
+        fault core); bounded message *delay* is generator-engine-only
+        and rejected here.
     """
 
     def __init__(
@@ -827,7 +754,6 @@ class BatchedArrayBackend:
         params: dict[str, Any] | None = None,
         seeds: Sequence[int] = (0,),
         model: Model = LOCAL,
-        kernel: str | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
         self.graph = graph
@@ -843,14 +769,8 @@ class BatchedArrayBackend:
         if fstates is not None:
             _check_fault_support(program, faults)
         self._ctx = BatchedArrayContext(
-            graph, self.seeds, model, self._limit, 0, kernel=kernel,
-            faults=fstates,
+            graph, self.seeds, model, self._limit, 0, faults=fstates,
         )
-
-    def prepare(self) -> "BatchedArrayBackend":
-        """Eagerly spawn the RNG lanes (see :meth:`ArrayBackend.prepare`)."""
-        _ = self._ctx.lanes
-        return self
 
     def run(self, max_rounds: int = 1_000_000) -> list[RunResult]:
         """Execute the batched program to completion (idempotent)."""
@@ -875,13 +795,14 @@ def run_program_batched(
 ) -> list[RunResult]:
     """Run one algorithm over a batch of seeds on the chosen backend.
 
-    The batched counterpart of :func:`run_program`: ``"array"``
-    executes the whole batch as one :class:`BatchedArrayBackend` run;
-    ``"generator"`` runs one :class:`Network` per seed (the reference
-    semantics batching must reproduce).  Either way the return value is
-    one :class:`RunResult` per seed, in ``seeds`` order.  An active
-    ``faults`` plan is bound per lane seed, so every lane reproduces
-    its single-seed faulted run byte for byte.
+    The routing helper of every ported algorithm: ``"array"`` executes
+    the whole batch as one :class:`BatchedArrayBackend` run (a single
+    seed is a one-lane batch); ``"generator"`` runs one
+    :class:`Network` per seed (the reference semantics batching must
+    reproduce).  Either way the return value is one :class:`RunResult`
+    per seed, in ``seeds`` order.  An active ``faults`` plan is bound
+    per lane seed, so every lane reproduces its generator faulted run
+    byte for byte.
     """
     cls = resolve_backend(backend)
     if cls is GeneratorBackend:
@@ -924,18 +845,15 @@ def run_program(
     seed: int = 0,
     model: Model = LOCAL,
     max_rounds: int = 1_000_000,
-    faults: FaultPlan | None = None,
 ) -> RunResult:
-    """Run an algorithm's program pair on the chosen backend.
+    """Run a single-seed program pair on the chosen backend.
 
-    The layer-3 routing helper: an algorithm hands over both of its
-    forms and the caller's ``backend`` string picks which executes.
-    An active ``faults`` plan is injected at the chosen backend's
-    delivery seam; both backends reproduce the same faulted run byte
-    for byte (array programs must declare ``supports_faults``).
+    The routing helper of the algorithms with no batched array program:
+    the caller's ``backend`` string picks which of the two forms
+    executes.  Ported algorithms route through
+    :func:`run_program_batched` instead.
     """
     cls = resolve_backend(backend)
     program = generator_program if cls is GeneratorBackend else array_program
-    net = cls(graph, program, params=params, seed=seed, model=model,
-              faults=faults)
+    net = cls(graph, program, params=params, seed=seed, model=model)
     return net.run(max_rounds=max_rounds)

@@ -39,10 +39,9 @@ distributed model of Section 2 (Algorithm 3 indexes its counter array
 by port).  The vectorized build preserves this with a stable argsort of
 the interleaved endpoint array.  Since the backend refactors (ISSUEs
 3–4) the invariant is doubly load-bearing: the array backends' CSR
-scatter/gather reductions (``ArrayContext.masked_degrees`` /
-``neighbor_max`` and their batched twins) read "what my neighbors sent"
-straight off these slices, so reordering them would silently corrupt
-every array program.
+scatter/gather reductions (``BatchedArrayContext.masked_degrees`` /
+``neighbor_max``) read "what my neighbors sent" straight off these
+slices, so reordering them would silently corrupt every array program.
 
 Topology is immutable after construction; weights may be replaced
 wholesale via :meth:`Graph.with_weights` (used by Algorithm 5, which

@@ -1,20 +1,22 @@
-"""Unit tests for the execution-backend layer (ISSUE 3).
+"""Unit tests for the execution-backend layer.
 
 Backend *equivalence* on whole algorithms lives in
 ``tests/test_backend_identity.py``; this module covers the protocol,
-the registry, the ArrayContext accounting/segment primitives, and the
-ArrayBackend's engine-contract edges (budget, CONGEST, idempotency).
+the registry, the contexts' accounting and segment reductions, and the
+array backends' engine-contract edges (budget, CONGEST, idempotency).
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines.israeli_itai import israeli_itai_array, israeli_itai_program
-from repro.baselines.luby_mis import luby_mis_array, luby_mis_program
+from repro.baselines.israeli_itai import israeli_itai_matching, israeli_itai_program
+from repro.baselines.luby_mis import luby_mis_array_batched, luby_mis_program
 from repro.distributed import (
     BACKENDS,
     ArrayBackend,
     ArrayContext,
+    BatchedArrayBackend,
+    BatchedArrayContext,
     CongestViolation,
     ExecutionBackend,
     GeneratorBackend,
@@ -25,7 +27,9 @@ from repro.distributed import (
     int_payload_bits,
     resolve_backend,
     run_program,
+    run_program_batched,
 )
+from repro.distributed.backends import lane_nonzero
 from repro.distributed.models import LOCAL
 from repro.graphs import Graph, gnp_random, path_graph, star_graph
 
@@ -36,6 +40,27 @@ def _ctx(g, seed=0, model=LOCAL, max_rounds=1_000_000):
     )
 
 
+def _bctx(g, num_seeds):
+    return BatchedArrayContext(g, list(range(num_seeds)), LOCAL, None, 1_000_000)
+
+
+def _silent(ctx):
+    return None
+
+
+def _run_luby(g, backend, **kwargs):
+    """Luby through the batched routing helper, as a one-lane run."""
+    return run_program_batched(
+        g,
+        backend=backend,
+        generator_program=luby_mis_program,
+        batched_array_program=luby_mis_array_batched,
+        params={"n": g.n},
+        seeds=[0],
+        **kwargs,
+    )
+
+
 class TestProtocolAndRegistry:
     def test_generator_backend_is_network(self):
         assert GeneratorBackend is Network
@@ -43,7 +68,7 @@ class TestProtocolAndRegistry:
     def test_both_backends_conform(self):
         g = path_graph(3)
         gen = Network(g, luby_mis_program, params={"n": g.n})
-        arr = ArrayBackend(g, luby_mis_array, params={"n": g.n})
+        arr = ArrayBackend(g, _silent)
         assert isinstance(gen, ExecutionBackend)
         assert isinstance(arr, ExecutionBackend)
 
@@ -64,15 +89,14 @@ class TestProtocolAndRegistry:
                 path_graph(2),
                 backend="nope",
                 generator_program=luby_mis_program,
-                array_program=luby_mis_array,
+                array_program=_silent,
             )
+        with pytest.raises(ValueError, match="unknown backend"):
+            _run_luby(path_graph(2), "nope")
 
     def test_charge_rounds_on_both(self):
         g = path_graph(2)
-        for net in (
-            Network(g, israeli_itai_program),
-            ArrayBackend(g, israeli_itai_array),
-        ):
+        for net in (Network(g, israeli_itai_program), ArrayBackend(g, _silent)):
             net.charge_rounds(5)
             assert net.result.charged_rounds == 5
 
@@ -91,78 +115,85 @@ class TestIntPayloadBits:
         assert int_payload_bits(vals).tolist() == expect
 
 
-class TestArrayContextSegments:
-    def test_masked_degrees_brute_force(self):
+@pytest.mark.parametrize("num_seeds", [1, 3])
+class TestBatchedSegments:
+    """The CSR reductions against brute force, at one lane and three."""
+
+    def test_masked_degrees_brute_force(self, num_seeds):
         g = gnp_random(40, 0.15, seed=3)
-        ctx = _ctx(g)
+        ctx = _bctx(g, num_seeds)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            mask = rng.random(g.n) < 0.5
+            mask = rng.random((num_seeds, g.n)) < 0.5
             expect = [
-                sum(mask[u] for u in g.neighbors(v)) for v in range(g.n)
+                [sum(mask[s, u] for u in g.neighbors(v)) for v in range(g.n)]
+                for s in range(num_seeds)
             ]
             assert ctx.masked_degrees(mask).tolist() == expect
 
-    def test_neighbor_any_matches_degrees(self):
+    def test_neighbor_any_matches_degrees(self, num_seeds):
         g = gnp_random(30, 0.2, seed=4)
-        ctx = _ctx(g)
-        mask = np.zeros(g.n, dtype=bool)
-        mask[[0, 7, 13]] = True
+        ctx = _bctx(g, num_seeds)
+        mask = np.zeros((num_seeds, g.n), dtype=bool)
+        mask[:, [0, 7, 13]] = True
+        mask[-1, 7] = False
         assert (
             ctx.neighbor_any(mask) == (ctx.masked_degrees(mask) > 0)
         ).all()
 
-    def test_neighbor_max_brute_force(self):
+    def test_neighbor_max_brute_force(self, num_seeds):
         g = gnp_random(35, 0.2, seed=5)
-        ctx = _ctx(g)
+        ctx = _bctx(g, num_seeds)
         rng = np.random.default_rng(2)
-        values = rng.integers(1, 1000, size=g.n)
-        mask = rng.random(g.n) < 0.6
+        values = rng.integers(1, 1000, size=(num_seeds, g.n))
+        mask = rng.random((num_seeds, g.n)) < 0.6
         got = ctx.neighbor_max(values, mask=mask)
-        for v in range(g.n):
-            vals = [values[u] for u in g.neighbors(v) if mask[u]]
-            assert got[v] == (max(vals) if vals else 0), v
+        for s in range(num_seeds):
+            for v in range(g.n):
+                vals = [values[s, u] for u in g.neighbors(v) if mask[s, u]]
+                assert got[s, v] == (max(vals) if vals else 0), (s, v)
 
-    def test_neighbor_max_unmasked_and_isolated(self):
+    def test_neighbor_max_unmasked_and_isolated(self, num_seeds):
         # Vertex 3 is isolated; reduceat's empty-segment quirk must not
         # leak the next segment's head into it.
         g = Graph(5, [(0, 1), (1, 2), (2, 4)])
-        ctx = _ctx(g)
-        values = np.array([10, 20, 30, 99, 40], dtype=np.int64)
+        ctx = _bctx(g, num_seeds)
+        values = np.tile(np.array([10, 20, 30, 99, 40]), (num_seeds, 1))
         got = ctx.neighbor_max(values)
-        assert got.tolist() == [20, 30, 40, 0, 30]
+        assert got.tolist() == [[20, 30, 40, 0, 30]] * num_seeds
 
-    def test_empty_graph_helpers(self):
-        ctx = _ctx(Graph(4))
-        mask = np.ones(4, dtype=bool)
-        assert ctx.masked_degrees(mask).tolist() == [0, 0, 0, 0]
-        assert ctx.neighbor_max(np.arange(4)).tolist() == [0, 0, 0, 0]
+    def test_empty_graph_helpers(self, num_seeds):
+        ctx = _bctx(Graph(4), num_seeds)
+        zeros = [[0, 0, 0, 0]] * num_seeds
+        mask = np.ones((num_seeds, 4), dtype=bool)
+        assert ctx.masked_degrees(mask).tolist() == zeros
+        values = np.tile(np.arange(4), (num_seeds, 1))
+        assert ctx.neighbor_max(values).tolist() == zeros
 
-    def test_trailing_isolated_vertices(self):
-        # Regression (ISSUE 5 review): trailing degree-0 vertices used
-        # to clamp the reduceat starts, silently truncating the last
-        # non-empty segment — the last non-isolated vertex (degree >= 2)
-        # lost its final half-edge from every reduction.
+    def test_trailing_isolated_vertices(self, num_seeds):
+        # Regression: trailing degree-0 vertices once clamped the
+        # reduceat starts, silently truncating the last non-empty
+        # segment — the last non-isolated vertex (degree >= 2) lost its
+        # final half-edge from every reduction.
         g = Graph(6, [(0, 1), (0, 2), (1, 2)])  # vertices 3-5 isolated
-        ctx = _ctx(g)
-        mask = np.ones(6, dtype=bool)
-        assert ctx.masked_degrees(mask).tolist() == [2, 2, 2, 0, 0, 0]
-        values = np.array([5, 7, 9, 1, 1, 1], dtype=np.int64)
-        assert ctx.neighbor_max(values).tolist() == [9, 9, 7, 0, 0, 0]
-        from repro.distributed.backends import BatchedArrayContext
+        ctx = _bctx(g, num_seeds)
+        mask = np.ones((num_seeds, 6), dtype=bool)
+        values = np.tile(np.array([5, 7, 9, 1, 1, 1]), (num_seeds, 1))
+        degs = ctx.masked_degrees(mask).tolist()
+        assert degs == [[2, 2, 2, 0, 0, 0]] * num_seeds
+        maxes = ctx.neighbor_max(values).tolist()
+        assert maxes == [[9, 9, 7, 0, 0, 0]] * num_seeds
+        mask[-1, 1] = False
+        assert ctx.masked_degrees(mask)[-1].tolist() == [1, 2, 1, 0, 0, 0]
+        got = ctx.neighbor_max(values, mask=mask)[-1].tolist()
+        assert got == [9, 9, 5, 0, 0, 0]
 
-        bctx = BatchedArrayContext(g, [0, 1], LOCAL, None, 1_000_000)
-        bmask = np.ones((2, 6), dtype=bool)
-        bmask[1, 1] = False
-        assert bctx.masked_degrees(bmask).tolist() == [
-            [2, 2, 2, 0, 0, 0],
-            [1, 2, 1, 0, 0, 0],
-        ]
-        bvals = np.tile(values, (2, 1))
-        assert bctx.neighbor_max(bvals, mask=bmask).tolist() == [
-            [9, 9, 7, 0, 0, 0],
-            [9, 9, 5, 0, 0, 0],
-        ]
+    def test_lane_nonzero_matches_nonzero(self, num_seeds):
+        mask = np.random.default_rng(3).random((num_seeds, 17)) < 0.4
+        rows, cols = lane_nonzero(mask)
+        want_rows, want_cols = np.nonzero(mask)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
 
 
 class TestArrayContextAccounting:
@@ -211,64 +242,55 @@ class TestArrayContextAccounting:
                 == net.nodes[v].rng.integers(0, 2**32)
             )
 
+    def test_batched_account_groups_per_seed(self):
+        # One lane takes the scatter-free fast path; three lanes scatter.
+        for num_seeds, want in (
+            (1, [(5, 34, 8)]),
+            (3, [(2, 10, 5), (0, 0, 0), (3, 24, 8)]),
+        ):
+            ctx = _bctx(path_graph(4), num_seeds)
+            ctx.account_groups([5, 8, 999], [2, 3, 0], [0, num_seeds - 1, 0])
+            got = [
+                (r.total_messages, r.total_bits, r.max_message_bits)
+                for r in ctx.finalize(None)
+            ]
+            assert got == want
+
 
 class TestArrayBackendContract:
     def test_budget_error_parity(self):
         g = gnp_random(20, 0.3, seed=1)
         for backend in ("generator", "array"):
             with pytest.raises(RuntimeError, match="still running"):
-                run_program(
-                    g,
-                    backend=backend,
-                    generator_program=luby_mis_program,
-                    array_program=luby_mis_array,
-                    params={"n": g.n},
-                    max_rounds=1,
-                )
+                _run_luby(g, backend, max_rounds=1)
 
     def test_congest_violation_parity(self):
         # Luby numbers on a 40-node star need ~22 bits; a 10-bit budget
         # must trip both engines.
         g = star_graph(40)
-        model = congest_with_bound(10)
         for backend in ("generator", "array"):
             with pytest.raises(CongestViolation):
-                run_program(
-                    g,
-                    backend=backend,
-                    generator_program=luby_mis_program,
-                    array_program=luby_mis_array,
-                    params={"n": g.n},
-                    model=model,
-                )
+                _run_luby(g, backend, model=congest_with_bound(10))
 
     def test_run_idempotent(self):
         g = gnp_random(15, 0.3, seed=2)
-        net = ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=3)
+        net = BatchedArrayBackend(
+            g, luby_mis_array_batched, params={"n": g.n}, seeds=[3]
+        )
         first = net.run()
         again = net.run()
         assert again is first
-        assert first.rounds > 0
-
-    def test_prepare_returns_self_and_preserves_results(self):
-        g = gnp_random(15, 0.3, seed=2)
-        plain = ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=3).run()
-        warmed = (
-            ArrayBackend(g, luby_mis_array, params={"n": g.n}, seed=3)
-            .prepare()
-            .run()
-        )
-        assert plain == warmed
+        assert first[0].rounds > 0
 
     def test_outputs_cover_all_nodes(self):
         g = Graph(5, [(0, 1)])
-        res = ArrayBackend(g, israeli_itai_array, seed=0).run()
+        _, res = israeli_itai_matching(g, seed=0, backend="array")
         assert sorted(res.outputs) == [0, 1, 2, 3, 4]
 
     def test_program_without_outputs_fills_none(self):
-        def silent(ctx):
-            return None
-
-        res = ArrayBackend(path_graph(3), silent).run()
+        res = ArrayBackend(path_graph(3), _silent).run()
         assert res.outputs == {0: None, 1: None, 2: None}
         assert res.rounds == 0
+        (lane,) = BatchedArrayBackend(path_graph(3), _silent).run()
+        assert lane.outputs == {0: None, 1: None, 2: None}
+        assert lane.rounds == 0

@@ -2,7 +2,7 @@
 
 The ISSUE 4 acceptance bar: a :class:`BatchedArrayBackend` run over a
 seed batch must produce, for every seed, a ``RunResult`` byte-identical
-to the generator backend's (and the single-seed array backend's) run of
+to the generator backend's (and the one-lane array backend's) run of
 that seed — asserted three ways:
 
 * direct ``RunResult`` equality across the four scenario generator

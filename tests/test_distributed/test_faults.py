@@ -6,8 +6,9 @@ The fault model's contract (ISSUE 10) has four legs, each pinned here:
   ``(plan, seed)``: same plan + seed reproduces byte-identical runs,
   and an explicit ``FaultPlan.seed`` pins the schedules independently
   of the algorithm RNG.
-* **Cross-backend identity** — generator ``Network``, ``ArrayBackend``,
-  and ``BatchedArrayBackend`` produce byte-identical ``RunResult``\\ s
+* **Cross-backend identity** — generator ``Network``, one-lane array
+  runs and multi-lane ``BatchedArrayBackend`` batches produce
+  byte-identical ``RunResult``\\ s
   (outputs, rounds, traffic counters, *and* fault counters) under the
   same plan, including the stall case: when loss starves a one-shot
   announcement, every backend must stall identically.
@@ -27,14 +28,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.israeli_itai import (
-    israeli_itai_array,
     israeli_itai_array_batched,
     israeli_itai_matching,
     israeli_itai_matching_batched,
     israeli_itai_program,
 )
 from repro.baselines.luby_mis import luby_mis, luby_mis_program
-from repro.distributed.backends import run_program, run_program_batched
+from repro.distributed.backends import run_program_batched
 from repro.distributed.faults import NEVER, FaultPlan, bind_many, with_seed
 from repro.distributed.network import Network
 from repro.distributed.trace import Tracer, run_traced
@@ -60,12 +60,12 @@ def _snapshot(res):
 def _run_ii(g, seed, plan, backend):
     """II via the routing helper; a stall becomes ('stall', message)."""
     try:
-        res = run_program(
+        (res,) = run_program_batched(
             g,
             backend=backend,
             generator_program=israeli_itai_program,
-            array_program=israeli_itai_array,
-            seed=seed,
+            batched_array_program=israeli_itai_array_batched,
+            seeds=[seed],
             max_rounds=500,
             faults=plan,
         )
@@ -278,7 +278,7 @@ class TestPruneIdentity:
         )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_israeli_itai_array(self, seed):
+    def test_israeli_itai_array_backend(self, seed):
         g = gnp_random(14, 0.3, seed=seed + 40)
         plan = FaultPlan(crashes=2, crash_window=0,
                          link_failures=1, link_window=0)

@@ -1,6 +1,6 @@
-"""Scale-tier coverage (ISSUE 7): dtypes, chunked build, kernel seam.
+"""Scale-tier coverage: dtypes and chunked build.
 
-Three independently pinned contracts:
+Two independently pinned contracts:
 
 * **Compact index dtype.** ``Graph`` auto-selects int32 CSR arrays when
   ``n`` and ``2m`` fit, promotes to int64 otherwise, and refuses an
@@ -14,13 +14,6 @@ Three independently pinned contracts:
   same graph as the monolithic constructor from any chunking of the
   same edge stream, and surface the same validation errors (including
   out-of-range endpoints caught before the narrowing int32 cast).
-* **Kernel seam.** Every kernel registered in
-  ``repro.distributed.kernels`` must be byte-identical to the
-  ``"reduceat"`` reference on ``masked_degrees`` / ``neighbor_max``
-  and their batched twins, for every graph shape that historically
-  broke segment reductions (empty, isolated, trailing degree-0), and
-  end-to-end: an ``ArrayBackend`` run under each kernel must produce
-  the same ``RunResult``.
 """
 
 import numpy as np
@@ -30,24 +23,7 @@ from hypothesis import given, settings, strategies as st
 import repro.graphs.graph as graph_mod
 from repro.baselines.luby_mis import luby_mis
 from repro.core.generic_mcm import generic_mcm
-from repro.distributed.backends import ArrayBackend, BatchedArrayBackend
-from repro.distributed.kernels import (
-    KERNELS,
-    available_kernels,
-    get_default_kernel,
-    make_kernel,
-    resolve_kernel,
-    set_default_kernel,
-)
-from repro.graphs import (
-    Graph,
-    barabasi_albert,
-    complete_graph,
-    cycle_graph,
-    gnp_random,
-    star_graph,
-    watts_strogatz,
-)
+from repro.graphs import Graph, barabasi_albert, cycle_graph, gnp_random
 from repro.graphs.graph import (
     INT32_INDEX_LIMIT,
     forced_index_dtype,
@@ -64,21 +40,6 @@ from repro.matching.matching import Matching
 
 from tests.conftest import graphs
 from tests.golden_harness import GOLDEN_PATH, compute_goldens, to_canonical_json
-
-NON_REFERENCE_KERNELS = sorted(set(available_kernels()) - {"reduceat"})
-
-KERNEL_GRAPHS = {
-    "gnp": gnp_random(26, 0.18, seed=1),
-    "ba": barabasi_albert(30, 2, seed=2),
-    "ws": watts_strogatz(24, 4, 0.2, seed=3),
-    "star": star_graph(11),
-    "complete": complete_graph(8),
-    "empty": Graph(6),
-    "isolated": Graph(8, [(0, 1), (2, 3)]),
-    # Trailing degree-0 vertices after a degree>=2 vertex: the shape of
-    # the ISSUE 5 clamped-reduceat regression.
-    "tail_isolated": Graph(6, [(0, 1), (0, 2), (1, 2)]),
-}
 
 
 class TestIndexDtypeSelection:
@@ -253,112 +214,6 @@ class TestEdgeIdsArray:
         assert g.edge_ids_array(
             np.array([0, 1]), np.array([1, 2])
         ).tolist() == [-1, -1]
-
-
-class TestKernelRegistry:
-    def test_reduceat_always_available(self):
-        assert "reduceat" in available_kernels()
-
-    def test_default_roundtrip(self):
-        prev = set_default_kernel("reduceat")
-        try:
-            assert get_default_kernel() == "reduceat"
-        finally:
-            set_default_kernel(prev)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("fortran")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            set_default_kernel("fortran")
-
-    def test_resolve_none_is_default(self):
-        assert resolve_kernel(None) is KERNELS[get_default_kernel()]
-
-
-@pytest.mark.skipif(
-    not NON_REFERENCE_KERNELS, reason="only the reduceat reference is installed"
-)
-@pytest.mark.parametrize("kname", NON_REFERENCE_KERNELS)
-@pytest.mark.parametrize("gname", sorted(KERNEL_GRAPHS))
-class TestKernelByteIdentity:
-    """Every registered kernel == the reduceat reference, byte for byte."""
-
-    def _kernels(self, gname, kname):
-        g = KERNEL_GRAPHS[gname]
-        indptr, indices, _ = g.adjacency_arrays()
-        ref = make_kernel("reduceat", indptr, indices, g.n)
-        other = make_kernel(kname, indptr, indices, g.n)
-        return g, ref, other
-
-    def test_masked_degrees(self, gname, kname):
-        g, ref, other = self._kernels(gname, kname)
-        rng = np.random.default_rng(0)
-        for density in (0.0, 0.3, 1.0):
-            mask = rng.random(g.n) < density
-            want = ref.masked_degrees(mask)
-            got = other.masked_degrees(mask)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-    def test_neighbor_max(self, gname, kname):
-        g, ref, other = self._kernels(gname, kname)
-        rng = np.random.default_rng(1)
-        values = rng.integers(0, 1 << 40, size=g.n)
-        for mask in (None, rng.random(g.n) < 0.4):
-            want = ref.neighbor_max(values, mask)
-            got = other.neighbor_max(values, mask)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-    def test_batched_twins(self, gname, kname):
-        g, ref, other = self._kernels(gname, kname)
-        rng = np.random.default_rng(2)
-        mask = rng.random((3, g.n)) < 0.4
-        values = rng.integers(0, 1 << 40, size=(3, g.n))
-        assert np.array_equal(
-            other.batched_masked_degrees(mask), ref.batched_masked_degrees(mask)
-        )
-        for m in (None, mask):
-            assert np.array_equal(
-                other.batched_neighbor_max(values, m),
-                ref.batched_neighbor_max(values, m),
-            )
-
-
-@pytest.mark.skipif(
-    not NON_REFERENCE_KERNELS, reason="only the reduceat reference is installed"
-)
-@pytest.mark.parametrize("kname", NON_REFERENCE_KERNELS)
-class TestKernelEndToEnd:
-    def test_luby_run_identical(self, kname):
-        g = barabasi_albert(40, 3, seed=4)
-        ref = ArrayBackend(g, luby_mis_program_factory(g.n), seed=3).run()
-        got = ArrayBackend(
-            g, luby_mis_program_factory(g.n), seed=3, kernel=kname
-        ).run()
-        assert got == ref
-
-    def test_batched_run_identical(self, kname):
-        g = gnp_random(30, 0.15, seed=7)
-        from repro.baselines.luby_mis import luby_mis_array_batched
-
-        def run(kernel):
-            b = BatchedArrayBackend(
-                g,
-                lambda ctx: luby_mis_array_batched(ctx, g.n),
-                seeds=[0, 1, 2],
-                kernel=kernel,
-            )
-            return b.run()
-
-        assert run(kname) == run(None)
-
-
-def luby_mis_program_factory(n):
-    from repro.baselines.luby_mis import luby_mis_array
-
-    return lambda ctx: luby_mis_array(ctx, n)
 
 
 class TestApplyPathsArray:

@@ -26,14 +26,15 @@ from typing import Any
 #: What each subsystem's ``speedup`` compares (kept in sync with the
 #: bench module docstrings).
 COMPARISONS = {
-    "s3_backends": "array backend vs generator backend (round loop)",
+    "s3_backends": "array backend vs generator backend (end to end; the "
+                   "committed run timed the round loop)",
     "s4_batched": "one batched run vs N sequential array runs (end to end)",
     "s5_weighted": "weighted pipeline: array/batched leg vs reference leg "
                    "(end to end)",
     "s6_switch": "vectorized switch engine vs scalar cell-slot loop "
                  "(end to end, equal SwitchStats)",
-    "s7_scale": "scale tier: kopt array vs generator leg, sparse kernel "
-                "vs reduceat, int32 vs int64 CSR (end to end)",
+    "s7_scale": "scale tier: kopt array vs generator leg, int32 vs int64 "
+                "CSR (end to end)",
     "s8_switch_batched": "one batched switch execution vs N sequential "
                          "vectorized runs (end to end, equal per-seed "
                          "SwitchStats)",
