@@ -2,8 +2,9 @@
 
 Backend *equivalence* on whole algorithms lives in
 ``tests/test_backend_identity.py``; this module covers the protocol,
-the registry, the contexts' accounting and segment reductions, and the
-array backends' engine-contract edges (budget, CONGEST, idempotency).
+the registry, the contexts' accounting and segment reductions, the
+shared proposal helpers, and the array backends' engine-contract edges
+(budget, CONGEST, idempotency).
 """
 
 import numpy as np
@@ -29,9 +30,38 @@ from repro.distributed import (
     run_program,
     run_program_batched,
 )
-from repro.distributed.backends import lane_nonzero
+from repro.distributed.backends import (
+    choose_targets,
+    lane_nonzero,
+    replay_acceptor_choices,
+    sorted_csr,
+)
 from repro.distributed.models import LOCAL
-from repro.graphs import Graph, gnp_random, path_graph, star_graph
+from repro.graphs import (
+    Graph,
+    barabasi_albert,
+    complete_graph,
+    gnp_random,
+    path_graph,
+    star_graph,
+    watts_strogatz,
+)
+
+#: Graph shapes that historically broke CSR segment handling.
+SHAPES = {
+    "gnp": gnp_random(26, 0.18, seed=1),
+    "ba": barabasi_albert(30, 2, seed=2),
+    "ws": watts_strogatz(24, 4, 0.2, seed=3),
+    "star": star_graph(11),
+    "complete": complete_graph(8),
+    "empty": Graph(6),
+    "isolated": Graph(8, [(0, 1), (2, 3)]),
+    # Trailing degree-0 vertices after a degree>=2 vertex: the shape of
+    # the clamped-reduceat regression.
+    "tail_isolated": Graph(6, [(0, 1), (0, 2), (1, 2)]),
+    # Edges inserted in descending order, so every port order descends.
+    "reversed": Graph(9, gnp_random(9, 0.5, seed=8).edges()[::-1]),
+}
 
 
 def _ctx(g, seed=0, model=LOCAL, max_rounds=1_000_000):
@@ -194,6 +224,110 @@ class TestBatchedSegments:
         want_rows, want_cols = np.nonzero(mask)
         assert rows.tolist() == want_rows.tolist()
         assert cols.tolist() == want_cols.tolist()
+
+
+@pytest.mark.parametrize("gname", sorted(SHAPES))
+class TestSharedHelpersByShape:
+    """Reductions and proposal helpers against brute force, per shape."""
+
+    def test_reductions_brute_force(self, gname):
+        g = SHAPES[gname]
+        rng = np.random.default_rng(0)
+        for num_seeds in (1, 3):
+            ctx = _bctx(g, num_seeds)
+            for density in (0.0, 0.3, 1.0):
+                mask = rng.random((num_seeds, g.n)) < density
+                degs = ctx.masked_degrees(mask)
+                assert degs.dtype == np.int64
+                assert degs.tolist() == [
+                    [sum(mask[s, u] for u in g.neighbors(v)) for v in range(g.n)]
+                    for s in range(num_seeds)
+                ]
+                assert (ctx.neighbor_any(mask) == (degs > 0)).all()
+            values = rng.integers(0, 1 << 40, size=(num_seeds, g.n))
+            for m in (None, rng.random((num_seeds, g.n)) < 0.4):
+                got = ctx.neighbor_max(values, mask=m)
+                assert got.dtype == values.dtype
+                for s in range(num_seeds):
+                    for v in range(g.n):
+                        vals = [
+                            values[s, u] for u in g.neighbors(v)
+                            if m is None or m[s, u]
+                        ]
+                        assert got[s, v] == max(vals, default=0), (s, v)
+
+    def test_sorted_csr_ascends_within_segments(self, gname):
+        g = SHAPES[gname]
+        indptr, indices, _ = g.adjacency_arrays()
+        sidx, s_nbr = sorted_csr(indptr, indices)
+        assert s_nbr.dtype == np.int64
+        assert s_nbr.tolist() == indices[sidx].tolist()
+        for v in range(g.n):
+            lo, hi = int(indptr[v]), int(indptr[v + 1])
+            assert s_nbr[lo:hi].tolist() == sorted(g.neighbors(v))
+            assert sorted(sidx[lo:hi].tolist()) == list(range(lo, hi))
+
+    def test_choose_targets_brute_force(self, gname):
+        # Three lanes; a candidate must pass a per-lane vertex mask (read
+        # through the proposer row) and a per-half-edge mask (read
+        # through the original CSR slot).
+        g = SHAPES[gname]
+        indptr, indices, _ = g.adjacency_arrays()
+        sidx, s_nbr = sorted_csr(indptr, indices)
+        rng = np.random.default_rng(4)
+        active = rng.random((3, g.n)) < 0.6
+        slot_ok = rng.random(indices.size) < 0.8
+        rows, pv, idx, want = [], [], [], []
+        for s in range(3):
+            for v in range(g.n):
+                cand = sorted(
+                    int(indices[p]) for p in range(indptr[v], indptr[v + 1])
+                    if slot_ok[p] and active[s, indices[p]]
+                )
+                if cand:
+                    k = int(rng.integers(len(cand)))
+                    rows.append(s)
+                    pv.append(v)
+                    idx.append(k)
+                    want.append(cand[k])
+        rows = np.array(rows, dtype=np.int64)
+        got = choose_targets(
+            indptr, s_nbr, sidx,
+            np.array(pv, dtype=np.int64), np.array(idx, dtype=np.int64),
+            lambda seg, pos, nbr: slot_ok[pos] & active[rows[seg], nbr],
+        )
+        assert got.tolist() == want
+
+    def test_replay_acceptor_choices_brute_force(self, gname):
+        # Each lane's proposers, in vertex order, propose to a random
+        # neighbor; every non-skipped target picks one proposer with its
+        # own node RNG, as choice(sorted(proposals)) does.
+        g = SHAPES[gname]
+        n = g.n
+        rng = np.random.default_rng(5)
+        keys, srcs = [], []
+        for s in range(3):
+            for v in range(n):
+                nbrs = g.neighbors(v)
+                if nbrs and rng.random() < 0.7:
+                    keys.append(s * n + nbrs[int(rng.integers(len(nbrs)))])
+                    srcs.append(v)
+        skip = rng.random(3 * n) < 0.2
+        acceptors, chosen = replay_acceptor_choices(
+            _bctx(g, 3).lanes,
+            np.array(keys, dtype=np.int64),
+            np.array(srcs, dtype=np.int64),
+            skip,
+        )
+        node_rngs = [_ctx(g, seed=s).rngs for s in range(3)]
+        want = {}
+        for key in sorted(set(keys)):
+            if not skip[key]:
+                proposals = [u for k, u in zip(keys, srcs) if k == key]
+                s, t = divmod(key, n)
+                want[key] = int(node_rngs[s][t].choice(sorted(proposals)))
+        assert acceptors.tolist() == list(want)
+        assert chosen.tolist() == list(want.values())
 
 
 class TestArrayContextAccounting:
