@@ -17,9 +17,8 @@ Timings are end to end (engine construction, RNG setup and the run),
 best of ``reps``.
 
 Workloads: Luby MIS and Israeli–Itai maximal matching across the
-scenario families, at n = 2000 and 5000.  The committed full run
-(``benchmarks/results/s3_backends.json``) timed the round loop alone,
-from before single-seed array runs became one-lane batches.
+scenario families, at n = 2000 and 5000.  The committed full run lives
+at ``benchmarks/results/s3_backends.json``.
 
 Run as a script for the JSON artifact::
 

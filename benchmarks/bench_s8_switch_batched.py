@@ -1,13 +1,14 @@
 """S8 — the seed-axis batched switch engine (ISSUE 8).
 
-PR 8 lifts the vectorized switch loop along a seed axis: one
+PR 8 lifts the switch slot loop along a seed axis: one
 ``(num_seeds, ports, ports)`` occupancy stack, lane-stacked scheduler
-cores, and FIFO timestamp rings for in-pass delay accounting — one
-execution per (scheduler, traffic, load) cell instead of one run per
-seed.  This bench measures two things:
+cores, and one traffic-replay pass for exact per-lane delay accounting
+— one execution per (scheduler, traffic, load) cell instead of one run
+per seed.  This bench measures two things:
 
-* **speedup cells** (under ``"cells"``) — N sequential
-  :func:`~repro.switch.engine.run_switch_vectorized` runs vs one
+* **speedup cells** (under ``"cells"``) — N sequential single-seed
+  :func:`~repro.switch.engine.run_switch_vectorized` runs (each a
+  one-lane batch on the single-seed scheduler cores) vs one
   :func:`~repro.switch.engine.run_switch_batched` execution over the
   same seeds, with the per-seed ``SwitchStats`` lists asserted
   **equal** (arrivals, departures, delay sums, per-slot match sizes)
@@ -28,9 +29,9 @@ Run as a script for the JSON artifact::
 asserted on every cell regardless).  The committed full run lives at
 ``benchmarks/results/s8_switch_batched.json``.
 
-Measured speedups on the committed run are ~1.3–2.7x (best at low
-load, worst near saturation), not the 4x the issue targeted: on the
-single-CPU benchmark box both legs bottleneck on NumPy per-call
+Measured speedups on the committed run are ~1.2–2.4x (best at low
+load, worst for PIM and near saturation), not the 4x the issue
+targeted: on the benchmark box both legs bottleneck on NumPy per-call
 dispatch, and the batched engine still needs its array ops per slot
 (the feedback loop — arrivals, schedule, departures — is sequential
 in slot time by construction).  The lane axis only amortizes per-lane
@@ -93,7 +94,7 @@ NUM_SEEDS = 16
 def speedup_cell(sname: str, tname: str, ports: int, load: float,
                  slots: int, warmup: int,
                  num_seeds: int = NUM_SEEDS) -> dict[str, Any]:
-    """N sequential vectorized runs vs one batched execution.
+    """N sequential one-lane runs vs one batched execution.
 
     Both legs rebuild every lane's traffic stream and scheduler from
     the same seeds, so they simulate the *same* N runs; equality of
@@ -256,7 +257,7 @@ def test_switch_batched_speedup(benchmark, report):
     for c in data["cells"]:
         assert c["identical_results"]
     # CI boxes are noisy; the committed full run documents the real
-    # ratios (~1.3-2.7x depending on load and machine state).
+    # ratios (~1.2-2.4x depending on load and machine state).
     assert smoke_speedup(data) >= 0.8, data
 
 

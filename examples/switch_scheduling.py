@@ -14,10 +14,11 @@ matchings mean more cells move per slot — the paper's premise that
 better matchings increase switch throughput shows up as lower delay at
 high load.
 
-Runs on the vectorized long-horizon engine
-(:func:`~repro.switch.engine.run_switch_vectorized`), which is pinned
-byte-identical to the scalar reference loop (`run_switch`) but makes
-10^4–10^6-slot horizons cheap; see `benchmarks/bench_s6_switch.py`.
+Runs on the production switch engine's single-seed entry
+(:func:`~repro.switch.engine.run_switch_vectorized`, a one-lane
+``run_switch_batched`` run), which is pinned byte-identical to the
+scalar reference loop (`run_switch`) but makes 10^4–10^6-slot horizons
+cheap; see `benchmarks/bench_s6_switch.py`.
 """
 
 from repro.analysis import format_table

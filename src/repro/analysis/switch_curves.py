@@ -32,10 +32,9 @@ def batched_point(
 
     ``traffic_factory(seed)`` builds one lane's traffic stream and
     ``scheduler_factory(seed)`` its scheduler; each lane ``s`` is
-    byte-identical to a sequential
-    :func:`~repro.switch.engine.run_switch_vectorized` run with that
-    seed pair.  Returns the per-metric ``(mean, ci)`` pairs plus the
-    raw per-seed values (so callers can re-aggregate).
+    byte-identical to a scalar :func:`~repro.switch.simulator.run_switch`
+    run with that seed pair.  Returns the per-metric ``(mean, ci)``
+    pairs plus the raw per-seed values (so callers can re-aggregate).
     """
     stats = run_switch_batched(
         ports,

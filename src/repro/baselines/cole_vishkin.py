@@ -27,14 +27,14 @@ Pipeline:
    accepts if still free.  Constantly many color rounds ⟹ the whole
    pipeline is deterministic O(log* n + C²) rounds.
 
-Two executable forms (ISSUE 4): :func:`ring_color_program` /
+Two executable forms: :func:`ring_color_program` /
 :func:`ring_matching_program` are the generator specs,
-:func:`ring_color_array` / :func:`ring_matching_array` the vectorized
-array twins; ``ring_coloring(..., backend=...)`` and
-``ring_maximal_matching(..., backend=...)`` pick, and both produce
-byte-identical ``RunResult``s.  Being deterministic, these are the
-simplest array ports in the tree — no RNG replay at all (see the
-porting guide in ARCHITECTURE.md).
+:func:`ring_color_array` / :func:`ring_matching_array` the array
+programs, each run as a one-lane batch; ``ring_coloring(...,
+backend=...)`` and ``ring_maximal_matching(..., backend=...)`` pick,
+and both produce byte-identical ``RunResult``s.  Being deterministic,
+these are the simplest array ports in the tree — no RNG replay at all
+(see the porting guide in ARCHITECTURE.md).
 """
 
 from __future__ import annotations
@@ -43,7 +43,11 @@ from typing import Generator
 
 import numpy as np
 
-from repro.distributed.backends import ArrayContext, int_payload_bits, run_program
+from repro.distributed.backends import (
+    BatchedArrayContext,
+    int_payload_bits,
+    run_program_batched,
+)
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
 from repro.graphs.graph import Graph
@@ -117,7 +121,9 @@ def _lsb_index(x: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _ring_color_phases(ctx: ArrayContext, n: int, steps: int) -> np.ndarray:
+def _ring_color_phases(
+    ctx: BatchedArrayContext, n: int, steps: int
+) -> np.ndarray:
     """The CV + palette resumes shared by both ring array programs.
 
     Runs ``steps + 3`` yielding resumes (``steps`` CV recolorings, then
@@ -126,21 +132,29 @@ def _ring_color_phases(ctx: ArrayContext, n: int, steps: int) -> np.ndarray:
     for :func:`ring_color_array`, the first proposal resume for
     :func:`ring_matching_array` — matching the generator programs,
     where the last palette read shares its resume with what comes next.
+
+    The pipeline draws no randomness, so every seed would run the same
+    resumes: both ring programs take exactly one lane.
     """
+    if ctx.num_seeds != 1:
+        raise ValueError("Cole-Vishkin is deterministic: run it as one lane")
     size = ctx.n
     ids = np.arange(size, dtype=np.int64)
     succ = np.roll(ids, -1)  # succ[v] = (v + 1) % n
     pred = np.roll(ids, 1)
     color = ids.copy()
-    ones = np.ones(size, dtype=np.int64)
+    ones = np.ones(2 * size, dtype=np.int64)
+    lane0 = np.zeros(2 * size, dtype=np.int64)  # every group is lane 0's
+    live = np.full(1, size)
+    yielded = np.ones(1, dtype=bool)
     # Phase 1: CV reduction against the predecessor's color.  Iteration
     # k's send is accounted in resume k; its read + recoloring happen
     # at the top of resume k+1, i.e. before the next send — exactly the
     # state the next account sees.
     for _ in range(steps):
-        ctx.begin_step(size)
-        ctx.account_groups(int_payload_bits(color), ones)
-        ctx.end_step(True)
+        ctx.begin_step(live)
+        ctx.account_groups(int_payload_bits(color), ones[:size], lane0[:size])
+        ctx.end_step(yielded)
         pred_color = color[pred]
         if (color == pred_color).any():
             raise ValueError("proper coloring violated")
@@ -151,12 +165,9 @@ def _ring_color_phases(ctx: ArrayContext, n: int, steps: int) -> np.ndarray:
     # Each pass sends the current color both ways (two singleton groups
     # per node, sized once each, as the generator queues them).
     for c in (3, 4, 5):
-        ctx.begin_step(size)
-        ctx.account_groups(
-            np.repeat(int_payload_bits(color), 2),
-            np.ones(2 * size, dtype=np.int64),
-        )
-        ctx.end_step(True)
+        ctx.begin_step(live)
+        ctx.account_groups(np.repeat(int_payload_bits(color), 2), ones, lane0)
+        ctx.end_step(yielded)
         nbr1, nbr2 = color[succ], color[pred]
         smallest_free = np.where(
             (nbr1 != 0) & (nbr2 != 0),
@@ -167,8 +178,10 @@ def _ring_color_phases(ctx: ArrayContext, n: int, steps: int) -> np.ndarray:
     return color
 
 
-def ring_color_array(ctx: ArrayContext, n: int, steps: int) -> list[int]:
-    """Array program twin of :func:`ring_color_program`.
+def ring_color_array(
+    ctx: BatchedArrayContext, n: int, steps: int
+) -> list[list[int]]:
+    """Array program of :func:`ring_color_program` (one lane).
 
     Entirely deterministic — no RNG replay at all — so the whole
     pipeline is a handful of ``np.roll`` gathers and bit tricks per
@@ -177,8 +190,8 @@ def ring_color_array(ctx: ArrayContext, n: int, steps: int) -> list[int]:
     program does.
     """
     color = _ring_color_phases(ctx, n, steps)
-    ctx.begin_step(ctx.n)  # final resume: every program returns
-    return color.tolist()
+    ctx.begin_step(np.full(1, ctx.n))  # final resume: every program returns
+    return [color.tolist()]
 
 
 def ring_coloring(
@@ -195,14 +208,15 @@ def ring_coloring(
     for v in range(n):
         if sorted(g.neighbors(v)) != sorted({(v - 1) % n, (v + 1) % n}):
             raise ValueError("graph is not the canonical ring")
-    res = run_program(
+    res = run_program_batched(
         g,
         backend=backend,
         generator_program=ring_color_program,
-        array_program=ring_color_array,
+        batched_array_program=ring_color_array,
         params={"n": n, "steps": cv_steps_needed(n)},
+        seeds=[0],
         max_rounds=max_rounds,
-    )
+    )[0]
     return dict(res.outputs), res
 
 
@@ -240,8 +254,10 @@ def ring_matching_program(
     return mate
 
 
-def ring_matching_array(ctx: ArrayContext, n: int, steps: int) -> list[int]:
-    """Array program twin of :func:`ring_matching_program`.
+def ring_matching_array(
+    ctx: BatchedArrayContext, n: int, steps: int
+) -> list[list[int]]:
+    """Array program of :func:`ring_matching_program` (one lane).
 
     After the shared coloring resumes, each color pass c ∈ {0, 1, 2} is
     three vectorized resumes: free c-colored nodes propose to their
@@ -257,28 +273,34 @@ def ring_matching_array(ctx: ArrayContext, n: int, steps: int) -> list[int]:
     color = _ring_color_phases(ctx, n, steps)
     mate = np.full(size, -1, dtype=np.int64)
     eight = np.int64(8)
+    live = np.full(1, size)
+    yielded = np.ones(1, dtype=bool)
     for c in (0, 1, 2):
         # Resume A (shares the first pass's resume with the last palette
         # read): free nodes of color c propose to their successor.
-        ctx.begin_step(size)
+        ctx.begin_step(live)
         prop = (mate == -1) & (color == c)
         k = int(prop.sum())
-        ctx.account_groups(np.full(k, eight), np.ones(k, dtype=np.int64))
-        ctx.end_step(True)
+        ctx.account_groups(
+            np.full(k, eight), np.ones(k, np.int64), np.zeros(k, np.int64)
+        )
+        ctx.end_step(yielded)
         # Resume B: a free node whose predecessor proposed accepts it.
-        ctx.begin_step(size)
+        ctx.begin_step(live)
         acc = (mate == -1) & prop[pred]
         mate = np.where(acc, pred, mate)
         k = int(acc.sum())
-        ctx.account_groups(np.full(k, eight), np.ones(k, dtype=np.int64))
-        ctx.end_step(True)
+        ctx.account_groups(
+            np.full(k, eight), np.ones(k, np.int64), np.zeros(k, np.int64)
+        )
+        ctx.end_step(yielded)
         # Resume C: proposers learn acceptance; no messages are sent
         # (the pass stays a fixed 3 rounds for lockstep clarity).
-        ctx.begin_step(size)
+        ctx.begin_step(live)
         mate = np.where(prop & acc[succ], succ, mate)
-        ctx.end_step(True)
-    ctx.begin_step(size)  # final resume: every program returns
-    return mate.tolist()
+        ctx.end_step(yielded)
+    ctx.begin_step(live)  # final resume: every program returns
+    return [mate.tolist()]
 
 
 def ring_maximal_matching(
@@ -292,12 +314,13 @@ def ring_maximal_matching(
     n = g.n
     if n < 3:
         raise ValueError("ring needs n >= 3")
-    res = run_program(
+    res = run_program_batched(
         g,
         backend=backend,
         generator_program=ring_matching_program,
-        array_program=ring_matching_array,
+        batched_array_program=ring_matching_array,
         params={"n": n, "steps": cv_steps_needed(n)},
+        seeds=[0],
         max_rounds=max_rounds,
-    )
+    )[0]
     return matching_from_mates(g, res.outputs), res

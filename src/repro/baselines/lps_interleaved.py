@@ -21,10 +21,11 @@ sharper claim than the measured ≥ ¼-style behaviour (the exact [18]
 analysis does not transfer verbatim to this simplification — see the
 bench's printed comparison).
 
-Two executable forms (ISSUE 4): :func:`lps_interleaved_program` is the
-generator spec, :func:`lps_interleaved_array` the vectorized array
-program; ``lps_interleaved_mwm(..., backend=...)`` picks, and both
-produce byte-identical ``RunResult``s from the same seed.
+Two executable forms: :func:`lps_interleaved_program` is the generator
+spec, :func:`lps_interleaved_array` the array program over a lane axis
+of seeds; ``lps_interleaved_mwm(..., backend="array")`` runs it as a
+one-lane batch, and both forms produce byte-identical ``RunResult``s
+from the same seed.
 """
 
 from __future__ import annotations
@@ -34,14 +35,17 @@ from typing import Generator
 import numpy as np
 
 from repro.baselines.israeli_itai import matching_from_mates
-from repro.baselines.lps_mwm import _weight_class
+from repro.baselines.lps_mwm import _weight_class, _weight_class_array
 from repro.distributed.backends import (
-    ArrayContext,
+    BatchedArrayContext,
+    choose_targets,
     int_payload_bits,
-    run_program,
-    segment_bounds,
+    lane_nonzero,
+    replay_acceptor_choices,
+    run_program_batched,
+    sorted_csr,
 )
-from repro.distributed.network import Network, RunResult
+from repro.distributed.network import RunResult
 from repro.distributed.node import Node
 from repro.graphs.graph import Graph
 from repro.matching.matching import Matching
@@ -105,130 +109,111 @@ def lps_interleaved_program(
 
 
 def lps_interleaved_array(
-    ctx: ArrayContext, wmax: float, num_classes: int
-) -> list[int]:
-    """Array program twin of :func:`lps_interleaved_program`.
+    ctx: BatchedArrayContext, wmax: float, num_classes: int
+) -> list[list[int]]:
+    """Array program of :func:`lps_interleaved_program`, one lane per seed.
 
-    SoA state: an ``int64`` ``mate`` column, an ``alive`` mask of
-    not-yet-returned nodes, and a ``dead`` mask of nodes whose
-    ``_MATCHED`` broadcast has been delivered (the announcement is a
-    broadcast, so every generator node's private ``dead`` set agrees
-    with this one global mask).  Each node's *current class* — the
-    heaviest weight class with a live incident edge — is a masked CSR
-    segment reduction over per-half-edge classes; the coin flips and
-    the two ``choice`` replays follow the per-node RNG streams exactly
-    as the generator program draws them.
+    SoA state with a leading seed axis: an ``int64`` ``mate`` column, an
+    ``alive`` mask of not-yet-returned nodes (lanes terminate
+    independently, as in the Israeli–Itai program), and a ``dead`` mask
+    of nodes whose ``_MATCHED`` broadcast has been delivered (a
+    broadcast, so one mask row per lane agrees with every generator
+    node's private ``dead`` set).  Each live node's *current class* — the
+    heaviest weight class with a usable half-edge to a non-dead
+    neighbor — is a scatter-min over those half-edges.  Coin flips and
+    the two ``choice`` replays are bulk ``ctx.lanes`` draws: proposal
+    targets are one rank-select over the sorted CSR
+    (:func:`~repro.distributed.backends.choose_targets`) restricted to
+    the proposer's class and non-dead neighbors, and acceptances replay
+    over same-class proposals
+    (:func:`~repro.distributed.backends.replay_acceptor_choices`).  A
+    returned node's mate never changes again, so the final ``mate``
+    rows are the outputs.
     """
     g = ctx.graph
-    size = ctx.n
+    num_seeds, size = ctx.num_seeds, ctx.n
     indptr, indices = ctx.indptr, ctx.indices
     _, _, eids = g.adjacency_arrays()
-    weights = g.weights_array()
-    edge_cls = np.fromiter(
-        (_weight_class(float(w), wmax) for w in weights),
-        dtype=np.int64,
-        count=weights.size,
-    )
-    he_cls = edge_cls[eids]  # class of each half-edge, CSR-aligned
-    usable = he_cls < num_classes
-    # Per-vertex neighbor ids sorted ascending, with aligned classes —
-    # the order the generator program's sorted() candidate lists use.
-    snbr: list[np.ndarray] = []
-    scls: list[np.ndarray] = []
-    for v in range(size):
-        seg = slice(int(indptr[v]), int(indptr[v + 1]))
-        nb, cl = indices[seg], he_cls[seg]
-        keep = cl < num_classes
-        nb, cl = nb[keep], cl[keep]
-        order = np.argsort(nb)
-        snbr.append(nb[order])
-        scls.append(cl[order])
-    outputs: list[int | None] = [None] * size
-    mate = np.full(size, -1, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    dead = np.zeros(size, dtype=bool)
+    he_cls = _weight_class_array(g.weights_array(), wmax)[eids]
+    # usable half-edges (class below the cutoff): owner, neighbor, class
+    usable = np.flatnonzero(he_cls < num_classes)
+    owner = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
+    u_owner = owner[usable]
+    u_nbr = indices[usable]
+    u_cls = he_cls[usable]
+    sidx, s_nbr = sorted_csr(indptr, indices)
+    mate = np.full((num_seeds, size), -1, dtype=np.int64)
+    alive = np.ones((num_seeds, size), dtype=bool)
+    dead = np.zeros((num_seeds, size), dtype=bool)
     degrees = g.degrees()
-    rngs = ctx.rngs
+    lanes = ctx.lanes
     eight = np.int64(8)
-    starts = indptr[:-1]
     while alive.any():
         # Resume A: matched nodes and nodes without a live usable edge
         # return; the rest target their heaviest available class, flip
         # proposer coins, and invite one random same-class neighbor.
-        ctx.begin_step(int(alive.sum()))
-        active_he = usable & ~dead[indices]
-        inverted = np.where(active_he, num_classes - he_cls, 0)
-        if indices.size:
-            # Zero sentinel: keeps trailing degree-0 vertices' starts
-            # in range without shifting the last non-empty segment's
-            # boundary.
-            best = np.maximum.reduceat(
-                np.concatenate((inverted, [np.int64(0)])), starts
-            )
-            best[indptr[:-1] == indptr[1:]] = 0
-        else:
-            best = np.zeros(size, dtype=np.int64)
-        my_cls = num_classes - best  # valid where best > 0
-        returning = alive & ((mate != -1) | (best == 0))
-        for v in np.flatnonzero(returning).tolist():
-            outputs[v] = int(mate[v])
-        alive &= ~returning
-        live = np.flatnonzero(alive)
-        if live.size == 0:
-            break  # everyone returned without yielding: no round counted
-        proposer = np.zeros(size, dtype=bool)
-        target = np.full(size, -1, dtype=np.int64)
-        for v in live.tolist():
-            if rngs[v].integers(0, 2):
-                cand = snbr[v][
-                    (scls[v] == my_cls[v]) & ~dead[snbr[v]]
-                ]
-                target[v] = int(rngs[v].choice(cand.tolist()))
-                proposer[v] = True
-        proposer_ids = np.flatnonzero(proposer)
-        ctx.account_groups(
-            eight + int_payload_bits(my_cls[proposer_ids]),
-            np.ones(proposer_ids.size, np.int64),
+        ctx.begin_step(alive.sum(axis=1))
+        alive &= mate == -1
+        hr, hc = lane_nonzero(alive[:, u_owner] & ~dead[:, u_nbr])
+        hkey = hr * size + u_owner[hc]
+        my_cls = np.full(num_seeds * size, num_classes, dtype=np.int64)
+        np.minimum.at(my_cls, hkey, u_cls[hc])
+        alive &= (my_cls < num_classes).reshape(num_seeds, size)
+        lrows, lcols = lane_nonzero(alive)
+        if lrows.size == 0:
+            break  # every lane returned without yielding: no round counted
+        live = alive.sum(axis=1)
+        in_phase = live > 0
+        at_cls = u_cls[hc] == my_cls[hkey]
+        cand_deg = np.bincount(hkey[at_cls], minlength=num_seeds * size)
+        coins = lanes.integers(0, 2, lrows * size + lcols)
+        picked = coins == 1
+        pr, pv = lrows[picked], lcols[picked]
+        pflat = pr * size + pv
+        idx = lanes.integers(0, cand_deg[pflat], pflat)
+        tgt = choose_targets(
+            indptr, s_nbr, sidx, pv, idx,
+            lambda seg, pos, nbr: (
+                (he_cls[pos] == my_cls[pflat[seg]]) & ~dead[pr[seg], nbr]
+            ),
         )
-        ctx.end_step(True)
+        ctx.account_groups(
+            eight + int_payload_bits(my_cls[pflat]),
+            np.ones(pr.size, np.int64),
+            pr,
+        )
+        ctx.end_step(in_phase)
         # Resume B: each live non-proposer accepts one same-class
         # proposal uniformly at random (heavier classes cannot arrive).
-        ctx.begin_step(live.size)
-        accepted_by = np.full(size, -1, dtype=np.int64)
-        targets = target[proposer_ids]
-        accept_count = 0
-        if targets.size:
-            order = np.argsort(targets, kind="stable")  # per-target, src asc.
-            sorted_targets = targets[order]
-            sorted_srcs = proposer_ids[order]
-            bounds = segment_bounds(sorted_targets)
-            for k in range(bounds.size - 1):
-                dst = int(sorted_targets[bounds[k]])
-                if proposer[dst] or not alive[dst]:
-                    continue  # proposers (and returned nodes) ignore proposals
-                grp = sorted_srcs[bounds[k]: bounds[k + 1]]
-                props = grp[my_cls[grp] == my_cls[dst]].tolist()
-                if props:
-                    accepted_by[dst] = int(rngs[dst].choice(props))
-                    accept_count += 1
-        ctx.account_groups(
-            np.full(accept_count, eight), np.ones(accept_count, np.int64)
+        ctx.begin_step(live)
+        tflat = pr * size + tgt
+        same = my_cls[tflat] == my_cls[pflat]
+        ignores = ~alive.reshape(-1)  # returned nodes ignore proposals
+        ignores[pflat] = True  # and so do proposers
+        acc, chosen = replay_acceptor_choices(
+            lanes, tflat[same], pv[same], ignores
         )
-        ctx.end_step(True)
+        accepted_by = np.full(num_seeds * size, -1, dtype=np.int64)
+        accepted_by[acc] = chosen
+        arows, acols = np.divmod(acc, size)
+        ctx.account_groups(
+            np.full(acc.size, eight), np.ones(acc.size, np.int64), arows
+        )
+        ctx.end_step(in_phase)
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED once to its *full* neighborhood.
-        ctx.begin_step(live.size)
-        successful = proposer_ids[accepted_by[targets] == proposer_ids]
-        mate[successful] = target[successful]
-        acceptors = np.flatnonzero(accepted_by != -1)
-        mate[acceptors] = accepted_by[acceptors]
-        matched_now = np.concatenate((successful, acceptors))
+        ctx.begin_step(live)
+        succeeded = accepted_by[tflat] == pv
+        mate[pr[succeeded], pv[succeeded]] = tgt[succeeded]
+        mate[arows, acols] = chosen
+        m_rows = np.concatenate((pr[succeeded], arows))
+        m_cols = np.concatenate((pv[succeeded], acols))
         ctx.account_groups(
-            np.full(matched_now.size, eight), degrees[matched_now]
+            np.full(m_rows.size, eight), degrees[m_cols], m_rows
         )
-        ctx.end_step(True)
-        dead[matched_now] = True  # the broadcast lands next resume A
-    return outputs
+        ctx.end_step(in_phase)
+        dead[m_rows, m_cols] = True  # the broadcast lands next resume A
+    return [row.tolist() for row in mate]
 
 
 def lps_interleaved_mwm(
@@ -251,16 +236,16 @@ def lps_interleaved_mwm(
         return Matching(g), RunResult()
     import math
 
-    wmax = max(w for *_, w in g.iter_weighted_edges())
+    wmax = float(g.weights_array().max())
     if num_classes is None:
         num_classes = 2 * max(1, math.ceil(math.log2(max(2, g.n)))) + 4
-    res = run_program(
+    res = run_program_batched(
         g,
         backend=backend,
         generator_program=lps_interleaved_program,
-        array_program=lps_interleaved_array,
+        batched_array_program=lps_interleaved_array,
         params={"wmax": wmax, "num_classes": num_classes},
-        seed=seed,
+        seeds=[seed],
         max_rounds=max_rounds,
-    )
+    )[0]
     return matching_from_mates(g, res.outputs), res

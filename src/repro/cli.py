@@ -30,14 +30,16 @@ takes the crash-safety knobs ``--max-retries``, ``--timeout``, and
 ``--out`` artifact); failed cells print a summary and exit nonzero
 instead of aborting the matrix.  ``switch`` accepts ``--traffic
 {bernoulli,diagonal,bursty,hotspot}`` and ``--engine
-{vectorized,scalar}`` — the vectorized long-horizon engine is the
-default and produces byte-identical statistics to the scalar loop —
-plus ``--seed-batch N``, which runs N seed lanes per scheduler as one
+{vectorized,scalar}`` — the production engine (a one-lane batch) is
+the default and produces byte-identical statistics to the scalar loop
+— plus ``--seed-batch N``, which runs N seed lanes per scheduler as one
 seed-axis batched execution (ISSUE 8) and prints each metric as a
-mean ± 95% CI over the lanes.  ``lca`` (ISSUE 9) serves per-vertex
-point lookups through the :mod:`repro.lca` query layer — probe
-counters and cache hit rate per run, ``--verify`` cross-checks every
-vertex against one global ``random_greedy_matching`` oracle run.
+mean ± 95% CI over the lanes; out-of-range flags and infeasible
+traffic parameters print an ``error:`` line and exit 1.  ``lca``
+(ISSUE 9) serves per-vertex point lookups through the
+:mod:`repro.lca` query layer — probe counters and cache hit rate per
+run, ``--verify`` cross-checks every vertex against one global
+``random_greedy_matching`` oracle run.
 """
 
 from __future__ import annotations
@@ -208,6 +210,17 @@ def cmd_switch(args) -> int:
         run_switch_vectorized,
     )
 
+    for ok, msg in (
+        (args.ports >= 1, f"--ports must be >= 1, got {args.ports}"),
+        (args.slots >= 0, f"--slots must be >= 0, got {args.slots}"),
+        (0 <= args.load <= 1, f"--load must be in [0, 1], got {args.load}"),
+        (args.k >= 1, f"--k must be >= 1, got {args.k}"),
+        (args.seed_batch is None or args.seed_batch >= 1,
+         f"--seed-batch must be >= 1, got {args.seed_batch}"),
+    ):
+        if not ok:
+            print(f"error: {msg}", file=sys.stderr)
+            return 1
     traffic_models = {
         "bernoulli": lambda seed: bernoulli_uniform(
             args.ports, args.load, seed=seed
@@ -217,6 +230,11 @@ def cmd_switch(args) -> int:
         "hotspot": lambda seed: hotspot(args.ports, args.load, seed=seed),
     }
     make_traffic = traffic_models[args.traffic]
+    try:
+        make_traffic(args.seed)  # the model validates its own parameters
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     schedulers = [
         ("PIM", lambda seed: PimScheduler(args.ports, seed=seed)),
         ("iSLIP", lambda seed: IslipAdapter(args.ports)),
@@ -224,10 +242,6 @@ def cmd_switch(args) -> int:
         (f"paper k={args.k}", lambda seed: PaperScheduler(args.ports, k=args.k)),
     ]
     if args.seed_batch is not None:
-        if args.seed_batch < 1:
-            print(f"error: --seed-batch must be >= 1, got {args.seed_batch}",
-                  file=sys.stderr)
-            return 1
         from repro.analysis.switch_curves import batched_point
 
         seeds = list(range(args.seed, args.seed + args.seed_batch))

@@ -35,7 +35,11 @@ import numpy as np
 
 from repro.baselines.luby_mis import luby_mis
 from repro.core.conflict_graph import build_conflict_graph
-from repro.distributed.backends import ArrayContext, int_payload_bits, run_program
+from repro.distributed.backends import (
+    BatchedArrayContext,
+    int_payload_bits,
+    run_program_batched,
+)
 from repro.distributed.message import Sized, bit_size
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
@@ -85,9 +89,10 @@ def flood_views_program(
 
 
 def flood_views_array(
-    ctx: ArrayContext, depth: int, mates: list[int], keep_views: bool = True
-) -> list[frozenset] | None:
-    """Array program twin of :func:`flood_views_program`.
+    ctx: BatchedArrayContext, depth: int, mates: list[int],
+    keep_views: bool = True,
+) -> list[list[frozenset]] | None:
+    """Array program of :func:`flood_views_program`, run as a one-lane batch.
 
     The whole flood runs on **record ids**: record ``r < n`` is the
     vertex record ``("v", r, free)`` and record ``n + eid`` the edge
@@ -105,7 +110,12 @@ def flood_views_array(
     materialized (outputs are ``None``); counters are unchanged.  This
     is the scale path — at n=10^6 the Python set/tuple universe is
     orders of magnitude more memory than the key arrays.
+
+    The flood draws no randomness, so every seed would run the same
+    flood: the program takes exactly one lane.
     """
+    if ctx.num_seeds != 1:
+        raise ValueError("the flood is deterministic: run it as one lane")
     g = ctx.graph
     size = ctx.n
     n = size
@@ -132,8 +142,9 @@ def flood_views_array(
     )
     known = np.sort(init_keys)
     fresh = known.copy()
+    live = np.full(1, size)
     for _ in range(depth):
-        ctx.begin_step(size)
+        ctx.begin_step(live)
         if fresh.size:
             fnodes = fresh // R
             frecs = fresh % R
@@ -143,8 +154,10 @@ def flood_views_array(
                 fnodes, weights=rec_bits[frecs].astype(np.float64), minlength=n
             ).astype(np.int64)
             senders = np.flatnonzero((bits_per > 0) & (deg > 0))
-            ctx.account_groups(bits_per[senders], deg[senders])
-        ctx.end_step(size > 0)
+            ctx.account_groups(
+                bits_per[senders], deg[senders], np.zeros_like(senders)
+            )
+        ctx.end_step(live > 0)
         if fresh.size:
             cnt = deg[fnodes]
             total = int(cnt.sum())
@@ -174,7 +187,7 @@ def flood_views_array(
                     known.sort(kind="stable")
             else:
                 fresh = fresh[:0]
-    ctx.begin_step(size)  # final resume: every program returns
+    ctx.begin_step(live)  # final resume: every program returns
     if not keep_views:
         return None
     mate = np.asarray(mates, dtype=np.int64)
@@ -189,10 +202,10 @@ def flood_views_array(
     knodes = known // R
     krecs = (known % R).tolist()
     bounds = np.searchsorted(knodes, np.arange(n + 1, dtype=np.int64))
-    return [
+    return [[
         frozenset(rec_tuples[r] for r in krecs[bounds[v]: bounds[v + 1]])
         for v in range(n)
-    ]
+    ]]
 
 
 @dataclass
@@ -247,15 +260,15 @@ def generic_mcm(
     for phase, ell in enumerate(range(1, 2 * k, 2)):
         mates = m.mate_array().tolist()
         # Step 4 (Algorithm 2): flood views to distance 2ℓ.
-        flood_res = run_program(
+        flood_res = run_program_batched(
             g,
             backend=backend,
             generator_program=flood_views_program,
-            array_program=flood_views_array,
+            batched_array_program=flood_views_array,
             params={"depth": 2 * ell, "mates": mates, "keep_views": keep_views},
-            seed=int(phase_seeds[phase].generate_state(1)[0]),
+            seeds=[int(phase_seeds[phase].generate_state(1)[0])],
             max_rounds=max_rounds,
-        )
+        )[0]
         if keep_views:
             stats.views = dict(flood_res.outputs)
         stats.result = stats.result.merge(flood_res)

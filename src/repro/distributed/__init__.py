@@ -13,24 +13,21 @@ performs local computation.  Two model variants are supported:
 Node algorithms are Python generators: ``yield`` ends the round —
 executed by the :class:`GeneratorBackend` (= :class:`Network`), the
 reference engine.  Algorithms may additionally ship an *array program*
-(vectorized per-round updates over struct-of-arrays state) executed by
-the :class:`ArrayBackend`, and a *batched* array program executed over
-a whole seed list at once by the :class:`BatchedArrayBackend`; all
-produce byte-identical results from the same seed (see
+(vectorized per-round updates over struct-of-arrays state with a
+leading seed axis) executed by the :class:`BatchedArrayBackend`: a
+whole seed list runs at once, and a single seed is a one-lane batch.
+Both produce byte-identical results from the same seed (see
 ``repro.distributed.backends``).
 """
 
 from repro.distributed.backends import (
     BACKENDS,
-    ArrayBackend,
-    ArrayContext,
     BatchedArrayBackend,
     BatchedArrayContext,
     ExecutionBackend,
     GeneratorBackend,
     int_payload_bits,
     resolve_backend,
-    run_program,
     run_program_batched,
 )
 from repro.distributed.message import bit_size
@@ -49,15 +46,12 @@ from repro.distributed.node import Node
 __all__ = [
     "bit_size",
     "BACKENDS",
-    "ArrayBackend",
-    "ArrayContext",
     "BatchedArrayBackend",
     "BatchedArrayContext",
     "ExecutionBackend",
     "GeneratorBackend",
     "int_payload_bits",
     "resolve_backend",
-    "run_program",
     "run_program_batched",
     "CONGEST",
     "LOCAL",

@@ -1,18 +1,19 @@
 """Pluggable execution backends for the round engine.
 
-Layer 2 exposes two ways to execute a distributed algorithm, behind one
-:class:`ExecutionBackend` protocol:
+Layer 2 exposes two ways to execute a distributed algorithm, picked
+by name through :data:`BACKENDS`:
 
 * :class:`GeneratorBackend` (= :class:`~repro.distributed.network.Network`)
   — the reference semantics.  One Python generator per vertex, resumed
   in lockstep; messages are real objects validated and delivered
   through inboxes.  Every algorithm has a generator program, and the
   generator run *defines* correct output and accounting.
-* the **array backends** — execute **array programs**: the same
-  algorithm expressed as per-round vectorized NumPy updates over
-  struct-of-arrays node state (``int64``/``float64`` state columns and
-  boolean active masks), with message *effects* computed by CSR-indexed
-  scatter/gather instead of materialized message objects.
+* the **array backend** (:class:`BatchedArrayBackend`) — executes
+  **array programs**: the same algorithm expressed as per-round
+  vectorized NumPy updates over struct-of-arrays node state
+  (``int64``/``float64`` state columns and boolean active masks), with
+  message *effects* computed by CSR-indexed scatter/gather instead of
+  materialized message objects.
 
 **The seed count is a lane count.**  A ported algorithm has exactly one
 array program, written over ``(num_seeds, n)`` state and executed by
@@ -22,8 +23,10 @@ array program, written over ``(num_seeds, n)`` state and executed by
 
 A single-seed ``backend="array"`` run is a one-lane batch
 (``run_program_batched(..., seeds=[seed])[0]``), so there is no second
-program to keep byte-identical by hand.  The program owns its round
-loop and reports everything observable through the context:
+program to keep byte-identical by hand; the deterministic programs (the
+Algorithm 2 flood, the Cole–Vishkin ring pipeline) take exactly one
+lane, since every seed would run them identically.  The program owns
+its round loop and reports everything observable through the context:
 
 * ``ctx.lanes`` — per-(seed, node) RNG streams
   (:class:`~repro.distributed.batch_rng.LaneRngs`): lane ``s * n + v``
@@ -60,11 +63,6 @@ segment reductions (:meth:`BatchedArrayContext.masked_degrees`,
 :meth:`BatchedArrayContext.neighbor_any`) are that gather fused with a
 per-vertex ``reduceat``.
 
-:class:`ArrayBackend` / :class:`ArrayContext` remain only for the
-programs with no batched form (the Algorithm 2 flood, the interleaved
-LPS matching and the Cole–Vishkin ring pipeline): one seed, per-node
-``ctx.rngs``, and the same three lockstep calls with scalar arguments.
-
 Divergence note (documented, deliberate): error *messages* carry less
 per-node context on the array side (no single offending node mid-scan).
 Error-path *accounting* matches: both engines raise a CONGEST violation
@@ -93,23 +91,22 @@ from repro.graphs.graph import Graph
 #: The reference backend: the generator-per-vertex engine.
 GeneratorBackend = Network
 
-#: A single-seed array program: drives its own round loop through an
-#: :class:`ArrayContext`.
-ArrayProgram = Callable[..., "Sequence[Any] | None"]
-
-#: A batched array program: drives its own round loop through a
-#: :class:`BatchedArrayContext`; state carries a leading seed axis and
-#: outputs are returned per seed.
-BatchedArrayProgram = Callable[..., "Sequence[Sequence[Any]] | None"]
+#: An array program: drives its own round loop through a
+#: :class:`BatchedArrayContext`; state carries a leading seed (lane)
+#: axis and outputs are returned per seed.
+LaneProgram = Callable[..., "Sequence[Sequence[Any]] | None"]
 
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """What layers 3/4 may assume about an engine.
+    """What layers 3/4 may assume about a single-seed engine.
 
     Structural: :class:`Network` conforms without inheriting.  The
     construction convention (not expressible in a Protocol) is
     ``Backend(graph, program, params=None, seed=0, model=LOCAL)``.
+    :class:`BatchedArrayBackend` takes a ``seeds`` list instead and
+    returns one :class:`RunResult` per seed; :func:`run_program_batched`
+    routes between the two.
     """
 
     graph: Graph
@@ -285,167 +282,6 @@ def _check_fault_support(program: Callable, plan: FaultPlan) -> None:
             "(supports_faults is not set); use backend='generator' "
             "for this fault plan"
         )
-
-
-class ArrayContext:
-    """Execution context of a single-seed array program.
-
-    Only the programs with no batched form run here (see the module
-    docstring).  Owns the CSR views, the lazily spawned per-node RNGs,
-    and the lockstep accounting that keeps :class:`ArrayBackend` runs
-    byte-identical to :class:`GeneratorBackend` runs: the three calls
-    of :class:`BatchedArrayContext`, with scalar arguments.
-    """
-
-    __slots__ = (
-        "graph",
-        "n",
-        "indptr",
-        "indices",
-        "model",
-        "result",
-        "max_rounds",
-        "_limit",
-        "_seed",
-        "_rngs",
-    )
-
-    def __init__(
-        self,
-        graph: Graph,
-        seed: int,
-        model: Model,
-        limit: int | None,
-        result: RunResult,
-        max_rounds: int,
-    ) -> None:
-        self.graph = graph
-        self.n = graph.n
-        self.indptr, self.indices, _ = graph.adjacency_arrays()
-        self.model = model
-        self.result = result
-        self.max_rounds = max_rounds
-        self._limit = limit
-        self._seed = seed
-        self._rngs: list[np.random.Generator] | None = None
-
-    @property
-    def rngs(self) -> list[np.random.Generator]:
-        """Per-node RNGs, spawned exactly as the generator engine's.
-
-        Built on first access: programs that never draw (e.g. the
-        flooding of Algorithm 2) skip the O(n) spawn entirely.
-        """
-        if self._rngs is None:
-            seq = np.random.SeedSequence(self._seed)
-            self._rngs = [np.random.default_rng(c) for c in seq.spawn(self.n)]
-        return self._rngs
-
-    # -- lockstep accounting ------------------------------------------
-
-    def begin_step(self, live: int) -> None:
-        """Top of one resume: the generator loop's budget check."""
-        if live and self.result.rounds >= self.max_rounds:
-            raise RuntimeError(
-                f"{live} node(s) still running after {self.max_rounds} "
-                "rounds; lockstep protocol bug or budget too small"
-            )
-
-    def account_groups(
-        self,
-        bits: np.ndarray | Sequence[int],
-        counts: np.ndarray | Sequence[int],
-    ) -> None:
-        """Account one resume's grouped sends (one row per group).
-
-        ``bits[i]`` is the payload size of group ``i`` (sized once per
-        group, as ``send_many``/``broadcast`` are) and ``counts[i]``
-        its recipient count.  Totals, the ``bits @ counts`` volume, the
-        peak, and the CONGEST check reproduce :meth:`Network.run`.
-        """
-        bits = np.asarray(bits, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        nonempty = counts > 0  # the generator engine skips empty groups
-        if not nonempty.all():
-            bits, counts = bits[nonempty], counts[nonempty]
-        if bits.size == 0:
-            return
-        peak = int(bits.max())
-        if self._limit is not None and peak > self._limit:
-            raise CongestViolation(
-                f"{peak}-bit message exceeds {self.model.name} bound of "
-                f"{self._limit} bits (round {self.result.rounds})"
-            )
-        res = self.result
-        res.total_messages += int(counts.sum())
-        res.total_bits += int(bits @ counts)
-        if peak > res.max_message_bits:
-            res.max_message_bits = peak
-
-    def end_step(self, yielded: bool) -> None:
-        """End of one resume: count a round iff some node yielded."""
-        if yielded:
-            self.result.rounds += 1
-
-
-class ArrayBackend:
-    """Executes a single-seed array program over SoA node state.
-
-    Drop-in for :class:`Network` on the programs with no batched form:
-    same constructor shape, same ``run``/``charge_rounds`` surface,
-    byte-identical :class:`RunResult` from the same seed.  ``run`` is
-    one-shot (the whole execution happens inside the program); calling
-    it again returns the finished result, as a drained ``Network``
-    does.
-
-    Parameters
-    ----------
-    graph:
-        The communication topology (also consulted for edge weights).
-    program:
-        An :data:`ArrayProgram` — ``program(ctx, **params)`` owning its
-        round loop and reporting through the :class:`ArrayContext`.
-    params:
-        Extra keyword arguments passed to the program (global
-        knowledge such as n, k, ε).
-    seed:
-        Master seed; ``ctx.rngs`` spawns per-node streams from it
-        exactly as ``Network`` does.
-    model:
-        ``LOCAL`` (default) or a CONGEST variant enforcing the
-        per-message bit bound through :meth:`ArrayContext.account_groups`.
-    """
-
-    def __init__(
-        self,
-        graph: Graph,
-        program: ArrayProgram,
-        params: dict[str, Any] | None = None,
-        seed: int = 0,
-        model: Model = LOCAL,
-    ) -> None:
-        self.graph = graph
-        self.model = model
-        self._limit = model.limit(graph.n, graph.max_degree())
-        self._program = program
-        self._params = params or {}
-        self.result = RunResult()
-        self._ctx = ArrayContext(graph, seed, model, self._limit, self.result, 0)
-        self._ran = False
-
-    def run(self, max_rounds: int = 1_000_000) -> RunResult:
-        """Execute the array program to completion (idempotent)."""
-        if not self._ran:
-            self._ctx.max_rounds = max_rounds
-            outputs = self._program(self._ctx, **self._params)
-            for v in range(self.graph.n):
-                self.result.outputs[v] = None if outputs is None else outputs[v]
-            self._ran = True
-        return self.result
-
-    def charge_rounds(self, extra: int) -> None:
-        """Add analytically charged rounds (see RunResult.charged_rounds)."""
-        self.result.charged_rounds += extra
 
 
 class BatchedArrayContext:
@@ -728,7 +564,7 @@ class BatchedArrayBackend:
         The shared topology.  Batching is across *seeds*, so all lanes
         of the batch execute on this one graph.
     program:
-        A :data:`BatchedArrayProgram` (e.g.
+        A :data:`LaneProgram` (e.g.
         :func:`repro.baselines.luby_mis.luby_mis_array_batched`).
     params:
         Extra keyword arguments passed to the program.
@@ -750,7 +586,7 @@ class BatchedArrayBackend:
     def __init__(
         self,
         graph: Graph,
-        program: BatchedArrayProgram,
+        program: LaneProgram,
         params: dict[str, Any] | None = None,
         seeds: Sequence[int] = (0,),
         model: Model = LOCAL,
@@ -786,7 +622,7 @@ def run_program_batched(
     *,
     backend: str,
     generator_program: Callable[..., Any],
-    batched_array_program: BatchedArrayProgram,
+    batched_array_program: LaneProgram,
     params: dict[str, Any] | None = None,
     seeds: Sequence[int],
     model: Model = LOCAL,
@@ -821,7 +657,7 @@ def run_program_batched(
 #: Backend registry — the seam layer 4 routes ``--backend`` through.
 BACKENDS: dict[str, type] = {
     "generator": GeneratorBackend,
-    "array": ArrayBackend,
+    "array": BatchedArrayBackend,
 }
 
 
@@ -833,27 +669,3 @@ def resolve_backend(name: str) -> type:
         raise ValueError(
             f"unknown backend {name!r}; pick from {sorted(BACKENDS)}"
         ) from None
-
-
-def run_program(
-    graph: Graph,
-    *,
-    backend: str,
-    generator_program: Callable[..., Any],
-    array_program: ArrayProgram,
-    params: dict[str, Any] | None = None,
-    seed: int = 0,
-    model: Model = LOCAL,
-    max_rounds: int = 1_000_000,
-) -> RunResult:
-    """Run a single-seed program pair on the chosen backend.
-
-    The routing helper of the algorithms with no batched array program:
-    the caller's ``backend`` string picks which of the two forms
-    executes.  Ported algorithms route through
-    :func:`run_program_batched` instead.
-    """
-    cls = resolve_backend(backend)
-    program = generator_program if cls is GeneratorBackend else array_program
-    net = cls(graph, program, params=params, seed=seed, model=model)
-    return net.run(max_rounds=max_rounds)

@@ -32,10 +32,10 @@ Engine design (the CSR refactor of ISSUE 2):
 :class:`~repro.distributed.backends.ExecutionBackend` protocol
 (exported as ``GeneratorBackend``): its per-resume semantics — budget
 check at the top of every resume, grouped sends sized once and counted
-per recipient, a round counted iff some node yielded — define what any
-other backend must reproduce byte for byte: the vectorized
-``ArrayBackend`` and the seed-axis ``BatchedArrayBackend``, whose RNG
-lanes (``repro.distributed.batch_rng``) replicate this engine's
+per recipient, a round counted iff some node yielded — define what the
+array backend must reproduce byte for byte: the seed-axis
+``BatchedArrayBackend`` (a single seed runs as a one-lane batch), whose
+RNG lanes (``repro.distributed.batch_rng``) replicate this engine's
 ``SeedSequence(seed).spawn(n)`` node streams bit for bit.
 """
 

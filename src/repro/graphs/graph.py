@@ -38,7 +38,7 @@ the slice is the "port number" of that edge at ``v``, exactly as in the
 distributed model of Section 2 (Algorithm 3 indexes its counter array
 by port).  The vectorized build preserves this with a stable argsort of
 the interleaved endpoint array.  Since the backend refactors (ISSUEs
-3–4) the invariant is doubly load-bearing: the array backends' CSR
+3–4) the invariant is doubly load-bearing: the array backend's CSR
 scatter/gather reductions (``BatchedArrayContext.masked_degrees`` /
 ``neighbor_max``) read "what my neighbors sent" straight off these
 slices, so reordering them would silently corrupt every array program.
@@ -541,10 +541,10 @@ class Graph:
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw CSR triple ``(indptr, indices, eids)`` (read-only).
 
-        The substrate the execution backends' scatter/gather rides on:
-        ``ArrayContext`` / ``BatchedArrayContext`` hold exactly these
-        views, relying on the port-numbering invariant (module
-        docstring) for their segment reductions.
+        The substrate the array backend's scatter/gather rides on:
+        ``BatchedArrayContext`` holds exactly these views, relying on
+        the port-numbering invariant (module docstring) for its segment
+        reductions.
         """
         return self._indptr, self._indices, self._eids
 

@@ -8,8 +8,8 @@ and returns one combined partial permutation as ``(lanes, mflat)``
 index arrays — winner lanes plus flat indices into the stacked VOQ
 state, ready for the engine's fancy-index departure update.  Every
 lane's matching sequence is byte-identical to what that lane's own
-scheduler instance would have produced against
-:func:`repro.switch.engine.run_switch_vectorized`:
+scheduler instance would have produced in a single-seed run
+(:func:`repro.switch.simulator.run_switch`):
 
 * randomness stays **per lane** — each lane keeps its own stream
   (adopted from the scheduler instances: greedy's
@@ -30,8 +30,10 @@ scheduler instance would have produced against
   core's early ``break``).
 
 :func:`batch_schedulers` decides whether a scheduler list has a batched
-core; the engine falls back to consulting lanes one at a time (still
-one batched traffic/arrival/replay pass) when it returns ``None``.
+core; :func:`repro.switch.engine.run_switch_batched` falls back to
+consulting lanes one at a time through their single-seed cores (still
+one batched traffic/arrival/replay pass) when it returns ``None`` —
+always the case for a one-lane batch.
 """
 
 from __future__ import annotations
@@ -334,13 +336,14 @@ class BatchedPimCore:
 def batch_schedulers(schedulers: list):
     """A batched core for ``schedulers``, or ``None`` to consult per lane.
 
-    Batching requires every lane to run the *same* scheduler class with
-    compatible static configuration (dimensions, iteration counts);
-    subclasses fall back, since their overrides could change semantics
-    the cores replicate.
+    Batching requires at least two lanes running the *same* scheduler
+    class with compatible static configuration (dimensions, iteration
+    counts); subclasses fall back, since their overrides could change
+    semantics the cores replicate.  A one-lane list always falls back:
+    the single-seed ``schedule_matrix`` cores are faster at one lane.
     """
     kind = type(schedulers[0])
-    if any(type(s) is not kind for s in schedulers):
+    if len(schedulers) == 1 or any(type(s) is not kind for s in schedulers):
         return None
     if kind is GreedyMaximalScheduler:
         return BatchedGreedyCore(schedulers)

@@ -1,40 +1,40 @@
-"""The vectorized long-horizon switch engine.
+"""The production switch engine: one slot loop for any number of lanes.
 
-Replaces the scalar cell-slot loop (:func:`repro.switch.simulator.run_switch`
-— kept as the reference semantics) for large port counts and 10^5–10^6
-slot horizons:
+The scalar cell-slot loop (:func:`repro.switch.simulator.run_switch`)
+is the reference semantics.  :func:`run_switch_batched` is the one
+production loop, for large port counts, 10^5–10^6 slot horizons and
+any number of seed lanes:
 
-* **VOQ state** is a single ``(ports, ports)`` int64 occupancy matrix
-  instead of ``ports²`` Python deques;
-* **traffic** is consumed in chunked ``(slots, ports)`` destination
-  blocks from a :class:`~repro.switch.traffic.ChunkedTraffic` stream;
-* **schedulers** are consulted once per slot on the occupancy matrix
-  (``schedule_matrix``) when they support it, falling back to the
-  demand-set / occupancy-dict interfaces for the centralized adapters;
+* **VOQ state** is one ``(num_seeds, ports, ports)`` int32 occupancy
+  stack instead of ``ports²`` Python deques per lane;
+* **traffic** is consumed in chunked ``(lanes, slots, ports)``
+  destination blocks from a
+  :class:`~repro.switch.traffic.BatchedChunkedTraffic` stream;
+* **schedulers** are consulted once per slot: a lane-stacked core from
+  :func:`repro.switch.batched.batch_schedulers` when every lane runs the
+  same built-in scheduler, else each lane's own ``schedule_matrix``
+  core, falling back to the demand-set / occupancy-dict interfaces
+  (with the scalar fabric's checks) for the centralized adapters.  A
+  one-lane batch always takes the per-lane path: at one lane the
+  single-seed cores are the fastest measured;
 * **exact FIFO delay accounting without per-cell timestamps**: during
-  the main pass only per-VOQ departure *counts* and a running
-  departure-slot sum are maintained.  Afterwards a replay of the
-  traffic stream (``traffic.clone()``) walks the same arrival sequence
-  and resolves, per VOQ, which arrival indices the window's FIFO
-  departures consumed — ``total_delay = Σ departure slots − Σ arrival
-  slots`` over exactly those cells.  This is exact because every VOQ
-  is FIFO and receives at most one cell per slot: the cells departing
-  in the measured window are precisely arrival indices
-  ``[dep_count_at_warmup, dep_count_at_end)`` of their VOQ.
+  the main pass only per-VOQ departure *counts* are kept (the
+  departure-slot sums reduce from the per-slot match sizes).  One
+  replay of the traffic streams (``traffic.clone()``) then walks the
+  same arrival sequence and resolves, per VOQ, which arrival indices
+  the window's FIFO departures consumed — ``total_delay = Σ departure
+  slots − Σ arrival slots`` over exactly those cells.  This is exact
+  because every VOQ is FIFO and receives at most one cell per slot:
+  the cells departing in the measured window are precisely arrival
+  indices ``[dep_count_at_warmup, dep_count_at_end)`` of their VOQ.
 
-The engine is pinned byte-identical to the scalar fabric on
+:func:`run_switch_vectorized` is the single-seed entry point: a
+one-lane :func:`run_switch_batched` run.  Every lane is pinned
+byte-identical to the scalar fabric on
 :class:`~repro.switch.fabric.SwitchStats` across every scheduler ×
-traffic model cell (``tests/test_switch/test_engine.py``); both
-engines drive the same vectorized scheduler cores, which consume
-randomness in a fixed per-slot pattern, so identical seeds yield
-identical schedules.
-
-:func:`run_switch_batched` lifts the same loop along a seed axis —
-one ``(num_seeds, ports, ports)`` occupancy stack, lane-stacked
-scheduler cores (:mod:`repro.switch.batched`) and a batched replay
-pass — so a whole load-curve point with confidence bands costs one
-execution instead of one run per seed, mirroring what the distributed
-round engine's seed-axis batching (PR 4) did for ``run_program``.
+traffic model cell (``tests/test_switch/``); all engines drive the same
+scheduler cores, which consume randomness in a fixed per-slot pattern,
+so identical seeds yield identical schedules.
 """
 
 from __future__ import annotations
@@ -42,58 +42,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.switch.fabric import SwitchStats
+from repro.switch.simulator import _check_horizon
 from repro.switch.traffic import BatchedChunkedTraffic, ChunkedTraffic
-
-#: Initial per-VOQ capacity of the batched engine's FIFO timestamp
-#: rings (grown by doubling as occupancy demands).
-_RING_INIT_CAP = 8
-
-#: Memory budget for the timestamp rings.  A run whose deepest VOQ
-#: would push the rings past this falls back to the traffic-replay
-#: delay accounting instead.
-_RING_BYTES_MAX = 256 * 1024 * 1024
-
-
-def _grow_rings(
-    ring: np.ndarray, cap: int, arr_cnt: np.ndarray, dep_cnt: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Double the rings' per-VOQ capacity, relocating live cells.
-
-    A cell with FIFO index ``i`` lives at ring slot ``i % cap``; per
-    VOQ the live indices are ``[dep_cnt, arr_cnt)``, so each offset
-    into that span moves with one gather/scatter over all VOQs.
-    """
-    new_cap = cap * 2
-    new = np.zeros(arr_cnt.size * new_cap, dtype=ring.dtype)
-    for off in range(cap):
-        idx = dep_cnt + off
-        kk = np.flatnonzero(idx < arr_cnt)
-        ii = idx[kk]
-        new[kk * new_cap + (ii & (new_cap - 1))] = ring[
-            kk * cap + (ii & (cap - 1))
-        ]
-    return new, new_cap
 
 
 def _chunk_events(block: np.ndarray, ports: int):
     """Flat slot-major arrival events for one batched traffic chunk.
 
-    Returns ``(rows, aflat, bounds)``: per event its global input row
-    ``lane*P + i`` and flat VOQ id ``lane*P² + i*P + j`` (note ``aflat
-    = rows*P + dest`` — the lane term needs no separate decode), plus
-    per-slot event bounds.  The block is copied once into a contiguous
-    slot-major array of the narrowest destination dtype so the mask /
-    nonzero / gather steps touch the least memory.
+    Returns ``(er, aflat, bounds)``: per event its slot within the chunk
+    and its flat VOQ id ``lane*P² + i*P + j`` (so ``aflat // P²`` is its
+    lane), plus per-slot event bounds.  The block is copied once into a
+    contiguous slot-major array of the narrowest destination dtype so
+    the mask / nonzero / gather steps touch the least memory.
     """
     num_seeds, count, _ = block.shape
     dt = np.int16 if ports < (1 << 15) else np.int64
-    tb = block.transpose(1, 0, 2).astype(dt)
-    tbf = tb.reshape(-1)
+    tbf = block.transpose(1, 0, 2).astype(dt).reshape(-1)
     fnz = np.flatnonzero(tbf >= 0)
     er, rows = np.divmod(fnz, num_seeds * ports)
     aflat = rows * ports + tbf.take(fnz)
     bounds = np.searchsorted(er, np.arange(count + 1)).tolist()
-    return rows, aflat, bounds
+    return er, aflat, bounds
 
 
 def _matches_from_pairs(
@@ -120,16 +89,17 @@ def _demand_sets(q: np.ndarray) -> list[set[int]]:
 
 
 def _consult_external(
-    scheduler, q: np.ndarray, qf: np.ndarray, slot: int, ports: int,
-    weighted: bool,
+    scheduler, q: np.ndarray, qf: np.ndarray, slot: int, ports: int
 ) -> np.ndarray | None:
     """Consult a pair-list scheduler on one lane's occupancy.
 
-    Applies the scalar fabric's matching / empty-VOQ checks, decrements
-    the flat occupancy view ``qf`` for the departed cells, and returns
-    their flat VOQ indices (``None`` when nothing was scheduled).
+    Weighted schedulers see the occupancy dicts, the rest the demand
+    sets — the scalar fabric's choice.  Applies its matching / empty-VOQ
+    checks, decrements the flat occupancy view ``qf`` for the departed
+    cells, and returns their flat VOQ indices (``None`` when nothing was
+    scheduled).
     """
-    if weighted:
+    if hasattr(scheduler, "schedule_weighted"):
         pairs = scheduler.schedule_weighted(_occupancy_dicts(q), slot)
     else:
         pairs = scheduler.schedule(_demand_sets(q), slot)
@@ -155,7 +125,7 @@ def run_switch_vectorized(
     warmup: int = 0,
     chunk_slots: int = 2048,
 ) -> SwitchStats:
-    """Simulate ``slots`` cell slots on the vectorized engine.
+    """Simulate ``slots`` cell slots of one seed: a one-lane batch.
 
     Semantics (and resulting :class:`SwitchStats`) are identical to
     :func:`repro.switch.simulator.run_switch`: ``warmup`` extra slots
@@ -165,149 +135,15 @@ def run_switch_vectorized(
     ``traffic`` must be a fresh :class:`ChunkedTraffic` stream (the
     delay-accounting replay pass clones it back to slot 0).
     """
-    if ports < 1:
-        raise ValueError("need at least one port")
     if not isinstance(traffic, ChunkedTraffic):
         raise TypeError(
             "run_switch_vectorized needs a ChunkedTraffic stream "
             "(every repro.switch.traffic model returns one)"
         )
-    if traffic.ports != ports:
-        raise ValueError(
-            f"traffic generates {traffic.ports} ports, switch has {ports}"
-        )
-    if chunk_slots < 1:
-        raise ValueError("chunk_slots must be >= 1")
-    horizon = warmup + slots
-    # The scalar loop only resets stats when it *reaches* slot==warmup,
-    # so with slots == 0 the warmup slots themselves are the window.
-    window_start = warmup if slots > 0 else 0
-    measured = horizon - window_start
-
-    q = np.zeros((ports, ports), dtype=np.int64)
-    qf = q.reshape(-1)  # flat view: 1-D fancy indexing is the fast path
-    dep_cnt = np.zeros(ports * ports, dtype=np.int64)
-    dep_cnt_window = np.zeros_like(dep_cnt)  # snapshot at window start
-    arrivals = 0
-    departures = 0
-    dep_slot_sum = 0
-    match_sizes: list[int] = []
-    record_match = match_sizes.append
-
-    weighted = hasattr(scheduler, "schedule_weighted")
-    matrixed = hasattr(scheduler, "schedule_matrix")
-
-    # Departure events are buffered per chunk (as flat VOQ indices) and
-    # folded into dep_cnt with one bincount (per-slot scatter-adds
-    # would dominate the loop).
-    pend: list[np.ndarray] = []
-
-    def _flush_departures() -> None:
-        if pend:
-            dep_cnt[:] += np.bincount(
-                np.concatenate(pend), minlength=ports * ports
-            )
-            pend.clear()
-
-    slot = 0
-    while slot < horizon:
-        count = min(chunk_slots, horizon - slot)
-        block = traffic.chunk(count)
-        # extract the chunk's arrival events once (as flat VOQ indices):
-        # per-slot work is one fancy-index update on an event slice
-        ar, ain = np.nonzero(block >= 0)  # chronological (row-major)
-        aflat = ain * ports + block[ar, ain]
-        bounds = np.searchsorted(ar, np.arange(count + 1)).tolist()
-        sched_matrix = scheduler.schedule_matrix if matrixed else None
-        for r in range(count):
-            s = slot + r
-            if s == window_start and window_start > 0:
-                # departures before this point belong to warmup; the
-                # replay pass skips each VOQ's first dep_cnt_window cells
-                _flush_departures()
-                dep_cnt_window[:] = dep_cnt
-            in_window = s >= window_start
-            # arrivals: at most one cell per input, so (i, dest) pairs
-            # are distinct and plain fancy indexing accumulates safely
-            lo_r = bounds[r]
-            hi_r = bounds[r + 1]
-            if hi_r > lo_r:
-                qf[aflat[lo_r:hi_r]] += 1
-                if in_window:
-                    arrivals += hi_r - lo_r
-            # schedule on the current occupancy
-            if matrixed:
-                # internal matrix cores return partial permutations over
-                # backlogged VOQs by construction; a per-chunk negative-
-                # occupancy check below still catches a broken core
-                mi, mj = sched_matrix(q, s)
-                k = len(mi)
-                if k:
-                    mflat = mi * ports + mj
-                    qf[mflat] -= 1
-                    pend.append(mflat)
-            else:
-                # external pair lists get the scalar fabric's checks
-                mflat = _consult_external(scheduler, q, qf, s, ports, weighted)
-                k = 0
-                if mflat is not None:
-                    k = len(mflat)
-                    pend.append(mflat)
-            if in_window:
-                departures += k
-                dep_slot_sum += s * k
-                record_match(k)
-        slot += count
-        if qf.min() < 0:
-            raise ValueError("scheduled empty VOQ")
-    _flush_departures()
-
-    backlog = int(q.sum())
-
-    # Replay pass: resolve the arrival slots the window's FIFO
-    # departures consumed.  Cells departing in the window from VOQ
-    # (i, j) are its arrival indices [dep_cnt_window, dep_cnt).
-    arr_slot_sum = 0
-    if departures > 0:
-        replay = traffic.clone()
-        lo = dep_cnt_window
-        hi = dep_cnt
-        seen = np.zeros(ports * ports, dtype=np.int64)
-        slot = 0
-        while slot < horizon:
-            count = min(chunk_slots, horizon - slot)
-            block = replay.chunk(count)
-            rows, ins = np.nonzero(block >= 0)  # chronological (row-major)
-            if rows.size:
-                keys = ins * ports + block[rows, ins]
-                # ordering by (key, row) via a composite lets the
-                # default sort stand in for a slower stable one — rows
-                # are chronological, so ties cannot occur
-                order = np.argsort(keys * count + rows)
-                ks = keys[order]
-                starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-                counts = np.diff(np.r_[starts, len(ks)])
-                # per-VOQ arrival index of each event
-                idx_in_group = np.arange(len(ks)) - np.repeat(starts, counts)
-                k_global = seen[ks] + idx_in_group
-                mask = (k_global >= lo[ks]) & (k_global < hi[ks])
-                if mask.any():
-                    arr_slot_sum += int(
-                        (slot + rows[order][mask]).sum()
-                    )
-                seen[ks[starts]] += counts
-            slot += count
-
-    stats = SwitchStats(
-        slots=measured,
-        arrivals=int(arrivals),
-        departures=int(departures),
-        total_delay=int(dep_slot_sum - arr_slot_sum),
-        backlog=backlog,
-        ports=ports,
-        match_sizes=match_sizes,
-    )
-    return stats
+    return run_switch_batched(
+        ports, [traffic], [scheduler], slots, warmup=warmup,
+        chunk_slots=chunk_slots,
+    )[0]
 
 
 def run_switch_batched(
@@ -318,18 +154,18 @@ def run_switch_batched(
     warmup: int = 0,
     chunk_slots: int = 2048,
 ) -> list[SwitchStats]:
-    """Simulate every seed lane in one batched execution.
+    """Simulate every seed lane in one execution.
 
     One ``(num_seeds, ports, ports)`` occupancy stack replaces N
-    sequential :func:`run_switch_vectorized` runs: arrivals come from a
+    sequential runs: arrivals come from a
     :class:`~repro.switch.traffic.BatchedChunkedTraffic` block per
-    chunk, the scheduler cores are consulted once per slot on the whole
-    lane stack (:func:`repro.switch.batched.batch_schedulers`; unknown
-    or mixed scheduler lists fall back to per-lane consults), and the
-    delay-accounting replay pass walks all lanes' cloned streams at
-    once.  Returns one :class:`SwitchStats` per lane, byte-identical to
-    what ``run_switch_vectorized(ports, traffic.lanes[s], schedulers[s],
-    ...)`` would produce on fresh streams and schedulers.
+    chunk, the scheduler cores are consulted once per slot (on the
+    whole lane stack when :func:`repro.switch.batched.batch_schedulers`
+    has a batched core, else lane by lane), and the delay-accounting
+    replay pass walks all lanes' cloned streams at once.  Returns one
+    :class:`SwitchStats` per lane, byte-identical to what
+    ``run_switch(ports, traffic.lanes[s], schedulers[s], ...)`` would
+    produce on fresh streams and schedulers.
 
     ``traffic`` is a :class:`BatchedChunkedTraffic` (or a sequence of
     per-lane :class:`ChunkedTraffic` streams, which is stacked for you
@@ -340,6 +176,7 @@ def run_switch_batched(
     """
     if ports < 1:
         raise ValueError("need at least one port")
+    _check_horizon(slots, warmup)
     if chunk_slots < 1:
         raise ValueError("chunk_slots must be >= 1")
     schedulers = list(schedulers)
@@ -365,7 +202,8 @@ def run_switch_batched(
     from repro.switch.batched import batch_schedulers
 
     horizon = warmup + slots
-    # same slots == 0 quirk as the scalar loop / vectorized engine
+    # The scalar loop only resets stats when it *reaches* slot==warmup,
+    # so with slots == 0 the warmup slots themselves are the window.
     window_start = warmup if slots > 0 else 0
     measured = horizon - window_start
 
@@ -373,33 +211,36 @@ def run_switch_batched(
     num_keys = num_seeds * cell
     # int32 state keeps the randomly-gathered working set cache-resident
     q = np.zeros((num_seeds, ports, ports), dtype=np.int32)
-    qf = q.reshape(-1)
+    qf = q.reshape(-1)  # flat view: 1-D fancy indexing is the fast path
     dep_cnt = np.zeros(num_keys, dtype=np.int64)
-    dep_cnt_window = np.zeros_like(dep_cnt)
+    dep_cnt_window = np.zeros_like(dep_cnt)  # snapshot at window start
     arrivals = np.zeros(num_seeds, dtype=np.int64)
     # per-slot per-lane match sizes, slot-major so each slot's write is
     # one contiguous row; departure totals and the departure-slot sum
     # reduce from it after the loop instead of per slot
     match_t = np.zeros((measured, num_seeds), dtype=np.int64)
-    widx = 0
 
     core = batch_schedulers(schedulers)
     lane_modes = None
     if core is None:
+        # per lane: its matrix core (None for pair-list schedulers), its
+        # occupancy views and its flat-id offset, bound once
         lane_modes = [
             (
+                sx,
+                getattr(sch, "schedule_matrix", None),
                 sch,
-                hasattr(sch, "schedule_matrix"),
-                hasattr(sch, "schedule_weighted"),
+                q[sx],
+                qf[sx * cell : (sx + 1) * cell],
+                sx * cell,
             )
-            for sch in schedulers
+            for sx, sch in enumerate(schedulers)
         ]
-    lane_base = np.arange(num_seeds, dtype=np.int64) * cell
 
-    # Backlogged-VOQ state for the cores, maintained incrementally from
-    # the arrival/departure deltas (never rescanning occupancy): either
-    # a sorted flat id list (cores advertising ``uses_ids``) or a
-    # ``q > 0`` boolean stack.
+    # Backlogged-VOQ state for the batched cores, maintained
+    # incrementally from the arrival/departure deltas (never rescanning
+    # occupancy): either a sorted flat id list (cores advertising
+    # ``uses_ids``) or a ``q > 0`` boolean stack.
     track_ids = core is not None and getattr(core, "uses_ids", False)
     ids_live = np.empty(0, dtype=np.int64)
     req = reqf = None
@@ -407,6 +248,9 @@ def run_switch_batched(
         req = np.zeros((num_seeds, ports, ports), dtype=bool)
         reqf = req.reshape(-1)
 
+    # Departure events are buffered per chunk (as flat VOQ ids) and
+    # folded into dep_cnt with one bincount per chunk (per-slot
+    # scatter-adds would dominate the loop).
     pend: list[np.ndarray] = []
 
     def _flush_departures() -> None:
@@ -416,40 +260,26 @@ def run_switch_batched(
             )
             pend.clear()
 
-    # FIFO timestamp rings: per VOQ a small circular buffer of arrival
-    # slots, read back the moment each cell departs — so the exact
-    # delay sum falls out of the main pass and the replay walk is only
-    # a fallback.  A cell with FIFO index i sits at ring slot i % cap;
-    # occupancy never exceeding cap keeps reads and writes disjoint.
-    ring = None
-    ring_cap = _RING_INIT_CAP
-    ring_cap_max = _RING_BYTES_MAX // (4 * num_keys)
-    if horizon < (1 << 31) and ring_cap <= ring_cap_max:
-        ring = np.zeros(num_keys * ring_cap, dtype=np.int32)
-        arr_cnt = np.zeros(num_keys, dtype=np.int32)
-        dep_cnt2 = np.zeros(num_keys, dtype=np.int32)
-        # float64 accumulation is exact here: every addend is a slot
-        # index < 2^31 and per-lane totals stay far below 2^53
-        arr_slot_f = np.zeros(num_seeds, dtype=np.float64)
-
     slot = 0
     while slot < horizon:
         count = min(chunk_slots, horizon - slot)
         block = traffic.chunk(count)  # (num_seeds, count, ports)
-        rows, aflat, bounds = _chunk_events(block, ports)
+        _, aflat, bounds = _chunk_events(block, ports)
         # per-lane in-window arrival totals: one bincount per chunk
         # (arrivals are scheduler-independent, unlike departures)
         first_w = max(window_start - slot, 0)
         if first_w < count:
             arrivals += np.bincount(
-                rows[bounds[first_w] :] // ports, minlength=num_seeds
+                aflat[bounds[first_w] :] // cell, minlength=num_seeds
             )
         for r in range(count):
             s = slot + r
-            if s == window_start and window_start > 0:
+            w = s - window_start  # row of the measured window, if >= 0
+            if w == 0 and window_start > 0:
+                # departures before this point belong to warmup; the
+                # replay pass skips each VOQ's first dep_cnt_window cells
                 _flush_departures()
                 dep_cnt_window[:] = dep_cnt
-            in_window = s >= window_start
             lo_r = bounds[r]
             hi_r = bounds[r + 1]
             if hi_r > lo_r:
@@ -460,37 +290,39 @@ def run_switch_batched(
                 if track_ids:
                     # newly backlogged VOQs merge into the sorted list
                     # (``arr`` ascends: one event per global input row)
-                    occ = qf.take(arr)
-                    act = arr[occ == 1]
+                    act = arr[qf.take(arr) == 1]
                     if act.size:
                         ids_live = np.insert(
                             ids_live, np.searchsorted(ids_live, act), act
                         )
                 elif reqf is not None:
                     reqf[arr] = True
-                if ring is not None:
-                    # only arrivals deepen a VOQ, so this is the one
-                    # place ring capacity can be outgrown
-                    if not track_ids:
-                        occ = qf.take(arr)
-                    while occ.max() > ring_cap:
-                        if ring_cap * 2 > ring_cap_max:
-                            ring = None  # fall back to replay
-                            break
-                        ring, ring_cap = _grow_rings(
-                            ring, ring_cap, arr_cnt, dep_cnt2
-                        )
-                    if ring is not None:
-                        cnt = arr_cnt.take(arr)
-                        ring[arr * ring_cap + (cnt & (ring_cap - 1))] = s
-                        arr_cnt[arr] = cnt + 1
-            if core is not None:
+            if core is None:
+                for sx, sched, sch, q_lane, qf_lane, base in lane_modes:
+                    if sched is None:
+                        # external pair lists get the scalar fabric's checks
+                        mfl = _consult_external(sch, q_lane, qf_lane, s, ports)
+                        if mfl is None:
+                            continue
+                    else:
+                        # matrix cores return partial permutations over
+                        # backlogged VOQs by construction; the per-chunk
+                        # negative-occupancy check still catches a
+                        # broken one
+                        mi, mj = sched(q_lane, s)
+                        if not len(mi):
+                            continue
+                        mfl = mi * ports + mj
+                        qf_lane[mfl] -= 1
+                    pend.append(mfl + base if base else mfl)
+                    if w >= 0:
+                        match_t[w, sx] = mfl.size
+            else:
                 if track_ids:
                     lanes, mflat = core.schedule(q, None, s, ids_live)
                 else:
                     lanes, mflat = core.schedule(q, req, s)
-                k = lanes.size
-                if k:
+                if lanes.size:
                     left = qf.take(mflat) - 1
                     qf[mflat] = left
                     if track_ids:
@@ -504,91 +336,26 @@ def run_switch_batched(
                     else:
                         reqf[mflat] = left > 0
                     pend.append(mflat)
-            else:
-                k_list = [0] * num_seeds
-                slot_mflats: list[np.ndarray] = []
-                for sx, (sch, matrixed, weighted) in enumerate(lane_modes):
-                    q_lane = q[sx]
-                    qf_lane = qf[sx * cell : (sx + 1) * cell]
-                    if matrixed:
-                        mi, mj = sch.schedule_matrix(q_lane, s)
-                        if len(mi):
-                            mfl = mi * ports + mj
-                            qf_lane[mfl] -= 1
-                            slot_mflats.append(mfl + lane_base[sx])
-                            k_list[sx] = len(mi)
-                    else:
-                        mfl = _consult_external(
-                            sch, q_lane, qf_lane, s, ports, weighted
-                        )
-                        if mfl is not None:
-                            slot_mflats.append(mfl + lane_base[sx])
-                            k_list[sx] = len(mfl)
-                k = sum(k_list)
-                if k:
-                    mflat = np.concatenate(slot_mflats)
-                    lanes = mflat // cell
-                    pend.append(mflat)
-            if k:
-                if ring is not None:
-                    cnt = dep_cnt2.take(mflat)
-                    arrsl = ring.take(
-                        mflat * ring_cap + (cnt & (ring_cap - 1))
-                    )
-                    dep_cnt2[mflat] = cnt + 1
-                    if in_window:
-                        arr_slot_f += np.bincount(
-                            lanes, weights=arrsl, minlength=num_seeds
-                        )
-                if in_window:
-                    match_t[widx] = np.bincount(lanes, minlength=num_seeds)
-            if in_window:
-                widx += 1
+                    if w >= 0:
+                        match_t[w] = np.bincount(lanes, minlength=num_seeds)
         slot += count
         if qf.min() < 0:
             raise ValueError("scheduled empty VOQ")
-    _flush_departures()
+        _flush_departures()
     if core is not None and hasattr(core, "finalize"):
         core.finalize()
 
-    backlog = q.sum(axis=(1, 2))
+    backlog = q.sum(axis=(1, 2), dtype=np.int64)
     departures = match_t.sum(axis=0)
     dep_slot_sum = (
         window_start + np.arange(measured, dtype=np.int64)
     ) @ match_t
-
     arr_slot_sum = np.zeros(num_seeds, dtype=np.int64)
-    if ring is not None:
-        arr_slot_sum[:] = arr_slot_f.astype(np.int64)
-    elif departures.any():
-        # Fallback batched replay pass (rings outgrew their budget):
-        # one walk over all lanes' cloned streams.  With every lane's
-        # events available per slot, the per-VOQ FIFO indices resolve
-        # slot by slot — a key appears at most once per slot, so a
-        # fancy gather/increment on ``seen`` is exact and no
-        # sort-and-group step (the single engine's approach) is needed.
-        replay = traffic.clone()
-        lo = dep_cnt_window
-        hi = dep_cnt
-        seen = np.zeros(num_keys, dtype=np.int64)
-        slot = 0
-        while slot < horizon:
-            count = min(chunk_slots, horizon - slot)
-            rows, keys, bounds = _chunk_events(replay.chunk(count), ports)
-            for r in range(count):
-                lo_r = bounds[r]
-                hi_r = bounds[r + 1]
-                if hi_r == lo_r:
-                    continue
-                kk = keys[lo_r:hi_r]
-                kg = seen[kk]
-                m = (kg >= lo[kk]) & (kg < hi[kk])
-                seen[kk] = kg + 1
-                if m.any():
-                    arr_slot_sum += (slot + r) * np.bincount(
-                        rows[lo_r:hi_r][m] // ports, minlength=num_seeds
-                    )
-            slot += count
+    if departures.any():
+        arr_slot_sum = _replay_arrival_slots(
+            traffic.clone(), ports, horizon, chunk_slots,
+            dep_cnt_window, dep_cnt,
+        )
 
     return [
         SwitchStats(
@@ -602,3 +369,51 @@ def run_switch_batched(
         )
         for s in range(num_seeds)
     ]
+
+
+def _replay_arrival_slots(
+    replay: BatchedChunkedTraffic,
+    ports: int,
+    horizon: int,
+    chunk_slots: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Per-lane sum of the arrival slots of the window's departed cells.
+
+    ``replay`` is a fresh clone of the run's traffic; cells departing in
+    the window from flat VOQ ``k`` are its arrival indices
+    ``[lo[k], hi[k])``.  One pass over the chunks: each chunk's events
+    are sorted by (VOQ, slot), so an event's FIFO index is its VOQ's
+    count from earlier chunks plus its rank within the VOQ's run.  The
+    sums accumulate in int64 (a float64 ``bincount`` would be exact
+    only while a lane's total stays below 2^53).
+    """
+    cell = ports * ports
+    num_seeds = lo.size // cell
+    seen = np.zeros(lo.size, dtype=np.int64)
+    total = np.zeros(num_seeds, dtype=np.int64)
+    lane_edges = np.arange(num_seeds + 1, dtype=np.int64) * cell
+    slot = 0
+    while slot < horizon:
+        count = min(chunk_slots, horizon - slot)
+        er, keys, _ = _chunk_events(replay.chunk(count), ports)
+        if keys.size:
+            # ordering by (key, slot) via a composite lets the default
+            # sort stand in for a slower stable one; each key appears at
+            # most once per slot, so ties cannot occur
+            order = np.argsort(keys * count + er)
+            ks = keys[order]
+            starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+            counts = np.diff(np.r_[starts, ks.size])
+            fifo = seen[ks] + (
+                np.arange(ks.size) - np.repeat(starts, counts)
+            )
+            hit = (fifo >= lo[ks]) & (fifo < hi[ks])
+            if hit.any():
+                # hits stay in ascending key order, hence grouped by lane
+                csum = np.r_[0, np.cumsum(slot + er[order[hit]])]
+                total += np.diff(csum[np.searchsorted(ks[hit], lane_edges)])
+            seen[ks[starts]] += counts
+        slot += count
+    return total

@@ -2,9 +2,11 @@
 
 This is the *reference semantics* for the switch subsystem: one
 Python-level pass per slot over deque-backed VOQs.  The production
-path for long horizons and large port counts is
-:func:`repro.switch.engine.run_switch_vectorized`, which is pinned
-byte-identical to this loop on :class:`~repro.switch.fabric.SwitchStats`.
+path for long horizons, large port counts and seed lanes is
+:func:`repro.switch.engine.run_switch_batched` (a single seed is a
+one-lane batch, :func:`~repro.switch.engine.run_switch_vectorized`),
+which is pinned byte-identical to this loop on
+:class:`~repro.switch.fabric.SwitchStats`, lane by lane.
 """
 
 from __future__ import annotations
@@ -12,6 +14,14 @@ from __future__ import annotations
 from repro.switch.fabric import Switch, SwitchStats
 from repro.switch.schedulers import Scheduler
 from repro.switch.traffic import TrafficGenerator
+
+
+def _check_horizon(slots: int, warmup: int) -> None:
+    """Reject negative slot counts before any slot runs."""
+    if slots < 0:
+        raise ValueError(f"slots must be >= 0, got {slots}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
 def run_switch(
@@ -26,8 +36,10 @@ def run_switch(
     Per slot: arrivals are enqueued, the scheduler is consulted with
     the current VOQ occupancy, and the fabric transfers one cell per
     matched pair.  ``warmup`` extra slots run first without being
-    counted (to measure steady state).
+    counted (to measure steady state).  Negative ``slots`` or
+    ``warmup`` raise :class:`ValueError`.
     """
+    _check_horizon(slots, warmup)
     sw = Switch(ports)
     for slot in range(warmup + slots):
         if slot == warmup:

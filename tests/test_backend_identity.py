@@ -1,10 +1,11 @@
-"""Backend seed-identity: ArrayBackend == GeneratorBackend, byte for byte.
+"""Backend seed-identity: array backend == generator backend, byte for byte.
 
 The ISSUE 3 acceptance bar: for every ported algorithm (Luby MIS,
 Israeli–Itai, generic_mcm — joined in ISSUE 4 by the Cole–Vishkin ring
 pipeline and the interleaved LPS matching, and in ISSUE 5 by the whole
 weighted pipeline: the weight-class LPS box, Algorithm 5 over either
-box, and the k-opt reference), the array backend must produce a
+box, and the k-opt reference), the array backend — a one-lane
+``BatchedArrayBackend`` run for a single seed — must produce a
 ``RunResult`` byte-identical to the generator backend's from the same
 seed — asserted two ways:
 

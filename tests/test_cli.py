@@ -79,6 +79,24 @@ class TestCommands:
         assert main(["lca", "--max-entries", "0"]) == 1
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--slots", "-5"], "--slots"),
+            (["--ports", "0"], "--ports"),
+            (["--load", "1.5"], "--load"),
+            (["--load", "-0.1"], "--load"),
+            (["--k", "0"], "--k"),
+            # above max_feasible_bursty_load(16) = 0.941: the model's
+            # own ValueError becomes an error line, not a traceback
+            (["--traffic", "bursty", "--load", "0.95"], "max feasible"),
+        ],
+    )
+    def test_switch_rejects_bad_args(self, capsys, flags, flag):
+        assert main(["switch", "--ports", "6", "--slots", "50", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
     def test_switch_seed_batch_rejects_nonpositive(self, capsys):
         assert main(["switch", "--ports", "6", "--slots", "50",
                      "--seed-batch", "0"]) == 1

@@ -10,24 +10,25 @@ shared proposal helpers, and the array backends' engine-contract edges
 import numpy as np
 import pytest
 
+from repro.baselines.cole_vishkin import (
+    cv_steps_needed,
+    ring_color_array,
+    ring_matching_array,
+)
 from repro.baselines.israeli_itai import israeli_itai_matching, israeli_itai_program
 from repro.baselines.luby_mis import luby_mis_array_batched, luby_mis_program
 from repro.distributed import (
     BACKENDS,
-    ArrayBackend,
-    ArrayContext,
     BatchedArrayBackend,
     BatchedArrayContext,
     CongestViolation,
     ExecutionBackend,
     GeneratorBackend,
     Network,
-    RunResult,
     bit_size,
     congest_with_bound,
     int_payload_bits,
     resolve_backend,
-    run_program,
     run_program_batched,
 )
 from repro.distributed.backends import (
@@ -36,11 +37,13 @@ from repro.distributed.backends import (
     replay_acceptor_choices,
     sorted_csr,
 )
+from repro.core.generic_mcm import flood_views_array
 from repro.distributed.models import LOCAL
 from repro.graphs import (
     Graph,
     barabasi_albert,
     complete_graph,
+    cycle_graph,
     gnp_random,
     path_graph,
     star_graph,
@@ -64,9 +67,10 @@ SHAPES = {
 }
 
 
-def _ctx(g, seed=0, model=LOCAL, max_rounds=1_000_000):
-    return ArrayContext(
-        g, seed, model, model.limit(g.n, g.max_degree()), RunResult(), max_rounds
+def _ctx(g, model=LOCAL, max_rounds=1_000_000):
+    """A one-lane context, as every single-seed array run uses."""
+    return BatchedArrayContext(
+        g, [0], model, model.limit(g.n, g.max_degree()), max_rounds
     )
 
 
@@ -95,40 +99,30 @@ class TestProtocolAndRegistry:
     def test_generator_backend_is_network(self):
         assert GeneratorBackend is Network
 
-    def test_both_backends_conform(self):
+    def test_network_conforms(self):
         g = path_graph(3)
         gen = Network(g, luby_mis_program, params={"n": g.n})
-        arr = ArrayBackend(g, _silent)
         assert isinstance(gen, ExecutionBackend)
-        assert isinstance(arr, ExecutionBackend)
 
     def test_registry_contents(self):
-        assert BACKENDS == {"generator": Network, "array": ArrayBackend}
+        assert BACKENDS == {"generator": Network, "array": BatchedArrayBackend}
 
     def test_resolve_known(self):
         assert resolve_backend("generator") is Network
-        assert resolve_backend("array") is ArrayBackend
+        assert resolve_backend("array") is BatchedArrayBackend
 
     def test_resolve_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("cuda")
 
-    def test_run_program_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_program(
-                path_graph(2),
-                backend="nope",
-                generator_program=luby_mis_program,
-                array_program=_silent,
-            )
+    def test_run_program_batched_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             _run_luby(path_graph(2), "nope")
 
-    def test_charge_rounds_on_both(self):
-        g = path_graph(2)
-        for net in (Network(g, israeli_itai_program), ArrayBackend(g, _silent)):
-            net.charge_rounds(5)
-            assert net.result.charged_rounds == 5
+    def test_charge_rounds_on_network(self):
+        net = Network(path_graph(2), israeli_itai_program)
+        net.charge_rounds(5)
+        assert net.result.charged_rounds == 5
 
 
 class TestIntPayloadBits:
@@ -319,22 +313,24 @@ class TestSharedHelpersByShape:
             np.array(srcs, dtype=np.int64),
             skip,
         )
-        node_rngs = [_ctx(g, seed=s).rngs for s in range(3)]
+        nets = [Network(g, israeli_itai_program, seed=s) for s in range(3)]
         want = {}
         for key in sorted(set(keys)):
             if not skip[key]:
                 proposals = [u for k, u in zip(keys, srcs) if k == key]
                 s, t = divmod(key, n)
-                want[key] = int(node_rngs[s][t].choice(sorted(proposals)))
+                want[key] = int(nets[s].nodes[t].rng.choice(sorted(proposals)))
         assert acceptors.tolist() == list(want)
         assert chosen.tolist() == list(want.values())
 
 
-class TestArrayContextAccounting:
+class TestOneLaneAccounting:
+    """The lockstep accounting of a one-lane context (single-seed runs)."""
+
     def test_account_groups_totals(self):
         ctx = _ctx(path_graph(4))
-        ctx.account_groups([5, 8], [2, 3])
-        res = ctx.result
+        ctx.account_groups([5, 8], [2, 3], [0, 0])
+        (res,) = ctx.finalize(None)
         assert res.total_messages == 5
         assert res.total_bits == 5 * 2 + 8 * 3
         assert res.max_message_bits == 8
@@ -342,37 +338,36 @@ class TestArrayContextAccounting:
     def test_empty_groups_dropped(self):
         # A send_many to zero recipients neither counts nor peaks.
         ctx = _ctx(path_graph(4))
-        ctx.account_groups([999], [0])
-        assert ctx.result.total_messages == 0
-        assert ctx.result.max_message_bits == 0
+        ctx.account_groups([999], [0], [0])
+        (res,) = ctx.finalize(None)
+        assert res.total_messages == 0
+        assert res.max_message_bits == 0
 
     def test_congest_violation(self):
-        g = path_graph(4)
-        model = congest_with_bound(6)
-        ctx = ArrayContext(g, 0, model, 6, RunResult(), 1_000_000)
+        ctx = _ctx(path_graph(4), model=congest_with_bound(6))
         with pytest.raises(CongestViolation, match="exceeds"):
-            ctx.account_groups([7], [1])
+            ctx.account_groups([7], [1], [0])
 
     def test_round_counted_only_on_yield(self):
         ctx = _ctx(path_graph(2))
-        ctx.end_step(False)
-        assert ctx.result.rounds == 0
-        ctx.end_step(True)
-        assert ctx.result.rounds == 1
+        ctx.end_step([False])
+        assert ctx.rounds.tolist() == [0]
+        ctx.end_step([True])
+        assert ctx.rounds.tolist() == [1]
 
     def test_begin_step_budget(self):
         ctx = _ctx(path_graph(2), max_rounds=0)
         with pytest.raises(RuntimeError, match="still running"):
-            ctx.begin_step(2)
-        ctx.begin_step(0)  # no live nodes: drained, never raises
+            ctx.begin_step([2])
+        ctx.begin_step([0])  # no live nodes: drained, never raises
 
     def test_rngs_match_network_spawn(self):
         g = path_graph(3)
-        ctx = _ctx(g, seed=42)
+        ctx = BatchedArrayContext(g, [42], LOCAL, None, 1_000_000)
         net = Network(g, israeli_itai_program, seed=42)
         for v in range(g.n):
             assert (
-                ctx.rngs[v].integers(0, 2**32)
+                ctx.lanes.integers(0, 2**32, np.array([v]))[0]
                 == net.nodes[v].rng.integers(0, 2**32)
             )
 
@@ -421,10 +416,22 @@ class TestArrayBackendContract:
         _, res = israeli_itai_matching(g, seed=0, backend="array")
         assert sorted(res.outputs) == [0, 1, 2, 3, 4]
 
+    def test_deterministic_programs_take_one_lane(self):
+        # The flood and Cole-Vishkin draw nothing: a wider batch would
+        # only repeat them, so it is refused instead of mis-accounted.
+        ring = cycle_graph(6)
+        for program, params in (
+            (flood_views_array, {"depth": 2, "mates": [-1] * 6}),
+            (ring_color_array, {"n": 6, "steps": cv_steps_needed(6)}),
+            (ring_matching_array, {"n": 6, "steps": cv_steps_needed(6)}),
+        ):
+            net = BatchedArrayBackend(
+                ring, program, params=params, seeds=[0, 1]
+            )
+            with pytest.raises(ValueError, match="one lane"):
+                net.run()
+
     def test_program_without_outputs_fills_none(self):
-        res = ArrayBackend(path_graph(3), _silent).run()
-        assert res.outputs == {0: None, 1: None, 2: None}
-        assert res.rounds == 0
         (lane,) = BatchedArrayBackend(path_graph(3), _silent).run()
         assert lane.outputs == {0: None, 1: None, 2: None}
         assert lane.rounds == 0

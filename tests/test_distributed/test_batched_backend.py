@@ -27,9 +27,14 @@ from repro.baselines.israeli_itai import (
     israeli_itai_matching,
     israeli_itai_matching_batched,
 )
+from repro.baselines.lps_interleaved import (
+    lps_interleaved_array,
+    lps_interleaved_program,
+)
 from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
 from repro.baselines.luby_mis import luby_mis, luby_mis_batched, verify_mis
 from repro.core.weighted_mwm import weighted_mwm, weighted_mwm_batched
+from repro.distributed import run_program_batched
 from repro.graphs import (
     Graph,
     barabasi_albert,
@@ -84,6 +89,23 @@ class TestBatchedIdentityAcrossFamilies:
             assert res_b == res_g, f"seed {s}"
             m_a, res_a = lps_mwm(g, seed=s, backend="array")
             assert sorted(m_b.edges()) == sorted(m_a.edges()) and res_b == res_a
+
+    def test_lps_interleaved(self, family):
+        # No batched wrapper exists: drive the program over the seed list.
+        g = assign_uniform_weights(FAMILIES[family](), seed=6)
+        runs = [
+            run_program_batched(
+                g,
+                backend=backend,
+                generator_program=lps_interleaved_program,
+                batched_array_program=lps_interleaved_array,
+                params={"wmax": float(g.weights_array().max()),
+                        "num_classes": 16},
+                seeds=SEEDS,
+            )
+            for backend in ("array", "generator")
+        ]
+        assert runs[0] == runs[1]
 
     def test_weighted_mwm(self, family):
         g = assign_uniform_weights(FAMILIES[family](), seed=6)

@@ -2,10 +2,10 @@
 
 The load-bearing property is per-lane *byte-identity*: one
 `run_switch_batched` execution must produce, for every lane, exactly
-the `SwitchStats` that a fresh sequential `run_switch_vectorized` run
-with that lane's seed pair produces — across every scheduler × traffic
-cell, including delay accounting, and regardless of chunking, lane
-count, or mixed per-lane operating points.
+the `SwitchStats` that a fresh scalar `run_switch` run (the reference
+fabric) with that lane's seed pair produces — across every scheduler ×
+traffic cell, including delay accounting, and regardless of chunking,
+lane count, or mixed per-lane operating points.
 """
 
 import numpy as np
@@ -23,8 +23,8 @@ from repro.switch import (
     bursty,
     diagonal,
     hotspot,
+    run_switch,
     run_switch_batched,
-    run_switch_vectorized,
 )
 from repro.switch.schedulers import MaxSizeScheduler
 from repro.switch.traffic import BatchedChunkedTraffic
@@ -52,7 +52,7 @@ SCHEDULERS = {
 
 def sequential(tname, sname, seeds=SEEDS, slots=120, warmup=30):
     return [
-        run_switch_vectorized(
+        run_switch(
             PORTS, TRAFFIC[tname](s), SCHEDULERS[sname](s),
             slots=slots, warmup=warmup,
         )
@@ -107,7 +107,7 @@ class TestBatchingInvariants:
             PORTS, lane_specs, scheds, slots=150, warmup=20, chunk_slots=41
         )
         seq = [
-            run_switch_vectorized(
+            run_switch(
                 PORTS, remake[i], GreedyMaximalScheduler(PORTS, seed=i),
                 slots=150, warmup=20,
             )
@@ -116,16 +116,16 @@ class TestBatchingInvariants:
         assert bat == seq
 
     def test_single_lane_degenerates_to_vectorized(self):
-        """num_seeds=1 is exactly one vectorized run."""
+        """num_seeds=1, what run_switch_vectorized runs, is the scalar run."""
         bat = batched("bursty", "pim", seeds=[5])
         assert bat == sequential("bursty", "pim", seeds=[5])
 
     def test_scheduler_state_carries_over(self):
         """A batched run leaves each scheduler where sequential runs do.
 
-        Running the same scheduler objects through a second (sequential)
-        run must match two back-to-back sequential runs — the tape
-        matrix / pointer state is written back per lane on finalize.
+        Running the same scheduler objects through a second (scalar)
+        run must match two back-to-back scalar runs — the tape matrix /
+        pointer state is written back per lane on finalize.
         """
         for sname in ("greedy", "pim", "islip"):
             scheds = [SCHEDULERS[sname](s) for s in SEEDS]
@@ -134,7 +134,7 @@ class TestBatchingInvariants:
                 scheds, slots=90, warmup=10, chunk_slots=29,
             )
             second_after_batched = [
-                run_switch_vectorized(
+                run_switch(
                     PORTS, TRAFFIC["bernoulli"](s + 50), scheds[i],
                     slots=90, warmup=10,
                 )
@@ -142,12 +142,12 @@ class TestBatchingInvariants:
             ]
             fresh = [SCHEDULERS[sname](s) for s in SEEDS]
             for i, s in enumerate(SEEDS):
-                run_switch_vectorized(
+                run_switch(
                     PORTS, TRAFFIC["bernoulli"](s), fresh[i],
                     slots=90, warmup=10,
                 )
             second_sequential = [
-                run_switch_vectorized(
+                run_switch(
                     PORTS, TRAFFIC["bernoulli"](s + 50), fresh[i],
                     slots=90, warmup=10,
                 )

@@ -1,9 +1,10 @@
-"""Tests for the vectorized long-horizon switch engine.
+"""Tests for the single-seed entry point of the switch engine.
 
-The load-bearing property is *byte-identity*: `run_switch_vectorized`
-must produce exactly the same `SwitchStats` as the scalar reference
-loop for every scheduler × traffic-model cell, including delay
-accounting (which the engine reconstructs without per-cell timestamps).
+The load-bearing property is *byte-identity*: `run_switch_vectorized` —
+a one-lane `run_switch_batched` run — must produce exactly the same
+`SwitchStats` as the scalar reference loop for every scheduler ×
+traffic-model cell, including delay accounting (which the engine
+reconstructs without per-cell timestamps).
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.switch import (
     diagonal,
     hotspot,
     run_switch,
+    run_switch_batched,
     run_switch_vectorized,
 )
 from repro.switch.schedulers import MaxSizeScheduler
@@ -155,6 +157,26 @@ class TestValidation:
                 4, bernoulli_uniform(4, 0.5), GreedyMaximalScheduler(4),
                 slots=10, chunk_slots=0,
             )
+
+    @pytest.mark.parametrize(
+        "slots,warmup,name", [(-5, 0, "slots"), (10, -3, "warmup")]
+    )
+    def test_rejects_negative_horizon(self, slots, warmup, name):
+        """Every engine rejects a negative slot count by name, so the
+        engines cannot disagree on what such a run measures."""
+        engines = [
+            lambda t, s, **kw: run_switch(4, t, s, **kw),
+            lambda t, s, **kw: run_switch_vectorized(4, t, s, **kw),
+            lambda t, s, **kw: run_switch_batched(4, [t], [s], **kw)[0],
+        ]
+        for engine in engines:
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                engine(
+                    bernoulli_uniform(4, 0.5, seed=0),
+                    GreedyMaximalScheduler(4),
+                    slots=slots,
+                    warmup=warmup,
+                )
 
     def test_rejects_non_matching_schedule(self):
         class Bad:

@@ -26,8 +26,7 @@ from typing import Any
 #: What each subsystem's ``speedup`` compares (kept in sync with the
 #: bench module docstrings).
 COMPARISONS = {
-    "s3_backends": "array backend vs generator backend (end to end; the "
-                   "committed run timed the round loop)",
+    "s3_backends": "array backend vs generator backend (end to end)",
     "s4_batched": "one batched run vs N sequential array runs (end to end)",
     "s5_weighted": "weighted pipeline: array/batched leg vs reference leg "
                    "(end to end)",
@@ -36,7 +35,7 @@ COMPARISONS = {
     "s7_scale": "scale tier: kopt array vs generator leg, int32 vs int64 "
                 "CSR (end to end)",
     "s8_switch_batched": "one batched switch execution vs N sequential "
-                         "vectorized runs (end to end, equal per-seed "
+                         "one-lane runs (end to end, equal per-seed "
                          "SwitchStats)",
     "s9_lca": "one full global random-greedy run vs LCA-serving the "
               "cell's point-query batch (consistency asserted; "
