@@ -39,7 +39,9 @@ traffic parameters print an ``error:`` line and exit 1.  ``lca``
 (ISSUE 9) serves per-vertex point lookups through the
 :mod:`repro.lca` query layer — probe counters and cache hit rate per
 run, ``--verify`` cross-checks every vertex against one global
-``random_greedy_matching`` oracle run.
+``random_greedy_matching`` oracle run; it too prints an ``error:`` line
+and exits 1 on an out-of-range ``--n``, ``--p``, ``--queries`` or
+``--max-entries``.
 """
 
 from __future__ import annotations
@@ -290,20 +292,22 @@ def cmd_lca(args) -> int:
 
     from repro.lca import MatchingService, random_greedy_matching
 
-    if args.queries < 1:
-        print(f"error: --queries must be >= 1, got {args.queries}",
-              file=sys.stderr)
-        return 1
-    if args.max_entries < 1:
-        print(f"error: --max-entries must be >= 1, got {args.max_entries}",
-              file=sys.stderr)
-        return 1
+    for ok, msg in (
+        (args.n >= 1, f"--n must be >= 1, got {args.n}"),
+        (0 <= args.p <= 1, f"--p must be in [0, 1], got {args.p}"),
+        (args.queries >= 1, f"--queries must be >= 1, got {args.queries}"),
+        (args.max_entries >= 1,
+         f"--max-entries must be >= 1, got {args.max_entries}"),
+    ):
+        if not ok:
+            print(f"error: {msg}", file=sys.stderr)
+            return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
     svc = MatchingService(
         g, args.seed, max_entries=args.max_entries, cache=not args.no_cache
     )
     rng = np.random.default_rng(args.seed)
-    vs = rng.integers(g.n, size=args.queries).tolist() if g.n else []
+    vs = rng.integers(g.n, size=args.queries).tolist()
     t0 = time.perf_counter()
     matched = sum(1 for v in vs if svc.mate_of(v) != -1)
     dt = time.perf_counter() - t0

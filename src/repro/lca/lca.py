@@ -31,6 +31,15 @@ through the ``lookup``/query-memo seam of :meth:`query_mate` /
 exploration would have computed, which is the whole cache-consistency
 argument.
 
+**Buffer reads.**  The resolver reads the graph's CSR (``indptr``,
+``indices``, ``eids``), its ``lo``/``hi`` endpoint arrays and the rank
+array (all ``m`` ranks, hashed in one vectorized pass at construction)
+through memoryviews.  Indexing a ``memoryview`` yields a plain
+Python int, so the hot loop neither boxes NumPy scalars nor needs an
+O(m) Python structure: the graph's lazy edge-tuple list and edge-id
+dict are never built, and an edge query finds its edge id by scanning
+the lower-degree endpoint's adjacency.
+
 Per-query cost is accounted in a
 :class:`repro.distributed.metrics.LcaProbeStats` (edges probed,
 neighborhood slots scanned, dependency depth, cache hits) and
@@ -44,22 +53,11 @@ from typing import Callable
 from repro.distributed.metrics import LcaProbeStats
 from repro.graphs.graph import Graph
 
-from repro.lca.ranks import edge_rank, edge_ranks
+from repro.lca.ranks import edge_ranks
 
 #: Optional persistent edge-state source supplied by the service layer:
 #: ``lookup(eid)`` returns True/False if the state is cached, else None.
 Lookup = Callable[[int], "bool | None"]
-
-
-class _Frame:
-    """One open membership subproblem on the DFS stack."""
-
-    __slots__ = ("eid", "deps", "idx")
-
-    def __init__(self, eid: int, deps: list[int]) -> None:
-        self.eid = eid
-        self.deps = deps  # lower-key adjacent edges, increasing key order
-        self.idx = 0
 
 
 class LcaMatching:
@@ -72,25 +70,23 @@ class LcaMatching:
     seed:
         The shared-randomness seed.  Same ``(graph, seed)`` — same
         answers, across instances, processes, and query orders.
-    precompute_ranks:
-        ``True`` (default): materialize all ``m`` ranks in one
-        vectorized pass at construction — O(m) setup, 8 bytes/edge,
-        the right trade for a service answering many queries.
-        ``False``: hash each edge's rank on first touch (true-LCA
-        sublinear setup; byte-identical answers, pinned by the
-        property net).
+
+    Construction hashes all ``m`` ranks in one vectorized pass
+    (:func:`repro.lca.ranks.edge_ranks`): O(m) setup and 8 bytes per
+    edge, the right trade for a service answering many queries.
     """
 
-    def __init__(self, graph: Graph, seed: int, *,
-                 precompute_ranks: bool = True) -> None:
+    def __init__(self, graph: Graph, seed: int) -> None:
         self.graph = graph
         self.seed = int(seed)
-        if precompute_ranks:
-            self._ranks = edge_ranks(graph.m, self.seed)
-            self._rank_memo: dict[int, int] | None = None
-        else:
-            self._ranks = None
-            self._rank_memo = {}
+        indptr, indices, eids = graph.adjacency_arrays()
+        lo, hi = graph.endpoints_array()
+        self._ptr = memoryview(indptr)
+        self._nbr = memoryview(indices)
+        self._eid = memoryview(eids)
+        self._lo = memoryview(lo)
+        self._hi = memoryview(hi)
+        self._rank = memoryview(edge_ranks(graph.m, self.seed))
         #: Aggregate cost over this instance's lifetime.
         self.stats = LcaProbeStats()
         #: Cost of the most recent query (None before the first).
@@ -125,10 +121,8 @@ class LcaMatching:
         """
         q = LcaProbeStats(queries=1)
         memo: dict[int, bool] = {}
-        if self.graph.has_edge(u, v):
-            ans = self._state(self.graph.edge_id(u, v), memo, q, lookup)
-        else:
-            ans = False
+        eid = self._find_edge(u, v)
+        ans = eid >= 0 and self._state(eid, memo, q, lookup)
         self._account(q)
         return ans, q, memo
 
@@ -146,16 +140,17 @@ class LcaMatching:
         """
         if not 0 <= v < self.graph.n:
             raise IndexError(f"vertex {v} out of range for n={self.graph.n}")
-        q = LcaProbeStats(queries=1)
+        a, b = self._ptr[v], self._ptr[v + 1]
+        q = LcaProbeStats(queries=1, adjacency_scanned=b - a)
         memo: dict[int, bool] = {}
-        nbrs, eids = self.graph.incident_view(v)
-        q.adjacency_scanned += len(eids)
-        order = sorted(range(len(eids)),
-                       key=lambda i: self._key(int(eids[i])))
+        rank = self._rank
+        incident = sorted(
+            (rank[e], e, w) for e, w in zip(self._eid[a:b], self._nbr[a:b])
+        )
         mate = -1
-        for i in order:
-            if self._state(int(eids[i]), memo, q, lookup):
-                mate = int(nbrs[i])
+        for _, e, w in incident:
+            if self._state(e, memo, q, lookup):
+                mate = w
                 break
         self._account(q)
         return mate, q, memo
@@ -168,31 +163,40 @@ class LcaMatching:
         self.stats.add(q)
         self.last_stats = q
 
-    def _key(self, eid: int) -> tuple[int, int]:
-        """The total-order key of an edge: ``(rank, eid)``."""
-        if self._ranks is not None:
-            return int(self._ranks[eid]), eid
-        memo = self._rank_memo
-        r = memo.get(eid)
-        if r is None:
-            r = memo[eid] = edge_rank(eid, self.seed)
-        return r, eid
+    def _find_edge(self, u: int, v: int) -> int:
+        """Edge id of ``(u, v)``, or -1 when it is not an edge.
 
-    def _deps(self, eid: int, q: LcaProbeStats) -> list[int]:
-        """Lower-key adjacent edges of ``eid``, increasing key order."""
-        u, v = self.graph.edge_endpoints(eid)
-        key0 = self._key(eid)
+        Negative and out-of-range vertices are not edges; a self pair
+        finds nothing because the graph has no self-loops.
+        """
+        n = self.graph.n
+        if not (0 <= u < n and 0 <= v < n):
+            return -1
+        ptr = self._ptr
+        if ptr[u + 1] - ptr[u] > ptr[v + 1] - ptr[v]:
+            u, v = v, u
+        a = ptr[u]
+        for i, w in enumerate(self._nbr[a:ptr[u + 1]], a):
+            if w == v:
+                return self._eid[i]
+        return -1
+
+    def _deps(self, eid: int) -> tuple[list[int], int]:
+        """Lower-key adjacent edges of ``eid`` in increasing key order,
+        and the number of adjacency slots scanned to list them."""
+        rank, eids, ptr = self._rank, self._eid, self._ptr
+        r0 = rank[eid]
         keyed: list[tuple[int, int]] = []
-        for w in (u, v):
-            _, weids = self.graph.incident_view(w)
-            q.adjacency_scanned += len(weids)
-            for e2 in weids.tolist():
-                if e2 != eid:
-                    k = self._key(e2)
-                    if k < key0:
-                        keyed.append(k)
+        scanned = 0
+        for w in (self._lo[eid], self._hi[eid]):
+            a, b = ptr[w], ptr[w + 1]
+            scanned += b - a
+            for e2 in eids[a:b]:
+                r = rank[e2]
+                if r < r0 or (r == r0 and e2 < eid):
+                    keyed.append((r, e2))
         keyed.sort()
-        return [e2 for _, e2 in keyed]
+        return [e2 for _, e2 in keyed], scanned
 
     def _state(
         self,
@@ -201,46 +205,59 @@ class LcaMatching:
         q: LcaProbeStats,
         lookup: Lookup | None,
     ) -> bool:
-        """Membership of ``eid0`` — explicit-stack DFS over the rank DAG."""
+        """Membership of ``eid0`` — explicit-stack DFS over the rank DAG.
 
-        def known(eid: int) -> bool | None:
-            s = memo.get(eid)
-            if s is None and lookup is not None:
-                s = lookup(eid)
-                if s is not None:
-                    q.cache_hits += 1
-                    memo[eid] = s
-            return s
-
-        s = known(eid0)
+        A frame is ``[eid, deps, next]``: the open edge, its lower-key
+        adjacent edges in increasing key order, and the index of the
+        first one not yet known to be out of M.
+        """
+        s = memo.get(eid0)
+        if s is None and lookup is not None:
+            s = lookup(eid0)
+            if s is not None:
+                q.cache_hits += 1
+                memo[eid0] = s
         if s is not None:
             return s
-        q.edges_probed += 1
-        stack = [_Frame(eid0, self._deps(eid0, q))]
-        q.max_depth = max(q.max_depth, 1)
+        deps, scanned = self._deps(eid0)
+        stack = [[eid0, deps, 0]]
+        probed = depth = 1
+        hits = 0
         while stack:
-            fr = stack[-1]
-            state: bool | None = None
-            child: int | None = None
-            while fr.idx < len(fr.deps):
-                dep = fr.deps[fr.idx]
-                ds = known(dep)
-                if ds is None:
-                    child = dep
+            frame = stack[-1]
+            eid, deps, i = frame
+            k = len(deps)
+            while i < k:
+                dep = deps[i]
+                s = memo.get(dep)
+                if s is None and lookup is not None:
+                    s = lookup(dep)
+                    if s is not None:
+                        hits += 1
+                        memo[dep] = s
+                if s is None:
                     break
-                fr.idx += 1
-                if ds:
+                if s:
                     # A lower-key adjacent edge is matched: eid blocked.
-                    state = False
+                    i = k + 1
                     break
-            if child is not None:
-                q.edges_probed += 1
-                stack.append(_Frame(child, self._deps(child, q)))
-                q.max_depth = max(q.max_depth, len(stack))
+                i += 1
+            if i < k:
+                # deps[i] is unresolved: open a frame for it.
+                frame[2] = i
+                deps, sc = self._deps(dep)
+                scanned += sc
+                stack.append([dep, deps, 0])
+                probed += 1
+                if len(stack) > depth:
+                    depth = len(stack)
                 continue
-            if state is None:
-                # Every lower-key adjacent edge resolved out of M.
-                state = True
-            memo[fr.eid] = state
+            # i == k: every lower-key adjacent edge resolved out of M;
+            # i == k + 1: one of them is in M.
+            memo[eid] = i == k
             stack.pop()
+        q.edges_probed += probed
+        q.adjacency_scanned += scanned
+        q.cache_hits += hits
+        q.max_depth = max(q.max_depth, depth)
         return memo[eid0]

@@ -77,27 +77,23 @@ def _scan(g: Graph, seed: int) -> Matching:
 
 def _rounds(g: Graph, seed: int) -> Matching:
     n, m = g.n, g.m
-    ranks = edge_ranks(m, seed)
-    lo, hi = g.endpoints_array()
-    lo = lo.astype(np.int64, copy=False)
-    hi = hi.astype(np.int64, copy=False)
+    # The surviving edges as compacted (eid, rank, lo, hi) columns in
+    # the graph's index dtype: each round keeps only the edges whose
+    # endpoints are both still free.
+    u, v = g.endpoints_array()
+    e = np.arange(m, dtype=u.dtype)
+    r = edge_ranks(m, seed)
     mate = np.full(n, -1, dtype=np.int64)
-    eids = np.arange(m, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    while True:
-        e = eids[alive]
-        if e.size == 0:
-            break
-        r = ranks[alive]
-        u = lo[alive]
-        v = hi[alive]
+    best_rank = np.empty(n, dtype=np.uint64)
+    best_eid = np.empty(n, dtype=u.dtype)
+    while e.size:
         # Per-vertex minimum surviving rank, then minimum eid among the
         # edges achieving it — together the (rank, eid) minimum, so a
         # 64-bit rank collision cannot select two adjacent edges.
-        best_rank = np.full(n, _U64_MAX, dtype=np.uint64)
+        best_rank.fill(_U64_MAX)
         np.minimum.at(best_rank, u, r)
         np.minimum.at(best_rank, v, r)
-        best_eid = np.full(n, m, dtype=np.int64)
+        best_eid.fill(m)
         at_min_u = r == best_rank[u]
         at_min_v = r == best_rank[v]
         np.minimum.at(best_eid, u[at_min_u], e[at_min_u])
@@ -105,6 +101,6 @@ def _rounds(g: Graph, seed: int) -> Matching:
         win = (best_eid[u] == e) & (best_eid[v] == e)
         mate[u[win]] = v[win]
         mate[v[win]] = u[win]
-        matched = mate != -1
-        alive[e[matched[u] | matched[v]]] = False
+        keep = (mate[u] == -1) & (mate[v] == -1)
+        e, r, u, v = e[keep], r[keep], u[keep], v[keep]
     return Matching.from_mate_array(g, mate)

@@ -14,10 +14,9 @@ of a splitmix64 stream keyed by the seed.  Two implementations of the
 same arithmetic live here:
 
 * :func:`edge_rank` — scalar, plain Python ints masked to 64 bits
-  (what the LCA evaluates per probed edge in lazy-rank mode);
+  (the test oracle for the vectorized path);
 * :func:`edge_ranks` — vectorized, ``uint64`` NumPy wraparound
-  arithmetic (what the global oracle and the precomputed-rank LCA
-  read).
+  arithmetic (what the global oracle and the LCA read).
 
 ``test_lca/test_properties.py`` pins them equal element for element.
 

@@ -113,7 +113,7 @@ class MatchingService:
                 self._account(LcaProbeStats(queries=1, cache_hits=1))
                 return entry.mate
         mate, stats, memo = self.lca.query_mate(
-            v, lookup=self._lookup if self.cache_enabled else None
+            v, lookup=self._edge_states.get if self.cache_enabled else None
         )
         if self.cache_enabled:
             self._store((self.seed, v), mate, memo)
@@ -135,7 +135,7 @@ class MatchingService:
                     self._account(LcaProbeStats(queries=1, cache_hits=1))
                     return entry.mate == b
         ans, stats, _ = self.lca.query_edge(
-            u, v, lookup=self._lookup if self.cache_enabled else None
+            u, v, lookup=self._edge_states.get if self.cache_enabled else None
         )
         self._account(stats)
         return ans
@@ -204,9 +204,6 @@ class MatchingService:
     def _account(self, stats: LcaProbeStats) -> None:
         self.stats.add(stats)
         self.last_query_stats = stats
-
-    def _lookup(self, eid: int) -> bool | None:
-        return self._edge_states.get(eid)
 
     def _lru_get(self, key: tuple[int, int]) -> _Entry | None:
         entry = self._lru.get(key)

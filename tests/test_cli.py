@@ -82,6 +82,22 @@ class TestCommands:
     @pytest.mark.parametrize(
         "flags,flag",
         [
+            (["--n", "-5"], "--n"),
+            # an empty graph would serve none of its --queries
+            (["--n", "0"], "--n"),
+            (["--p", "1.5"], "--p"),
+            (["--p", "-0.1"], "--p"),
+            (["--p", "nan"], "--p"),
+        ],
+    )
+    def test_lca_rejects_bad_graph_args(self, capsys, flags, flag):
+        assert main(["lca", "--queries", "10", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
             (["--slots", "-5"], "--slots"),
             (["--ports", "0"], "--ports"),
             (["--load", "1.5"], "--load"),

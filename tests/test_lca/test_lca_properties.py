@@ -6,7 +6,7 @@ returns the same answer and the repeat is served by the cache),
 maximality of the induced matching, the probe-accounting invariants
 (probes per query bounded by the explored-neighborhood counter), and
 the bit-identities the subsystem rests on (scalar rank == vectorized
-rank, lazy ranks == precomputed ranks, scan oracle == rounds oracle).
+rank, scan oracle == rounds oracle).
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ class TestQueryProperties:
         agg = lca.stats
         assert agg.queries == g.n
         assert agg.mean_probes <= g.m
-
-    @given(graphs(max_n=12), seeds)
-    @settings(max_examples=40)
-    def test_lazy_ranks_identical(self, g, seed):
-        eager = LcaMatching(g, seed)
-        lazy = LcaMatching(g, seed, precompute_ranks=False)
-        for v in range(g.n):
-            assert eager.mate_of(v) == lazy.mate_of(v)
 
     @given(graphs(max_n=12), seeds)
     @settings(max_examples=40)
