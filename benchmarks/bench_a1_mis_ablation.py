@@ -1,7 +1,7 @@
 """A1 (ablation) — the MIS rule inside Algorithm 1.
 
 The paper allows either Luby's random-priority MIS [20] or ABI [1] in
-step 5; DESIGN.md calls the choice out as a design decision.  We
+step 5, so the choice is a design decision of the reproduction.  We
 compare the random-priority rule against a degree-weighted variant
 (priority biased toward low-conflict paths — ABI-flavored) on the same
 conflict graphs: quality of the resulting matching, MIS rounds, and

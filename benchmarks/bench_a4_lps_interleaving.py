@@ -1,5 +1,6 @@
 """A4 (ablation) — sequential vs interleaved weight classes in the
-δ-MWM box (the DESIGN.md §2 deviation, quantified).
+δ-MWM box (the deviation ``repro.baselines.lps_mwm`` documents,
+quantified).
 
 [18] interleaves its weight classes to reach O(log n) rounds; our
 faithful-quality sequential implementation costs O(log W · log n).

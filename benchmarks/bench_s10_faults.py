@@ -31,31 +31,25 @@ Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s10_faults.py --out s10.json
 
-``--quick`` trims repetitions and ladder points; ``--check`` exits
-nonzero if the noop-seam overhead breaches ``--max-overhead`` (default
-1.05).  The committed full run lives at
+``--quick`` trims repetitions and ladder points; ``--check`` exits 2
+if the noop-seam overhead breaches 1.05x or the degradation oracle
+rejects a completed run.  The committed full run lives at
 ``benchmarks/results/s10_faults.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from typing import Any, Callable
 
+import harness
 from repro.analysis import format_table, print_banner
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.luby_mis import luby_mis
 from repro.distributed.faults import FaultPlan
 from repro.graphs.generators import gnp_random
 from repro.matching.certify import certify_degraded_matching
-
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
 
 #: Average degree of the G(n, p) bench graphs.
 AVG_DEG = 8.0
@@ -70,6 +64,9 @@ CURVE_MAX_ROUNDS = 2000
 #: Active-but-harmless loss: threshold 1 out of 2^64, so the seam
 #: hashes every delivery yet essentially never drops one.
 EPS_LOSS = 2.0 ** -64
+#: ``--check`` fails above this noop-seam overhead ratio: the seam must
+#: be free when no plan is active.
+MAX_OVERHEAD = 1.05
 
 
 def _interleaved_best(
@@ -209,7 +206,7 @@ def run_degradation_curves(
     return loss_curve, crash_curve
 
 
-def run_s10(quick: bool = False) -> dict[str, Any]:
+def run(quick: bool) -> dict[str, Any]:
     reps = 7 if quick else 11
     seeds = list(range(4)) if quick else list(range(8))
     # The ladder brackets II's loss-tolerance transition at n=300
@@ -227,16 +224,17 @@ def run_s10(quick: bool = False) -> dict[str, Any]:
             "loss_curve": loss_curve, "crash_curve": crash_curve}
 
 
-def _find_cell(data: dict[str, Any], workload: str) -> dict[str, Any]:
-    for c in data["cells"]:
-        if c["workload"] == workload:
-            return c
-    raise LookupError(f"cell {workload!r} not in this run")
-
-
-def smoke_overhead(data: dict[str, Any]) -> float:
-    """Noop-plan overhead ratio of the CI gate cell (n=2000 Luby)."""
-    return _find_cell(data, "fault_seam_noop")["overhead"]
+def gate(data: dict[str, Any]) -> list[str]:
+    ratio = harness.find_cell(data, workload="fault_seam_noop")["overhead"]
+    failures = []
+    if ratio > MAX_OVERHEAD:
+        failures.append(f"n={SMOKE_N} noop-seam overhead {ratio:.3f}x "
+                        f"exceeds the {MAX_OVERHEAD:.2f}x gate")
+    bad = [p["plan"] for p in data["loss_curve"] + data["crash_curve"]
+           if not p["oracle_ok"]]
+    if bad:
+        failures.append(f"degradation oracle rejected {bad}")
+    return failures
 
 
 def show(data: dict[str, Any]) -> None:
@@ -279,63 +277,11 @@ def show(data: dict[str, Any]) -> None:
             for p in data["crash_curve"]
         ],
     ))
-    noop = _find_cell(data, "fault_seam_noop")
+    noop = harness.find_cell(data, workload="fault_seam_noop")
     print(f"\nnoop-plan seam overhead at n={noop['n']}: "
           f"{noop['overhead']}x (gate: <1.05x — an inactive plan binds "
           f"to None, so the fault-free hot path stays branch-free)")
 
 
-def test_fault_seam(benchmark, report):
-    data = once(benchmark, lambda: run_s10(quick=True))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    assert smoke_overhead(data) > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="fewer timing reps and ladder points")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the n=2000 noop-seam overhead "
-                         "exceeds --max-overhead (result identity and "
-                         "the degradation oracle are always asserted)")
-    ap.add_argument("--max-overhead", type=float, default=1.05,
-                    help="overhead-ratio gate for --check (default "
-                         "1.05: the seam must be free when no plan is "
-                         "active)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    data = run_s10(quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        try:
-            ratio = smoke_overhead(data)
-        except LookupError as e:
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 2
-        if ratio > args.max_overhead:
-            print(f"FAIL: n={SMOKE_N} noop-seam overhead {ratio:.3f}x "
-                  f"exceeds the {args.max_overhead:.2f}x gate",
-                  file=sys.stderr)
-            return 2
-        bad = [p for p in data["loss_curve"] + data["crash_curve"]
-               if not p["oracle_ok"]]
-        if bad:
-            print(f"FAIL: degradation oracle rejected "
-                  f"{[p['plan'] for p in bad]}", file=sys.stderr)
-            return 2
-        print(f"check ok: n={SMOKE_N} noop-seam overhead {ratio:.3f}x "
-              f"(gate {args.max_overhead:.2f}x); degradation oracle ok "
-              f"on every completed run")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

@@ -20,63 +20,31 @@ and excluded), best of ``reps``.
 Workloads: Luby MIS and Israeli–Itai across the scenario families at
 n = 2000 with a 16-seed batch.  The seed-axis win concentrates where
 per-run dispatch overhead dominates — many seeds on small-to-mid
-graphs — so the CI smoke gate runs at n = 500 × 16 seeds.  The
-committed full run (``benchmarks/results/s4_batched.json``) predates
-bulk lane draws in single-seed runs: its sequential leg still spawned
-per-node Generators, hence its ~9–21x.
+graphs — so the CI smoke gate runs at n = 500 × 16 seeds, and full
+runs append that cell too.  The committed full run lives at
+``benchmarks/results/s4_batched.json``.
 
 Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s4_batched.py --out s4.json
 
 ``--quick`` restricts to the n=500 Luby/BA smoke cell (plus the II
-cell on the same graph); ``--check`` exits nonzero if the batched run
-is slower than the sequential runs on that smoke cell (tighten with
-``--min-speedup``) — the CI gate.
+cell on the same graph); ``--check`` exits 2 if the batched run is
+slower than the sequential runs on that smoke cell — the CI gate.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from typing import Any, Callable
 
+import harness
 from repro.analysis import format_table, print_banner
 from repro.baselines.israeli_itai import (
     israeli_itai_matching,
     israeli_itai_matching_batched,
 )
 from repro.baselines.luby_mis import luby_mis, luby_mis_batched
-
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
-
-FAMILIES: dict[str, Callable[[int, int], Any]] = {}
-
-
-def _build_families() -> None:
-    from repro.graphs.generators import (
-        barabasi_albert,
-        gnp_random,
-        powerlaw_configuration,
-        watts_strogatz,
-    )
-
-    FAMILIES.update(
-        {
-            "barabasi_albert": lambda n, s: barabasi_albert(n, 4, seed=s),
-            "watts_strogatz": lambda n, s: watts_strogatz(n, 4, 0.1, seed=s),
-            "gnp": lambda n, s: gnp_random(n, 4.0 / n, seed=s),
-            "powerlaw": lambda n, s: powerlaw_configuration(n, 2.5, seed=s),
-        }
-    )
-
-
-_build_families()
 
 WORKLOADS: dict[str, tuple[Callable, Callable]] = {
     # name -> (single-seed wrapper, batched wrapper)
@@ -88,17 +56,17 @@ WORKLOADS: dict[str, tuple[Callable, Callable]] = {
 #: dispatch-dominated regime the batch seam is for.
 SMOKE_CELL = ("luby_mis", "barabasi_albert", 500, 16)
 
+#: Graph sizes of the full matrix.
+SIZES = [2000]
 
-def _best_of(fn: Callable[[], Any], reps: int) -> tuple[float, Any]:
-    """Best-of-reps seconds and the last result."""
-    best, result = None, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, result
+#: Seeds per batch in the full matrix.
+NUM_SEEDS = 16
+
+#: Best-of reps per leg: full run, ``--quick``.
+REPS, QUICK_REPS = 3, 2
+
+#: ``--check`` fails below this smoke-cell speedup.
+MIN_SPEEDUP = 1.0
 
 
 def bench_cell(
@@ -106,13 +74,13 @@ def bench_cell(
 ) -> dict[str, Any]:
     """One batched-vs-sequential cell; asserts per-seed result identity."""
     single, batched = WORKLOADS[workload]
-    g = FAMILIES[family](n, 0)
+    g = harness.FAMILIES[family](n, 0)
     g.neighbor_sets()  # warm the shared graph caches for both legs
     seeds = list(range(1, num_seeds + 1))
-    t_seq, r_seq = _best_of(
+    t_seq, r_seq = harness.best_of(
         lambda: [single(g, seed=s, backend="array")[1] for s in seeds], reps
     )
-    t_bat, r_bat = _best_of(
+    t_bat, r_bat = harness.best_of(
         lambda: [res for _, res in batched(g, seeds)], reps
     )
     assert r_seq == r_bat, f"batched diverged on {workload}/{family} n={n}"
@@ -132,42 +100,33 @@ def bench_cell(
     }
 
 
-def run_s4(
-    sizes: list[int], num_seeds: int, reps: int, quick: bool = False
-) -> dict[str, Any]:
-    cells = []
-    if quick:
-        wl, fam, n, k = SMOKE_CELL
-        cells.append(bench_cell(wl, fam, n, k, reps))
-        cells.append(bench_cell("israeli_itai", fam, n, k, reps))
-    else:
-        for n in sizes:
-            for workload in WORKLOADS:
-                for family in FAMILIES:
-                    cells.append(bench_cell(workload, family, n, num_seeds, reps))
-        wl, fam, n, k = SMOKE_CELL
-        if not any(
-            (c["workload"], c["family"], c["n"], c["num_seeds"])
-            == (wl, fam, n, k)
-            for c in cells
-        ):
-            # Keep --check functional on full runs: the gate cell is
-            # smaller than the default matrix sizes since ISSUE 5.
-            cells.append(bench_cell(wl, fam, n, k, reps))
-    return {
-        "sizes": sizes if not quick else [SMOKE_CELL[2]],
-        "num_seeds": num_seeds if not quick else SMOKE_CELL[3],
-        "cells": cells,
-    }
-
-
-def smoke_speedup(data: dict[str, Any]) -> float:
-    """Batched-vs-sequential end-to-end speedup of the CI smoke cell."""
+def run(quick: bool) -> dict[str, Any]:
     wl, fam, n, k = SMOKE_CELL
-    for c in data["cells"]:
-        if (c["workload"], c["family"], c["n"], c["num_seeds"]) == (wl, fam, n, k):
-            return c["speedup"]
-    raise LookupError(f"smoke cell {SMOKE_CELL} not in this run")
+    if quick:
+        cells = [bench_cell(wl, fam, n, k, QUICK_REPS),
+                 bench_cell("israeli_itai", fam, n, k, QUICK_REPS)]
+        return {"sizes": [n], "num_seeds": k, "cells": cells}
+    cells = [
+        bench_cell(workload, family, size, NUM_SEEDS, REPS)
+        for size in SIZES
+        for workload in WORKLOADS
+        for family in harness.FAMILIES
+    ]
+    # The gate cell is smaller than the matrix sizes, so full runs add
+    # it to stay --check-able.
+    cells.append(bench_cell(wl, fam, n, k, REPS))
+    return {"sizes": SIZES, "num_seeds": NUM_SEEDS, "cells": cells}
+
+
+def gate(data: dict[str, Any]) -> list[str]:
+    wl, fam, n, k = SMOKE_CELL
+    speedup = harness.find_cell(
+        data, workload=wl, family=fam, n=n, num_seeds=k
+    )["speedup"]
+    if speedup < MIN_SPEEDUP:
+        return [f"batched execution below {MIN_SPEEDUP:.2f}x on the "
+                f"{SMOKE_CELL} smoke cell ({speedup:.2f}x)"]
+    return []
 
 
 def show(data: dict[str, Any]) -> None:
@@ -191,55 +150,5 @@ def show(data: dict[str, Any]) -> None:
           f"{best['num_seeds']} seeds)")
 
 
-def test_batched_speedup(benchmark, report):
-    data = once(benchmark, lambda: run_s4([500], 16, reps=2, quick=True))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    # CI boxes are noisy; a healthy run shows ~2x on the n=500 cell.
-    assert smoke_speedup(data) >= 1.0, data
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[2000],
-                    help="graph sizes for the full matrix")
-    ap.add_argument("--num-seeds", type=int, default=16,
-                    help="seeds per batch")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="best-of reps (default: 3, or 2 with --quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="only the n=500 Luby/BA + II smoke cells")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the batched run is slower than the "
-                         "sequential runs on the Luby/BA smoke cell")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="threshold for --check (default 1.0; the "
-                         "committed run clears 1.5 with a wide margin)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    reps = args.reps if args.reps is not None else (2 if args.quick else 3)
-    data = run_s4(args.sizes, args.num_seeds, reps, quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        try:
-            speedup = smoke_speedup(data)
-        except LookupError as e:
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 2
-        if speedup < args.min_speedup:
-            print(f"FAIL: batched execution below {args.min_speedup:.2f}x on "
-                  f"the {SMOKE_CELL} smoke cell ({speedup:.2f}x)",
-                  file=sys.stderr)
-            return 2
-        print(f"check ok: smoke-cell batched speedup {speedup:.2f}x")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

@@ -27,22 +27,20 @@ Run as a script for the JSON artifact::
     PYTHONPATH=src python benchmarks/bench_s5_weighted.py --out s5.json
 
 ``--quick`` restricts to the n=2000 weighted BA cells (kernel, box,
-Algorithm 5, Israeli–Itai); ``--check`` exits nonzero if the array leg
-is slower than the generator leg on the n=2000 weighted BA
-``weighted_mwm`` cell (tighten with ``--min-speedup``) — the CI gate.
+Algorithm 5, Israeli–Itai); ``--check`` exits 2 if the array leg is
+slower than the generator leg on the n=2000 weighted BA
+``weighted_mwm`` cell — the CI gate.
 The committed full run lives at ``benchmarks/results/s5_weighted.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
 from typing import Any, Callable
 
 import numpy as np
 
+import harness
 from repro.analysis import format_table, print_banner
 from repro.baselines.israeli_itai import israeli_itai_matching
 from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
@@ -56,57 +54,38 @@ from repro.core.weighted_mwm import (
 from repro.graphs.weights import assign_uniform_weights
 from repro.matching.greedy import greedy_maximal_matching
 
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
-
 #: The previously documented single-run Israeli–Itai array ceiling.
 II_PREVIOUS_BOUND = 1.3
-
-FAMILIES: dict[str, Callable[[int, int], Any]] = {}
-
-
-def _build_families() -> None:
-    from repro.graphs.generators import barabasi_albert, gnp_random
-
-    FAMILIES.update(
-        {
-            "barabasi_albert": lambda n, s: barabasi_albert(n, 4, seed=s),
-            "gnp": lambda n, s: gnp_random(n, 4.0 / n, seed=s),
-        }
-    )
-
-
-_build_families()
 
 #: The CI smoke / acceptance cell: (workload, family, n).
 SMOKE_CELL = ("weighted_mwm", "barabasi_albert", 2000)
 
+#: Graph size of the main cells.
+N = 2000
+
+#: Seeds per batched cell.
+NUM_SEEDS = 8
+
+#: Best-of reps per leg: full run, ``--quick``.
+REPS, QUICK_REPS = 2, 1
+
+#: ``--check`` fails below this acceptance-cell speedup (the committed
+#: full run shows >= 3x; CI boxes are noisy).
+MIN_SPEEDUP = 1.0
+
 
 def _weighted_graph(family: str, n: int):
-    g = assign_uniform_weights(FAMILIES[family](n, 0), seed=0)
+    g = assign_uniform_weights(harness.FAMILIES[family](n, 0), seed=0)
     g.neighbor_sets()  # warm the shared caches for both legs
     return g
-
-
-def _best_of(fn: Callable[[], Any], reps: int) -> tuple[float, Any]:
-    best, result = None, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, result
 
 
 def _cell(workload: str, family: str, n: int, reps: int,
           slow_fn: Callable[[], Any], fast_fn: Callable[[], Any],
           check_equal: Callable[[Any, Any], bool],
           extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    t_slow, r_slow = _best_of(slow_fn, reps)
-    t_fast, r_fast = _best_of(fast_fn, reps)
+    t_slow, r_slow = harness.best_of(slow_fn, reps)
+    t_fast, r_fast = harness.best_of(fast_fn, reps)
     assert check_equal(r_slow, r_fast), (
         f"legs diverged on {workload}/{family} n={n}"
     )
@@ -188,7 +167,7 @@ def cell_kopt(n: int, reps: int, k: int = 2) -> dict[str, Any]:
 def cell_israeli_itai(family: str, n: int, reps: int,
                       seed: int = 1) -> dict[str, Any]:
     """bench_s3's II cell re-measured after the lane-draw rewrite."""
-    g = FAMILIES[family](n, 0)
+    g = harness.FAMILIES[family](n, 0)
     g.neighbor_sets()
     cell = _cell(
         "israeli_itai", family, n, reps,
@@ -237,31 +216,32 @@ def cell_weighted_batched(family: str, n: int, num_seeds: int, reps: int,
     )
 
 
-def run_s5(n: int, num_seeds: int, reps: int, quick: bool = False) -> dict[str, Any]:
+def run(quick: bool) -> dict[str, Any]:
+    reps = QUICK_REPS if quick else REPS
     cells = [
-        cell_derived_weights("barabasi_albert", n, reps),
-        cell_lps("barabasi_albert", n, reps),
-        cell_weighted("barabasi_albert", n, reps),
-        cell_israeli_itai("barabasi_albert", n, reps),
+        cell_derived_weights("barabasi_albert", N, reps),
+        cell_lps("barabasi_albert", N, reps),
+        cell_weighted("barabasi_albert", N, reps),
+        cell_israeli_itai("barabasi_albert", N, reps),
     ]
     if not quick:
         cells.extend([
-            cell_lps("gnp", n, reps),
-            cell_weighted("gnp", n, reps),
+            cell_lps("gnp", N, reps),
+            cell_weighted("gnp", N, reps),
             cell_kopt(240, reps),
-            cell_lps_batched("barabasi_albert", n, num_seeds, reps),
-            cell_weighted_batched("barabasi_albert", n, num_seeds, reps),
+            cell_lps_batched("barabasi_albert", N, NUM_SEEDS, reps),
+            cell_weighted_batched("barabasi_albert", N, NUM_SEEDS, reps),
         ])
-    return {"n": n, "num_seeds": num_seeds, "cells": cells}
+    return {"n": N, "num_seeds": NUM_SEEDS, "cells": cells}
 
 
-def smoke_speedup(data: dict[str, Any]) -> float:
-    """Array-vs-generator speedup of the CI acceptance cell."""
+def gate(data: dict[str, Any]) -> list[str]:
     wl, fam, n = SMOKE_CELL
-    for c in data["cells"]:
-        if (c["workload"], c["family"], c["n"]) == (wl, fam, n):
-            return c["speedup"]
-    raise LookupError(f"smoke cell {SMOKE_CELL} not in this run")
+    speedup = harness.find_cell(data, workload=wl, family=fam, n=n)["speedup"]
+    if speedup < MIN_SPEEDUP:
+        return [f"weighted pipeline below {MIN_SPEEDUP:.2f}x on the "
+                f"{SMOKE_CELL} acceptance cell ({speedup:.2f}x)"]
+    return []
 
 
 def show(data: dict[str, Any]) -> None:
@@ -289,55 +269,5 @@ def show(data: dict[str, Any]) -> None:
           f"({best['workload']}/{best['family']} n={best['n']})")
 
 
-def test_weighted_speedup(benchmark, report):
-    data = once(benchmark, lambda: run_s5(2000, 8, reps=1, quick=True))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    # CI boxes are noisy; the committed full run shows >= 3x.
-    assert smoke_speedup(data) >= 1.0, data
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=2000,
-                    help="graph size for the main cells")
-    ap.add_argument("--num-seeds", type=int, default=8,
-                    help="seeds per batched cell")
-    ap.add_argument("--reps", type=int, default=None,
-                    help="best-of reps (default: 2, or 1 with --quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="only the n=2000 weighted BA smoke cells")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the array leg is below --min-speedup on "
-                         "the weighted BA acceptance cell")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="threshold for --check (default 1.0; the committed "
-                         "run clears 3.0 with a wide margin)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    reps = args.reps if args.reps is not None else (1 if args.quick else 2)
-    data = run_s5(args.n, args.num_seeds, reps, quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        try:
-            speedup = smoke_speedup(data)
-        except LookupError as e:
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 2
-        if speedup < args.min_speedup:
-            print(f"FAIL: weighted pipeline below {args.min_speedup:.2f}x on "
-                  f"the {SMOKE_CELL} acceptance cell ({speedup:.2f}x)",
-                  file=sys.stderr)
-            return 2
-        print(f"check ok: acceptance-cell speedup {speedup:.2f}x")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

@@ -23,20 +23,19 @@ Run as a script for the JSON artifact::
 
 ``--quick`` restricts to the two 64-port bernoulli speedup cells
 (greedy + iSLIP) at reduced slot counts and skips the curves;
-``--check`` exits nonzero if the vectorized leg is below
-``--min-speedup`` on the 64-port bernoulli/iSLIP cell — the CI gate
-(identity is asserted on every cell regardless).  The committed full
+``--check`` exits 2 if the vectorized leg is slower than the scalar
+loop on the 64-port bernoulli/iSLIP cell — the CI gate (identity is
+asserted on every cell regardless).  The committed full
 run lives at ``benchmarks/results/s6_switch.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from typing import Any, Callable
 
+import harness
 from repro.analysis import format_table, print_banner
 from repro.switch import (
     GreedyMaximalScheduler,
@@ -48,11 +47,6 @@ from repro.switch import (
     run_switch,
     run_switch_vectorized,
 )
-
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
 
 #: Traffic-stream factories: name -> (ports, load) -> ChunkedTraffic.
 TRAFFIC: dict[str, Callable[[int, float], Any]] = {
@@ -76,16 +70,12 @@ SMOKE_CELL = ("switch_islip", "bernoulli", 64)
 #: The committed-run acceptance cell (ISSUE 6: >= 10x here).
 ACCEPTANCE_CELL = ("switch_greedy", "bernoulli", 64)
 
+#: Best-of reps per speedup leg: full run, ``--quick``.
+REPS, QUICK_REPS = 2, 1
 
-def _best_of(fn: Callable[[], Any], reps: int) -> tuple[float, Any]:
-    best, result = None, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, result
+#: ``--check`` fails below this gate-cell speedup (the committed full
+#: run shows ~3x on iSLIP; CI boxes are noisy).
+MIN_SPEEDUP = 1.0
 
 
 def speedup_cell(sname: str, tname: str, ports: int, load: float,
@@ -107,8 +97,8 @@ def speedup_cell(sname: str, tname: str, ports: int, load: float,
             slots=slots, warmup=warmup,
         )
 
-    t_slow, r_slow = _best_of(scalar, reps)
-    t_fast, r_fast = _best_of(vectorized, reps)
+    t_slow, r_slow = harness.best_of(scalar, reps)
+    t_fast, r_fast = harness.best_of(vectorized, reps)
     assert r_slow == r_fast, (
         f"legs diverged on {sname}/{tname} ports={ports} load={load}"
     )
@@ -153,21 +143,21 @@ def curve_cell(sname: str, tname: str, ports: int, load: float,
     }
 
 
-def run_s6(reps: int, quick: bool = False) -> dict[str, Any]:
+def run(quick: bool) -> dict[str, Any]:
     if quick:
         cells = [
-            speedup_cell("greedy", "bernoulli", 64, 0.6, 4000, 400, reps),
-            speedup_cell("islip", "bernoulli", 64, 0.6, 4000, 400, reps),
+            speedup_cell("greedy", "bernoulli", 64, 0.6, 4000, 400, QUICK_REPS),
+            speedup_cell("islip", "bernoulli", 64, 0.6, 4000, 400, QUICK_REPS),
         ]
         return {"quick": True, "cells": cells, "curves": []}
 
     cells = [
         # the acceptance cell: 64-port bernoulli/greedy at 10^5 slots
-        speedup_cell("greedy", "bernoulli", 64, 0.6, 100_000, 10_000, reps),
-        speedup_cell("islip", "bernoulli", 64, 0.6, 20_000, 2_000, reps),
-        speedup_cell("pim", "bernoulli", 64, 0.6, 20_000, 2_000, reps),
-        speedup_cell("greedy", "bursty", 64, 0.6, 20_000, 2_000, reps),
-        speedup_cell("greedy", "hotspot", 64, 0.5, 20_000, 2_000, reps),
+        speedup_cell("greedy", "bernoulli", 64, 0.6, 100_000, 10_000, REPS),
+        speedup_cell("islip", "bernoulli", 64, 0.6, 20_000, 2_000, REPS),
+        speedup_cell("pim", "bernoulli", 64, 0.6, 20_000, 2_000, REPS),
+        speedup_cell("greedy", "bursty", 64, 0.6, 20_000, 2_000, REPS),
+        speedup_cell("greedy", "hotspot", 64, 0.5, 20_000, 2_000, REPS),
     ]
     curves = []
     for load in (0.5, 0.7, 0.8, 0.9, 0.95):
@@ -191,17 +181,15 @@ def run_s6(reps: int, quick: bool = False) -> dict[str, Any]:
     return {"quick": False, "cells": cells, "curves": curves}
 
 
-def _find_cell(data: dict[str, Any],
-               key: tuple[str, str, int]) -> dict[str, Any]:
-    for c in data["cells"]:
-        if (c["workload"], c["family"], c["n"]) == key:
-            return c
-    raise LookupError(f"cell {key} not in this run")
-
-
-def smoke_speedup(data: dict[str, Any]) -> float:
-    """Vectorized-vs-scalar speedup of the CI gate cell (iSLIP)."""
-    return _find_cell(data, SMOKE_CELL)["speedup"]
+def gate(data: dict[str, Any]) -> list[str]:
+    wl, traffic, ports = SMOKE_CELL
+    speedup = harness.find_cell(
+        data, workload=wl, family=traffic, n=ports
+    )["speedup"]
+    if speedup < MIN_SPEEDUP:
+        return [f"vectorized engine below {MIN_SPEEDUP:.2f}x on the "
+                f"{SMOKE_CELL} gate cell ({speedup:.2f}x)"]
+    return []
 
 
 def show(data: dict[str, Any]) -> None:
@@ -236,54 +224,5 @@ def show(data: dict[str, Any]) -> None:
           f"({best['workload']}/{best['family']} ports={best['n']})")
 
 
-def test_switch_engine_speedup(benchmark, report):
-    data = once(benchmark, lambda: run_s6(reps=1, quick=True))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    # CI boxes are noisy; the committed full run shows ~3x on iSLIP
-    # and >= 10x on the greedy acceptance cell.
-    assert smoke_speedup(data) >= 1.0, data
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--reps", type=int, default=None,
-                    help="best-of reps per leg (default: 2, or 1 with "
-                         "--quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="only the two 64-port bernoulli speedup cells at "
-                         "reduced slot counts; skip the curves")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the vectorized engine is below "
-                         "--min-speedup on the 64-port bernoulli/iSLIP cell")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="threshold for --check (default 1.0: fail if "
-                         "slower than the scalar loop)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    reps = args.reps if args.reps is not None else (1 if args.quick else 2)
-    data = run_s6(reps, quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        try:
-            speedup = smoke_speedup(data)
-        except LookupError as e:
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 2
-        if speedup < args.min_speedup:
-            print(f"FAIL: vectorized engine below {args.min_speedup:.2f}x "
-                  f"on the {SMOKE_CELL} gate cell ({speedup:.2f}x)",
-                  file=sys.stderr)
-            return 2
-        print(f"check ok: gate-cell speedup {speedup:.2f}x")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

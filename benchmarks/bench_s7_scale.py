@@ -31,16 +31,15 @@ Run as a script for the JSON artifact::
     PYTHONPATH=src python benchmarks/bench_s7_scale.py --out s7.json
 
 ``--quick`` restricts to the n=240 kopt cell, the n=10^4 dtype cell,
-and one n=10^5 curve point per workload; ``--check`` exits
-nonzero if (a) the kopt array leg is below ``--min-speedup`` vs the
-generator leg, or (b) any curve cell at n <= ``--rss-gate-n`` peaked
-above ``--max-rss-mb`` — the CI fail-if-slower + peak-RSS gate.  The
-committed full run lives at ``benchmarks/results/s7_scale.json``.
+and one n=10^5 curve point per workload; ``--check`` exits 2 if (a)
+the kopt array leg is slower than the generator leg, or (b) any curve
+cell at n <= 2·10^5 peaked above 1536 MiB — the CI fail-if-slower +
+peak-RSS gate.  The committed full run lives at
+``benchmarks/results/s7_scale.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import resource
@@ -51,12 +50,8 @@ from typing import Any
 
 import numpy as np
 
+import harness
 from repro.analysis import format_table, print_banner
-
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
 
 #: The committed-before cell for the kopt straggler, quoted from
 #: benchmarks/results/s5_weighted.json at the PR 6 head (c4b02f9) so
@@ -79,6 +74,21 @@ MCM_DEG = 4.0
 #: Structural cap of the compact int32 index tier: indices/eids hold
 #: 2m half-edge slots, so promotion to int64 happens past this m.
 INT32_EDGE_CAP = (2**31 - 1) // 2
+
+#: Best-of reps per speedup leg: full run, ``--quick``.
+REPS, QUICK_REPS = 2, 1
+
+#: ``--check`` fails below this kopt n=240 speedup.
+MIN_SPEEDUP = 1.0
+
+#: ``--check`` peak-RSS ceiling for curve cells with n <= RSS_GATE_N;
+#: the 10^6+ cells are budgeted by RAM, not by the CI ceiling.
+MAX_RSS_MB = 1536.0
+RSS_GATE_N = 200_000
+
+#: A curve cell's child process: one payload row as JSON on stdout.
+_CHILD = ("import json, sys; from bench_s7_scale import _curve_payload; "
+          "print(json.dumps(_curve_payload(json.loads(sys.argv[1]))))")
 
 
 def _rss_mb() -> float:
@@ -135,23 +145,19 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def curve_cell(workload: str, n: int, seed: int = 1,
-               subprocess_ok: bool = True) -> dict[str, Any]:
+def curve_cell(workload: str, n: int, seed: int = 1) -> dict[str, Any]:
     """One scale-curve point, in a fresh child for honest peak RSS."""
-    spec = {"workload": workload, "n": n, "seed": seed}
-    if not subprocess_ok:
-        cell = _curve_payload(spec)
-        cell["rss_isolated"] = False
-        return cell
     import repro
 
-    env = dict(os.environ)
+    spec = {"workload": workload, "n": n, "seed": seed}
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, here] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--cell", json.dumps(spec)],
+        [sys.executable, "-c", _CHILD, json.dumps(spec)],
         capture_output=True, text=True, env=env,
     )
     if proc.returncode != 0:
@@ -167,17 +173,6 @@ def curve_cell(workload: str, n: int, seed: int = 1,
 # speedup cells — identity asserted, then best-of-reps timing
 
 
-def _best_of(fn, reps: int):
-    best, result = None, None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        result = fn()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return best, result
-
-
 def cell_kopt(n: int, reps: int, k: int = 2) -> dict[str, Any]:
     """The s5 straggler cell re-measured (generator vs array leg)."""
     from repro.core.kopt_mwm import kopt_mwm
@@ -186,8 +181,10 @@ def cell_kopt(n: int, reps: int, k: int = 2) -> dict[str, Any]:
 
     g = assign_uniform_weights(gnp_random(n, 6.0 / n, seed=0), seed=0)
     g.neighbor_sets()  # warm the shared caches for both legs
-    t_gen, r_gen = _best_of(lambda: kopt_mwm(g, k=k), reps)
-    t_arr, r_arr = _best_of(lambda: kopt_mwm(g, k=k, backend="array"), reps)
+    t_gen, r_gen = harness.best_of(lambda: kopt_mwm(g, k=k), reps)
+    t_arr, r_arr = harness.best_of(
+        lambda: kopt_mwm(g, k=k, backend="array"), reps
+    )
     assert r_gen[1] == r_arr[1] and (
         sorted(r_gen[0].edges()) == sorted(r_arr[0].edges())
     ), f"kopt legs diverged at n={n}"
@@ -229,8 +226,8 @@ def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
 
     g32, g64 = build(None), build(np.int64)
     assert g32.index_dtype == np.int32, "n too large for the compact tier"
-    t32, r32 = _best_of(lambda: run(g32), reps)
-    t64, r64 = _best_of(lambda: run(g64), reps)
+    t32, r32 = harness.best_of(lambda: run(g32), reps)
+    t64, r64 = harness.best_of(lambda: run(g64), reps)
     assert r32 == r64, f"dtype tiers diverged at n={n}"
     return {
         "workload": "luby_int32_tier",
@@ -251,38 +248,27 @@ def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
 # the run matrix
 
 
-def run_s7(reps: int, quick: bool = False,
-           subprocess_ok: bool = True) -> dict[str, Any]:
+def run(quick: bool) -> dict[str, Any]:
     if quick:
-        cells = [cell_kopt(240, reps), cell_dtype(10_000, reps)]
+        cells = [cell_kopt(240, QUICK_REPS), cell_dtype(10_000, QUICK_REPS)]
         curves = {
-            "luby_mis": [curve_cell("luby_mis", 100_000,
-                                    subprocess_ok=subprocess_ok)],
-            "generic_mcm": [curve_cell("generic_mcm", 100_000,
-                                       subprocess_ok=subprocess_ok)],
+            "luby_mis": [curve_cell("luby_mis", 100_000)],
+            "generic_mcm": [curve_cell("generic_mcm", 100_000)],
         }
         return {"quick": True, "cells": cells, "curves": curves,
                 "ceiling": [], "largest_graph": None}
 
     cells = [
-        cell_kopt(240, reps),
-        cell_kopt(2000, max(1, reps - 1)),
-        cell_dtype(100_000, reps),
+        cell_kopt(240, REPS),
+        cell_kopt(2000, REPS - 1),
+        cell_dtype(100_000, REPS),
     ]
     curves = {
-        "luby_mis": [
-            curve_cell("luby_mis", n, subprocess_ok=subprocess_ok)
-            for n in (10_000, 100_000, 300_000, 1_000_000)
-        ],
-        "generic_mcm": [
-            curve_cell("generic_mcm", n, subprocess_ok=subprocess_ok)
-            for n in (10_000, 100_000, 300_000, 1_000_000)
-        ],
+        workload: [curve_cell(workload, n)
+                   for n in (10_000, 100_000, 300_000, 1_000_000)]
+        for workload in ("luby_mis", "generic_mcm")
     }
-    ceiling = [
-        curve_cell("luby_mis", n, subprocess_ok=subprocess_ok)
-        for n in (3_000_000, 10_000_000)
-    ]
+    ceiling = [curve_cell("luby_mis", n) for n in (3_000_000, 10_000_000)]
     largest = ceiling[-1]
     largest_graph = {
         "measured": {
@@ -303,26 +289,23 @@ def run_s7(reps: int, quick: bool = False,
             "ceiling": ceiling, "largest_graph": largest_graph}
 
 
-def kopt_speedup(data: dict[str, Any]) -> float:
-    """Array-vs-generator speedup of the kopt n=240 gate cell."""
-    for c in data["cells"]:
-        if c["workload"] == "kopt_mwm" and c["n"] == KOPT_BEFORE["n"]:
-            return c["speedup"]
-    raise LookupError("kopt n=240 gate cell not in this run")
-
-
-def rss_violations(data: dict[str, Any], gate_n: int,
-                   max_rss_mb: float) -> list[str]:
-    """Curve cells at n <= gate_n whose peak RSS broke the ceiling."""
-    bad = []
+def gate(data: dict[str, Any]) -> list[str]:
+    speedup = harness.find_cell(
+        data, workload="kopt_mwm", n=KOPT_BEFORE["n"]
+    )["speedup"]
+    failures = []
+    if speedup < MIN_SPEEDUP:
+        failures.append(
+            f"kopt array leg below {MIN_SPEEDUP:.2f}x ({speedup:.2f}x)"
+        )
     for cells in data["curves"].values():
         for c in cells:
-            if c["n"] <= gate_n and c["peak_rss_mb"] > max_rss_mb:
-                bad.append(
+            if c["n"] <= RSS_GATE_N and c["peak_rss_mb"] > MAX_RSS_MB:
+                failures.append(
                     f"{c['workload']} n={c['n']}: "
-                    f"{c['peak_rss_mb']:.0f} MiB > {max_rss_mb:.0f} MiB"
+                    f"{c['peak_rss_mb']:.0f} MiB > {MAX_RSS_MB:.0f} MiB"
                 )
-    return bad
+    return failures
 
 
 def show(data: dict[str, Any]) -> None:
@@ -368,76 +351,5 @@ def show(data: dict[str, Any]) -> None:
               f"{kc['speedup']:.2f}x ({kc['lift']:.1f}x lift)")
 
 
-def test_scale_smoke(benchmark, report):
-    # in-process (no subprocess) so the pytest run stays hermetic; RSS
-    # is then the harness high-water mark, so the gate is --check-only.
-    data = once(benchmark, lambda: run_s7(reps=1, quick=True,
-                                          subprocess_ok=False))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    assert kopt_speedup(data) >= 1.0, data
-    for cells in data["curves"].values():
-        for c in cells:
-            assert c["run_s"] > 0 and c["m"] > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--cell", type=str, default=None, help=argparse.SUPPRESS)
-    ap.add_argument("--reps", type=int, default=None,
-                    help="best-of reps per speedup leg (default: 2, or 1 "
-                         "with --quick)")
-    ap.add_argument("--quick", action="store_true",
-                    help="kopt n=240 + n=10^4 dtype cell + one "
-                         "n=10^5 curve point per workload")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the kopt array leg is below "
-                         "--min-speedup or a gated curve cell broke the "
-                         "peak-RSS ceiling")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="kopt gate threshold (default 1.0: fail if the "
-                         "array leg is slower than the generator leg)")
-    ap.add_argument("--max-rss-mb", type=float, default=1536.0,
-                    help="peak-RSS ceiling for gated curve cells "
-                         "(default 1536 MiB)")
-    ap.add_argument("--rss-gate-n", type=int, default=200_000,
-                    help="gate only curve cells with n <= this (default "
-                         "2e5; the 10^6+ cells are budgeted by RAM, not "
-                         "the CI ceiling)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    if args.cell:  # child mode: one curve cell, JSON on stdout
-        print(json.dumps(_curve_payload(json.loads(args.cell))))
-        return 0
-    reps = args.reps if args.reps is not None else (1 if args.quick else 2)
-    data = run_s7(reps, quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        failures = []
-        try:
-            speedup = kopt_speedup(data)
-            if speedup < args.min_speedup:
-                failures.append(
-                    f"kopt array leg below {args.min_speedup:.2f}x "
-                    f"({speedup:.2f}x)")
-        except LookupError as e:
-            failures.append(str(e))
-        failures.extend(rss_violations(data, args.rss_gate_n,
-                                       args.max_rss_mb))
-        if failures:
-            for f in failures:
-                print(f"FAIL: {f}", file=sys.stderr)
-            return 2
-        print(f"check ok: kopt gate {kopt_speedup(data):.2f}x, "
-              f"peak RSS within {args.max_rss_mb:.0f} MiB on gated cells")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

@@ -30,33 +30,27 @@ Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s9_lca.py --out s9.json
 
-``--quick`` restricts to n=2000 and n=20000; ``--check`` exits
-nonzero if the n=2000 cell serves below ``--min-qps`` queries/sec
-(consistency is asserted on every cell regardless — a mismatch raises
-before any time is reported).  The committed full run (up to n=10^6
+``--quick`` restricts to n=2000 and n=20000; ``--check`` exits 2 if
+the n=2000 cell serves below 1000 queries/sec (consistency is asserted
+on every cell regardless — a mismatch raises before any time is
+reported).  The committed full run (up to n=10^6
 on the streamed scale-tier generators) lives at
 ``benchmarks/results/s9_lca.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from typing import Any
 
 import numpy as np
 
+import harness
 from repro.analysis import format_table, print_banner
 from repro.analysis.lca_curves import crossover_queries, lca_query_curve
 from repro.graphs.generators import gnp_random
 from repro.lca import LcaMatching, MatchingService, random_greedy_matching
-
-try:
-    from conftest import once
-except ImportError:  # script mode: conftest only exists for pytest runs
-    once = None
 
 #: Average degree of the G(n, p) serving graphs.
 AVG_DEG = 8.0
@@ -66,6 +60,9 @@ FULL_CHECK_MAX_N = 20_000
 SAMPLE_CHECK = 2000
 #: The CI gate cell.
 SMOKE_N = 2000
+#: ``--check`` fails below this many queries/sec on the gate cell: far
+#: below the measured ~10^5, so only a real regression trips it.
+MIN_QPS = 1000.0
 
 
 def _assert_consistent(g, seed: int, truth: np.ndarray) -> str:
@@ -139,7 +136,7 @@ def run_cell(n: int, seed: int, queries: int) -> dict[str, Any]:
     }
 
 
-def run_s9(quick: bool = False) -> dict[str, Any]:
+def run(quick: bool) -> dict[str, Any]:
     sizes = [2000, 20_000] if quick else [2000, 20_000, 200_000, 1_000_000]
     queries = 1500 if quick else 5000
     cells = [run_cell(n, seed=0, queries=queries) for n in sizes]
@@ -150,16 +147,12 @@ def run_s9(quick: bool = False) -> dict[str, Any]:
             "cells": cells, "curves": curves}
 
 
-def _find_cell(data: dict[str, Any], n: int) -> dict[str, Any]:
-    for c in data["cells"]:
-        if c["n"] == n:
-            return c
-    raise LookupError(f"cell n={n} not in this run")
-
-
-def smoke_qps(data: dict[str, Any]) -> float:
-    """Queries/sec of the CI gate cell (n=2000)."""
-    return _find_cell(data, SMOKE_N)["queries_per_sec"]
+def gate(data: dict[str, Any]) -> list[str]:
+    qps = harness.find_cell(data, n=SMOKE_N)["queries_per_sec"]
+    if qps < MIN_QPS:
+        return [f"n={SMOKE_N} cell serves {qps:.0f} queries/sec, "
+                f"below the {MIN_QPS:.0f} gate"]
+    return []
 
 
 def show(data: dict[str, Any]) -> None:
@@ -195,47 +188,5 @@ def show(data: dict[str, Any]) -> None:
           f"{big['global_best_s']} s for one full global run")
 
 
-def test_lca_serving(benchmark, report):
-    data = once(benchmark, lambda: run_s9(quick=True))
-    report(show, data)
-    for c in data["cells"]:
-        assert c["identical_results"]
-    assert smoke_qps(data) > 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true",
-                    help="n=2000 and n=20000 cells only")
-    ap.add_argument("--check", action="store_true",
-                    help="exit 2 if the n=2000 cell serves below "
-                         "--min-qps (consistency is always asserted)")
-    ap.add_argument("--min-qps", type=float, default=1000.0,
-                    help="queries/sec threshold for --check (default "
-                         "1000: far below the measured ~10^5 so only a "
-                         "real regression trips it)")
-    ap.add_argument("--out", type=str, default=None,
-                    help="write the JSON report here")
-    args = ap.parse_args(argv)
-    data = run_s9(quick=args.quick)
-    show(data)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(data, fh, indent=2)
-        print(f"\nwrote {args.out}")
-    if args.check:
-        try:
-            qps = smoke_qps(data)
-        except LookupError as e:
-            print(f"FAIL: {e}", file=sys.stderr)
-            return 2
-        if qps < args.min_qps:
-            print(f"FAIL: n={SMOKE_N} cell serves {qps:.0f} queries/sec, "
-                  f"below the {args.min_qps:.0f} gate", file=sys.stderr)
-            return 2
-        print(f"check ok: n={SMOKE_N} gate cell at {qps:.0f} queries/sec")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(harness.main(__doc__, run, show, gate))

@@ -149,8 +149,13 @@ def render_markdown(
         table(weighted),
         "```",
         "",
-        "Full claim-by-claim evidence: `pytest benchmarks/ "
-        "--benchmark-only` (see EXPERIMENTS.md).",
+        "Full claim-by-claim evidence: run the paper benches by path, "
+        "e.g. `PYTHONPATH=src python -m pytest "
+        "benchmarks/bench_e1_generic_mcm.py` (likewise every "
+        "`bench_e*`/`bench_a*`/`bench_f*` file), and the subsystem perf "
+        "benches as scripts, e.g. `PYTHONPATH=src python "
+        "benchmarks/bench_s3_backends.py --quick --check` (likewise "
+        "`bench_s4`–`bench_s10`).",
         "",
     ]
     return "\n".join(parts)

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.pim import _request_matrix
+
 
 class IslipScheduler:
     """iSLIP scheduler state for an N×N switch."""
@@ -46,11 +48,6 @@ class IslipScheduler:
         # schedule()/schedule_matrix()).
         self._gkey = (self._in_ids[:, None] - self.grant_ptr[None, :]) % num_inputs
         self._akey = (self._out_ids[None, :] - self.accept_ptr[:, None]) % num_outputs
-
-    @staticmethod
-    def _rr_pick(candidates: list[int], ptr: int, modulo: int) -> int:
-        """Candidate closest to ``ptr`` going cyclically upward."""
-        return min(candidates, key=lambda c: (c - ptr) % modulo)
 
     def schedule_matrix(
         self, requests: np.ndarray
@@ -122,9 +119,5 @@ class IslipScheduler:
             raise ValueError(
                 f"demand for {len(demand)} inputs, expected {self.num_inputs}"
             )
-        requests = np.zeros((self.num_inputs, self.num_outputs), dtype=bool)
-        for i, outs in enumerate(demand):
-            if outs:
-                requests[i, sorted(outs)] = True
-        mi, mj = self.schedule_matrix(requests)
+        mi, mj = self.schedule_matrix(_request_matrix(demand, self.num_outputs))
         return [(int(i), int(j)) for i, j in zip(mi, mj)]

@@ -2,7 +2,7 @@
 
 The sequential implementation in :mod:`repro.baselines.lps_mwm`
 processes weight classes one after another (O(log W · log n) rounds) —
-the deviation DESIGN.md §2 documents.  The actual [18] result
+the deviation that module documents.  The actual [18] result
 interleaves the classes to finish in O(log n).  This module provides
 an interleaved *engineering* variant:
 

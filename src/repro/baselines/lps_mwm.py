@@ -19,12 +19,13 @@ lies in an equal-or-heavier class) gives ``w'(M*) ≤ 2·w'(M)`` on the
 rounded weights and hence ``w(M) ≥ w(M*)/4`` up to the ε-rounding —
 the same δ = ¼−ε guarantee as [18].
 
-**Documented deviation** (DESIGN.md §2): [18] interleaves all classes
-to finish in O(log n) rounds; we run classes sequentially, costing
-O(log W · log n) simulated rounds.  Algorithm 5's *quality* analysis
-only needs the constant δ, so the reproduction of Theorem 4.5's
-approximation behaviour is unaffected; its round counts are reported
-with this substitution noted (EXPERIMENTS.md).
+**Documented deviation**: [18] interleaves all classes to finish in
+O(log n) rounds; we run classes sequentially, costing O(log W · log n)
+simulated rounds.  Algorithm 5's *quality* analysis only needs the
+constant δ, so the reproduction of Theorem 4.5's approximation
+behaviour is unaffected; its round counts carry the extra log W
+factor, which bench A4 (``benchmarks/bench_a4_lps_interleaving.py``)
+measures against the interleaved variant.
 
 The protocol is fully lockstep: every node executes exactly
 ``num_classes × phases_per_class × 3`` rounds, idling where it has

@@ -67,10 +67,14 @@ from repro.matching import (
 )
 
 
+def _ratio(value, opt) -> float:
+    """``value / opt``; 1.0 when the optimum is 0 (an edgeless graph)."""
+    return value / opt if opt else 1.0
+
+
 def _print_result(name, size_or_weight, opt, res) -> None:
-    ratio = size_or_weight / opt if opt else 1.0
     print(f"{name}: value = {size_or_weight:g}, optimum = {opt:g}, "
-          f"ratio = {ratio:.4f}")
+          f"ratio = {_ratio(size_or_weight, opt):.4f}")
     if res is not None:
         print(f"  distributed cost: {res.rounds} rounds "
               f"(+{res.charged_rounds} charged), "
@@ -180,19 +184,20 @@ def cmd_baselines(args) -> int:
     wopt = maximum_matching_weight(gw)
     rows = []
     ii, res = israeli_itai_matching(g, seed=args.seed, backend=args.backend)
-    rows.append(["Israeli-Itai (1/2-MCM)", len(ii), opt, len(ii) / opt, res.rounds])
+    rows.append(["Israeli-Itai (1/2-MCM)", len(ii), opt, _ratio(len(ii), opt),
+                 res.rounds])
     lm, res = lps_mwm(gw, seed=args.seed, backend=args.backend)
     rows.append(["LPS-style (1/4-MWM)", round(lm.weight(), 1), round(wopt, 1),
-                 lm.weight() / wopt, res.rounds])
+                 _ratio(lm.weight(), wopt), res.rounds])
     li, res = lps_interleaved_mwm(gw, seed=args.seed, backend=args.backend)
     rows.append(["LPS interleaved", round(li.weight(), 1), round(wopt, 1),
-                 li.weight() / wopt, res.rounds])
+                 _ratio(li.weight(), wopt), res.rounds])
     hm, res = hoepman_mwm(gw)
     rows.append(["Hoepman (1/2-MWM)", round(hm.weight(), 1), round(wopt, 1),
-                 hm.weight() / wopt, res.rounds])
+                 _ratio(hm.weight(), wopt), res.rounds])
     gm = greedy_mwm(gw)
     rows.append(["greedy (1/2-MWM, seq)", round(gm.weight(), 1), round(wopt, 1),
-                 gm.weight() / wopt, "-"])
+                 _ratio(gm.weight(), wopt), "-"])
     print(f"G(n,p): {g.n} vertices, {g.m} edges")
     print(format_table(["baseline", "value", "optimum", "ratio", "rounds"], rows))
     return 0

@@ -28,7 +28,6 @@ from repro.core.weighted_mwm import (
     derived_weights,
     derived_weights_array,
     weighted_mwm,
-    weighted_mwm_array,
     weighted_mwm_batched,
     weighted_mwm_reference,
     wrap_path,
@@ -37,7 +36,6 @@ from repro.core.kopt_mwm import (
     find_gain_augmentations,
     find_gain_augmentations_array,
     kopt_mwm,
-    kopt_mwm_array,
 )
 
 __all__ = [
@@ -55,12 +53,10 @@ __all__ = [
     "derived_weights",
     "derived_weights_array",
     "weighted_mwm",
-    "weighted_mwm_array",
     "weighted_mwm_batched",
     "weighted_mwm_reference",
     "wrap_path",
     "find_gain_augmentations",
     "find_gain_augmentations_array",
     "kopt_mwm",
-    "kopt_mwm_array",
 ]

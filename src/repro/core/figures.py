@@ -11,9 +11,9 @@ The published figures are *worked examples*, not experiment plots:
   w(M) + w_M(M′) (strict, because two wraps share a removed M edge).
 
 The camera-ready drawings cannot be recovered from the text dump, so
-each instance here is *reconstructed from the caption's invariants*
-(DESIGN.md §4): Figure 2's three advertised weights (14 / 10 / 26,
-with slack 2 from wrap overlap) are reproduced exactly; Figure 1's
+each instance here is *reconstructed from the caption's invariants*:
+Figure 2's three advertised weights (14 / 10 / 26, with slack 2 from
+wrap overlap) are reproduced exactly; Figure 1's
 instance is a layered bipartite graph whose per-node counts exercise
 every rule of Algorithm 3 and are verified against brute-force path
 enumeration.

@@ -15,7 +15,7 @@ Phase structure (Algorithm 1): for ℓ = 1, 3, …, 2k−1 with k = ⌈1/ε⌉,
 Inductively (Lemmas 3.4/3.5) the matching after the last phase is a
 (1 − 1/(k+1))-MCM ≥ (1−ε)-MCM.
 
-Implementation split (DESIGN.md §6.5): the flooding of Algorithm 2 is
+Implementation split: the flooding of Algorithm 2 is
 simulated natively as node programs — this is where the message-size
 behaviour lives, and node-local views are returned so tests can verify
 each node's P_v(ℓ) agrees with the global enumeration.  The MIS of

@@ -13,8 +13,8 @@ Consequence: a matching that admits **no positive-gain augmentation
 with ≤ k unmatched edges** already satisfies
 ``w(M) ≥ k/(k+1) · w(M*)`` — a (1 − 1/(k+1))-MWM.
 
-This module provides that *centralized reference* (per DESIGN.md §7 we
-make no distributed claim for it):
+This module provides that *centralized reference* (the paper omits the
+distributed details, so we make no distributed claim for it):
 
 * :func:`find_gain_augmentations` — enumerate alternating paths *and
   cycles* with ≤ k unmatched edges and positive gain (exponential in
@@ -27,8 +27,8 @@ make no distributed claim for it):
 Two evaluation paths (ISSUE 5): the enumeration order is shared, but
 gains can be computed per candidate walk (the scalar reference) or for
 *all* enumerated walks in one vectorized pass with the batch applied
-as bulk mate surgery (``backend="array"`` / :func:`kopt_mwm_array`) —
-identical results, bit for bit, pinned by the seed-identity goldens.
+as bulk mate surgery (``backend="array"``) — identical results, bit
+for bit, pinned by the seed-identity goldens.
 """
 
 from __future__ import annotations
@@ -409,10 +409,3 @@ def kopt_mwm(
     else:
         raise RuntimeError("kopt_mwm failed to converge")
     return m, passes
-
-
-def kopt_mwm_array(
-    g: Graph, k: int = 2, max_passes: int = 10_000
-) -> tuple[Matching, int]:
-    """``kopt_mwm(..., backend="array")`` under the porting-convention name."""
-    return kopt_mwm(g, k=k, max_passes=max_passes, backend="array")

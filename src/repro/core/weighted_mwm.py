@@ -273,21 +273,6 @@ def weighted_mwm(
     return m, total, it
 
 
-def weighted_mwm_array(
-    g: Graph, **kwargs: object
-) -> tuple[Matching, RunResult, int]:
-    """Algorithm 5 with every stage vectorized (ISSUE 5's tentpole).
-
-    ``weighted_mwm(..., backend="array")`` under a porting-convention
-    name: the derived-weights kernel, the positive-edge selection, the
-    black box (as an array program), and the wrap-augmentation all run
-    as array code, and the result is byte-identical to the generator
-    pipeline from the same seed.
-    """
-    kwargs.pop("backend", None)
-    return weighted_mwm(g, backend="array", **kwargs)  # type: ignore[arg-type]
-
-
 def weighted_mwm_batched(
     g: Graph,
     seeds: Sequence[int],

@@ -534,10 +534,6 @@ class Graph:
         a, b = self._indptr[v], self._indptr[v + 1]
         return self._indices[a:b], self._eids[a:b]
 
-    def indptr_array(self) -> np.ndarray:
-        """The CSR ``indptr`` array (read-only view)."""
-        return self._indptr
-
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw CSR triple ``(indptr, indices, eids)`` (read-only).
 

@@ -7,9 +7,9 @@ Two implementations with disjoint roles:
   time / O(2^n) memory.
 * :func:`max_weight_matching` — delegates to
   ``networkx.max_weight_matching`` (Galil's weighted blossom) for
-  larger graphs.  Per DESIGN.md §7 this is a *test/benchmark oracle*,
-  not part of the reproduced system; the two oracles are cross-checked
-  against each other in the test suite.
+  larger graphs.  This is a *test/benchmark oracle*, not part of the
+  reproduced system; the two oracles are cross-checked against each
+  other in the test suite.
 """
 
 from __future__ import annotations

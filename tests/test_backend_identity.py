@@ -26,8 +26,8 @@ from repro.baselines.lps_interleaved import lps_interleaved_mwm
 from repro.baselines.lps_mwm import lps_mwm
 from repro.baselines.luby_mis import luby_mis, verify_mis
 from repro.core.generic_mcm import generic_mcm
-from repro.core.kopt_mwm import kopt_mwm, kopt_mwm_array
-from repro.core.weighted_mwm import weighted_mwm, weighted_mwm_array
+from repro.core.kopt_mwm import kopt_mwm
+from repro.core.weighted_mwm import weighted_mwm
 from repro.graphs import (
     Graph,
     barabasi_albert,
@@ -152,8 +152,9 @@ class TestWeightedMwmEquivalence:
         m_g, res_g, it_g = weighted_mwm(
             g, eps=0.3, seed=seed, box="interleaved", adaptive=True
         )
-        m_a, res_a, it_a = weighted_mwm_array(
-            g, eps=0.3, seed=seed, box="interleaved", adaptive=True
+        m_a, res_a, it_a = weighted_mwm(
+            g, eps=0.3, seed=seed, box="interleaved", adaptive=True,
+            backend="array",
         )
         assert sorted(m_g.edges()) == sorted(m_a.edges())
         assert res_g == res_a
@@ -166,7 +167,7 @@ class TestKoptEquivalence:
     def test_kopt(self, name, k):
         g = assign_uniform_weights(GRAPHS[name], seed=k)
         m_s, p_s = kopt_mwm(g, k=k)
-        m_a, p_a = kopt_mwm_array(g, k=k)
+        m_a, p_a = kopt_mwm(g, k=k, backend="array")
         assert sorted(m_s.edges()) == sorted(m_a.edges())
         assert p_s == p_a
 
@@ -294,7 +295,7 @@ class TestArrayBackendMatchesGoldens:
 
     def test_kopt_cell(self, golden):
         g_w = assign_uniform_weights(gnp_random(20, 0.3, seed=3), seed=4)
-        m, passes = kopt_mwm_array(g_w, k=2)
+        m, passes = kopt_mwm(g_w, k=2, backend="array")
         self._assert_cell(
             golden,
             "kopt_mwm/gnp20w",

@@ -89,7 +89,3 @@ class TestIslip:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             IslipScheduler(2, 2, iterations=0)
-
-    def test_rr_pick_wraps(self):
-        assert IslipScheduler._rr_pick([0, 2], ptr=1, modulo=4) == 2
-        assert IslipScheduler._rr_pick([0, 2], ptr=3, modulo=4) == 0

@@ -48,6 +48,15 @@ class TestCommands:
         for name in ("Israeli-Itai", "LPS", "Hoepman", "greedy"):
             assert name in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["baselines", "--n", "5", "--p", "0"], ["baselines", "--n", "1"]],
+    )
+    def test_baselines_edgeless(self, capsys, argv):
+        # A zero optimum reports ratio 1.0, like _print_result.
+        assert main(argv) == 0
+        assert "0 edges" in capsys.readouterr().out
+
     def test_switch(self, capsys):
         assert main(["switch", "--ports", "6", "--load", "0.7", "--slots", "200"]) == 0
         out = capsys.readouterr().out
