@@ -8,7 +8,8 @@ port of the paper's headline weighted side:
 * **lps_mwm** — the weight-class (¼−ε)-MWM box: generator engine vs
   its array program (a one-lane batch);
 * **weighted_mwm** — Algorithm 5 end to end (kernel + box + bulk wrap
-  surgery), generator vs array — the acceptance cell;
+  surgery), generator vs array (a one-lane ``weighted_mwm_batched``) —
+  the acceptance cell;
 * **kopt_mwm** — the centralized k-opt reference with vectorized
   candidate pricing (enumeration-bound, so the win is honest but
   modest);
@@ -16,7 +17,7 @@ port of the paper's headline weighted side:
   draws onto bulk RNG lanes; the documented ~1.3x RNG-replay bound
   (ARCHITECTURE.md, bench_s3) no longer applies;
 * **lps_mwm_batched** / **weighted_mwm_batched** — seed-axis batched
-  weighted sweeps vs sequential array runs.
+  weighted sweeps vs sequential array runs (one-lane batches).
 
 Every cell asserts the two legs produce **equal** results (matchings,
 ``RunResult``s, iteration/pass counts) before any time is reported.

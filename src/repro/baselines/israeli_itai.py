@@ -45,7 +45,7 @@ from repro.distributed.faults import NEVER, FaultPlan, FaultState
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
 from repro.graphs.graph import Graph
-from repro.matching.matching import Matching
+from repro.matching.matching import Matching, symmetric_mate_vector
 
 # Protocol tags (single characters: O(1) bits per message + the tag).
 _PROPOSE = "p"
@@ -516,19 +516,8 @@ def israeli_itai_matching(
 def matching_from_mates(g: Graph, mates: dict[int, int]) -> Matching:
     """Assemble a :class:`Matching` from per-node mate outputs.
 
-    Validates symmetry: ``mates[u] == v`` requires ``mates[v] == u`` —
-    a distributed matching algorithm whose two endpoints disagree is
-    broken, and we want tests to see that loudly.
+    Validates symmetry: ``mates[u] == v`` requires ``mates[v] == u``
+    (:func:`~repro.matching.matching.symmetric_mate_vector`).  A node
+    claiming itself, or a claimed pair that is not an edge, raises too.
     """
-    m = Matching(g)
-    for v, mate in mates.items():
-        if mate is None or mate == -1:
-            continue
-        if mates.get(mate) != v:
-            raise ValueError(
-                f"asymmetric mates: node {v} claims {mate}, "
-                f"node {mate} claims {mates.get(mate)}"
-            )
-        if mate > v:
-            m.add(v, mate)
-    return m
+    return Matching.from_mate_array(g, symmetric_mate_vector(g.n, mates))

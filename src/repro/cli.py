@@ -72,6 +72,23 @@ def _ratio(value, opt) -> float:
     return value / opt if opt else 1.0
 
 
+def _bad_flags(*checks: tuple[bool, str]) -> bool:
+    """Print ``error: <msg>`` for the first failed check; True if any failed."""
+    for ok, msg in checks:
+        if not ok:
+            print(f"error: {msg}", file=sys.stderr)
+            return True
+    return False
+
+
+def _graph_flags(args) -> tuple[tuple[bool, str], ...]:
+    """Checks of the random-graph flags ``--n`` and ``--p``."""
+    return (
+        (args.n >= 0, f"--n must be >= 0, got {args.n}"),
+        (0 <= args.p <= 1, f"--p must be in [0, 1], got {args.p}"),
+    )
+
+
 def _print_result(name, size_or_weight, opt, res) -> None:
     print(f"{name}: value = {size_or_weight:g}, optimum = {opt:g}, "
           f"ratio = {_ratio(size_or_weight, opt):.4f}")
@@ -83,6 +100,9 @@ def _print_result(name, size_or_weight, opt, res) -> None:
 
 
 def cmd_bipartite(args) -> int:
+    if _bad_flags(*_graph_flags(args),
+                  (args.k >= 1, f"--k must be >= 1, got {args.k}")):
+        return 1
     g, xs, _ = bipartite_random(args.n, args.n, args.p, seed=args.seed)
     m, res = bipartite_mcm(g, k=args.k, xs=xs, seed=args.seed)
     opt = len(hopcroft_karp(g, xs))
@@ -92,6 +112,9 @@ def cmd_bipartite(args) -> int:
 
 
 def cmd_general(args) -> int:
+    if _bad_flags(*_graph_flags(args),
+                  (args.k >= 3, f"--k must be >= 3, got {args.k}")):
+        return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
     m, res, outer = general_mcm(g, k=args.k, seed=args.seed)
     opt = maximum_matching_size(g)
@@ -102,6 +125,9 @@ def cmd_general(args) -> int:
 
 
 def cmd_generic(args) -> int:
+    if _bad_flags(*_graph_flags(args),
+                  (args.k >= 1, f"--k must be >= 1, got {args.k}")):
+        return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
     m, stats = generic_mcm(g, k=args.k, seed=args.seed, backend=args.backend)
     opt = maximum_matching_size(g)
@@ -112,6 +138,11 @@ def cmd_generic(args) -> int:
 
 
 def cmd_weighted(args) -> int:
+    if _bad_flags(
+        *_graph_flags(args),
+        (0 < args.eps < 1, f"--eps must be in (0, 1), got {args.eps}"),
+    ):
+        return 1
     g = assign_uniform_weights(
         gnp_random(args.n, args.p, seed=args.seed), seed=args.seed
     )
@@ -167,6 +198,8 @@ def _cmd_baselines_faulted(args, g, plan) -> int:
 
 
 def cmd_baselines(args) -> int:
+    if _bad_flags(*_graph_flags(args)):
+        return 1
     if args.faults:
         from repro.distributed.faults import FaultPlan
 
@@ -217,7 +250,7 @@ def cmd_switch(args) -> int:
         run_switch_vectorized,
     )
 
-    for ok, msg in (
+    if _bad_flags(
         (args.ports >= 1, f"--ports must be >= 1, got {args.ports}"),
         (args.slots >= 0, f"--slots must be >= 0, got {args.slots}"),
         (0 <= args.load <= 1, f"--load must be in [0, 1], got {args.load}"),
@@ -225,9 +258,7 @@ def cmd_switch(args) -> int:
         (args.seed_batch is None or args.seed_batch >= 1,
          f"--seed-batch must be >= 1, got {args.seed_batch}"),
     ):
-        if not ok:
-            print(f"error: {msg}", file=sys.stderr)
-            return 1
+        return 1
     traffic_models = {
         "bernoulli": lambda seed: bernoulli_uniform(
             args.ports, args.load, seed=seed
@@ -297,16 +328,14 @@ def cmd_lca(args) -> int:
 
     from repro.lca import MatchingService, random_greedy_matching
 
-    for ok, msg in (
+    if _bad_flags(
         (args.n >= 1, f"--n must be >= 1, got {args.n}"),
         (0 <= args.p <= 1, f"--p must be in [0, 1], got {args.p}"),
         (args.queries >= 1, f"--queries must be >= 1, got {args.queries}"),
         (args.max_entries >= 1,
          f"--max-entries must be >= 1, got {args.max_entries}"),
     ):
-        if not ok:
-            print(f"error: {msg}", file=sys.stderr)
-            return 1
+        return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
     svc = MatchingService(
         g, args.seed, max_entries=args.max_entries, cache=not args.no_cache
@@ -440,7 +469,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_file(args) -> int:
-    g = read_edgelist(args.path)
+    if _bad_flags(
+        (args.k >= 1, f"--k must be >= 1, got {args.k}"),
+        (0 < args.eps < 1, f"--eps must be in (0, 1), got {args.eps}"),
+    ):
+        return 1
+    try:
+        g = read_edgelist(args.path)
+    except (OSError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"loaded {args.path}: {g.n} vertices, {g.m} edges, "
           f"{'weighted' if g.weighted else 'unweighted'}")
     if args.algo == "bipartite":

@@ -24,7 +24,6 @@ from repro.core.bipartite_mcm import (
 from repro.core.general_mcm import general_mcm, fidelity_iterations
 from repro.core.weighted_mwm import (
     apply_wraps,
-    apply_wraps_array,
     derived_weights,
     derived_weights_array,
     weighted_mwm,
@@ -49,7 +48,6 @@ __all__ = [
     "general_mcm",
     "fidelity_iterations",
     "apply_wraps",
-    "apply_wraps_array",
     "derived_weights",
     "derived_weights_array",
     "weighted_mwm",

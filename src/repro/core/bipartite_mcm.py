@@ -50,7 +50,6 @@ from typing import Generator
 
 import numpy as np
 
-from repro.baselines.israeli_itai import matching_from_mates
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
 from repro.graphs.graph import Graph
@@ -325,6 +324,6 @@ def bipartite_mcm(
             max_rounds=max_rounds,
         )
         total = total.merge(res)
-    m = matching_from_mates(g, {v: mates[v] for v in range(g.n)})
+    m = Matching.from_mate_array(g, mates)
     total.outputs = {v: mates[v] for v in range(g.n)}
     return m, total

@@ -39,7 +39,6 @@ import math
 
 import numpy as np
 
-from repro.baselines.israeli_itai import matching_from_mates
 from repro.core.bipartite_mcm import aug_bipartite, default_phase_iterations
 from repro.distributed.network import RunResult
 from repro.graphs.graph import Graph
@@ -112,7 +111,7 @@ def general_mcm(
     outer = 0
     while iterations is None or outer < iterations:
         if adaptive:
-            m_now = matching_from_mates(g, dict(enumerate(mates)))
+            m_now = Matching.from_mate_array(g, mates)
             if not find_augmenting_paths_upto(g, m_now, ell):
                 break
         # Line 3: independent fair coins.
@@ -140,6 +139,6 @@ def general_mcm(
         outer += 1
         if iterations is None and outer > 200 * fidelity_iterations(k):
             raise RuntimeError("general_mcm failed to converge")
-    m = matching_from_mates(g, dict(enumerate(mates)))
+    m = Matching.from_mate_array(g, mates)
     total.outputs = dict(enumerate(mates))
     return m, total, outer

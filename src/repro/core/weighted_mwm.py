@@ -38,7 +38,7 @@ from repro.distributed.backends import BatchedArrayBackend
 from repro.distributed.network import RunResult
 from repro.graphs.graph import Graph
 from repro.matching.greedy import greedy_mwm
-from repro.matching.matching import Matching
+from repro.matching.matching import Matching, symmetric_mate_vector
 
 #: derived weights below this are treated as non-positive (float noise guard)
 _EPS_W = 1e-12
@@ -143,39 +143,6 @@ def apply_wraps(m: Matching, mprime_edges: list[tuple[int, int]]) -> Matching:
     return new
 
 
-def apply_wraps_array(
-    m: Matching, mprime_edges: list[tuple[int, int]]
-) -> Matching:
-    """Bulk twin of :func:`apply_wraps`: wrap-augmentation as mate surgery.
-
-    The symmetric difference ``M ⊕ ⋃ wrap(e)`` never walks paths: every
-    wrap evicts its endpoints' matched edges and installs its own, so
-    on the mate array it is two vectorized writes — clear the old
-    partners of all wrap endpoints, then point the endpoints at each
-    other.  Validation (M′ is a matching disjoint from M; results are
-    graph edges) is whole-array, raising the same ``ValueError``s as
-    the scalar form.
-    """
-    mate = m.mate_array()
-    if mprime_edges:
-        pairs = np.asarray(mprime_edges, dtype=np.int64).reshape(-1, 2)
-        r, s = pairs[:, 0], pairs[:, 1]
-        ends = np.concatenate((r, s))
-        if np.unique(ends).size != ends.size:
-            raise ValueError("M' is not a matching: vertex reuse")
-        clash = mate[r] == s
-        if clash.any():
-            k = int(np.flatnonzero(clash)[0])
-            raise ValueError(
-                f"M' must be disjoint from M, got ({int(r[k])},{int(s[k])})"
-            )
-        old = mate[ends]
-        mate[old[old != -1]] = -1
-        mate[r] = s
-        mate[s] = r
-    return Matching.from_mate_array(m.graph, mate)
-
-
 def default_iterations(eps: float, delta: float) -> int:
     """Line 2 of Algorithm 5: ⌈(3/2δ)·ln(2/ε)⌉ iterations."""
     return math.ceil(3.0 / (2.0 * delta) * math.log(2.0 / eps))
@@ -212,10 +179,11 @@ def weighted_mwm(
         O(log W · log n) rounds) or ``"interleaved"`` (the O(log n)
         variant of [18]'s interleaving — bench A4 compares them).
     backend:
-        Execution engine for the black box (``"generator"`` or
-        ``"array"``); the array path also applies the wraps as bulk
-        mate surgery (:func:`apply_wraps_array`).  Results are
-        seed-identical either way.
+        Execution engine (``"generator"`` or ``"array"``).  With the
+        sequential box and no ``check_lemma41``, ``"array"`` runs
+        :func:`weighted_mwm_batched` on one lane; otherwise it only
+        selects the black box's engine.  Results are seed-identical
+        either way.
 
     Returns ``(matching, metrics, iterations_executed)``.
     """
@@ -225,6 +193,11 @@ def weighted_mwm(
         raise ValueError("weighted_mwm needs a weighted graph")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
+    if backend == "array" and box == "sequential" and not check_lemma41:
+        return weighted_mwm_batched(
+            g, [seed], eps=eps, delta=delta, iterations=iterations,
+            adaptive=adaptive, max_rounds=max_rounds,
+        )[0]
     if iterations is None:
         iterations = default_iterations(eps, delta)
     seq = np.random.SeedSequence(seed)
@@ -257,8 +230,7 @@ def weighted_mwm(
             )
         total = total.merge(res)
         edges = mprime.edges()
-        wrap = apply_wraps_array if backend == "array" else apply_wraps
-        wrapped = wrap(m, edges)
+        wrapped = apply_wraps(m, edges)
         # Applying the wraps is 2 more rounds (evict mates, set new).
         total.charged_rounds += 2
         if check_lemma41:
@@ -377,18 +349,11 @@ def weighted_mwm_batched(
             seeds=box_seeds,
         )
         results = net.run(max_rounds=max_rounds)
-        pmat = np.full((box_rows.size, n), -1, dtype=np.int64)
+        pmat = np.empty((box_rows.size, n), dtype=np.int64)
         for row, res in enumerate(results):
             totals[int(box_lanes[row])] = totals[int(box_lanes[row])].merge(res)
             totals[int(box_lanes[row])].charged_rounds += 2
-            for v, out in res.outputs.items():
-                pmat[row, v] = out
-        # Validate the boxes' matchings (symmetry), as
-        # ``matching_from_mates`` does on the scalar path.
-        rows, cols = np.nonzero(pmat != -1)
-        partners = pmat[rows, cols]
-        if (pmat[rows, partners] != cols).any():
-            raise ValueError("asymmetric mates in black-box output")
+            pmat[row] = symmetric_mate_vector(n, res.outputs)
         # Bulk wrap-augmentation, every lane at once: evict the wrap
         # endpoints' old partners, then install the M' edges.
         rr, vv = np.nonzero(pmat > np.arange(n))
@@ -405,7 +370,7 @@ def weighted_mwm_batched(
         flat[gl * n + uu] = vv
     out = []
     for s in range(num_seeds):
-        totals[s].outputs = {v: int(mate[s, v]) for v in range(n)}
+        totals[s].outputs = dict(enumerate(mate[s].tolist()))
         out.append(
             (Matching.from_mate_array(g, mate[s]), totals[s], int(its[s]))
         )

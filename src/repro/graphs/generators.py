@@ -160,6 +160,8 @@ def bipartite_random(
 
     Returns ``(graph, X, Y)``.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0,1], got {p}")
     rng = _rng(seed)
     mask = rng.random((nx, ny)) < p
     xs, ys = np.nonzero(mask)

@@ -184,9 +184,9 @@ class Graph:
         Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
         Self-loops and duplicate edges are rejected.
     weights:
-        Optional sequence (or array) of positive edge weights, aligned
-        with ``edges``.  ``None`` means the graph is unweighted (all
-        queries through :meth:`weight` return 1.0).
+        Optional sequence (or array) of positive, finite edge weights,
+        aligned with ``edges``.  ``None`` means the graph is unweighted
+        (all queries through :meth:`weight` return 1.0).
     index_dtype:
         Storage dtype for the CSR index arrays (``int32`` / ``int64``).
         ``None`` (the default) auto-selects the compact tier (module
@@ -273,12 +273,14 @@ class Graph:
                 )
             if len(warr) != m:
                 raise ValueError(f"{warr.size} weights for {m} edges")
-            nonpos = warr <= 0.0
-            if nonpos.any():
-                eid = int(np.argmax(nonpos))
+            # NaN fails every comparison, so test for the good case.
+            bad = ~((warr > 0.0) & (warr < np.inf))
+            if bad.any():
+                eid = int(np.argmax(bad))
                 raise ValueError(
                     f"edge ({self._lo[eid]},{self._hi[eid]}) has non-positive "
-                    f"weight {warr[eid]}; the paper assumes w : E -> R+"
+                    f"or non-finite weight {warr[eid]}; the paper assumes "
+                    "w : E -> R+"
                 )
             warr = warr.copy()
             warr.setflags(write=False)

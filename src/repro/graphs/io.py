@@ -5,7 +5,10 @@ Format (one record per line, ``#`` comments allowed)::
     n <num_vertices>
     e <u> <v> [weight]
 
-Weights are either present on every edge line or on none.
+Weights are either present on every edge line or on none.  A malformed
+record raises ``ValueError`` prefixed ``path:lineno:``; a graph the
+records cannot form (an endpoint out of range, a duplicate edge, a
+weight that is not positive and finite) raises one prefixed ``path:``.
 """
 
 from __future__ import annotations
@@ -39,22 +42,30 @@ def read_edgelist(path: str | Path) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "n":
-            if n is not None:
-                raise ValueError(f"{path}:{lineno}: duplicate 'n' line")
-            n = int(parts[1])
-        elif parts[0] == "e":
-            if len(parts) == 3:
-                saw_unweighted = True
-            elif len(parts) == 4:
-                weights.append(float(parts[3]))
+        try:
+            if parts[0] == "n":
+                if n is not None:
+                    raise ValueError("duplicate 'n' line")
+                if len(parts) != 2:
+                    raise ValueError(f"malformed 'n' line {raw!r}")
+                n = int(parts[1])
+            elif parts[0] == "e":
+                if len(parts) == 3:
+                    saw_unweighted = True
+                elif len(parts) == 4:
+                    weights.append(float(parts[3]))
+                else:
+                    raise ValueError(f"malformed edge line {raw!r}")
+                edges.append((int(parts[1]), int(parts[2])))
             else:
-                raise ValueError(f"{path}:{lineno}: malformed edge line {raw!r}")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown record {parts[0]!r}")
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}:{lineno}: {e}") from None
     if n is None:
         raise ValueError(f"{path}: missing 'n' line")
     if weights and saw_unweighted:
         raise ValueError(f"{path}: mixed weighted and unweighted edge lines")
-    return Graph(n, edges, weights if weights else None)
+    try:
+        return Graph(n, edges, weights if weights else None)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.matching.matching import Matching
+from repro.matching.matching import Matching, mate_vector
 from repro.matching.augmenting import shortest_augmenting_path_length
 
 
@@ -176,20 +176,15 @@ def degraded_matching(
 
     The fault-tolerant sibling of ``matching_from_mates``: a pair
     (u, v) joins the matching only when *both* endpoints claim each
-    other; one-sided claims are returned as widows instead of raising.
-    ``None`` outputs (crashed nodes) claim nothing.
+    other; one-sided claims are returned as widows (ascending by
+    claimant) instead of raising.  ``None`` outputs (crashed nodes)
+    claim nothing.  A self-claim or a claimed pair that is not an edge
+    still raises ``ValueError``.
     """
-    m = Matching(g)
-    widows: list[tuple[int, int]] = []
-    for v, mate in outputs.items():
-        if mate is None or mate == -1:
-            continue
-        if outputs.get(mate) == v:
-            if mate > v:
-                m.add(v, mate)
-        else:
-            widows.append((v, mate))
-    return m, widows
+    mate, one_sided = mate_vector(g.n, outputs)
+    widows = list(zip(one_sided.tolist(), mate[one_sided].tolist()))
+    mate[one_sided] = -1
+    return Matching.from_mate_array(g, mate), widows
 
 
 def survivor_subgraph(
@@ -221,7 +216,8 @@ def certify_degraded_matching(
     """Grade a faulted matching run against honest-degradation rules.
 
     ``valid``: every symmetric pair is a real edge with distinct live
-    endpoints (one-sided claims are widows, not violations).
+    endpoints, so a node claiming itself makes it False (one-sided
+    claims are widows, not violations).
     ``maximal_on_survivors``: no surviving edge joins two free
     non-widow survivors — free nodes quit only when every live
     neighbor was announced matched, so such an edge would prove the
@@ -235,7 +231,7 @@ def certify_degraded_matching(
         valid = True
         matched = len(m)
     except (ValueError, IndexError):
-        # a claimed pair that is not an edge / double-books a vertex
+        # a claimed pair that is not an edge, or a node claiming itself
         m, widows, valid, matched = None, [], False, 0
     alive = np.zeros(g.n, dtype=bool)
     for v, out in outputs.items():
@@ -249,9 +245,7 @@ def certify_degraded_matching(
         keep = alive[lo] & alive[hi]
         if len(failed_links):
             keep[np.asarray(failed_links, dtype=np.int64)] = False
-        free = np.array(
-            [m.is_free(v) and not widowed[v] for v in range(g.n)], dtype=bool
-        )
+        free = (m.mate_array() == -1) & ~widowed
         bad = keep & free[lo] & free[hi]
         violations = [
             (int(u), int(w)) for u, w in zip(lo[bad], hi[bad])

@@ -43,10 +43,9 @@ def greedy_mwm(g: Graph) -> Matching:
     """
     order = np.lexsort((np.arange(g.m), -g.weights_array()))
     lo, hi = g.endpoints_array()
-    us = lo[order].tolist()
-    vs = hi[order].tolist()
-    m = Matching(g)
-    for u, v in zip(us, vs):
-        if m.is_free(u) and m.is_free(v):
-            m.add(u, v)
-    return m
+    mate = [-1] * g.n
+    for u, v in zip(lo[order].tolist(), hi[order].tolist()):
+        if mate[u] == -1 and mate[v] == -1:
+            mate[u] = v
+            mate[v] = u
+    return Matching.from_mate_array(g, mate)

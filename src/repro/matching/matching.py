@@ -8,11 +8,55 @@ representation used by every algorithm in the repository.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.graphs.graph import Graph
+
+
+def mate_vector(
+    n: int, outputs: Mapping[int, int | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node mate outputs as one ``int64[n]`` mate vector.
+
+    ``outputs`` maps node -> claimed mate; ``None`` (a crashed node) and
+    ``-1`` claim nothing, and nodes missing from it read as ``-1``.
+    Returns ``(mate, one_sided)``: ``one_sided`` holds, ascending, every
+    node ``v`` whose claim ``c != -1`` is not claimed back — including
+    out-of-range and negative ``c``, which stay in ``mate`` as given.
+    A self-claim ``c == v`` is symmetric here;
+    :meth:`Matching.from_mate_array` rejects it.
+    """
+    mate = np.full(n, -1, dtype=np.int64)
+    nodes = np.fromiter(outputs, dtype=np.int64, count=len(outputs))
+    mate[nodes] = [-1 if c is None else c for c in outputs.values()]
+    claimed = np.flatnonzero(mate != -1)
+    partner = mate[claimed]
+    inside = (partner >= 0) & (partner < n)
+    back = np.full(claimed.size, -1, dtype=np.int64)
+    back[inside] = mate[partner[inside]]
+    return mate, claimed[back != claimed]
+
+
+def symmetric_mate_vector(
+    n: int, outputs: Mapping[int, int | None]
+) -> np.ndarray:
+    """:func:`mate_vector` of outputs that must all be reciprocated.
+
+    Raises ``ValueError`` naming the lowest node whose claim is
+    one-sided — a distributed matching whose two endpoints disagree is
+    broken, and tests should see that loudly.
+    """
+    mate, one_sided = mate_vector(n, outputs)
+    if one_sided.size:
+        v = int(one_sided[0])
+        c = int(mate[v])
+        raise ValueError(
+            f"asymmetric mates: node {v} claims {c}, "
+            f"node {c} claims {outputs.get(c)}"
+        )
+    return mate
 
 
 class Matching:
@@ -96,8 +140,18 @@ class Matching:
         return iter(self.edges())
 
     def weight(self) -> float:
-        """``w(M)``: total weight (cardinality on unweighted graphs)."""
-        return sum(self.graph.weight(u, v) for u, v in self.edges())
+        """``w(M)``: total weight (cardinality on unweighted graphs).
+
+        Summed with scalar adds in :meth:`edges` order (ascending lower
+        endpoint), so the value and its type are exactly those of adding
+        ``graph.weight(u, v)`` edge by edge: the empty matching weighs
+        the int ``0``.
+        """
+        mate = np.asarray(self._mate, dtype=np.int64)
+        lo, hi = self.graph.endpoints_array()
+        eids = np.flatnonzero(mate[lo] == hi)
+        eids = eids[np.argsort(lo[eids], kind="stable")]
+        return sum(self.graph.weights_array()[eids].tolist())
 
     def copy(self) -> "Matching":
         """Independent copy sharing the (immutable) graph."""

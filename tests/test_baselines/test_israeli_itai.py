@@ -103,3 +103,9 @@ class TestMatchingFromMates:
         g = path_graph(2)
         m = matching_from_mates(g, {0: None, 1: -1})
         assert len(m) == 0
+
+    def test_self_claim_rejected(self):
+        # A node naming itself as its mate is broken, not free.
+        g = path_graph(2)
+        with pytest.raises(ValueError, match="own mate"):
+            matching_from_mates(g, {0: 0, 1: -1})

@@ -122,6 +122,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["weighted", "--eps", "0"], "--eps"),
+            (["weighted", "--eps", "1.5"], "--eps"),
+            (["generic", "--k", "0"], "--k"),
+            (["bipartite", "--k", "0"], "--k"),
+            # Algorithm 4 needs k >= 3
+            (["general", "--k", "2"], "--k"),
+            # once an edgeless graph, silently
+            (["bipartite", "--p", "-1"], "--p"),
+            (["bipartite", "--p", "2.0"], "--p"),
+            (["bipartite", "--p", "nan"], "--p"),
+            (["general", "--p", "1.5"], "--p"),
+            (["baselines", "--n", "-3"], "--n"),
+        ],
+    )
+    def test_matching_commands_reject_bad_args(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
     def test_switch_seed_batch_rejects_nonpositive(self, capsys):
         assert main(["switch", "--ports", "6", "--slots", "50",
                      "--seed-batch", "0"]) == 1
@@ -213,3 +235,25 @@ class TestFileCommand:
         write_edgelist(g, p)
         assert main(["file", str(p), "--algo", "weighted", "--eps", "0.2"]) == 0
         assert "weighted_mwm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text,expect",
+        [
+            ("n\n", ":1: "),
+            ("n 3 7\n", ":1: "),
+            ("n abc\n", ":1: "),
+            ("n 3\ne 0 x\n", ":2: "),
+            ("n 3\ne 0 1 nan\n", "non-finite"),
+            ("n 3\ne 0 1 inf\n", "non-finite"),
+        ],
+    )
+    def test_bad_file_is_an_error_line(self, tmp_path, capsys, text, expect):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert main(["file", str(p), "--algo", "weighted"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}") and expect in err
+
+    def test_missing_file_is_an_error_line(self, tmp_path, capsys):
+        assert main(["file", str(tmp_path / "absent.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

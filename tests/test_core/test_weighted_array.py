@@ -4,9 +4,8 @@ The vectorized derived-weights kernel must agree with the scalar
 ``wrap_path``/``g(P)`` definitions *bit for bit* on arbitrary graphs
 and matchings — including length-1 and length-2 wraps (one or both
 wrap endpoints free), isolated vertices, and float-noise edges whose
-derived weight sits right at the ``_EPS_W`` threshold.  The bulk
-wrap-augmentation and the vectorized weight-class helper get the same
-treatment against their scalar twins.
+derived weight sits right at the ``_EPS_W`` threshold.  The vectorized
+weight-class helper gets the same treatment against its scalar twin.
 """
 
 import numpy as np
@@ -17,8 +16,6 @@ from hypothesis import strategies as st
 from repro.baselines.lps_mwm import _weight_class, _weight_class_array
 from repro.core.weighted_mwm import (
     _EPS_W,
-    apply_wraps,
-    apply_wraps_array,
     derived_weights,
     derived_weights_array,
     wrap_gain,
@@ -125,44 +122,6 @@ class TestDerivedWeightsKernel:
             scalar = wrap_gain(g, m, 0, 1)
             assert wm[0] == scalar
             assert (wm[0] > _EPS_W) == (scalar > _EPS_W)
-
-
-class TestApplyWrapsArray:
-    @given(matchable(max_n=12), st.integers(min_value=0, max_value=99))
-    @_slow
-    def test_matches_scalar_apply(self, gm, wseed):
-        g0, edges = gm
-        g = _weighted(g0, wseed)
-        m = Matching(g, edges)
-        wm = derived_weights_array(g, m.mate_array())
-        # A greedy vertex-disjoint positive-gain M' (what the box feeds).
-        used: set[int] = set()
-        mprime = []
-        lo, hi = g.endpoints_array()
-        for eid in np.argsort(-wm):
-            u, v = int(lo[eid]), int(hi[eid])
-            if wm[eid] > _EPS_W and not {u, v} & used:
-                mprime.append((u, v))
-                used.update((u, v))
-        got = apply_wraps_array(m, mprime)
-        want = apply_wraps(m, mprime)
-        assert got == want
-
-    def test_rejects_vertex_reuse_and_overlap(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)], [1.0, 2.0, 3.0])
-        m = Matching(g, [(1, 2)])
-        with pytest.raises(ValueError):
-            apply_wraps_array(m, [(0, 1), (1, 2)])  # vertex reuse
-        with pytest.raises(ValueError):
-            apply_wraps_array(m, [(1, 2)])  # not disjoint from M
-
-    def test_shared_removed_edge(self):
-        # Both endpoints of the matched edge serve different M' edges —
-        # the Lemma 4.1 overlap case apply_wraps collects as a set.
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)], [5.0, 1.0, 5.0])
-        m = Matching(g, [(1, 2)])
-        got = apply_wraps_array(m, [(0, 1), (2, 3)])
-        assert sorted(got.edges()) == [(0, 1), (2, 3)]
 
 
 class TestWeightClassArray:

@@ -390,6 +390,14 @@ class TestDegradationOracle:
         m, widows = degraded_matching(g, {0: 1, 1: -1, 2: None})
         assert len(m) == 0 and widows == [(0, 1)]
 
+    def test_self_claim_is_a_violation(self):
+        # A node claiming itself is no widow: the report is invalid.
+        from repro.graphs.graph import Graph
+
+        g = Graph(3, [(0, 1), (1, 2)])
+        rep = certify_degraded_matching(g, {0: 0, 1: -1, 2: -1})
+        assert not rep.valid and not rep.ok
+
     def test_survivor_subgraph_drops_crashed_and_failed(self):
         from repro.graphs.graph import Graph
 

@@ -43,6 +43,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="non-positive"):
             Graph(3, [(0, 1)], [0.0])
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_nonfinite_weight_rejected(self, w):
+        # NaN fails every comparison, so it once slipped past ``w <= 0``.
+        with pytest.raises(ValueError, match=r"edge \(0,1\) has non-positive"):
+            Graph(2, [(0, 1)], [w])
+        g = Graph(2, [(0, 1)], [1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            g.with_weights([w])
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph.from_edge_chunks(2, [np.array([[0, 1]])], [np.array([w])])
+
     def test_edges_normalized_to_sorted_pairs(self):
         g = Graph(3, [(2, 0), (1, 2)])
         assert g.edges() == [(0, 2), (1, 2)]

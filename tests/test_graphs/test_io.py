@@ -1,5 +1,7 @@
 """Unit tests for edge-list IO round-tripping."""
 
+import re
+
 import pytest
 
 from repro.graphs import (
@@ -74,4 +76,27 @@ class TestParsing:
         p = tmp_path / "bad.txt"
         p.write_text("n 2\ne 0\n")
         with pytest.raises(ValueError, match="malformed"):
+            read_edgelist(p)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [
+            ("n\n", 1),  # bare 'n' line
+            ("n 3 7\n", 1),  # trailing token
+            ("n abc\n", 1),
+            ("# c\nn 3\ne 0 x\n", 3),
+            ("n 3\ne 0 1 heavy\n", 2),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, text, lineno):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:{lineno}: "):
+            read_edgelist(p)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_nonfinite_weight_rejected(self, tmp_path, weight):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"n 3\ne 0 1 {weight}\ne 1 2 2.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
             read_edgelist(p)
