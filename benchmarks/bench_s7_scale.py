@@ -32,10 +32,12 @@ Run as a script for the JSON artifact::
 
 ``--quick`` restricts to the n=240 kopt cell, the n=10^4 dtype cell,
 and one n=10^5 curve point per workload; ``--check`` exits 2 if (a)
-the kopt array leg is slower than the generator leg, or (b) any curve
-cell at n <= 2·10^5 peaked above 1536 MiB — the CI fail-if-slower +
-peak-RSS gate.  The committed full run lives at
-``benchmarks/results/s7_scale.json``.
+the kopt array leg is slower than the generator leg, (b) any curve
+cell at n <= 2·10^5 peaked above 1536 MiB, or (c) the generic-MCM
+n=10^5 seed-1 cell's rounds, messages, bits, peak message size,
+matching size or conflict-graph size differ from ``MCM_PIN`` — the CI
+fail-if-slower, peak-RSS and flood-accounting gate.  The committed
+full run lives at ``benchmarks/results/s7_scale.json``.
 """
 
 from __future__ import annotations
@@ -65,11 +67,27 @@ KOPT_BEFORE = {
 #: Average degree for the Luby scale-curve / ceiling random graphs.
 CURVE_DEG = 8.0
 
-#: Average degree for the generic-MCM curve.  The depth-2ℓ flood is
-#: O(n · d · |ball_2|) = O(n d^3) in records — degree 4 keeps the
-#: n=10^6 cell's record universe (~2·10^7 (node, record) pairs) inside
-#: a sensible RAM budget while still exercising every scale-tier path.
+#: Average degree for the generic-MCM curve (k=1).  The depth-2 flood
+#: expands every vertex's radius-1 ball, about n·d^2 CSR slots, and the
+#: first conflict graph has a node per edge and an edge per pair of
+#: edges sharing an endpoint, about n·d^2/2 — degree 4 keeps the n=10^6
+#: cell to a few GB while still exercising every scale-tier path.
 MCM_DEG = 4.0
+
+#: ``--check`` pins the generic-MCM n=10^5 seed-1 curve cell to these
+#: counters, measured with the flood's earlier (node, record) key-set
+#: implementation: the round engine's accounting must not move.
+MCM_PIN = {
+    "n": 100_000,
+    "seed": 1,
+    "rounds": 2,
+    "charged_rounds": 29,
+    "messages": 3_985_425,
+    "bits": 608_308_063,
+    "max_message_bits": 3_317,
+    "matching_size": 40_164,
+    "conflict_nodes": 200_242,
+}
 
 #: Structural cap of the compact int32 index tier: indices/eids hold
 #: 2m half-edge slots, so promotion to int64 happens past this m.
@@ -114,6 +132,7 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {
         "workload": spec["workload"],
         "family": "gnp",
+        "seed": seed,
         "n": g.n,
         "m": g.m,
         "avg_deg": deg,
@@ -135,7 +154,12 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
         m, stats = generic_mcm(g, k=1, seed=seed, backend="array",
                                keep_views=False)
         out["run_s"] = time.perf_counter() - t0
-        out["rounds"] = stats.result.rounds
+        res = stats.result
+        out["rounds"] = res.rounds
+        out["charged_rounds"] = res.charged_rounds
+        out["messages"] = res.total_messages
+        out["bits"] = res.total_bits
+        out["max_message_bits"] = res.max_message_bits
         out["matching_size"] = len(m)
         out["conflict_nodes"] = sum(stats.conflict_sizes.values())
     else:  # pragma: no cover - spec comes from this module
@@ -305,6 +329,17 @@ def gate(data: dict[str, Any]) -> list[str]:
                     f"{c['workload']} n={c['n']}: "
                     f"{c['peak_rss_mb']:.0f} MiB > {MAX_RSS_MB:.0f} MiB"
                 )
+    mcm = harness.find_cell(
+        {"cells": data["curves"]["generic_mcm"]},
+        n=MCM_PIN["n"], seed=MCM_PIN["seed"],
+    )
+    moved = [f"{k} {mcm.get(k)} != {v}" for k, v in MCM_PIN.items()
+             if mcm.get(k) != v]
+    if moved:
+        failures.append(
+            f"generic_mcm n={MCM_PIN['n']} seed {MCM_PIN['seed']} "
+            f"counters moved: {', '.join(moved)}"
+        )
     return failures
 
 

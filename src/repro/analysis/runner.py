@@ -46,8 +46,10 @@ accept lambdas/closures (nothing is pickled on the 1-worker path).
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -228,12 +230,13 @@ class ParallelRunner:
         Retries back off exponentially: ``retry_backoff * 2**attempt``
         seconds before attempt ``attempt + 1``.
     retry_backoff:
-        Base of the exponential backoff, in seconds.
+        Base of the exponential backoff, in seconds (finite, >= 0).
     timeout:
-        Pool mode only: maximum seconds to wait for one task's result;
-        an overdue task counts as failed (and is retried like any other
-        failure).  The in-process path cannot interrupt a running
-        experiment function, so there the timeout is not enforced.
+        Pool mode only: maximum seconds to wait for one task's result,
+        in ``(0, threading.TIMEOUT_MAX]``; an overdue task counts as
+        failed (and is retried like any other failure).  The in-process
+        path cannot interrupt a running experiment function, so there
+        the timeout is not enforced.
 
     Records are returned in cell submission order in both modes, so the
     worker count never changes the output — only the wall clock.
@@ -252,6 +255,15 @@ class ParallelRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if not (math.isfinite(retry_backoff) and retry_backoff >= 0):
+            raise ValueError(
+                f"retry_backoff must be finite and >= 0, got {retry_backoff}"
+            )
+        if timeout is not None and not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be None or in (0, {threading.TIMEOUT_MAX:g}] "
+                f"seconds, got {timeout}"
+            )
         self.workers = workers
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff

@@ -192,7 +192,7 @@ def run_scenario_cell(
         m, _ = bipartite_mcm(g, k=3, xs=part[0], seed=seed)
         value, opt = float(len(m)), float(len(hopcroft_karp(g, part[0])))
     elif algo == "generic_mcm":
-        m, _ = generic_mcm(g, k=2, seed=seed, backend=used)
+        m, _ = generic_mcm(g, k=2, seed=seed, backend=used, keep_views=False)
         value, opt = float(len(m)), float(maximum_matching_size(g))
     elif algo == "general_mcm":
         m, _, _ = general_mcm(g, k=3, seed=seed)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 from repro.analysis import format_table
 from repro.baselines import (
@@ -129,7 +130,8 @@ def cmd_generic(args) -> int:
                   (args.k >= 1, f"--k must be >= 1, got {args.k}")):
         return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
-    m, stats = generic_mcm(g, k=args.k, seed=args.seed, backend=args.backend)
+    m, stats = generic_mcm(g, k=args.k, seed=args.seed, backend=args.backend,
+                           keep_views=False)
     opt = maximum_matching_size(g)
     print(f"G(n,p): {g.n} vertices, {g.m} edges ({args.backend} backend)")
     _print_result(f"generic_mcm (Thm 3.1, k={args.k})", len(m), opt, stats.result)
@@ -396,6 +398,10 @@ def cmd_scenarios(args) -> int:
     if args.max_retries < 0:
         print(f"error: --max-retries must be >= 0, got {args.max_retries}",
               file=sys.stderr)
+        return 1
+    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
+        print(f"error: --timeout must be in (0, {threading.TIMEOUT_MAX:g}] "
+              f"seconds, got {args.timeout}", file=sys.stderr)
         return 1
     if args.resume and not args.out:
         print("error: --resume needs --out (the artifact to resume from)",

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Generator
 
 import numpy as np
@@ -40,10 +41,10 @@ from repro.distributed.backends import (
     int_payload_bits,
     run_program_batched,
 )
-from repro.distributed.message import Sized, bit_size
-from repro.distributed.network import Network, RunResult
+from repro.distributed.message import Sized
+from repro.distributed.network import RunResult
 from repro.distributed.node import Node
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Graph, sorted_unique
 from repro.matching.augmenting import (
     apply_paths,
     apply_paths_array,
@@ -55,7 +56,9 @@ from repro.matching.matching import Matching
 _VERTEX = "v"
 _EDGE = "e"
 
-
+#: int8 level cells shared by one block of the array flood's
+#: breadth-first searches: a block holds ``FLOOD_CELLS // n`` sources.
+FLOOD_CELLS = 1 << 24
 
 
 def flood_views_program(
@@ -94,22 +97,33 @@ def flood_views_array(
 ) -> list[list[frozenset]] | None:
     """Array program of :func:`flood_views_program`, run as a one-lane batch.
 
-    The whole flood runs on **record ids**: record ``r < n`` is the
-    vertex record ``("v", r, free)`` and record ``n + eid`` the edge
-    record ``("e", lo, hi, matched)``.  Per-node known/fresh sets
-    become sorted arrays of flat ``node * (n+m) + record`` keys, one
-    round of flooding is a ragged CSR expansion + ``np.unique`` +
-    sorted-membership subtraction, and the per-sender payload bits are
-    one ``bincount`` over precomputed per-record sizes (a ``Sized``
-    payload's bit count is the sum over its records, which is
-    order-independent — and a record's bit size does not depend on its
-    boolean flag, so sizes are fixed per record id).  Accounting flows
-    through the context and matches the generator run bit for bit.
+    Delta flooding sends each record exactly once, one round after the
+    sender learned it, so node ``v``'s round-``i`` broadcast is the set
+    of records at distance ``i``: the vertex records of the layer
+    ``L_i(v)`` plus the edge records whose nearer endpoint lies in
+    ``L_i(v)`` (edges from ``L_i`` to ``L_{i+1}``, and edges inside
+    ``L_i``).  A ``Sized`` payload's bit count is the sum over its
+    records, and a record's size does not depend on its flag, so the
+    mates never affect the counters.  The program therefore computes
+    ``bits[i, v]`` — the size of that broadcast — from one
+    breadth-first search per source over vertex ids, then replays the
+    rows through the context's accounting: ``v`` sends in round ``i``
+    iff ``L_i(v)`` is non-empty and ``deg(v) > 0``.  Rounds, messages,
+    bits and the peak match the generator run bit for bit; the
+    ``max_rounds`` error is raised during the replay, after the search.
 
-    With ``keep_views=False`` the per-node frozensets are never
-    materialized (outputs are ``None``); counters are unchanged.  This
-    is the scale path — at n=10^6 the Python set/tuple universe is
-    orders of magnitude more memory than the key arrays.
+    The searches run in blocks of ``FLOOD_CELLS // n`` sources that
+    share one int8 level scratch (0 = unseen, else ``level % 3 + 1``:
+    a neighbour of layer ``i`` lies in layer ``i - 1``, ``i`` or
+    ``i + 1``); every round expands the block's frontier over its CSR
+    slots in one ragged pass.  The work is
+    ``sum_v sum_{u in B_{depth-1}(v)} deg(u)`` candidate slots.
+
+    With ``keep_views=True`` the search runs one layer further, and
+    node ``v``'s view is the vertex records of its radius-``depth``
+    ball plus the edge record of every edge incident to that ball —
+    the generator's final ``known`` set, as a frozenset.  With
+    ``keep_views=False`` outputs are ``None``; counters are unchanged.
 
     The flood draws no randomness, so every seed would run the same
     flood: the program takes exactly one lane.
@@ -117,95 +131,94 @@ def flood_views_array(
     if ctx.num_seeds != 1:
         raise ValueError("the flood is deterministic: run it as one lane")
     g = ctx.graph
-    size = ctx.n
-    n = size
+    n = ctx.n
     num_edges = g.m
-    R = n + num_edges  # record-id universe
     indptr, indices, eids = g.adjacency_arrays()
     deg = np.diff(indptr).astype(np.int64)
     lo, hi = g.endpoints_array()
-    rec_bits = np.empty(R, dtype=np.int64)
-    if n:
-        # ("v", id, free): 8 (tag str) + ipb(id) + 1 (bool flag).
-        rec_bits[:n] = 9 + int_payload_bits(np.arange(n, dtype=np.int64))
-    if num_edges:
-        # ("e", a, b, matched): 8 + ipb(a) + ipb(b) + 1.
-        rec_bits[n:] = (
-            9
-            + int_payload_bits(lo.astype(np.int64))
-            + int_payload_bits(hi.astype(np.int64))
-        )
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    vids = np.arange(n, dtype=np.int64)
-    init_keys = np.concatenate(
-        [vids * R + vids, owner * R + (n + eids.astype(np.int64))]
-    )
-    known = np.sort(init_keys)
-    fresh = known.copy()
-    live = np.full(1, size)
-    for _ in range(depth):
-        ctx.begin_step(live)
-        if fresh.size:
-            fnodes = fresh // R
-            frecs = fresh % R
-            # Exact integer sums: per-node bit totals stay far below
-            # 2^53, so the float64 bincount accumulator is lossless.
-            bits_per = np.bincount(
-                fnodes, weights=rec_bits[frecs].astype(np.float64), minlength=n
-            ).astype(np.int64)
-            senders = np.flatnonzero((bits_per > 0) & (deg > 0))
-            ctx.account_groups(
-                bits_per[senders], deg[senders], np.zeros_like(senders)
+    # Record sizes: ("v", id, free) is 8 (tag str) + ipb(id) + 1 (bool
+    # flag), ("e", a, b, matched) is 8 + ipb(a) + ipb(b) + 1.  Float64
+    # so bincount sums them exactly: per-node totals stay far below 2^53.
+    vbits = (9 + int_payload_bits(np.arange(n))).astype(np.float64)
+    ebits = (9 + int_payload_bits(lo) + int_payload_bits(hi)).astype(np.float64)
+    if keep_views:
+        mate = np.asarray(mates, dtype=np.int64)
+        vrec = [(_VERTEX, v, free) for v, free in enumerate((mate == -1).tolist())]
+        erec = [
+            (_EDGE, a, b, mm)
+            for a, b, mm in zip(lo.tolist(), hi.tolist(), (mate[lo] == hi).tolist())
+        ]
+        views: list[frozenset] = []
+    hops = depth + 1 if keep_views else depth
+    bits = np.zeros((depth, n), dtype=np.int64)
+    block = max(1, min(n, FLOOD_CELLS // max(n, 1)))
+    level = np.zeros(block * n, dtype=np.int8)
+    for first in range(0, n, block):
+        count = min(block, n - first)
+        # Cell j * n + u holds u's level in the search from first + j.
+        front = np.arange(count, dtype=np.int64) * (n + 1) + first
+        level[front] = 1
+        layers = [front]
+        edge_keys = []
+        for i in range(hops):
+            src, u = np.divmod(front, n)
+            cnt = deg[u]
+            # One ragged expansion pass: slot j of frontier entry k is
+            # indptr[u_k] + j, a running arange plus a per-entry base.
+            base = indptr[u].astype(np.int64) - (np.cumsum(cnt) - cnt)
+            slot = np.arange(int(cnt.sum()), dtype=np.int64)
+            slot += np.repeat(base, cnt)
+            w = indices[slot]
+            slot_src = np.repeat(src, cnt)
+            cell = slot_src * n + w
+            seen = level[cell]
+            new = seen == 0
+            # The edge records whose nearer endpoint is u: edges to the
+            # next layer, and edges inside u's layer (counted at u < w).
+            # (Index arrays: a scattered boolean mask gathers slowly.)
+            near = np.flatnonzero(
+                new | ((seen == i % 3 + 1) & (np.repeat(u, cnt) < w))
             )
+            near_src = slot_src[near]
+            near_eid = eids[slot[near]]
+            if i < depth:
+                bits[i, first:first + count] = np.bincount(
+                    src, weights=vbits[u], minlength=count
+                ) + np.bincount(near_src, weights=ebits[near_eid], minlength=count)
+            if keep_views:
+                edge_keys.append(near_src * num_edges + near_eid)
+            if i + 1 == hops:
+                break
+            front = sorted_unique(cell[np.flatnonzero(new)])
+            if not front.size:
+                break
+            level[front] = (i + 1) % 3 + 1
+            layers.append(front)
+        for layer in layers:
+            level[layer] = 0
+        if keep_views:
+            vkeys = np.sort(np.concatenate(layers))
+            # Each incident edge is near to exactly one layer: no dups.
+            ekeys = np.sort(np.concatenate(edge_keys))
+            heads = np.arange(count + 1, dtype=np.int64)
+            vb = np.searchsorted(vkeys, heads * n).tolist()
+            eb = np.searchsorted(ekeys, heads * num_edges).tolist()
+            vs = (vkeys % n).tolist()
+            es = (ekeys % max(num_edges, 1)).tolist()
+            for j in range(count):
+                views.append(frozenset(chain(
+                    map(vrec.__getitem__, vs[vb[j]:vb[j + 1]]),
+                    map(erec.__getitem__, es[eb[j]:eb[j + 1]]),
+                )))
+    live = np.full(1, n)
+    for i in range(depth):
+        ctx.begin_step(live)
+        # account_groups drops the groups of degree-0 senders itself.
+        senders = np.flatnonzero(bits[i])
+        ctx.account_groups(bits[i, senders], deg[senders], np.zeros_like(senders))
         ctx.end_step(live > 0)
-        if fresh.size:
-            cnt = deg[fnodes]
-            total = int(cnt.sum())
-            if total:
-                # One ragged expansion pass: slot j of fresh pair i is
-                # indptr[node_i] + j, laid out as a running arange with
-                # a per-pair base offset (a single repeat — this loop
-                # is the scale-tier hot path, so every O(total) pass
-                # counts).
-                base = indptr[fnodes].astype(np.int64) - (np.cumsum(cnt) - cnt)
-                slot = np.arange(total, dtype=np.int64)
-                slot += np.repeat(base, cnt)
-                cand = np.multiply(indices[slot], R, dtype=np.int64)
-                del slot
-                cand += np.repeat(frecs, cnt)
-                cand.sort()
-                keep = np.empty(cand.size, dtype=bool)
-                keep[0] = True
-                np.not_equal(cand[1:], cand[:-1], out=keep[1:])
-                cand = cand[keep]
-                pos = np.minimum(np.searchsorted(known, cand), known.size - 1)
-                fresh = cand[known[pos] != cand]
-                if fresh.size:
-                    # Two sorted runs: the stable sort (timsort) merges
-                    # them in O(len) instead of re-sorting from scratch.
-                    known = np.concatenate([known, fresh])
-                    known.sort(kind="stable")
-            else:
-                fresh = fresh[:0]
     ctx.begin_step(live)  # final resume: every program returns
-    if not keep_views:
-        return None
-    mate = np.asarray(mates, dtype=np.int64)
-    free_flag = (mate == -1).tolist()
-    matched_flag = (mate[lo] == hi).tolist() if num_edges else []
-    rec_tuples: list[tuple] = [
-        (_VERTEX, v, free_flag[v]) for v in range(n)
-    ] + [
-        (_EDGE, a, b, mm)
-        for a, b, mm in zip(lo.tolist(), hi.tolist(), matched_flag)
-    ]
-    knodes = known // R
-    krecs = (known % R).tolist()
-    bounds = np.searchsorted(knodes, np.arange(n + 1, dtype=np.int64))
-    return [[
-        frozenset(rec_tuples[r] for r in krecs[bounds[v]: bounds[v + 1]])
-        for v in range(n)
-    ]]
+    return [views] if keep_views else None
 
 
 @dataclass
@@ -239,9 +252,10 @@ def generic_mcm(
     and the conflict-graph MIS); results are byte-identical across
     backends for the same seed.  ``keep_views=False`` skips
     materializing the per-node view frozensets (``stats.views`` stays
-    empty; all counters are unchanged) — the scale-tier switch for
-    million-node runs, where the Python tuple universe would dwarf the
-    flood's own arrays.
+    empty; all counters are unchanged).  A view holds every record of a
+    node's distance-2ℓ ball, so building them costs more time and
+    memory than the rest of the run: callers that never read
+    ``stats.views`` pass ``keep_views=False``.
     """
     if (k is None) == (eps is None):
         raise ValueError("pass exactly one of k / eps")

@@ -14,7 +14,9 @@ pickles them into the pool.
 """
 
 import json
+import math
 import os
+import threading
 import time
 
 import pytest
@@ -130,8 +132,27 @@ class TestRetries:
         with pytest.raises(ValueError):
             ParallelRunner(workers=1, max_retries=-1)
 
+    @pytest.mark.parametrize("backoff", [-0.5, math.nan, math.inf])
+    def test_bad_backoff_rejected(self, backoff):
+        # time.sleep would raise on it only when a retry comes due.
+        with pytest.raises(ValueError, match="retry_backoff"):
+            ParallelRunner(workers=2, max_retries=1, retry_backoff=backoff)
+
 
 class TestTimeout:
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan, math.inf, 1e300])
+    def test_bad_timeout_rejected(self, timeout):
+        # Each once failed every pool-mode cell (negative, zero and NaN
+        # as instant timeouts, the huge ones as OverflowError).
+        with pytest.raises(ValueError, match="timeout"):
+            ParallelRunner(workers=2, timeout=timeout)
+
+    def test_largest_timeout_accepted(self):
+        res = ParallelRunner(workers=2, timeout=threading.TIMEOUT_MAX).sweep(
+            measure_point, POINTS[:2], seeds=[0]
+        )
+        assert [r.error for r in res] == [None, None]
+
     def test_overdue_cell_becomes_error_record(self):
         res = ParallelRunner(workers=2, timeout=1.5).sweep(
             slow_on_20, POINTS[:2], seeds=[0]

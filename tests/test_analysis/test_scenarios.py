@@ -16,6 +16,7 @@ from repro.analysis import (
     scenario_matrix,
     scenario_table,
 )
+from repro.core import generic_mcm
 
 NEW_FAMILIES = [
     "barabasi_albert",
@@ -64,6 +65,20 @@ class TestBackendRouting:
         assert arr.pop("array_backend") == 1.0
         assert gen.pop("array_backend") == 0.0
         assert gen == arr
+
+    def test_generic_cell_builds_no_views(self, monkeypatch):
+        # The cell reads the matching only; views would be dead weight.
+        import repro.analysis.scenarios as scenarios
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return generic_mcm(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "generic_mcm", spy)
+        run_scenario_cell("comb", "generic_mcm", size=12, seed=1)
+        assert [c.get("keep_views") for c in calls] == [False]
 
     def test_unported_algo_falls_back_to_generator(self):
         rec = run_scenario_cell(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import generic_mcm
 from repro.graphs import Graph, gnp_random, write_edgelist
 from repro.graphs.weights import assign_uniform_weights
 
@@ -149,6 +150,21 @@ class TestCommands:
                      "--seed-batch", "0"]) == 1
         assert "--seed-batch" in capsys.readouterr().err
 
+    def test_generic_builds_no_views(self, monkeypatch, capsys):
+        # The command prints counters only: the per-node view frozensets
+        # would cost more than the rest of the run.
+        import repro.cli
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return generic_mcm(*args, **kwargs)
+
+        monkeypatch.setattr(repro.cli, "generic_mcm", spy)
+        assert main(["generic", "--n", "18", "--k", "2"]) == 0
+        assert [c.get("keep_views") for c in calls] == [False]
+
     def test_generic_array_backend(self, capsys):
         assert main(["generic", "--n", "18", "--k", "2",
                      "--backend", "array"]) == 0
@@ -197,6 +213,17 @@ class TestCommands:
         assert path.exists() and path.read_text().count("\n") == 2
         assert '"_summary"' in path.read_text().splitlines()[-1]
         assert str(path) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "1e300"])
+    def test_scenarios_rejects_bad_timeout(self, capsys, value):
+        # Once accepted: with a pool every cell failed on it, without
+        # one it was silently ignored.
+        assert main([
+            "scenarios", "--size", "12", "--repeats", "1", "--family",
+            "comb", "--algo", "generic_mcm", "--timeout", value,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --timeout")
 
     def test_scenarios_unknown_family(self, capsys):
         assert main(["scenarios", "--family", "bogus"]) == 1

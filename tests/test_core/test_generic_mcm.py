@@ -1,12 +1,71 @@
 """Tests for Algorithms 1 & 2 (Theorem 3.1)."""
 
+import importlib
+
+import numpy as np
 import pytest
 
 from repro.core import generic_mcm, generic_mcm_reference
-from repro.core.generic_mcm import flood_views_program
+from repro.core.generic_mcm import flood_views_array, flood_views_program
 from repro.distributed import Network
-from repro.graphs import Graph, cycle_graph, gnp_random, path_graph
-from repro.matching import Matching, maximum_matching_size
+from repro.distributed.backends import run_program_batched
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    gnp_random,
+    path_graph,
+    star_graph,
+)
+from repro.graphs.graph import forced_index_dtype
+from repro.matching import greedy_maximal_matching, maximum_matching_size
+
+# The module, not the ``repro.core.generic_mcm`` function it exports.
+FLOOD = importlib.import_module("repro.core.generic_mcm")
+
+
+def _flood_shapes() -> dict[str, Graph]:
+    with forced_index_dtype(np.int64):
+        wide = gnp_random(24, 0.15, seed=4)
+    assert wide.index_dtype == np.int64
+    return {
+        "empty": Graph(0, []),
+        "single": Graph(1, []),
+        "isolated": Graph(6, [(1, 4)]),
+        "path": path_graph(7),
+        "star": star_graph(7),
+        "cycle": cycle_graph(9),
+        "k6": complete_graph(6),
+        "two_components": Graph(
+            9, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (6, 7), (7, 8)]
+        ),
+        "gnp_int64": wide,
+    }
+
+
+FLOOD_SHAPES = _flood_shapes()
+
+
+def _flood(g, backend, depth, keep_views, max_rounds=1_000_000):
+    # A maximal matching, so matched and free flags mix in the views.
+    mates = greedy_maximal_matching(g).mate_array().tolist()
+    return run_program_batched(
+        g,
+        backend=backend,
+        generator_program=flood_views_program,
+        batched_array_program=flood_views_array,
+        params={"depth": depth, "mates": mates, "keep_views": keep_views},
+        seeds=[0],
+        max_rounds=max_rounds,
+    )[0]
+
+
+def _outcome(run):
+    """A run's result, or its budget error's message."""
+    try:
+        return run()
+    except RuntimeError as exc:
+        return str(exc)
 
 
 class TestFlooding:
@@ -51,6 +110,51 @@ class TestFlooding:
         # Theorem 3.1: messages O(|V|+|E|) — each record ~O(log n) bits.
         per_record = 3 + 2 * 7 + 8  # flags + 2 ids + tag, loose
         assert res.max_message_bits <= (g.n + g.m) * per_record
+
+
+class TestArrayFloodIdentity:
+    """The layered array flood against the generator reference.
+
+    ``FLOOD_CELLS`` of 1 and 7 force blocks of one and of a few sources;
+    the default runs every shape here as one block.
+    """
+
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    @pytest.mark.parametrize("shape", sorted(FLOOD_SHAPES))
+    def test_run_result_equals_generator(self, monkeypatch, shape, cells):
+        if cells is not None:
+            monkeypatch.setattr(FLOOD, "FLOOD_CELLS", cells)
+        g = FLOOD_SHAPES[shape]
+        for depth in range(8):
+            for keep_views in (True, False):
+                want = _flood(g, "generator", depth, keep_views)
+                got = _flood(g, "array", depth, keep_views)
+                assert got == want, (depth, keep_views)
+
+    @pytest.mark.parametrize("shape", sorted(FLOOD_SHAPES))
+    def test_round_budget(self, monkeypatch, shape):
+        monkeypatch.setattr(FLOOD, "FLOOD_CELLS", 7)
+        g = FLOOD_SHAPES[shape]
+        for depth in (0, 1, 3):
+            for budget in (depth, depth + 1):
+                want, got = (
+                    _outcome(lambda: _flood(g, backend, depth, False, budget))
+                    for backend in ("generator", "array")
+                )
+                assert got == want, (depth, budget)
+                # The final resume needs one round past the flood.
+                assert isinstance(want, str) == (budget == depth and g.n > 0)
+
+    def test_generic_mcm_round_budget(self):
+        g = FLOOD_SHAPES["gnp_int64"]
+        for budget in range(9):
+            want, got = (
+                _outcome(lambda: generic_mcm(
+                    g, k=2, seed=1, max_rounds=budget, backend=backend
+                )[1].result)
+                for backend in ("generator", "array")
+            )
+            assert got == want, budget
 
 
 class TestApproximation:
