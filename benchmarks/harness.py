@@ -1,6 +1,7 @@
-"""The shared entry point of the ``bench_s*.py`` perf scripts.
+"""The shared entry point of every bench: the ``bench_s*.py`` perf
+scripts and ``bench_claims.py``, the paper's claims.
 
-Each script declares its cells plus ``run(quick) -> data``,
+Each script declares its cells or rows plus ``run(quick) -> data``,
 ``show(data)`` and ``gate(data) -> list[str]``, and hands them to
 :func:`main`::
 

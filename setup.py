@@ -1,6 +1,7 @@
 """Legacy setup shim: enables `pip install -e .` on environments whose
 setuptools predates PEP-660 editable wheels (no `wheel` package needed).
-All real metadata lives in pyproject.toml."""
+It declares no metadata of its own: setuptools' automatic discovery
+finds the packages under `src/`."""
 
 from setuptools import setup
 

@@ -13,8 +13,6 @@ from repro.analysis.runner import (
     PartialArtifactError,
     cell_seeds,
     load_artifact,
-    repeat,
-    sweep,
 )
 from repro.analysis.scenarios import (
     ALGORITHMS,
@@ -34,10 +32,9 @@ from repro.analysis.stats import (
     doubling_ratios,
     log_fit,
     mean_ci,
-    summarize,
 )
 from repro.analysis.switch_curves import batched_load_curve, batched_point
-from repro.analysis.tables import format_series, format_table, print_banner
+from repro.analysis.tables import format_table, print_banner
 
 __all__ = [
     "ExperimentResult",
@@ -45,8 +42,6 @@ __all__ = [
     "PartialArtifactError",
     "cell_seeds",
     "load_artifact",
-    "repeat",
-    "sweep",
     "ALGORITHMS",
     "ARRAY_PORTED",
     "SCENARIOS",
@@ -60,10 +55,8 @@ __all__ = [
     "doubling_ratios",
     "log_fit",
     "mean_ci",
-    "summarize",
     "batched_load_curve",
     "batched_point",
-    "format_series",
     "format_table",
     "print_banner",
 ]

@@ -149,13 +149,12 @@ def render_markdown(
         table(weighted),
         "```",
         "",
-        "Full claim-by-claim evidence: run the paper benches by path, "
-        "e.g. `PYTHONPATH=src python -m pytest "
-        "benchmarks/bench_e1_generic_mcm.py` (likewise every "
-        "`bench_e*`/`bench_a*`/`bench_f*` file), and the subsystem perf "
-        "benches as scripts, e.g. `PYTHONPATH=src python "
-        "benchmarks/bench_s3_backends.py --quick --check` (likewise "
-        "`bench_s4`–`bench_s10`).",
+        "Full claim-by-claim evidence: `PYTHONPATH=src python "
+        "benchmarks/bench_claims.py --check` runs and gates every paper "
+        "claim (committed run: `benchmarks/results/claims.json`); the "
+        "subsystem perf benches run the same way, e.g. `PYTHONPATH=src "
+        "python benchmarks/bench_s3_backends.py --quick --check` "
+        "(likewise `bench_s4`–`bench_s10`).",
         "",
     ]
     return "\n".join(parts)

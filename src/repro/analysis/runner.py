@@ -37,10 +37,6 @@ list.  That is the seam through which seed-axis batched execution
 harness: a batch-aware fn can run its chunk as one vectorized
 execution, and a correct one returns records byte-identical to the
 per-seed mode.
-
-The module-level :func:`repeat` / :func:`sweep` are thin sequential
-wrappers kept for compatibility with the existing benchmarks; they
-accept lambdas/closures (nothing is pickled on the 1-worker path).
 """
 
 from __future__ import annotations
@@ -552,27 +548,3 @@ def load_artifact(
             )
     return out
 
-
-def repeat(
-    fn: Callable[[int], dict[str, float]],
-    seeds: Iterable[int],
-    params: dict[str, Any] | None = None,
-) -> ExperimentResult:
-    """Run ``fn(seed)`` for each seed, collecting its measurement dicts.
-
-    Compatibility wrapper over the in-process :class:`ParallelRunner`.
-    """
-    return ParallelRunner(workers=1).repeat(fn, seeds, params)
-
-
-def sweep(
-    fn: Callable[..., dict[str, float]],
-    points: Iterable[dict[str, Any]],
-    seeds: Iterable[int],
-) -> list[ExperimentResult]:
-    """Full sweep: for each parameter point, repeat over seeds.
-
-    ``fn`` is called as ``fn(seed=s, **point)``.  Compatibility wrapper
-    over the in-process :class:`ParallelRunner`.
-    """
-    return ParallelRunner(workers=1).sweep(fn, points, seeds=list(seeds))

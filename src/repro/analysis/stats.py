@@ -27,17 +27,6 @@ def mean_ci(values: list[float], z: float = 1.96) -> tuple[float, float]:
     return float(arr.mean()), half
 
 
-def summarize(values: list[float]) -> dict[str, float]:
-    """Mean, min, max, and CI half-width in one dict."""
-    mean, half = mean_ci(values)
-    return {
-        "mean": mean,
-        "ci95": half,
-        "min": float(min(values)),
-        "max": float(max(values)),
-    }
-
-
 def log_fit(ns: list[float], ys: list[float]) -> dict[str, float]:
     """Least squares ``y ≈ a·log₂(n) + b``; returns a, b and R²."""
     if len(ns) != len(ys) or len(ns) < 2:

@@ -34,11 +34,3 @@ def format_table(
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_series(label: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """One-line series rendering: ``label: x1->y1  x2->y2 ...``."""
-    parts = []
-    for x, y in zip(xs, ys):
-        ystr = format(y, ".3g") if isinstance(y, float) else str(y)
-        parts.append(f"{x}->{ystr}")
-    return f"{label}: " + "  ".join(parts)

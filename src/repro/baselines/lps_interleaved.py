@@ -16,10 +16,10 @@ are mutually consistent and heavier edges win locally.
 
 Phases are not pre-scheduled per class, so the total round count
 behaves like Israeli–Itai's O(log n) rather than O(log W · log n);
-bench A4 measures both that and the quality difference.  We make no
-sharper claim than the measured ≥ ¼-style behaviour (the exact [18]
-analysis does not transfer verbatim to this simplification — see the
-bench's printed comparison).
+claim A4 of ``benchmarks/bench_claims.py`` measures both that and the
+quality difference.  We make no sharper claim than the measured
+≥ ¼-style behaviour (the exact [18] analysis does not transfer
+verbatim to this simplification — see A4's rows).
 
 Two executable forms: :func:`lps_interleaved_program` is the generator
 spec, :func:`lps_interleaved_array` the array program over a lane axis

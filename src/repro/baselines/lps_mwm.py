@@ -24,8 +24,8 @@ O(log n) rounds; we run classes sequentially, costing O(log W · log n)
 simulated rounds.  Algorithm 5's *quality* analysis only needs the
 constant δ, so the reproduction of Theorem 4.5's approximation
 behaviour is unaffected; its round counts carry the extra log W
-factor, which bench A4 (``benchmarks/bench_a4_lps_interleaving.py``)
-measures against the interleaved variant.
+factor, which claim A4 of ``benchmarks/bench_claims.py`` measures
+against the interleaved variant.
 
 The protocol is fully lockstep: every node executes exactly
 ``num_classes × phases_per_class × 3`` rounds, idling where it has

@@ -659,6 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if _bad_flags((args.seed >= 0, f"--seed must be >= 0, got {args.seed}")):
+        return 1
     return args.fn(args)
 
 

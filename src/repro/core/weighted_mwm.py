@@ -177,7 +177,8 @@ def weighted_mwm(
     box:
         δ-MWM black box: ``"sequential"`` (provable quality,
         O(log W · log n) rounds) or ``"interleaved"`` (the O(log n)
-        variant of [18]'s interleaving — bench A4 compares them).
+        variant of [18]'s interleaving — claims A4 and E4 of
+        ``benchmarks/bench_claims.py`` compare them).
     backend:
         Execution engine (``"generator"`` or ``"array"``).  With the
         sequential box and no ``check_lemma41``, ``"array"`` runs

@@ -5,28 +5,27 @@ import math
 import pytest
 
 from repro.analysis import (
+    ParallelRunner,
     doubling_ratios,
-    format_series,
     format_table,
     log_fit,
     mean_ci,
     print_banner,
-    repeat,
-    summarize,
-    sweep,
 )
 
 
 class TestRunner:
     def test_repeat_collects_records(self):
-        res = repeat(lambda s: {"x": float(s)}, seeds=range(4))
+        res = ParallelRunner(workers=1).repeat(
+            lambda s: {"x": float(s)}, seeds=range(4)
+        )
         assert res.column("x") == [0.0, 1.0, 2.0, 3.0]
         assert res.mean("x") == 1.5
         assert res.min("x") == 0.0
         assert res.max("x") == 3.0
 
     def test_sweep_crosses_points_and_seeds(self):
-        results = sweep(
+        results = ParallelRunner(workers=1).sweep(
             lambda seed, n: {"v": float(seed + n)},
             points=[{"n": 10}, {"n": 20}],
             seeds=[1, 2],
@@ -49,11 +48,6 @@ class TestStats:
     def test_mean_ci_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_ci([])
-
-    def test_summarize_keys(self):
-        s = summarize([1.0, 2.0, 3.0])
-        assert set(s) == {"mean", "ci95", "min", "max"}
-        assert s["mean"] == 2.0
 
     def test_log_fit_recovers_coefficients(self):
         ns = [16, 32, 64, 128, 256]
@@ -87,10 +81,6 @@ class TestTables:
     def test_format_table_empty_rows(self):
         out = format_table(["x"], [])
         assert "x" in out
-
-    def test_format_series(self):
-        out = format_series("rounds", [10, 20], [1.5, 3.0])
-        assert out == "rounds: 10->1.5  20->3"
 
     def test_print_banner_smoke(self, capsys):
         print_banner("E1", "something holds")

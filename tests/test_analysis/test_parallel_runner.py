@@ -1,4 +1,4 @@
-"""ParallelRunner: determinism across worker counts, artifacts, wrappers.
+"""ParallelRunner: determinism across worker counts, artifacts, 1-worker path.
 
 The cell functions live at module level because the >1-worker path
 pickles them into the pool.
@@ -13,8 +13,6 @@ from repro.analysis import (
     ParallelRunner,
     cell_seeds,
     load_artifact,
-    repeat,
-    sweep,
 )
 
 
@@ -123,22 +121,26 @@ class TestArtifacts:
 
 class TestCompatibilityWrappers:
     def test_repeat_matches_direct_loop(self):
-        """The wrapper must reproduce the seed-state behavior the golden
-        tests (tests/test_golden.py) pin down: fn called once per seed,
-        in order, records appended verbatim."""
-        res = repeat(measure, seeds=range(5))
+        """The 1-worker path must reproduce the seed-state behavior the
+        golden tests (tests/test_golden.py) pin down: fn called once per
+        seed, in order, records appended verbatim."""
+        res = ParallelRunner(workers=1).repeat(measure, seeds=range(5))
         assert res.records == [measure(s) for s in range(5)]
         assert res.params == {}
 
     def test_sweep_matches_direct_loops(self):
-        res = sweep(measure_point, points=[{"n": 10}, {"n": 20}], seeds=[1, 2])
+        res = ParallelRunner(workers=1).sweep(
+            measure_point, points=[{"n": 10}, {"n": 20}], seeds=[1, 2]
+        )
         assert [r.params for r in res] == [{"n": 10}, {"n": 20}]
         assert res[0].records == [measure_point(seed=s, n=10) for s in (1, 2)]
         assert res[1].records == [measure_point(seed=s, n=20) for s in (1, 2)]
 
     def test_wrappers_accept_lambdas(self):
         # The 1-worker path must not pickle.
-        res = repeat(lambda s: {"x": float(s)}, seeds=range(3))
+        res = ParallelRunner(workers=1).repeat(
+            lambda s: {"x": float(s)}, seeds=range(3)
+        )
         assert res.column("x") == [0.0, 1.0, 2.0]
 
 

@@ -1,13 +1,15 @@
 """The shared bench harness and the committed bench artifacts.
 
 ``benchmarks/harness.py`` owns the CLI, the exit-2 gate report and the
-cell lookup of every ``bench_s*.py`` perf script; these tests pin that
-contract with stub benches, and pin every committed
-``benchmarks/results/s*.json`` to its own script's ``gate``.
+cell lookup of every bench script; these tests pin that contract with
+stub benches, pin every committed ``benchmarks/results/*.json`` to its
+own script's ``gate``, and check that the claims gate recomputes its
+rows instead of trusting them.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 from pathlib import Path
@@ -18,6 +20,7 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 #: Every harness-driven bench; ``results/<name>.json`` is its full run.
 BENCHES = [
+    "claims",
     "s3_backends",
     "s4_batched",
     "s5_weighted",
@@ -96,3 +99,37 @@ def test_committed_result_passes_its_gate(load, name):
     bench = load(f"bench_{name}")
     data = json.loads((BENCH_DIR / "results" / f"{name}.json").read_text())
     assert bench.gate(data) == []
+
+
+@pytest.fixture(scope="module")
+def committed_claims():
+    return json.loads((BENCH_DIR / "results" / "claims.json").read_text())
+
+
+def test_claims_gate_recomputes_each_row(load, committed_claims):
+    # A gate that trusts the stored "ok" would pass this copy.
+    data = copy.deepcopy(committed_claims)
+    row = next(r for r in data["rows"]
+               if r["claim"] == "E3" and r["quantity"] == "iterations used")
+    assert row["op"] == "<=" and row["ok"] is True
+    row["measured"] = row["bound"] + 1
+    failures = load("bench_claims").gate(data)
+    assert len(failures) == 1
+    assert failures[0].startswith("E3 iterations used ")
+
+
+def test_claims_gate_fails_a_claim_without_rows(load, committed_claims):
+    # A gate that only loops over the rows present would pass this copy.
+    data = copy.deepcopy(committed_claims)
+    data["rows"] = [r for r in data["rows"] if r["claim"] != "F1"]
+    assert load("bench_claims").gate(data) == ["F1: no rows in this run"]
+
+
+def test_claims_gate_fails_a_missing_measurement(load, committed_claims):
+    # E6's mean decay over no samples once read as 0.0 and passed.
+    data = copy.deepcopy(committed_claims)
+    row = next(r for r in data["rows"] if r["quantity"] == "mean gap decay")
+    row["measured"] = None
+    failures = load("bench_claims").gate(data)
+    assert len(failures) == 1
+    assert failures[0].startswith("E6 mean gap decay ")

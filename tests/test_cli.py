@@ -234,6 +234,28 @@ class TestCommands:
         assert "unknown algorithm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["bipartite", "general", "generic", "weighted", "baselines", "switch",
+     "scenarios", "lca", "report", "file"],
+)
+def test_negative_seed_is_an_error_line(tmp_path, capsys, command):
+    # Every command once crashed on it (or, for scenarios, failed every
+    # cell) instead of naming the flag.
+    path = tmp_path / "g.txt"
+    write_edgelist(gnp_random(10, 0.3, seed=1), path)
+    flags = {
+        "switch": ["--ports", "4", "--slots", "10"],
+        "scenarios": ["--size", "12", "--repeats", "1", "--family", "comb",
+                      "--algo", "generic_mcm"],
+        "lca": ["--n", "50", "--queries", "10"],
+        "report": ["--out", str(tmp_path / "report.md")],
+        "file": [str(path)],
+    }.get(command, ["--n", "10"])
+    assert main([command, *flags, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
 class TestFileCommand:
     def test_general_on_file(self, tmp_path, capsys):
         g = gnp_random(16, 0.2, seed=1)
