@@ -42,6 +42,7 @@ from repro.distributed.backends import (
     int_payload_bits,
     lane_nonzero,
     replay_acceptor_choices,
+    resolve_backend,
     run_program_batched,
     sorted_csr,
 )
@@ -230,6 +231,7 @@ def lps_interleaved_mwm(
     so the paper's interleaved-matching pipeline runs vectorized end to
     end when ``"array"`` is chosen.
     """
+    resolve_backend(backend)
     if not g.weighted:
         raise ValueError("lps_interleaved_mwm needs a weighted graph")
     if g.m == 0:

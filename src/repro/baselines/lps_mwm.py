@@ -38,8 +38,9 @@ weights polynomial in n).
 Two executable forms: :func:`lps_mwm_program` is the generator spec
 and :func:`lps_mwm_array_batched` the array program, written over a
 lane axis of seeds (it also accepts per-lane weight classes so
-:func:`repro.core.weighted_mwm.weighted_mwm_batched` can run one box
-call per lane over a shared CSR).  ``lps_mwm(..., backend="array")``
+:func:`repro.core.weighted_mwm.weighted_mwm_batched` can run all lanes'
+box calls as one batch over the compact support of their positive
+edges).  ``lps_mwm(..., backend="array")``
 runs the array program as a one-lane batch and :func:`lps_mwm_batched`
 over a whole seed list; every form produces byte-identical
 ``RunResult``s from the same seed.
@@ -54,10 +55,10 @@ import numpy as np
 
 from repro.distributed.backends import (
     BatchedArrayContext,
-    choose_targets,
-    lane_nonzero,
     replay_acceptor_choices,
+    resolve_backend,
     run_program_batched,
+    segment_bounds,
     sorted_csr,
 )
 from repro.distributed.network import Network, RunResult
@@ -119,142 +120,170 @@ def _weight_class_array(
     return np.maximum(j, 0)
 
 
+def _class_pairs(
+    he_cls: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    num_classes: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The usable (lane, half-edge) pairs, partitioned by class in one pass.
+
+    Returns ``(bounds, owner, nbr)``: class ``c``'s pairs are entries
+    ``bounds[c]:bounds[c + 1]`` of ``owner`` and ``nbr``, the flat lane
+    ids (``lane * n + vertex``) of each half-edge's two ends.  A class
+    keeps its pairs in (lane, owner, neighbor id) order, so each
+    owner's candidates form one run, ascending like the generator's
+    ``sorted(active)``.
+    """
+    size = indptr.size - 1
+    sidx, s_nbr = sorted_csr(indptr, indices)
+    cls = he_cls[:, sidx]  # half-edge slots in ascending-neighbor order
+    pairs = np.flatnonzero(cls < num_classes)
+    cls = cls.reshape(-1)[pairs].astype(np.int16)  # classes stay below 2^12
+    pairs = pairs[np.argsort(cls, kind="stable")]  # a radix sort on int16
+    bounds = np.zeros(num_classes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cls, minlength=num_classes), out=bounds[1:])
+    lane, slot = np.divmod(pairs, sidx.size)
+    lane *= size
+    owner = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))[slot]
+    owner += lane
+    nbr = s_nbr[slot]
+    nbr += lane
+    return bounds, owner, nbr
+
+
 def lps_mwm_array_batched(
     ctx: BatchedArrayContext,
     n: int,
-    wmax: float | np.ndarray,
+    wmax: float | None,
     num_classes: int,
     phases_per_class: int,
     he_cls: np.ndarray | None = None,
     lane_degrees: np.ndarray | None = None,
-) -> list[list[int]]:
+) -> np.ndarray:
     """Array program of :func:`lps_mwm_program`, one lane per seed.
 
     The protocol is fully lockstep — every node runs the identical
     ``num_classes × phases_per_class`` schedule of 3-round phases and
     only returns after it — so there is no ``alive`` mask and no
-    termination masking: every resume has all ``n`` nodes of every lane
-    live and counts a round.  SoA state is an ``int64`` ``mate`` column
-    plus a ``dead`` mask of delivered ``_MATCHED`` announcements (a
-    broadcast, so one mask row per lane agrees with every generator
-    node's private ``dead`` set; it flips *after* resume C, landing
-    next phase exactly like the generator's post-yield inbox scan).
-    Coin flips and the two ``choice`` replays are bulk ``ctx.lanes``
-    draws, and the chosen-neighbor selection is one flat rank-select
-    (:func:`~repro.distributed.backends.choose_targets`).  A class with
-    no drawer left in any lane stays drawerless (mate only sets, dead
-    only grows), so its remaining phases fast-forward through
+    termination masking: every resume counts a round with all ``n``
+    nodes of every lane live.  ``n`` is that lockstep node count, which
+    is also what a ``max_rounds`` overrun reports; it may exceed
+    ``ctx.n`` when the batch runs on a relabeled subgraph of the
+    network (nodes outside it idle through the schedule and never
+    draw).  Returns the ``(num_seeds, ctx.n)`` ``int64`` mate array
+    (``-1`` for unmatched), in ``ctx.graph``'s vertex ids.
+
+    State is flat over lane ids (``seed_index * ctx.n + vertex``): a
+    ``mate`` column and a ``dead`` mask of delivered ``_MATCHED``
+    announcements (a broadcast, so one mask row per lane agrees with
+    every generator node's private ``dead`` set; it flips *after*
+    resume C, landing next phase exactly like the generator's
+    post-yield inbox scan).  The usable (lane, half-edge) pairs are
+    partitioned by class once, each vertex's pairs in ascending
+    neighbor order.  A pair stays a candidate while neither end is
+    dead — a node is dead exactly when it is matched, and dead only
+    grows — so every phase first drops the pairs that died, and its
+    remaining work is proportional to the class's live pairs: the
+    drawers are the runs of the (sorted) owner keys, each proposer's
+    ``choice(sorted(active))`` is the drawn offset into its run, and
+    acceptances replay through
+    :func:`~repro.distributed.backends.replay_acceptor_choices` with
+    the proposer flags kept in one scratch mask that is reset where it
+    was set.  Coin flips and the two ``choice`` replays are bulk
+    ``ctx.lanes`` draws.  A class with no live pair left stays that way,
+    so its remaining phases fast-forward through
     :meth:`~repro.distributed.backends.BatchedArrayContext.idle_steps`
     with identical accounting — most of the schedule is that idle tail.
 
     Two extra hooks exist for Algorithm 5's batched pipeline
     (:func:`repro.core.weighted_mwm.weighted_mwm_batched`), where each
-    lane runs the box on its *own* derived-weight subgraph of a shared
-    topology:
+    lane runs the box on its *own* derived-weight subgraph of one
+    shared topology, the compact union of the lanes' positive edges:
 
     * ``he_cls`` — per-lane half-edge classes, shape ``(num_seeds,
-      half_edges)``, CSR-aligned; entries ``>= num_classes`` mark
-      half-edges the lane cannot use (too light, or absent from the
-      lane's subgraph).  Defaults to classifying the shared graph's
-      weights against ``wmax`` (which may be per-lane).
+      half_edges)``, aligned with ``ctx.graph``'s CSR; entries ``>=
+      num_classes`` mark half-edges the lane cannot use (too light, or
+      absent from the lane's subgraph).  Defaults to classifying the
+      graph's weights against ``wmax``, which is read only then.
     * ``lane_degrees`` — per-lane broadcast degrees, shape
-      ``(num_seeds, n)``: the degree of each vertex *in the lane's
+      ``(num_seeds, ctx.n)``: the degree of each vertex *in the lane's
       subgraph* (a ``_MATCHED`` announcement goes to all subgraph
-      neighbors, classed or not).  Defaults to the shared graph's
-      degrees.
+      neighbors, classed or not).  Defaults to the graph's degrees.
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
     indptr, indices = ctx.indptr, ctx.indices
-    _, _, eids = g.adjacency_arrays()
     if he_cls is None:
-        wmax_arr = np.asarray(wmax, dtype=np.float64)
-        if wmax_arr.ndim:  # per-lane wmax against the shared weights
-            he_cls = _weight_class_array(
-                g.weights_array(), wmax_arr.reshape(-1, 1)
-            )[:, eids]
-        else:
-            he_cls = np.broadcast_to(
-                _weight_class_array(g.weights_array(), float(wmax_arr))[eids],
-                (num_seeds, indices.size),
-            )
+        _, _, eids = g.adjacency_arrays()
+        he_cls = np.broadcast_to(
+            _weight_class_array(g.weights_array(), float(wmax))[eids],
+            (num_seeds, indices.size),
+        )
     if lane_degrees is None:
         lane_degrees = np.broadcast_to(g.degrees(), (num_seeds, size))
-    vhe = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    # Ascending-neighbor order per vertex; a proposer's candidate
-    # classes come from its lane's he_cls row via the CSR positions.
-    sidx, s_nbr = sorted_csr(indptr, indices)
-    # (lane, half-edge) pairs of each class, precomputed once.
-    cls_part = [lane_nonzero(he_cls == c) for c in range(num_classes)]
-    mate = np.full((num_seeds, size), -1, dtype=np.int64)
-    dead = np.zeros((num_seeds, size), dtype=bool)
+    class_bounds, owner, nbr = _class_pairs(he_cls, indptr, indices, num_classes)
+    mate = np.full(num_seeds * size, -1, dtype=np.int64)
+    dead = np.zeros(num_seeds * size, dtype=bool)
+    proposing = np.zeros(num_seeds * size, dtype=bool)
     lanes = ctx.lanes
     eight = np.int64(8)
-    all_live = np.full(num_seeds, size, dtype=np.int64)
+    all_live = np.full(num_seeds, n, dtype=np.int64)
     all_yield = np.ones(num_seeds, dtype=bool)
     for cls in range(num_classes):
+        c_own = owner[class_bounds[cls]:class_bounds[cls + 1]]
+        c_nbr = nbr[class_bounds[cls]:class_bounds[cls + 1]]
         for _phase in range(phases_per_class):
             # --- round 1: proposals ----------------------------------
-            rows_c, he_c = cls_part[cls]
-            alive_he = ~dead[rows_c, indices[he_c]]
-            cnt = np.bincount(
-                rows_c[alive_he] * size + vhe[he_c[alive_he]],
-                minlength=num_seeds * size,
-            ).reshape(num_seeds, size)
-            pr_all, pv_all = lane_nonzero((mate == -1) & (cnt > 0))
-            if pr_all.size == 0:
+            live = ~(dead[c_own] | dead[c_nbr])
+            c_own, c_nbr = c_own[live], c_nbr[live]
+            if c_own.size == 0:
                 # No lane has a drawer left in this class (monotone:
-                # mate only sets, dead only grows) — the rest of the
-                # class is idle rounds in every lane, exactly as the
-                # generator executes it.
+                # dead only grows) — the rest of the class is idle
+                # rounds in every lane, exactly as the generator
+                # executes it.
                 ctx.idle_steps(all_live, 3 * (phases_per_class - _phase))
                 break
             ctx.begin_step(all_live)
-            coins = lanes.integers(0, 2, pr_all * size + pv_all)
-            picked = coins == 1
-            pr, pv = pr_all[picked], pv_all[picked]
-            idx = lanes.integers(0, cnt[pr, pv], pr * size + pv)
-            tgt = choose_targets(
-                indptr, s_nbr, sidx, pv, idx,
-                lambda seg, pos, nbr: (
-                    (he_cls[pr[seg], pos] == cls) & ~dead[pr[seg], nbr]
-                ),
-            )
+            runs = segment_bounds(c_own)  # one run per drawer
+            drawers = c_own[runs[:-1]]
+            picked = lanes.integers(0, 2, drawers) == 1
+            prop = drawers[picked]
+            idx = lanes.integers(0, np.diff(runs)[picked], prop)
+            tgt = c_nbr[runs[:-1][picked] + idx]
+            p_rows = prop // size
             ctx.account_groups(
-                np.full(pr.size, eight), np.ones(pr.size, np.int64), pr
+                np.full(prop.size, eight), np.ones(prop.size, np.int64), p_rows
             )
             ctx.end_step(all_yield)
             # --- round 2: accepts ------------------------------------
             ctx.begin_step(all_live)
-            accepted_by = np.full((num_seeds, size), -1, dtype=np.int64)
-            mate_flat = mate.reshape(-1)
-            ignores = mate_flat != -1
-            ignores[pr * size + pv] = True
+            proposing[prop] = True
             acc, chosen = replay_acceptor_choices(
-                lanes, pr * size + tgt, pv, ignores
+                lanes, tgt, prop - p_rows * size, proposing
             )
-            accepted_by.reshape(-1)[acc] = chosen
-            mate_flat[acc] = chosen
+            proposing[prop] = False
+            a_rows = acc // size
             ctx.account_groups(
-                np.full(acc.size, eight), np.ones(acc.size, np.int64),
-                acc // size,
+                np.full(acc.size, eight), np.ones(acc.size, np.int64), a_rows
             )
             ctx.end_step(all_yield)
             # --- round 3: confirm + announce -------------------------
             ctx.begin_step(all_live)
-            succ = accepted_by[pr, tgt] == pv
-            mate[pr[succ], pv[succ]] = tgt[succ]
-            m_rows = np.concatenate((pr[succ], acc // size))
-            m_cols = np.concatenate((pv[succ], acc % size))
+            won = a_rows * size + chosen  # proposers their target accepted
+            mate[acc] = chosen
+            mate[won] = acc - a_rows * size
+            m_flat = np.concatenate((won, acc))
+            m_rows = np.concatenate((a_rows, a_rows))
             ctx.account_groups(
-                np.full(m_rows.size, eight),
-                lane_degrees[m_rows, m_cols],
+                np.full(m_flat.size, eight),
+                lane_degrees[m_rows, m_flat - m_rows * size],
                 m_rows,
             )
             ctx.end_step(all_yield)
-            dead[m_rows, m_cols] = True  # broadcast lands next resume
+            dead[m_flat] = True  # broadcast lands next resume
     ctx.begin_step(all_live)  # final resume: every program returns
-    return [row.tolist() for row in mate]
+    return mate.reshape(num_seeds, size)
 
 
 def lps_mwm_program(
@@ -373,6 +402,7 @@ def lps_mwm_batched(
     return per-seed ``(Matching, RunResult)`` pairs identical to
     ``[lps_mwm(g, seed=s) for s in seeds]``.
     """
+    resolve_backend(backend)
     if not g.weighted:
         raise ValueError("lps_mwm needs a weighted graph")
     if g.m == 0:

@@ -34,11 +34,16 @@ from repro.baselines.lps_mwm import (
     lps_mwm,
     lps_mwm_array_batched,
 )
-from repro.distributed.backends import BatchedArrayBackend
+from repro.distributed.backends import (
+    BatchedArrayBackend,
+    lane_nonzero,
+    resolve_backend,
+    segment_bounds,
+)
 from repro.distributed.network import RunResult
 from repro.graphs.graph import Graph
 from repro.matching.greedy import greedy_mwm
-from repro.matching.matching import Matching, symmetric_mate_vector
+from repro.matching.matching import Matching
 
 #: derived weights below this are treated as non-positive (float noise guard)
 _EPS_W = 1e-12
@@ -74,8 +79,8 @@ def derived_weights_array(g: Graph, mate: np.ndarray) -> np.ndarray:
     """The w_M kernel: mate array in, per-edge derived weights out.
 
     Fully vectorized — no per-edge or per-matched-edge Python loop:
-    the matched-edge mask is ``mate[lo] == hi``, the per-vertex
-    matched weight ``vw`` is one scatter off that mask, and
+    the matched edges are where ``mate[lo] == hi``, the per-vertex
+    matched weight ``vw`` is one scatter off them, and
     ``w_M = w − vw[lo] − vw[hi]`` (0 on matched edges) is the same
     scalar arithmetic as :func:`wrap_gain` for all edges at once.
 
@@ -84,25 +89,18 @@ def derived_weights_array(g: Graph, mate: np.ndarray) -> np.ndarray:
     :func:`weighted_mwm_batched` iterates on.
     """
     mate = np.asarray(mate, dtype=np.int64)
+    lanes = np.atleast_2d(mate)
     lo, hi = g.endpoints_array()
     w = g.weights_array()
-    if mate.ndim == 1:
-        matched = mate[lo] == hi
-        vw = np.zeros(g.n, dtype=np.float64)
-        vw[lo[matched]] = w[matched]
-        vw[hi[matched]] = w[matched]
-        wm = w - vw[lo] - vw[hi]
-        wm[matched] = 0.0
-        return wm
-    num_seeds = mate.shape[0]
-    matched = mate[:, lo] == hi
-    vw = np.zeros((num_seeds, g.n), dtype=np.float64)
-    rows, eidx = np.nonzero(matched)
-    vw[rows, lo[eidx]] = w[eidx]
-    vw[rows, hi[eidx]] = w[eidx]
-    wm = w - vw[:, lo] - vw[:, hi]
-    wm[matched] = 0.0
-    return wm
+    lo_i, hi_i = lo.astype(np.intp), hi.astype(np.intp)
+    rows, eidx = lane_nonzero(np.take(lanes, lo_i, axis=1) == hi)  # matched
+    vw = np.zeros(lanes.shape, dtype=np.float64)
+    flat = vw.reshape(-1)
+    flat[rows * g.n + lo[eidx]] = w[eidx]
+    flat[rows * g.n + hi[eidx]] = w[eidx]
+    wm = w - np.take(vw, lo_i, axis=1) - np.take(vw, hi_i, axis=1)
+    wm[rows, eidx] = 0.0
+    return wm[0] if mate.ndim == 1 else wm
 
 
 def derived_weights(g: Graph, m: Matching) -> list[float]:
@@ -148,6 +146,24 @@ def default_iterations(eps: float, delta: float) -> int:
     return math.ceil(3.0 / (2.0 * delta) * math.log(2.0 / eps))
 
 
+def _iteration_count(eps: float, delta: float, iterations: int | None) -> int:
+    """Check Algorithm 5's parameters; return its iteration count.
+
+    Shared by every entry point: ``0 < eps < 1``, ``0 < delta <= 1``
+    (a δ-MWM box cannot beat w(M*)), and ``iterations`` None (the
+    paper's count, :func:`default_iterations`) or ``>= 0``.
+    """
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    if iterations is None:
+        return default_iterations(eps, delta)
+    if iterations < 0:
+        raise ValueError(f"iterations must be None or >= 0, got {iterations}")
+    return iterations
+
+
 def weighted_mwm(
     g: Graph,
     eps: float = 0.1,
@@ -190,17 +206,15 @@ def weighted_mwm(
     """
     if box not in ("sequential", "interleaved"):
         raise ValueError(f"unknown box {box!r}")
+    resolve_backend(backend)
     if not g.weighted:
         raise ValueError("weighted_mwm needs a weighted graph")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+    iterations = _iteration_count(eps, delta, iterations)
     if backend == "array" and box == "sequential" and not check_lemma41:
         return weighted_mwm_batched(
             g, [seed], eps=eps, delta=delta, iterations=iterations,
             adaptive=adaptive, max_rounds=max_rounds,
         )[0]
-    if iterations is None:
-        iterations = default_iterations(eps, delta)
     seq = np.random.SeedSequence(seed)
     m = Matching(g)
     total = RunResult()
@@ -246,6 +260,41 @@ def weighted_mwm(
     return m, total, it
 
 
+def _support_box(
+    g: Graph, wm: np.ndarray, pos: np.ndarray, num_classes: int
+) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
+    """The box lanes' compact support and their per-lane masks.
+
+    ``wm`` and ``pos`` are the box lanes' derived weights and
+    positive-edge masks, one row per lane.  Returns ``(sub, verts,
+    he_cls, lane_degrees)``: ``sub`` is the union of the lanes'
+    positive edges on their endpoints ``verts``
+    (:meth:`~repro.graphs.graph.Graph.support_subgraph`).  Each
+    positive (lane, edge) pair gets its lane's weight class, gathered
+    to ``sub``'s half-edges; a support edge a lane does not have keeps
+    the sentinel ``num_classes``.  A lane's broadcast degrees count
+    its own positive edges.  (A function of its own so that the
+    per-pair arrays are freed before the box runs.)
+    """
+    rows, eidx = lane_nonzero(pos)
+    in_support = np.zeros(g.m, dtype=bool)
+    in_support[eidx] = True
+    support = np.flatnonzero(in_support)
+    sub, verts = g.support_subgraph(support)
+    col = (np.cumsum(in_support) - 1)[eidx]  # each pair's support edge
+    pw = wm[rows, eidx]
+    wmax = np.maximum.reduceat(pw, segment_bounds(rows)[:-1])
+    cls = np.full((pos.shape[0], support.size), num_classes, dtype=np.int16)
+    cls[rows, col] = _weight_class_array(pw, wmax[rows])
+    s_lo, s_hi = sub.endpoints_array()
+    size = pos.shape[0] * verts.size
+    lane_degrees = (
+        np.bincount(rows * verts.size + s_lo[col], minlength=size)
+        + np.bincount(rows * verts.size + s_hi[col], minlength=size)
+    ).reshape(pos.shape[0], verts.size)
+    return sub, verts, cls[:, sub.adjacency_arrays()[2]], lane_degrees
+
+
 def weighted_mwm_batched(
     g: Graph,
     seeds: Sequence[int],
@@ -261,11 +310,20 @@ def weighted_mwm_batched(
     ``(num_seeds, n)`` mate state in one kernel call, and all lanes'
     black-box calls execute as a *single*
     :class:`~repro.distributed.backends.BatchedArrayBackend` run of
-    :func:`~repro.baselines.lps_mwm.lps_mwm_array_batched` over the
-    shared CSR — each lane masked to its own derived-weight subgraph
-    through per-lane half-edge classes and broadcast degrees.  Lanes
-    whose derived weights are all non-positive skip the box exactly as
-    the scalar loop does (and stop outright under ``adaptive``).
+    :func:`~repro.baselines.lps_mwm.lps_mwm_array_batched`.  Only edges
+    of positive derived weight can enter M′, so the box runs on their
+    *support*: the union over the box lanes of those edges, on just
+    their endpoints, relabeled in ascending order
+    (:meth:`~repro.graphs.graph.Graph.support_subgraph`).  Each lane is
+    masked to its own derived-weight subgraph of that support through
+    per-lane half-edge classes and broadcast degrees; its RNG lanes are
+    keyed by the original node ids, and its lockstep live count is
+    ``g.n`` — the nodes left out have no usable edge, so in the
+    generator run they only idle and never draw.  After the first
+    iteration the support is a small fraction of the graph, and the
+    box's cost follows it.  Lanes whose derived weights are all
+    non-positive skip the box exactly as the scalar loop does (and
+    stop outright under ``adaptive``).
 
     Returns one ``(matching, metrics, iterations_executed)`` triple per
     seed, byte-identical to ``[weighted_mwm(g, seed=s, ...) for s in
@@ -274,18 +332,17 @@ def weighted_mwm_batched(
     """
     if not g.weighted:
         raise ValueError("weighted_mwm_batched needs a weighted graph")
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if iterations is None:
-        iterations = default_iterations(eps, delta)
+    iterations = _iteration_count(eps, delta, iterations)
     num_seeds = len(seeds)
     n = g.n
     seqs = [np.random.SeedSequence(int(s)) for s in seeds]
     mate = np.full((num_seeds, n), -1, dtype=np.int64)
-    totals = [RunResult() for _ in seeds]
+    # per-lane RunResult counters, accumulated across box calls
+    rounds, messages, bits, peak, charged = np.zeros(
+        (5, num_seeds), dtype=np.int64
+    )
     its = np.zeros(num_seeds, dtype=np.int64)
     running = np.ones(num_seeds, dtype=bool)
-    indptr, _, eids = g.adjacency_arrays()
     num_classes = phases_per_class = 0
     if g.m:  # loop-invariant box parameters (edgeless graphs never box)
         box_params = _lps_params(g, None, None)
@@ -296,11 +353,10 @@ def weighted_mwm_batched(
         if act.size == 0:
             break
         wm = derived_weights_array(g, mate[act])
-        for s in act.tolist():
-            totals[s].charged_rounds += 1
-            totals[s].total_messages += 2 * g.m
+        charged[act] += 1
+        messages[act] += 2 * g.m
         its[act] = it
-        pos = wm > _EPS_W
+        pos = wm > _EPS_W  # only these edges can enter M'
         has_gain = pos.any(axis=1)
         if adaptive:
             stopped = act[~has_gain]
@@ -308,57 +364,42 @@ def weighted_mwm_batched(
             running[stopped] = False
         if not has_gain.any():
             continue
-        box_rows = np.flatnonzero(has_gain)  # rows of wm / act
-        box_lanes = act[box_rows]  # global seed indices
+        box_lanes = act[has_gain]  # global seed indices
         # Spawn box seeds only for lanes that actually run the box —
         # the scalar loop spawns after its empty-keep check.
         box_seeds = [
             int(seqs[s].spawn(1)[0].generate_state(1)[0])
             for s in box_lanes.tolist()
         ]
-        wm_box = wm[box_rows]
-        pos_box = pos[box_rows]
-        wmax = np.where(pos_box, wm_box, -np.inf).max(axis=1)
-        # Per-lane masked box: classes from each lane's derived
-        # weights, sentinel num_classes on absent (non-positive) edges;
-        # broadcast degrees count the lane's present edges.
-        wm_he = wm_box[:, eids]
-        present = pos_box[:, eids]
-        safe = np.where(present, wm_he, wmax[:, None])
-        he_cls = np.where(
-            present, _weight_class_array(safe, wmax[:, None]), num_classes
+        sub, verts, he_cls, lane_degrees = _support_box(
+            g, wm[has_gain], pos[has_gain], num_classes
         )
-        csum = np.concatenate(
-            [
-                np.zeros((box_rows.size, 1), dtype=np.int64),
-                np.cumsum(present, axis=1, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        lane_degrees = csum[:, indptr[1:]] - csum[:, indptr[:-1]]
         net = BatchedArrayBackend(
-            g,
+            sub,
             lps_mwm_array_batched,
             params={
                 "n": n,
-                "wmax": wmax,
+                "wmax": None,
                 "num_classes": num_classes,
                 "phases_per_class": phases_per_class,
                 "he_cls": he_cls,
                 "lane_degrees": lane_degrees,
             },
             seeds=box_seeds,
+            node_ids=verts,
         )
-        results = net.run(max_rounds=max_rounds)
-        pmat = np.empty((box_rows.size, n), dtype=np.int64)
-        for row, res in enumerate(results):
-            totals[int(box_lanes[row])] = totals[int(box_lanes[row])].merge(res)
-            totals[int(box_lanes[row])].charged_rounds += 2
-            pmat[row] = symmetric_mate_vector(n, res.outputs)
+        for row, res in enumerate(net.run(max_rounds=max_rounds)):
+            s = box_lanes[row]
+            rounds[s] += res.rounds
+            messages[s] += res.total_messages
+            bits[s] += res.total_bits
+            peak[s] = max(peak[s], res.max_message_bits)
+        charged[box_lanes] += 2
         # Bulk wrap-augmentation, every lane at once: evict the wrap
         # endpoints' old partners, then install the M' edges.
-        rr, vv = np.nonzero(pmat > np.arange(n))
-        uu = pmat[rr, vv]
+        rr, cc = np.nonzero(net.outputs > np.arange(verts.size))
+        vv = verts[cc]
+        uu = verts[net.outputs[rr, cc]]
         gl = box_lanes[rr]
         if (mate[gl, vv] == uu).any():
             raise ValueError("M' must be disjoint from M")
@@ -369,13 +410,21 @@ def weighted_mwm_batched(
             flat[gl[keep_old] * n + old[keep_old]] = -1
         flat[gl * n + vv] = uu
         flat[gl * n + uu] = vv
-    out = []
-    for s in range(num_seeds):
-        totals[s].outputs = dict(enumerate(mate[s].tolist()))
-        out.append(
-            (Matching.from_mate_array(g, mate[s]), totals[s], int(its[s]))
+    return [
+        (
+            Matching.from_mate_array(g, mate[s]),
+            RunResult(
+                rounds=int(rounds[s]),
+                total_messages=int(messages[s]),
+                total_bits=int(bits[s]),
+                max_message_bits=int(peak[s]),
+                outputs=dict(enumerate(mate[s].tolist())),
+                charged_rounds=int(charged[s]),
+            ),
+            int(its[s]),
         )
-    return out
+        for s in range(num_seeds)
+    ]
 
 
 def weighted_mwm_reference(
@@ -393,8 +442,7 @@ def weighted_mwm_reference(
     """
     if not g.weighted:
         raise ValueError("weighted_mwm_reference needs a weighted graph")
-    if iterations is None:
-        iterations = default_iterations(eps, delta)
+    iterations = _iteration_count(eps, delta, iterations)
     m = Matching(g)
     it = 0
     for it in range(1, iterations + 1):

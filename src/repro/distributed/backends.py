@@ -31,9 +31,11 @@ its round loop and reports everything observable through the context:
 * ``ctx.lanes`` — per-(seed, node) RNG streams
   (:class:`~repro.distributed.batch_rng.LaneRngs`): lane ``s * n + v``
   replicates, bit for bit, the RNG the generator engine hands node
-  ``v`` under ``seeds[s]``.  For seed identity a program must make the
-  *same draws on the same per-node streams* as its generator program;
-  a resume's draws for every lane are one bulk call.
+  ``v`` under ``seeds[s]`` — node ``node_ids[v]`` when the batch runs
+  on a relabeled subgraph (see :class:`BatchedArrayBackend`).  For
+  seed identity a program must make the *same draws on the same
+  per-node streams* as its generator program; a resume's draws for
+  every lane are one bulk call.
 * ``ctx.begin_step(live)`` — top of one lockstep resume: ``live[s]`` is
   seed ``s``'s live-node count, and the generator engine's budget
   ``RuntimeError`` is raised when a seed with live nodes is out of
@@ -93,8 +95,9 @@ GeneratorBackend = Network
 
 #: An array program: drives its own round loop through a
 #: :class:`BatchedArrayContext`; state carries a leading seed (lane)
-#: axis and outputs are returned per seed.
-LaneProgram = Callable[..., "Sequence[Sequence[Any]] | None"]
+#: axis and outputs are returned per seed (per-node lists, or one
+#: ``(num_seeds, n)`` array).
+LaneProgram = Callable[..., "Sequence[Sequence[Any]] | np.ndarray | None"]
 
 
 @runtime_checkable
@@ -314,6 +317,7 @@ class BatchedArrayContext:
         "faults",
         "_limit",
         "_seeds",
+        "_node_ids",
         "_lanes",
         "_rounds",
         "_messages",
@@ -333,6 +337,7 @@ class BatchedArrayContext:
         limit: int | None,
         max_rounds: int,
         faults: "list[FaultState | None] | None" = None,
+        node_ids: np.ndarray | None = None,
     ) -> None:
         self.graph = graph
         self.n = graph.n
@@ -344,6 +349,7 @@ class BatchedArrayContext:
         self.faults = faults
         self._limit = limit
         self._seeds = list(seeds)
+        self._node_ids = node_ids
         self._lanes: LaneRngs | None = None
         self._rounds = np.zeros(self.num_seeds, dtype=np.int64)
         self._messages = np.zeros(self.num_seeds, dtype=np.int64)
@@ -366,10 +372,11 @@ class BatchedArrayContext:
         """Per-(seed, node) RNG lanes, spawned on first access.
 
         Lane ``s * n + v`` is byte-identical to the RNG the generator
-        engine hands node ``v`` under ``seeds[s]``.
+        engine hands node ``v`` (node ``node_ids[v]`` when given) under
+        ``seeds[s]``.
         """
         if self._lanes is None:
-            self._lanes = LaneRngs(self._seeds, self.n)
+            self._lanes = LaneRngs(self._seeds, self.n, self._node_ids)
         return self._lanes
 
     @property
@@ -481,9 +488,11 @@ class BatchedArrayContext:
         self._rounds += count
 
     def finalize(
-        self, outputs: Sequence[Sequence[Any]] | None
+        self, outputs: Sequence[Sequence[Any]] | np.ndarray | None
     ) -> list[RunResult]:
         """Materialize one :class:`RunResult` per seed."""
+        if isinstance(outputs, np.ndarray):
+            outputs = outputs.tolist()
         return [
             RunResult(
                 rounds=int(self._rounds[s]),
@@ -581,6 +590,15 @@ class BatchedArrayBackend:
         loop, so the fault seam is inside it — see the Israeli–Itai
         fault core); bounded message *delay* is generator-engine-only
         and rejected here.
+    node_ids:
+        The node id each vertex of ``graph`` stands for, when ``graph``
+        is a relabeled subgraph of the network the generator run sees
+        (``int64[graph.n]``; default: the identity).  Lane ``s *
+        graph.n + v`` then replays node ``node_ids[v]``'s RNG stream,
+        so a program may run on just the vertices that act — e.g.
+        Algorithm 5's box on the lanes' positive-edge support — and
+        still draw what the full-graph nodes would.  Nodes left out
+        must never draw in the generator program.
     """
 
     def __init__(
@@ -591,6 +609,7 @@ class BatchedArrayBackend:
         seeds: Sequence[int] = (0,),
         model: Model = LOCAL,
         faults: FaultPlan | None = None,
+        node_ids: np.ndarray | None = None,
     ) -> None:
         self.graph = graph
         self.model = model
@@ -599,6 +618,10 @@ class BatchedArrayBackend:
         self._program = program
         self._params = params or {}
         self.results: list[RunResult] | None = None
+        #: the program's own return value, as it returned it (e.g. a
+        #: ``(num_seeds, n)`` array a caller can use without the
+        #: per-node dicts of :attr:`results`).
+        self.outputs: Any = None
         fstates = (
             bind_many(faults, graph, self.seeds) if faults is not None else None
         )
@@ -606,14 +629,15 @@ class BatchedArrayBackend:
             _check_fault_support(program, faults)
         self._ctx = BatchedArrayContext(
             graph, self.seeds, model, self._limit, 0, faults=fstates,
+            node_ids=node_ids,
         )
 
     def run(self, max_rounds: int = 1_000_000) -> list[RunResult]:
         """Execute the batched program to completion (idempotent)."""
         if self.results is None:
             self._ctx.max_rounds = max_rounds
-            outputs = self._program(self._ctx, **self._params)
-            self.results = self._ctx.finalize(outputs)
+            self.outputs = self._program(self._ctx, **self._params)
+            self.results = self._ctx.finalize(self.outputs)
         return self.results
 
 

@@ -34,10 +34,11 @@ a NumPy build with a diverging stream fails loudly instead of
 corrupting batched results.
 
 The public surface is :class:`LaneRngs` — construct with the batch's
-seed list and the vertex count, then call :meth:`LaneRngs.integers`
-with flat lane ids (``seed_index * n + vertex``).  One draw per lane
-per call, matching one ``rng.integers(...)`` / ``rng.choice(...)``
-call in the scalar program.
+seed list and the vertex count (plus, optionally, the node id each
+vertex index stands for), then call :meth:`LaneRngs.integers` with flat
+lane ids (``seed_index * n + vertex``).  One draw per lane per call,
+matching one ``rng.integers(...)`` / ``rng.choice(...)`` call in the
+scalar program.
 """
 
 from __future__ import annotations
@@ -160,10 +161,15 @@ def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class LaneRngs:
     """``num_seeds × n`` independent PCG64 streams, advanced in bulk.
 
-    Lane ``s * n + v`` replicates — bit for bit — the stream of
-    ``np.random.default_rng(np.random.SeedSequence(seeds[s]).spawn(n)[v])``,
-    i.e. exactly the RNG :class:`~repro.distributed.network.Network`
-    hands node ``v`` when run with ``seed=seeds[s]``.
+    Lane ``s * n + c`` is seed ``s``'s stream of node ``node_ids[c]``:
+    it replicates — bit for bit — the stream of
+    ``np.random.default_rng(np.random.SeedSequence(seeds[s]).spawn(N)[node_ids[c]])``
+    for any ``N > max(node_ids)``, i.e. exactly the RNG
+    :class:`~repro.distributed.network.Network` hands node
+    ``node_ids[c]`` when run with ``seed=seeds[s]``.  ``node_ids``
+    defaults to ``arange(n)``; a batch over a relabeled subgraph passes
+    the original id of each compact vertex, so its lanes draw what the
+    full-graph nodes would (nodes left out are simply never spawned).
 
     All state lives in flat ``uint64`` arrays (LCG hi/lo, increment
     hi/lo, and the one-word 32-bit buffer PCG64 keeps between 32-bit
@@ -173,13 +179,26 @@ class LaneRngs:
 
     __slots__ = ("num_seeds", "n", "_sh", "_sl", "_ih", "_il", "_buf", "_has_buf")
 
-    def __init__(self, seeds: Sequence[int], n: int) -> None:
+    def __init__(
+        self,
+        seeds: Sequence[int],
+        n: int,
+        node_ids: np.ndarray | None = None,
+    ) -> None:
         verify_replication()
         self.num_seeds = len(seeds)
         self.n = n
         lanes = self.num_seeds * n
         vals = np.empty((lanes, 4), dtype=U64)
-        spawn_keys = np.arange(n, dtype=np.int64)
+        if node_ids is None:
+            spawn_keys = np.arange(n, dtype=np.int64)
+        else:
+            spawn_keys = np.asarray(node_ids, dtype=np.int64)
+            if spawn_keys.shape != (n,):
+                raise ValueError(
+                    f"node_ids must hold one id per lane vertex ({n}), "
+                    f"got shape {spawn_keys.shape}"
+                )
         with np.errstate(over="ignore"):
             for s, seed in enumerate(seeds):
                 pools = _spawned_pools(int(seed), spawn_keys)

@@ -248,14 +248,9 @@ class Graph:
         src = earr.reshape(-1)
         dst = earr[:, ::-1].reshape(-1)
         order = np.argsort(src, kind="stable")
-        self._indices = dst[order].astype(idt, copy=False)
-        self._eids = np.repeat(np.arange(m, dtype=idt), 2)[order]
         counts = np.bincount(src, minlength=n) if m else np.zeros(n, dtype=idt)
         indptr = np.zeros(n + 1, dtype=idt)
         np.cumsum(counts, out=indptr[1:])
-        self._indptr = indptr
-        for arr in (self._indices, self._eids, self._indptr, self._lo, self._hi):
-            arr.setflags(write=False)
         if weight_dtype is None:
             wdt = np.dtype(np.float64)
         else:
@@ -283,10 +278,32 @@ class Graph:
                     "w : E -> R+"
                 )
             warr = warr.copy()
-            warr.setflags(write=False)
-            self._weights: np.ndarray | None = warr
         else:
-            self._weights = None
+            warr = None
+        self._set_arrays(
+            indptr,
+            dst[order].astype(idt, copy=False),
+            np.repeat(np.arange(m, dtype=idt), 2)[order],
+            warr,
+        )
+
+    def _set_arrays(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        eids: np.ndarray,
+        weights: np.ndarray | None,
+    ) -> None:
+        """Freeze the CSR triple and weights; reset the lazy caches.
+
+        ``n``, ``m``, ``_lo``, ``_hi`` and ``_weight_dtype`` are set by
+        the caller, which also owns every validity check.
+        """
+        self._indptr, self._indices, self._eids = indptr, indices, eids
+        self._weights: np.ndarray | None = weights
+        for arr in (indptr, indices, eids, self._lo, self._hi, weights):
+            if arr is not None:
+                arr.setflags(write=False)
         # Lazy caches (scalar-access tuples, eid map, sorted neighbors).
         self._edges_list: list[tuple[int, int]] | None = None
         self._eid_map: dict[int, int] | None = None
@@ -701,6 +718,49 @@ class Graph:
         return Graph(self.n, edges, weights,
                      index_dtype=self.index_dtype,
                      weight_dtype=self._weight_dtype if weights is not None else None)
+
+    def support_subgraph(self, eids: np.ndarray) -> tuple["Graph", np.ndarray]:
+        """The edges ``eids`` on just their endpoints, relabeled in order.
+
+        ``eids`` must be ascending, distinct, in-range edge ids (e.g. a
+        ``flatnonzero`` over an edge mask).  Returns ``(sub, vertices)``:
+        ``vertices`` lists the edges' endpoints ascending, ``sub`` has
+        vertex ``i`` for ``vertices[i]`` and edge ``j`` for ``eids[j]``,
+        and weights follow their edges.  The relabeling is monotone, so
+        every ascending-id order (sorted neighbor lists, proposals by
+        source) is the same in ``sub`` as here.
+
+        Unlike :meth:`subgraph`, vertices without a kept edge are
+        dropped, and ``sub``'s CSR is cut out of this graph's validated
+        one in O(n + m) — no sort and no re-validation.  Each vertex
+        keeps its port order, which is the edge-id order a fresh
+        ``Graph`` build of the same edges would produce.
+        """
+        eids = np.asarray(eids, dtype=np.int64)
+        on = np.zeros(self.m, dtype=bool)
+        on[eids] = True
+        lo, hi = self._lo[eids], self._hi[eids]
+        used = np.zeros(self.n, dtype=bool)
+        used[lo] = True
+        used[hi] = True
+        vertices = np.flatnonzero(used)
+        relabel = np.cumsum(used) - 1
+        keep = on[self._eids]
+        before = np.zeros(self._indices.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=before[1:])
+        idt = self.index_dtype
+        sub = Graph.__new__(Graph)
+        sub.n, sub.m = int(vertices.size), int(eids.size)
+        sub._lo = relabel[lo].astype(idt)
+        sub._hi = relabel[hi].astype(idt)
+        sub._weight_dtype = self._weight_dtype
+        sub._set_arrays(
+            np.append(before[self._indptr[vertices]], before[-1]).astype(idt),
+            relabel[self._indices[keep]].astype(idt),
+            (np.cumsum(on) - 1)[self._eids[keep]].astype(idt),
+            None if self._weights is None else self._weights[eids],
+        )
+        return sub, vertices
 
     def with_weights(self, weights: Sequence[float] | np.ndarray) -> "Graph":
         """Same topology, new weights (used for the derived w_M graph).

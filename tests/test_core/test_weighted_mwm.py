@@ -10,7 +10,13 @@ from repro.core import (
     weighted_mwm_reference,
     wrap_path,
 )
-from repro.core.weighted_mwm import default_iterations, wrap_gain
+from repro.baselines.lps_interleaved import lps_interleaved_mwm
+from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
+from repro.core.weighted_mwm import (
+    default_iterations,
+    weighted_mwm_batched,
+    wrap_gain,
+)
 from repro.graphs import Graph, gnp_random, path_graph
 from repro.graphs.weights import assign_exponential_weights, assign_uniform_weights
 from repro.matching import Matching, maximum_matching_weight
@@ -187,6 +193,53 @@ class TestAlgorithm5:
         g = assign_uniform_weights(gnp_random(10, 0.3, seed=10), seed=10)
         with pytest.raises(ValueError, match="unknown box"):
             weighted_mwm(g, box="bogus")
+
+
+#: Algorithm 5's entry points, each called as ``f(g, **params)``.
+ENTRY_POINTS = {
+    "weighted_mwm[generator]": weighted_mwm,
+    "weighted_mwm[array]": lambda g, **kw: weighted_mwm(g, backend="array", **kw),
+    "weighted_mwm_batched": lambda g, **kw: weighted_mwm_batched(g, [0], **kw),
+    "weighted_mwm_reference": weighted_mwm_reference,
+}
+
+#: (entry point, parameter, bad value): δ must lie in (0, 1] — a δ-MWM
+#: box cannot beat w(M*) — and iterations must be None or >= 0.  The
+#: eps cases run on the reference; ``test_invalid_eps`` covers the rest.
+BAD_PARAMS = [
+    (entry, name, value)
+    for entry in ENTRY_POINTS
+    for name, value in [
+        ("delta", 0), ("delta", -0.5), ("delta", 1.5), ("iterations", -3),
+    ]
+] + [
+    ("weighted_mwm_reference", "eps", value) for value in (0, 3.0)
+]
+
+#: Weighted-family calls that take ``backend=``.
+BACKEND_CALLS = {
+    "weighted_mwm[sequential]": lambda g, b: weighted_mwm(g, backend=b),
+    "weighted_mwm[interleaved]": (
+        lambda g, b: weighted_mwm(g, box="interleaved", backend=b)
+    ),
+    "lps_mwm": lambda g, b: lps_mwm(g, backend=b),
+    "lps_mwm_batched": lambda g, b: lps_mwm_batched(g, [0, 1], backend=b),
+    "lps_interleaved_mwm": lambda g, b: lps_interleaved_mwm(g, backend=b),
+}
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("entry,name,value", BAD_PARAMS)
+    def test_impossible_parameters_rejected(self, entry, name, value):
+        g = assign_uniform_weights(gnp_random(12, 0.3, seed=1), seed=1)
+        with pytest.raises(ValueError, match=name):
+            ENTRY_POINTS[entry](g, **{name: value})
+
+    @pytest.mark.parametrize("call", sorted(BACKEND_CALLS))
+    def test_unknown_backend_rejected_on_edgeless_graph(self, call):
+        g = Graph(4, [], weights=[])
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            BACKEND_CALLS[call](g, "bogus")
 
 
 class TestReference:

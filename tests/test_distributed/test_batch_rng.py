@@ -32,24 +32,25 @@ def _assert_draw(lanes, rngs, low, high, idx):
     assert got.tolist() == want
 
 
+#: One bounded draw per tier of ``Generator.integers``.
+TIERS = [
+    (0, 2),                 # coin flip: 32-bit Lemire, buffered halves
+    (0, 3),                 # odd range: 32-bit Lemire with rejection
+    (1, 17),
+    (0, 2**32 - 1),         # largest 32-bit Lemire range
+    (0, 2**32),             # raw 32-bit word tier
+    (0, 2**32 + 1),         # smallest 64-bit Lemire range
+    (1, 2000**4 + 1),       # Luby's number draw at n=2000
+    (1, 255**4 + 1),        # Luby's number draw below the 32-bit cut
+    (0, 1),                 # zero range: no words consumed
+]
+
+
 class TestLaneIdentity:
     def test_self_check_passes(self):
         verify_replication()
 
-    @pytest.mark.parametrize(
-        "low,high",
-        [
-            (0, 2),                 # coin flip: 32-bit Lemire, buffered halves
-            (0, 3),                 # odd range: 32-bit Lemire with rejection
-            (1, 17),
-            (0, 2**32 - 1),         # largest 32-bit Lemire range
-            (0, 2**32),             # raw 32-bit word tier
-            (0, 2**32 + 1),         # smallest 64-bit Lemire range
-            (1, 2000**4 + 1),       # Luby's number draw at n=2000
-            (1, 255**4 + 1),        # Luby's number draw below the 32-bit cut
-            (0, 1),                 # zero range: no words consumed
-        ],
-    )
+    @pytest.mark.parametrize("low,high", TIERS)
     def test_every_tier_matches(self, low, high):
         seeds, n = [0, 5], 9
         lanes = LaneRngs(seeds, n)
@@ -109,3 +110,26 @@ class TestLaneIdentity:
         lanes = LaneRngs([0], 3)
         with pytest.raises(ValueError):
             lanes.integers(5, 5, np.array([0]))
+
+
+class TestKeyedLanes:
+    """Lanes spawned from node ids replay those nodes' streams."""
+
+    IDS = [0, 3, 7, 1000]
+
+    @pytest.mark.parametrize("low,high", TIERS)
+    def test_lane_replays_its_node_id(self, low, high):
+        seeds = [0, 5]
+        lanes = LaneRngs(seeds, len(self.IDS), node_ids=np.array(self.IDS))
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(s).spawn(1001)[v])
+            for s in seeds
+            for v in self.IDS
+        ]
+        idx = np.arange(len(rngs))
+        for _ in range(4):
+            _assert_draw(lanes, rngs, low, high, idx)
+
+    def test_one_id_per_lane_vertex(self):
+        with pytest.raises(ValueError, match="one id per lane vertex"):
+            LaneRngs([0], 3, node_ids=np.array([0, 1]))

@@ -18,7 +18,9 @@ that seed — asserted three ways:
   the bytes stored in ``tests/goldens/seed_identity.json``.
 """
 
+import functools
 import json
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -33,18 +35,28 @@ from repro.baselines.lps_interleaved import (
 )
 from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
 from repro.baselines.luby_mis import luby_mis, luby_mis_batched, verify_mis
-from repro.core.weighted_mwm import weighted_mwm, weighted_mwm_batched
+from repro.core.weighted_mwm import (
+    _EPS_W,
+    derived_weights_array,
+    weighted_mwm,
+    weighted_mwm_batched,
+)
 from repro.distributed import run_program_batched
 from repro.graphs import (
     Graph,
     barabasi_albert,
     gnp_random,
     powerlaw_configuration,
+    star_graph,
     watts_strogatz,
 )
+from repro.graphs.graph import forced_index_dtype
 from repro.graphs.weights import assign_uniform_weights
 
 from tests.golden_harness import GOLDEN_PATH, _edges, _res_dict, to_canonical_json
+
+#: the module itself (``repro.core`` re-exports a function of its name)
+weighted_module = import_module("repro.core.weighted_mwm")
 
 #: The four scenario generator families of the backend benches.
 FAMILIES = {
@@ -192,6 +204,107 @@ class TestMixedEarlyTermination:
                 m_g, res_g, it_g = weighted_mwm(g, eps=0.3, seed=s)
                 assert sorted(m_b.edges()) == sorted(m_g.edges())
                 assert res_b == res_g and it_b == it_g
+
+
+def _gapped_gnp() -> Graph:
+    """G(120, 0.02) with vertices 0, 60 and 119 cut off.
+
+    Iteration 1's support already skips them, so every compact vertex
+    id differs from its node id from vertex 1 on.
+    """
+    g = gnp_random(120, 0.02, seed=1)
+    lo, hi = g.endpoints_array()
+    cut = np.isin(lo, (0, 60, 119)) | np.isin(hi, (0, 60, 119))
+    return assign_uniform_weights(g.subgraph(np.flatnonzero(~cut)), seed=2)
+
+
+def _two_scales() -> Graph:
+    """Two components with weights on scales 1 and 100."""
+    a = assign_uniform_weights(gnp_random(16, 0.3, seed=3), seed=5)
+    b = assign_uniform_weights(gnp_random(16, 0.3, seed=4), seed=6)
+    edges = [np.stack(x.endpoints_array(), axis=1) for x in (a, b)]
+    return Graph(
+        32,
+        np.concatenate([edges[0], edges[1] + 16]),
+        np.concatenate([a.weights_array(), 100.0 * b.weights_array()]),
+    )
+
+
+#: Graphs whose Algorithm 5 supports have gaps, and the seeds per cell.
+SUPPORT_GRAPHS = {
+    "gapped_gnp": (_gapped_gnp, [0, 1]),
+    "two_scales": (_two_scales, [0, 1, 2]),
+    "star": (lambda: assign_uniform_weights(star_graph(13), seed=7), [0, 1, 2]),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _generator_runs(name: str, adaptive: bool) -> list:
+    build, seeds = SUPPORT_GRAPHS[name]
+    g = build()
+    return [weighted_mwm(g, seed=s, adaptive=adaptive) for s in seeds]
+
+
+class TestCompactedBox:
+    """The box runs on the lanes' positive-edge support, not on ``g``.
+
+    At the default eps=0.1 all 23 iterations run and the supports
+    shrink; every lane must still equal its generator run.
+    """
+
+    @pytest.mark.parametrize("index_dtype", [None, np.int64])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("name", sorted(SUPPORT_GRAPHS))
+    def test_matches_generator(self, name, adaptive, index_dtype):
+        build, seeds = SUPPORT_GRAPHS[name]
+        with forced_index_dtype(index_dtype):
+            batched = weighted_mwm_batched(build(), seeds, adaptive=adaptive)
+        for s, (m_b, res_b, it_b), (m_g, res_g, it_g) in zip(
+            seeds, batched, _generator_runs(name, adaptive)
+        ):
+            assert sorted(m_b.edges()) == sorted(m_g.edges()), f"seed {s}"
+            assert res_b == res_g and it_b == it_g, f"seed {s}"
+
+    def test_budget_error_counts_every_node(self):
+        # Iteration 1's support leaves 3 vertices out; the lockstep
+        # schedule still runs all n nodes, and the error says so.
+        g = _gapped_gnp()
+        messages = []
+        for backend in ("generator", "array"):
+            with pytest.raises(RuntimeError) as err:
+                weighted_mwm(g, seed=0, backend=backend, max_rounds=5)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[1].startswith(f"{g.n} node(s) still running after 5 ")
+
+    def test_box_graph_is_the_union_support(self, monkeypatch):
+        g = _gapped_gnp()
+        seeds = [0, 1, 2]
+        calls = []
+        real = weighted_module.BatchedArrayBackend
+
+        def spy(graph, program, params=None, **kwargs):
+            calls.append((graph, params, kwargs.get("node_ids")))
+            return real(graph, program, params=params, **kwargs)
+
+        monkeypatch.setattr(weighted_module, "BatchedArrayBackend", spy)
+        weighted_mwm_batched(g, seeds, iterations=3)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        lo, hi = g.endpoints_array()
+        for it, (sub, params, node_ids) in enumerate(calls[1:], start=2):
+            mates = np.stack([
+                m.mate_array()
+                for m, _, _ in weighted_mwm_batched(g, seeds, iterations=it - 1)
+            ])
+            pos = derived_weights_array(g, mates) > _EPS_W
+            support = np.flatnonzero(pos.any(axis=0))
+            verts = np.unique(np.concatenate([lo[support], hi[support]]))
+            assert sub.n == verts.size < g.n, f"iteration {it}"
+            assert np.array_equal(node_ids, verts), f"iteration {it}"
+            assert params["he_cls"].shape == (
+                int(pos.any(axis=1).sum()), 2 * support.size
+            ), f"iteration {it}"
 
 
 class TestBatchedMatchesGoldens:

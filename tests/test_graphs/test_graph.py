@@ -217,6 +217,25 @@ class TestStructure:
         assert sub.edges() == [(0, 1), (2, 3)]
         assert sub.weight(2, 3) == 3.0
 
+    @pytest.mark.parametrize("index_dtype", [None, np.int64])
+    def test_support_subgraph_equals_a_fresh_build(self, index_dtype):
+        g = Graph(
+            8, [(1, 5), (0, 3), (3, 5), (5, 6), (1, 3), (2, 7)],
+            [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], index_dtype=index_dtype,
+        )
+        eids = np.array([0, 2, 4])  # edges (1,5), (3,5), (1,3)
+        sub, verts = g.support_subgraph(eids)
+        assert verts.tolist() == [1, 3, 5]
+        fresh = Graph(3, [(0, 2), (1, 2), (0, 1)], [1.0, 3.0, 5.0])
+        assert (sub.n, sub.m) == (3, 3)
+        assert sub.index_dtype == g.index_dtype
+        for got, want in zip(sub.adjacency_arrays(), fresh.adjacency_arrays()):
+            assert got.tolist() == want.tolist()
+        assert sub.edges() == fresh.edges()
+        assert sub.weights_array().tolist() == [1.0, 3.0, 5.0]
+        empty, none = g.support_subgraph(np.array([], dtype=np.int64))
+        assert (empty.n, empty.m, none.size) == (0, 0, 0)
+
     def test_with_weights_replaces(self):
         g = Graph(3, [(0, 1), (1, 2)])
         g2 = g.with_weights([5.0, 6.0])
