@@ -21,11 +21,16 @@ Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s6_switch.py --out s6.json
 
-``--quick`` restricts to the two 64-port bernoulli speedup cells
-(greedy + iSLIP) at reduced slot counts and skips the curves;
+The paper scheduler (k=3) has its own 64-port bernoulli speedup
+cell: the scalar loop drives its pair-list ``schedule`` (the demand
+``Graph`` plus truncated Hopcroft–Karp), the engine its request-matrix
+core.
+
+``--quick`` restricts to the three 64-port bernoulli speedup cells
+(greedy, iSLIP and paper) at reduced slot counts and skips the curves;
 ``--check`` exits 2 if the vectorized leg is slower than the scalar
-loop on the 64-port bernoulli/iSLIP cell — the CI gate (identity is
-asserted on every cell regardless).  The committed full
+loop on the 64-port bernoulli iSLIP or paper cell — the CI gate
+(identity is asserted on every cell regardless).  The committed full
 run lives at ``benchmarks/results/s6_switch.json``.
 """
 
@@ -40,6 +45,7 @@ from repro.analysis import format_table, print_banner
 from repro.switch import (
     GreedyMaximalScheduler,
     IslipAdapter,
+    PaperScheduler,
     PimScheduler,
     bernoulli_uniform,
     bursty,
@@ -62,10 +68,14 @@ SCHEDULERS: dict[str, Callable[[int], Any]] = {
     "greedy": lambda p: GreedyMaximalScheduler(p, seed=2),
     "islip": lambda p: IslipAdapter(p),
     "pim": lambda p: PimScheduler(p, seed=2),
+    "paper": lambda p: PaperScheduler(p, k=3),
 }
 
-#: The CI smoke / fail-if-slower cell: (workload, traffic, ports).
-SMOKE_CELL = ("switch_islip", "bernoulli", 64)
+#: The CI smoke / fail-if-slower cells: (workload, traffic, ports).
+GATE_CELLS = [
+    ("switch_islip", "bernoulli", 64),
+    ("switch_paper", "bernoulli", 64),
+]
 
 #: The committed-run acceptance cell (ISSUE 6: >= 10x here).
 ACCEPTANCE_CELL = ("switch_greedy", "bernoulli", 64)
@@ -73,8 +83,8 @@ ACCEPTANCE_CELL = ("switch_greedy", "bernoulli", 64)
 #: Best-of reps per speedup leg: full run, ``--quick``.
 REPS, QUICK_REPS = 2, 1
 
-#: ``--check`` fails below this gate-cell speedup (the committed full
-#: run shows ~3x on iSLIP; CI boxes are noisy).
+#: ``--check`` fails below this speedup on a gate cell (the committed
+#: full run shows ~3x on iSLIP; CI boxes are noisy).
 MIN_SPEEDUP = 1.0
 
 
@@ -148,6 +158,7 @@ def run(quick: bool) -> dict[str, Any]:
         cells = [
             speedup_cell("greedy", "bernoulli", 64, 0.6, 4000, 400, QUICK_REPS),
             speedup_cell("islip", "bernoulli", 64, 0.6, 4000, 400, QUICK_REPS),
+            speedup_cell("paper", "bernoulli", 64, 0.6, 4000, 400, QUICK_REPS),
         ]
         return {"quick": True, "cells": cells, "curves": []}
 
@@ -156,6 +167,7 @@ def run(quick: bool) -> dict[str, Any]:
         speedup_cell("greedy", "bernoulli", 64, 0.6, 100_000, 10_000, REPS),
         speedup_cell("islip", "bernoulli", 64, 0.6, 20_000, 2_000, REPS),
         speedup_cell("pim", "bernoulli", 64, 0.6, 20_000, 2_000, REPS),
+        speedup_cell("paper", "bernoulli", 64, 0.6, 20_000, 2_000, REPS),
         speedup_cell("greedy", "bursty", 64, 0.6, 20_000, 2_000, REPS),
         speedup_cell("greedy", "hotspot", 64, 0.5, 20_000, 2_000, REPS),
     ]
@@ -182,14 +194,17 @@ def run(quick: bool) -> dict[str, Any]:
 
 
 def gate(data: dict[str, Any]) -> list[str]:
-    wl, traffic, ports = SMOKE_CELL
-    speedup = harness.find_cell(
-        data, workload=wl, family=traffic, n=ports
-    )["speedup"]
-    if speedup < MIN_SPEEDUP:
-        return [f"vectorized engine below {MIN_SPEEDUP:.2f}x on the "
-                f"{SMOKE_CELL} gate cell ({speedup:.2f}x)"]
-    return []
+    failures = []
+    for wl, traffic, ports in GATE_CELLS:
+        speedup = harness.find_cell(
+            data, workload=wl, family=traffic, n=ports
+        )["speedup"]
+        if speedup < MIN_SPEEDUP:
+            failures.append(
+                f"vectorized engine below {MIN_SPEEDUP:.2f}x on the "
+                f"{wl}/{traffic} ports={ports} gate cell ({speedup:.2f}x)"
+            )
+    return failures
 
 
 def show(data: dict[str, Any]) -> None:

@@ -14,7 +14,7 @@ any number of seed lanes:
   :func:`repro.switch.batched.batch_schedulers` when every lane runs the
   same built-in scheduler, else each lane's own ``schedule_matrix``
   core, falling back to the demand-set / occupancy-dict interfaces
-  (with the scalar fabric's checks) for the centralized adapters.  A
+  (with the scalar fabric's checks) for the weighted adapters.  A
   one-lane batch always takes the per-lane path: at one lane the
   single-seed cores are the fastest measured;
 * **exact FIFO delay accounting without per-cell timestamps**: during
@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.switch.fabric import SwitchStats
-from repro.switch.simulator import _check_horizon
+from repro.switch.simulator import _check_horizon, _check_ports
 from repro.switch.traffic import BatchedChunkedTraffic, ChunkedTraffic
 
 
@@ -172,7 +172,9 @@ def run_switch_batched(
     — lanes may use different models or loads).  ``schedulers`` holds
     one instance per lane; instances must be distinct objects, since a
     shared instance's RNG/pointer state would be consumed in a
-    different order than in per-lane sequential runs.
+    different order than in per-lane sequential runs.  A scheduler
+    whose ``ports`` differs from the switch's raises
+    :class:`ValueError`.
     """
     if ports < 1:
         raise ValueError("need at least one port")
@@ -188,6 +190,8 @@ def run_switch_batched(
             "each lane needs its own scheduler instance (a shared "
             "instance's state would diverge from per-lane runs)"
         )
+    for sch in schedulers:
+        _check_ports(sch, ports)
     if not isinstance(traffic, BatchedChunkedTraffic):
         traffic = BatchedChunkedTraffic(list(traffic))
     if traffic.num_seeds != num_seeds:

@@ -13,6 +13,17 @@ Schedulers under comparison in experiment E8:
   actual Section 3.2 protocol per slot (small port counts);
 * :class:`MaxSizeScheduler` — exact maximum matching per slot (the
   upper bound on per-slot quality).
+
+Each of them has two faces.  ``schedule_matrix(occupancy, slot)`` is
+the core the switch engine consults: it reads the ``(ports, ports)``
+occupancy matrix and returns the matched ``(inputs, outputs)`` index
+arrays.  ``schedule(demand, slot)`` is the pair-list adapter the
+scalar reference fabric drives.  The paper and max-size cores feed
+each input's ascending backlogged outputs straight into Hopcroft–Karp's
+phase loop (:func:`~repro.matching.hopcroft_karp.hk_mates`); their
+``schedule`` builds the demand :class:`Graph` and calls
+:func:`hopcroft_karp_truncated` / :func:`hopcroft_karp` on it, whose
+port order is the same, so both faces return the same pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +36,11 @@ from repro.baselines.islip import IslipScheduler
 from repro.baselines.pim import _request_matrix, pim_schedule, pim_schedule_matrix
 from repro.core.bipartite_mcm import bipartite_mcm
 from repro.graphs.graph import Graph
-from repro.matching.hopcroft_karp import hopcroft_karp, hopcroft_karp_truncated
+from repro.matching.hopcroft_karp import (
+    hk_mates,
+    hopcroft_karp,
+    hopcroft_karp_truncated,
+)
 
 
 class Scheduler(Protocol):
@@ -214,6 +229,29 @@ def _demand_graph(demand: list[set[int]], ports: int) -> tuple[Graph, list[int]]
     return Graph(2 * ports, edges), list(range(ports))
 
 
+def _request_rows(occupancy: np.ndarray) -> list[list[int]]:
+    """Each input's backlogged outputs, ascending: the demand graph's port order."""
+    num_inputs, num_outputs = occupancy.shape
+    flat = np.flatnonzero(occupancy)  # row-major: ascending within a row
+    cols = (flat % num_outputs).tolist()
+    ends = np.searchsorted(
+        flat, np.arange(1, num_inputs + 1) * num_outputs
+    ).tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _hk_schedule(
+    occupancy: np.ndarray, max_phase_len: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hopcroft–Karp phases on a request matrix, as matched index arrays."""
+    mate = np.array(
+        hk_mates(_request_rows(occupancy), occupancy.shape[1], max_phase_len),
+        dtype=np.int64,
+    )
+    mi = (mate >= 0).nonzero()[0]
+    return mi, mate.take(mi)
+
+
 class PimScheduler:
     """PIM with its customary ⌈log₂N⌉+2 iterations."""
 
@@ -236,6 +274,7 @@ class IslipAdapter:
     """iSLIP with persistent round-robin pointers."""
 
     def __init__(self, ports: int, iterations: int = 4):
+        self.ports = ports
         self.inner = IslipScheduler(ports, ports, iterations)
 
     def schedule_matrix(
@@ -276,15 +315,35 @@ class PaperScheduler:
     ``distributed=True`` runs the real Section 3.2 message-passing
     protocol every slot; the default uses the truncated-HK reference,
     which has the identical (1−1/k) guarantee and keeps thousand-slot
-    simulations fast.
+    simulations fast.  ``k`` must be an int >= 1.
     """
 
     def __init__(self, ports: int, k: int = 3, seed: int = 0, distributed: bool = False):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an int >= 1, got {k!r}")
         self.ports = ports
-        self.k = k
+        self.k = int(k)
         self.seed = seed
         self.distributed = distributed
         self._slot_seq = np.random.SeedSequence(seed)
+
+    def schedule_matrix(
+        self, occupancy: np.ndarray, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Schedule directly on a ``(ports, ports)`` occupancy matrix.
+
+        Runs the HK phases with augmenting paths of at most 2k−1 edges
+        on the request rows: the pairs :meth:`schedule` returns for the
+        same demand.  ``distributed=True`` hands the demand sets to
+        :meth:`schedule`, which runs the protocol.
+        """
+        if self.distributed:
+            pairs = self.schedule(
+                [set(outs) for outs in _request_rows(occupancy)], slot
+            )
+            arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+            return arr[:, 0], arr[:, 1]
+        return _hk_schedule(occupancy, 2 * self.k - 1)
 
     def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
         g, xs = _demand_graph(demand, self.ports)
@@ -305,6 +364,12 @@ class MaxSizeScheduler:
 
     def __init__(self, ports: int):
         self.ports = ports
+
+    def schedule_matrix(
+        self, occupancy: np.ndarray, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Schedule directly on a ``(ports, ports)`` occupancy matrix."""
+        return _hk_schedule(occupancy, None)
 
     def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
         g, xs = _demand_graph(demand, self.ports)

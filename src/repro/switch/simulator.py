@@ -24,6 +24,15 @@ def _check_horizon(slots: int, warmup: int) -> None:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
 
 
+def _check_ports(scheduler, ports: int) -> None:
+    """Reject a scheduler built for another port count than the switch's."""
+    built = getattr(scheduler, "ports", None)
+    if built is not None and built != ports:
+        raise ValueError(
+            f"scheduler is built for {built} ports, switch has {ports}"
+        )
+
+
 def run_switch(
     ports: int,
     traffic: TrafficGenerator,
@@ -37,9 +46,11 @@ def run_switch(
     the current VOQ occupancy, and the fabric transfers one cell per
     matched pair.  ``warmup`` extra slots run first without being
     counted (to measure steady state).  Negative ``slots`` or
-    ``warmup`` raise :class:`ValueError`.
+    ``warmup``, or a scheduler whose ``ports`` differs from the
+    switch's, raise :class:`ValueError`.
     """
     _check_horizon(slots, warmup)
+    _check_ports(scheduler, ports)
     sw = Switch(ports)
     for slot in range(warmup + slots):
         if slot == warmup:

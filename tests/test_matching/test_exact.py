@@ -6,7 +6,10 @@ random instances, bitmask DP vs weighted blossom, plus structured cases
 with known answers.
 """
 
+import sys
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -70,6 +73,42 @@ class TestHopcroftKarp:
     def test_matches_networkx(self, gxy):
         g, xs, _ = gxy
         assert len(hopcroft_karp(g, xs)) == nx_matching_size(g)
+
+    @pytest.mark.parametrize("truncated", [False, True])
+    @pytest.mark.parametrize(
+        "xs, error",
+        [
+            ([1], "edge \\(2, 3\\) has both ends outside xs"),
+            ([0, 1], "edge \\(0, 1\\) has both ends inside xs"),
+            ([7], "xs names vertex 7, outside 0..3"),
+            ([-1], "xs names vertex -1, outside 0..3"),
+            ([0, 2, 0], "xs repeats vertex 0"),
+        ],
+    )
+    def test_bad_side_rejected(self, xs, error, truncated):
+        g = path_graph(4)  # 0-1-2-3
+        with pytest.raises(ValueError, match=error):
+            if truncated:
+                hopcroft_karp_truncated(g, 2, xs)
+            else:
+                hopcroft_karp(g, xs)
+
+    def test_side_of_non_bipartite_graph_rejected(self, triangle):
+        with pytest.raises(ValueError, match="both ends outside xs"):
+            hopcroft_karp(triangle, [0])
+
+    def test_long_augmenting_path_keeps_recursion_limit(self):
+        # The path 0-1-...-(n-1), edges listed from the far end, so each
+        # odd vertex's port order names its right neighbour first: the
+        # first phase matches 2i+1 to 2i+2 and leaves one augmenting
+        # path through all n vertices for the second phase's DFS.
+        n = 400_000
+        edges = np.column_stack([np.arange(n - 1), np.arange(1, n)])[::-1]
+        g = Graph(n, edges)
+        before = sys.getrecursionlimit()
+        m = hopcroft_karp(g, list(range(1, n, 2)))
+        assert sys.getrecursionlimit() == before
+        assert len(m) == n // 2
 
 
 class TestHopcroftKarpTruncated:

@@ -178,6 +178,26 @@ class TestValidation:
                     warmup=warmup,
                 )
 
+    @pytest.mark.parametrize("sname", sorted(SCHEDULERS))
+    def test_rejects_scheduler_port_mismatch(self, sname):
+        """A scheduler built for PORTS ports cannot drive a larger
+        switch: every engine names the mismatch before the first slot."""
+        engines = [
+            lambda t, s: run_switch(PORTS + 2, t, s, slots=5),
+            lambda t, s: run_switch_vectorized(PORTS + 2, t, s, slots=5),
+            lambda t, s: run_switch_batched(PORTS + 2, [t], [s], slots=5),
+        ]
+        for engine in engines:
+            with pytest.raises(
+                ValueError,
+                match=f"scheduler is built for {PORTS} ports, switch has "
+                f"{PORTS + 2}",
+            ):
+                engine(
+                    bernoulli_uniform(PORTS + 2, 0.9, seed=0),
+                    SCHEDULERS[sname](),
+                )
+
     def test_rejects_non_matching_schedule(self):
         class Bad:
             def schedule(self, demand, slot):
