@@ -21,10 +21,10 @@ Run as a script for the JSON artifact::
 
     PYTHONPATH=src python benchmarks/bench_s6_switch.py --out s6.json
 
-The paper scheduler (k=3) has its own 64-port bernoulli speedup
-cell: the scalar loop drives its pair-list ``schedule`` (the demand
-``Graph`` plus truncated Hopcroft–Karp), the engine its request-matrix
-core.
+Both legs consult the same ``schedule_matrix`` of each scheduler, so a
+speedup measures the slot loop alone: Python deques and per-pair
+transfers against the occupancy stack and per-chunk checks.  The paper
+scheduler (k=3) has its own 64-port bernoulli speedup cell.
 
 ``--quick`` restricts to the three 64-port bernoulli speedup cells
 (greedy, iSLIP and paper) at reduced slot counts and skips the curves;

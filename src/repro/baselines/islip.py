@@ -13,20 +13,19 @@ load and drives throughput toward 100% for uniform traffic:
    winning pointers advance (one past the accepted port), which is the
    key de-synchronization rule of iSLIP.
 
-Stateful across cell slots, hence a class.  The per-iteration work is
-vectorized: grant and accept are ``argmin`` over cyclic-distance key
-matrices (``(i − ptr_j) mod N``), one ``(N, N)`` array op per phase,
-instead of Python scans over per-port request/grant sets.  Being
-deterministic given the pointer state, the vectorized form is exactly
-the textbook algorithm — ties cannot occur because cyclic distances
-within a column (row) are distinct.
+Stateful across cell slots, hence a class, whose one schedule is
+:meth:`IslipScheduler.schedule_matrix` on a boolean request matrix.
+The per-iteration work is vectorized: grant and accept are ``argmin``
+over cyclic-distance key matrices (``(i − ptr_j) mod N``), one
+``(N, N)`` array op per phase, instead of Python scans over per-port
+request/grant sets.  Being deterministic given the pointer state, the
+vectorized form is exactly the textbook algorithm — ties cannot occur
+because cyclic distances within a column (row) are distinct.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.baselines.pim import _request_matrix
 
 
 class IslipScheduler:
@@ -45,7 +44,7 @@ class IslipScheduler:
         # Cached cyclic-distance key matrices; only the columns/rows
         # whose pointers moved are recomputed after a first-iteration
         # win (pointers are internal state — mutate them only through
-        # schedule()/schedule_matrix()).
+        # schedule_matrix()).
         self._gkey = (self._in_ids[:, None] - self.grant_ptr[None, :]) % num_inputs
         self._akey = (self._out_ids[None, :] - self.accept_ptr[:, None]) % num_outputs
 
@@ -109,15 +108,3 @@ class IslipScheduler:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
         return np.concatenate(mi), np.concatenate(mj)
-
-    def schedule(self, demand: list[set[int]]) -> list[tuple[int, int]]:
-        """One cell-slot schedule; ``demand[i]`` = backlogged outputs of input i.
-
-        Returns matched ``(input, output)`` pairs.
-        """
-        if len(demand) != self.num_inputs:
-            raise ValueError(
-                f"demand for {len(demand)} inputs, expected {self.num_inputs}"
-            )
-        mi, mj = self.schedule_matrix(_request_matrix(demand, self.num_outputs))
-        return [(int(i), int(j)) for i, j in zip(mi, mj)]

@@ -154,6 +154,8 @@ class _BatchedLaneOps:
 
 def _israeli_itai_faulty(
     g: Graph,
+    snbr: np.ndarray,
+    seid: np.ndarray,
     fs: FaultState,
     ops: _BatchedLaneOps,
     outputs: list,
@@ -181,12 +183,13 @@ def _israeli_itai_faulty(
       sends always count toward the message totals, and drops (dead
       letters included) land in ``messages_dropped``.
 
-    Writes per-node mates into ``outputs`` (``None`` for crashed
-    nodes) and reports everything else through ``ops``.
+    ``snbr``/``seid`` are the CSR's neighbor and edge ids with each
+    vertex's slots in ascending neighbor order.  Writes per-node mates
+    into ``outputs`` (``None`` for crashed nodes) and reports
+    everything else through ``ops``.
     """
     n = g.n
     indptr, _, _ = g.adjacency_arrays()
-    snbr, seid = g._sorted_csr()  # per-vertex slots, neighbors ascending
     owner = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
     # twin[t] = the reverse slot of t's edge (owner/neighbor swapped):
     # a heard announcement over edge e marks e's other half-edge.
@@ -373,19 +376,20 @@ def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
+    indptr = ctx.indptr
+    sidx, s_nbr = sorted_csr(indptr, ctx.indices)
     if ctx.faults is not None:
         # Per-lane fault schedules share no cross-seed phase structure;
         # run the fault core once per lane (see _BatchedLaneOps).
+        s_eid = g.adjacency_arrays()[2][sidx]
         outputs: list[list[int | None]] = [
             [None] * size for _ in range(num_seeds)
         ]
         for s, fstate in enumerate(ctx.faults):
             _israeli_itai_faulty(
-                g, fstate, _BatchedLaneOps(ctx, s), outputs[s]
+                g, s_nbr, s_eid, fstate, _BatchedLaneOps(ctx, s), outputs[s]
             )
         return outputs
-    indptr = ctx.indptr
-    sidx, s_nbr = sorted_csr(indptr, ctx.indices)
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
     alive = np.ones((num_seeds, size), dtype=bool)
     degrees = g.degrees()

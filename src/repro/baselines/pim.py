@@ -20,21 +20,21 @@ message-passing network algorithm, and the switch simulator calls it
 once per cell slot.  (The distributed story for the same idea is
 :mod:`repro.baselines.israeli_itai`.)
 
-The core is :func:`pim_schedule_matrix`, fully vectorized over the
-boolean request matrix: grants pick the ``⌊u·c⌋``-th requester per
-output (one uniform draw per output), accepts likewise per input, so
-an iteration costs a handful of array ops instead of Python loops over
-ports.  The grant and accept phases each consume exactly one
-``rng.random(ports)`` draw per iteration that still has live requests
-— a fixed, data-independent pattern, which is what lets the scalar and
-vectorized switch engines replay identical schedules from the same
-seed.
+The one schedule is :func:`pim_schedule_matrix`, fully vectorized over
+the boolean request matrix; the switch's ``PimScheduler`` and the
+:func:`pim_matching` graph adapter both call it.  Grants pick the
+``⌊u·c⌋``-th requester per output (one uniform draw per output),
+accepts likewise per input, so an iteration costs a handful of array
+ops instead of Python loops over ports.  The grant and accept phases
+each consume exactly one ``rng.random(ports)`` draw per iteration that
+still has live requests — a fixed, data-independent pattern, which is
+what lets the scalar loop and the switch engines replay identical
+schedules from the same seed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Set
 
 import numpy as np
 
@@ -100,45 +100,6 @@ def pim_schedule_matrix(
     return np.concatenate(mi), np.concatenate(mj)
 
 
-def _request_matrix(demand: Iterable[Set[int]], num_outputs: int) -> np.ndarray:
-    """Boolean request matrix from per-input demand sets."""
-    demand = list(demand)
-    req = np.zeros((len(demand), num_outputs), dtype=bool)
-    for i, outs in enumerate(demand):
-        if outs:
-            req[i, sorted(outs)] = True
-    return req
-
-
-def pim_schedule(
-    demand: list[set[int]],
-    num_outputs: int,
-    rng: np.random.Generator,
-    iterations: int | None = None,
-) -> list[tuple[int, int]]:
-    """One PIM cell-slot schedule.
-
-    Parameters
-    ----------
-    demand:
-        ``demand[i]`` is the set of outputs input ``i`` has cells for.
-    num_outputs:
-        Number of output ports.
-    rng:
-        Randomness source (grants and accepts).
-    iterations:
-        Request/grant/accept iterations; default ⌈log₂ N⌉ + 2.
-
-    Returns
-    -------
-    list of matched ``(input, output)`` pairs.
-    """
-    mi, mj = pim_schedule_matrix(
-        _request_matrix(demand, num_outputs), rng, iterations
-    )
-    return [(int(i), int(j)) for i, j in zip(mi, mj)]
-
-
 def pim_matching(
     g: Graph,
     xs: list[int],
@@ -148,12 +109,13 @@ def pim_matching(
 ) -> Matching:
     """Run PIM on a bipartite :class:`Graph` (E5/E8 benchmark adapter)."""
     y_index = {y: idx for idx, y in enumerate(ys)}
-    demand = [
-        {y_index[u] for u in g.neighbors(x) if u in y_index} for x in xs
-    ]
-    rng = np.random.default_rng(seed)
-    pairs = pim_schedule(demand, len(ys), rng, iterations)
+    requests = np.zeros((len(xs), len(ys)), dtype=bool)
+    for i, x in enumerate(xs):
+        requests[i, [y_index[u] for u in g.neighbors(x) if u in y_index]] = True
+    mi, mj = pim_schedule_matrix(
+        requests, np.random.default_rng(seed), iterations
+    )
     m = Matching(g)
-    for i, j in pairs:
+    for i, j in zip(mi.tolist(), mj.tolist()):
         m.add(xs[i], ys[j])
     return m

@@ -126,6 +126,15 @@ class FaultPlan:
                 raise ValueError(
                     f"{name} must be nonnegative, got {getattr(self, name)}"
                 )
+        # a round at or past NEVER would read as "never triggers"
+        for name in ("delay", "crash_window", "link_window"):
+            if getattr(self, name) >= int(NEVER):
+                raise ValueError(
+                    f"{name} must be below 2^62, got {getattr(self, name)}"
+                )
+        # the fault streams key on the seed mod 2^64
+        if self.seed is not None and not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
     @property
     def is_active(self) -> bool:
@@ -141,7 +150,8 @@ class FaultPlan:
 
         Keys: ``loss``, ``delay``, ``crash``/``crashes``,
         ``link``/``links``/``link_failures``, ``crash_window``,
-        ``link_window``, ``seed``.  An empty spec is the no-op plan.
+        ``link_window``, ``seed``.  An empty spec is the no-op plan; a
+        knob given twice, under any alias, raises :class:`ValueError`.
         """
         kwargs: dict[str, float | int] = {}
         for item in spec.split(","):
@@ -161,6 +171,10 @@ class FaultPlan:
                     f"unknown fault spec key {key!r}; "
                     f"known: {' '.join(sorted(set(_PARSE_KEYS)))}"
                 ) from None
+            if field in kwargs:
+                raise ValueError(
+                    f"fault spec sets {field} twice (again as {key!r})"
+                )
             try:
                 kwargs[field] = cast(value.strip())
             except ValueError:

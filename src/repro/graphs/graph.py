@@ -51,7 +51,7 @@ function ``w_M``).
 Scalar accessors (``neighbors``, ``incident``, ``edge_id``, …) are
 backed by lazily built caches so repeated queries stay cheap; bulk
 accessors (``degrees``, ``endpoints_array``, ``weights_array``,
-``incident_view``, ``sorted_neighbors``) expose the arrays directly for
+``incident_view``, ``adjacency_arrays``) expose the arrays directly for
 vectorized algorithm code.  All returned array views are read-only.
 """
 
@@ -211,8 +211,6 @@ class Graph:
         "_nbr_tuples",
         "_inc_tuples",
         "_nbr_sets",
-        "_sorted_indices",
-        "_sorted_eids",
         "_max_degree",
         "_unit_weights",
         "_weight_dtype",
@@ -304,14 +302,12 @@ class Graph:
         for arr in (indptr, indices, eids, self._lo, self._hi, weights):
             if arr is not None:
                 arr.setflags(write=False)
-        # Lazy caches (scalar-access tuples, eid map, sorted neighbors).
+        # Lazy caches (scalar-access tuples, eid map, edge keys).
         self._edges_list: list[tuple[int, int]] | None = None
         self._eid_map: dict[int, int] | None = None
         self._nbr_tuples: list[tuple[int, ...]] | None = None
         self._inc_tuples: list[tuple[tuple[int, int], ...] | None] | None = None
         self._nbr_sets: list[frozenset[int]] | None = None
-        self._sorted_indices: np.ndarray | None = None
-        self._sorted_eids: np.ndarray | None = None
         self._max_degree: int | None = None
         self._unit_weights: np.ndarray | None = None
         self._edge_key_sorted: np.ndarray | None = None
@@ -597,31 +593,6 @@ class Graph:
             return np.full(key.shape, -1, dtype=np.int64)
         pos = np.minimum(np.searchsorted(skeys, key), skeys.size - 1)
         return np.where(skeys[pos] == key, order[pos], np.int64(-1))
-
-    def _sorted_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._sorted_indices is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
-            order = np.lexsort((self._indices, rows))
-            self._sorted_indices = self._indices[order]
-            self._sorted_eids = self._eids[order]
-            self._sorted_indices.setflags(write=False)
-            self._sorted_eids.setflags(write=False)
-        return self._sorted_indices, self._sorted_eids
-
-    def sorted_neighbors(self, v: int) -> np.ndarray:
-        """Neighbors of ``v`` sorted ascending (read-only view).
-
-        Enables O(log Δ) membership via ``np.searchsorted`` — and, with
-        the matching :meth:`sorted_incident_eids` view, sorted-merge
-        algorithms over adjacency.
-        """
-        snbrs, _ = self._sorted_csr()
-        return snbrs[self._indptr[v]: self._indptr[v + 1]]
-
-    def sorted_incident_eids(self, v: int) -> np.ndarray:
-        """Edge ids aligned with :meth:`sorted_neighbors` (read-only view)."""
-        self._sorted_csr()
-        return self._sorted_eids[self._indptr[v]: self._indptr[v + 1]]
 
     def neighbor_sets(self) -> list[frozenset[int]]:
         """Per-vertex frozen neighbor sets, built once and cached.

@@ -12,11 +12,14 @@ any number of seed lanes:
   :class:`~repro.switch.traffic.BatchedChunkedTraffic` stream;
 * **schedulers** are consulted once per slot: a lane-stacked core from
   :func:`repro.switch.batched.batch_schedulers` when every lane runs the
-  same built-in scheduler, else each lane's own ``schedule_matrix``
-  core, falling back to the demand-set / occupancy-dict interfaces
-  (with the scalar fabric's checks) for the weighted adapters.  A
-  one-lane batch always takes the per-lane path: at one lane the
-  single-seed cores are the fastest measured;
+  same built-in scheduler, else each lane's own ``schedule_matrix`` on
+  its occupancy matrix — the one face of every scheduler, built-in or
+  user-supplied.  A one-lane batch always takes the per-lane path: at
+  one lane the single-seed cores are the fastest measured;
+* **the scalar fabric's checks** run on every schedule without a NumPy
+  call per consult: ``np.ravel_multi_index`` rejects an out-of-range
+  pair as it forms the flat VOQ ids, and each chunk's departure flush
+  rejects a non-matching schedule and a scheduled empty VOQ;
 * **exact FIFO delay accounting without per-cell timestamps**: during
   the main pass only per-VOQ departure *counts* are kept (the
   departure-slot sums reduce from the per-slot match sizes).  One
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.switch.fabric import SwitchStats
+from repro.switch.fabric import SwitchStats, out_of_range
 from repro.switch.simulator import _check_horizon, _check_ports
 from repro.switch.traffic import BatchedChunkedTraffic, ChunkedTraffic
 
@@ -65,56 +68,48 @@ def _chunk_events(block: np.ndarray, ports: int):
     return er, aflat, bounds
 
 
-def _matches_from_pairs(
-    pairs: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    arr = np.asarray(pairs, dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
+def _checked_departures(
+    pend: list, pend_left: list, pend_slot: list, num_seeds: int, ports: int
+) -> np.ndarray:
+    """One chunk's buffered departures as flat VOQ ids, once checked.
 
-
-def _occupancy_dicts(q: np.ndarray) -> list[dict[int, float]]:
-    """The scalar fabric's ``occupancy()`` view of the VOQ matrix."""
-    return [
-        {int(j): float(q[i, j]) for j in np.flatnonzero(q[i])}
-        for i in range(q.shape[0])
-    ]
-
-
-def _demand_sets(q: np.ndarray) -> list[set[int]]:
-    """The scalar fabric's ``demand()`` view of the VOQ matrix."""
-    return [set(np.flatnonzero(q[i]).tolist()) for i in range(q.shape[0])]
-
-
-def _consult_external(
-    scheduler, q: np.ndarray, qf: np.ndarray, slot: int, ports: int
-) -> np.ndarray | None:
-    """Consult a pair-list scheduler on one lane's occupancy.
-
-    Weighted schedulers see the occupancy dicts, the rest the demand
-    sets — the scalar fabric's choice.  Applies its matching / empty-VOQ
-    checks, decrements the flat occupancy view ``qf`` for the departed
-    cells, and returns their flat VOQ indices (``None`` when nothing was
-    scheduled).
+    Per consult, ``pend`` holds the departed flat VOQ ids, ``pend_left``
+    each VOQ's count after its departure and ``pend_slot`` the slot
+    within the chunk.  Per slot and lane every input and every output
+    may move one cell, and only from a non-empty VOQ: the first
+    departure that breaks this raises the scalar fabric's
+    :class:`ValueError`.  Memory: one count per (slot, lane, port).
     """
-    if hasattr(scheduler, "schedule_weighted"):
-        pairs = scheduler.schedule_weighted(_occupancy_dicts(q), slot)
-    else:
-        pairs = scheduler.schedule(_demand_sets(q), slot)
-    mi, mj = _matches_from_pairs(pairs)
-    k = len(mi)
-    if not k:
-        return None
-    if len(set(mi.tolist())) != k or len(set(mj.tolist())) != k:
-        raise ValueError("schedule is not a matching")
-    mflat = mi * ports + mj
-    moved = qf[mflat]
-    if moved.min() <= 0:
-        raise ValueError("scheduled empty VOQ")
-    qf[mflat] = moved - 1
-    return mflat
+    dep = np.concatenate(pend)
+    left = np.concatenate(pend_left)
+    base = np.repeat(
+        np.asarray(pend_slot) * (num_seeds * ports), [d.size for d in pend]
+    )
+    # (slot, lane, input) and (slot, lane, output) keys; floor division
+    # by a scalar is NumPy's fast path, np.divmod is not
+    key_i = dep // ports  # lane * ports + input
+    key_j = dep - key_i * ports  # output
+    if num_seeds > 1:
+        key_j += key_i // ports * ports  # lane * ports + output
+    key_i += base
+    key_j += base
+    if (
+        left.min() >= 0
+        and np.bincount(key_i).max() < 2
+        and np.bincount(key_j).max() < 2
+    ):
+        return dep
+    first = np.zeros((2, dep.size), dtype=bool)
+    for seen, key in zip(first, (key_i, key_j)):
+        seen[np.unique(key, return_index=True)[1]] = True
+    k = int(np.argmax(~first.all(axis=0) | (left < 0)))
+    lane, rest = divmod(int(dep[k]), ports * ports)
+    pair = "({},{})".format(*divmod(rest, ports))
+    if num_seeds > 1:
+        pair += f" in seed lane {lane}"
+    if not first[:, k].all():
+        raise ValueError(f"schedule is not a matching at {pair}")
+    raise ValueError(f"scheduled empty VOQ {pair}")
 
 
 def run_switch_vectorized(
@@ -225,21 +220,18 @@ def run_switch_batched(
     match_t = np.zeros((measured, num_seeds), dtype=np.int64)
 
     core = batch_schedulers(schedulers)
-    lane_modes = None
-    if core is None:
-        # per lane: its matrix core (None for pair-list schedulers), its
-        # occupancy views and its flat-id offset, bound once
-        lane_modes = [
-            (
-                sx,
-                getattr(sch, "schedule_matrix", None),
-                sch,
-                q[sx],
-                qf[sx * cell : (sx + 1) * cell],
-                sx * cell,
-            )
-            for sx, sch in enumerate(schedulers)
-        ]
+    # per lane: its scheduler, its occupancy views and its flat-id
+    # offset, bound once
+    lane_modes = [
+        (
+            sx,
+            sch.schedule_matrix,
+            q[sx],
+            qf[sx * cell : (sx + 1) * cell],
+            sx * cell,
+        )
+        for sx, sch in enumerate(schedulers)
+    ]
 
     # Backlogged-VOQ state for the batched cores, maintained
     # incrementally from the arrival/departure deltas (never rescanning
@@ -252,17 +244,22 @@ def run_switch_batched(
         req = np.zeros((num_seeds, ports, ports), dtype=bool)
         reqf = req.reshape(-1)
 
-    # Departure events are buffered per chunk (as flat VOQ ids) and
-    # folded into dep_cnt with one bincount per chunk (per-slot
-    # scatter-adds would dominate the loop).
+    # Departures are buffered per consult (flat VOQ ids, each VOQ's
+    # count after its departure, the slot within the chunk), then
+    # checked and folded into dep_cnt once per chunk: per-slot checks
+    # and scatter-adds would dominate the loop.
     pend: list[np.ndarray] = []
+    pend_left: list[np.ndarray] = []
+    pend_slot: list[int] = []
 
     def _flush_departures() -> None:
         if pend:
-            dep_cnt[:] += np.bincount(
-                np.concatenate(pend), minlength=num_keys
+            dep = _checked_departures(
+                pend, pend_left, pend_slot, num_seeds, ports
             )
-            pend.clear()
+            dep_cnt[:] += np.bincount(dep, minlength=num_keys)
+            for buf in (pend, pend_left, pend_slot):
+                buf.clear()
 
     slot = 0
     while slot < horizon:
@@ -302,23 +299,20 @@ def run_switch_batched(
                 elif reqf is not None:
                     reqf[arr] = True
             if core is None:
-                for sx, sched, sch, q_lane, qf_lane, base in lane_modes:
-                    if sched is None:
-                        # external pair lists get the scalar fabric's checks
-                        mfl = _consult_external(sch, q_lane, qf_lane, s, ports)
-                        if mfl is None:
-                            continue
-                    else:
-                        # matrix cores return partial permutations over
-                        # backlogged VOQs by construction; the per-chunk
-                        # negative-occupancy check still catches a
-                        # broken one
-                        mi, mj = sched(q_lane, s)
-                        if not len(mi):
-                            continue
-                        mfl = mi * ports + mj
-                        qf_lane[mfl] -= 1
+                for sx, sched, q_lane, qf_lane, base in lane_modes:
+                    mi, mj = sched(q_lane, s)
+                    if not len(mi):
+                        continue
+                    try:
+                        mfl = np.ravel_multi_index((mi, mj), (ports, ports))
+                    except ValueError:
+                        _flush_departures()  # an earlier slot's error first
+                        raise ValueError(out_of_range(mi, mj, ports)) from None
+                    left = qf_lane.take(mfl) - 1
+                    qf_lane[mfl] = left
                     pend.append(mfl + base if base else mfl)
+                    pend_left.append(left)
+                    pend_slot.append(r)
                     if w >= 0:
                         match_t[w, sx] = mfl.size
             else:
@@ -340,11 +334,11 @@ def run_switch_batched(
                     else:
                         reqf[mflat] = left > 0
                     pend.append(mflat)
+                    pend_left.append(left)
+                    pend_slot.append(r)
                     if w >= 0:
                         match_t[w] = np.bincount(lanes, minlength=num_seeds)
         slot += count
-        if qf.min() < 0:
-            raise ValueError("scheduled empty VOQ")
         _flush_departures()
     if core is not None and hasattr(core, "finalize"):
         core.finalize()

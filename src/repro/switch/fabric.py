@@ -11,13 +11,19 @@ papers the reproduction's introduction cites):
   every matched pair.
 
 The scheduler's job each slot is exactly the paper's problem: find a
-large matching in the bipartite demand graph of non-empty VOQs.
+large matching in the bipartite demand graph of non-empty VOQs.  The
+:class:`Switch` keeps each VOQ's arrival slots in a deque (they define
+the delay) and its length in the ``(ports, ports)`` :attr:`Switch.counts`
+matrix that schedulers read.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
 
 
 @dataclass
@@ -69,45 +75,32 @@ class Switch:
         self.voq: list[list[deque[int]]] = [
             [deque() for _ in range(ports)] for _ in range(ports)
         ]
+        #: counts[i, j] = cells queued in VOQ (i, j): the occupancy
+        #: matrix every scheduler reads (int32, like the engine's).
+        self.counts = np.zeros((ports, ports), dtype=np.int32)
         self.stats = SwitchStats(ports=ports)
 
     def enqueue(self, i: int, j: int, slot: int) -> None:
         """A cell destined to output ``j`` arrives at input ``i``."""
         self.voq[i][j].append(slot)
+        self.counts[i, j] += 1
         self.stats.arrivals += 1
 
-    def demand(self) -> list[set[int]]:
-        """``demand[i]`` = outputs with a non-empty VOQ at input ``i``."""
-        return [
-            {j for j in range(self.ports) if self.voq[i][j]}
-            for i in range(self.ports)
-        ]
-
-    def occupancy(self) -> list[dict[int, float]]:
-        """``occupancy[i][j]`` = queued cells in VOQ (i, j), non-empty only.
-
-        The weight function MWM-style schedulers maximize over.
-        """
-        return [
-            {
-                j: float(len(self.voq[i][j]))
-                for j in range(self.ports)
-                if self.voq[i][j]
-            }
-            for i in range(self.ports)
-        ]
-
-    def transfer(self, matches: list[tuple[int, int]], slot: int) -> int:
+    def transfer(self, matches: Iterable[tuple[int, int]], slot: int) -> int:
         """Move one cell along each matched (input, output) pair.
 
-        Validates that ``matches`` is a partial permutation (the fabric
-        constraint) and that matched VOQs are non-empty.  Returns the
-        number of cells transferred.
+        Validates that every pair names two ports of this switch, that
+        ``matches`` is a partial permutation (the fabric constraint) and
+        that matched VOQs are non-empty, raising :class:`ValueError`
+        otherwise.  Returns the number of cells transferred.
         """
+        ports = self.ports
         seen_i: set[int] = set()
         seen_j: set[int] = set()
         moved = 0
         for i, j in matches:
+            if not (0 <= i < ports and 0 <= j < ports):
+                raise ValueError(out_of_range([i], [j], ports))
             if i in seen_i or j in seen_j:
                 raise ValueError(f"schedule is not a matching at ({i},{j})")
             seen_i.add(i)
@@ -116,6 +109,7 @@ class Switch:
             if not q:
                 raise ValueError(f"scheduled empty VOQ ({i},{j})")
             arrived = q.popleft()
+            self.counts[i, j] -= 1
             self.stats.departures += 1
             self.stats.total_delay += slot - arrived
             moved += 1
@@ -126,3 +120,10 @@ class Switch:
     def backlog(self) -> int:
         """Total queued cells across all VOQs."""
         return sum(len(q) for row in self.voq for q in row)
+
+
+def out_of_range(inputs, outputs, ports: int) -> str:
+    """Both switch loops' error for the first pair outside the switch."""
+    mi, mj = np.asarray(inputs), np.asarray(outputs)
+    k = int(np.argmax((mi < 0) | (mi >= ports) | (mj < 0) | (mj >= ports)))
+    return f"schedule pair ({mi[k]},{mj[k]}) out of range for {ports} ports"

@@ -1,4 +1,4 @@
-"""Scheduler adapters: one call per cell slot, returning a matching.
+"""Switch schedulers: one ``schedule_matrix`` call per cell slot.
 
 Schedulers under comparison in experiment E8:
 
@@ -12,18 +12,19 @@ Schedulers under comparison in experiment E8:
   thousand-slot simulations stay fast; ``distributed=True`` runs the
   actual Section 3.2 protocol per slot (small port counts);
 * :class:`MaxSizeScheduler` — exact maximum matching per slot (the
-  upper bound on per-slot quality).
+  upper bound on per-slot quality);
+* :class:`MaxWeightScheduler` and :class:`WeightedPaperScheduler` —
+  exact and Algorithm 5's (½−ε) max-weight matching on queue lengths.
 
-Each of them has two faces.  ``schedule_matrix(occupancy, slot)`` is
-the core the switch engine consults: it reads the ``(ports, ports)``
-occupancy matrix and returns the matched ``(inputs, outputs)`` index
-arrays.  ``schedule(demand, slot)`` is the pair-list adapter the
-scalar reference fabric drives.  The paper and max-size cores feed
+Every scheduler has one face, the :class:`Scheduler` protocol's
+``schedule_matrix(occupancy, slot)``: it reads the ``(ports, ports)``
+VOQ occupancy matrix and returns the matched ``(inputs, outputs)``
+index arrays.  The scalar reference loop and the engine both call it,
+and both check what it returns.  The paper and max-size cores feed
 each input's ascending backlogged outputs straight into Hopcroft–Karp's
-phase loop (:func:`~repro.matching.hopcroft_karp.hk_mates`); their
-``schedule`` builds the demand :class:`Graph` and calls
-:func:`hopcroft_karp_truncated` / :func:`hopcroft_karp` on it, whose
-port order is the same, so both faces return the same pairs.
+phase loop (:func:`~repro.matching.hopcroft_karp.hk_mates`), which is
+the demand :class:`Graph`'s port order; the weighted schedulers and
+``distributed=True`` build that ``Graph`` from the matrix.
 """
 
 from __future__ import annotations
@@ -33,27 +34,26 @@ from typing import Protocol
 import numpy as np
 
 from repro.baselines.islip import IslipScheduler
-from repro.baselines.pim import _request_matrix, pim_schedule, pim_schedule_matrix
+from repro.baselines.pim import pim_schedule_matrix
 from repro.core.bipartite_mcm import bipartite_mcm
 from repro.graphs.graph import Graph
-from repro.matching.hopcroft_karp import (
-    hk_mates,
-    hopcroft_karp,
-    hopcroft_karp_truncated,
-)
+from repro.matching.hopcroft_karp import hk_mates
+from repro.matching.matching import Matching
 
 
 class Scheduler(Protocol):
-    """Per-slot scheduling interface."""
+    """Per-slot scheduling interface of every switch loop."""
 
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        """Return matched (input, output) pairs for this slot."""
+    def schedule_matrix(
+        self, occupancy: np.ndarray, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Matched ``(inputs, outputs)`` index arrays for this slot.
+
+        ``occupancy[i, j]`` counts the cells queued in VOQ (i, j).  The
+        pairs must form a partial permutation over non-empty VOQs; the
+        loops raise :class:`ValueError` otherwise.
+        """
         ...
-
-
-def _pairs(mi: np.ndarray, mj: np.ndarray) -> list[tuple[int, int]]:
-    """Index arrays -> the list-of-pairs scalar scheduling interface."""
-    return [(int(i), int(j)) for i, j in zip(mi, mj)]
 
 
 #: Below this many backlogged pairs, sequential greedy in plain Python
@@ -218,15 +218,23 @@ def greedy_maximal_matrix(
     return np.divmod(won, num_outputs)
 
 
-def _demand_graph(demand: list[set[int]], ports: int) -> tuple[Graph, list[int]]:
-    """Bipartite demand graph: inputs 0..N-1, outputs N..2N-1."""
-    cols = [sorted(outs) for outs in demand]
-    rows = np.repeat(np.arange(len(cols)), [len(c) for c in cols])
-    flat = np.fromiter(
-        (j for c in cols for j in c), dtype=np.int64, count=len(rows)
-    )
-    edges = np.column_stack([rows, flat + ports])
-    return Graph(2 * ports, edges), list(range(ports))
+def _demand_graph(occupancy: np.ndarray, weighted: bool = False) -> Graph:
+    """Bipartite demand graph: inputs 0..N-1, outputs N..2N-1.
+
+    One edge per backlogged VOQ in row-major order, weighted by its
+    queue length when ``weighted``.
+    """
+    ports = occupancy.shape[0]
+    rows, cols = np.nonzero(occupancy)
+    weights = occupancy[rows, cols].astype(np.float64) if weighted else None
+    return Graph(2 * ports, np.column_stack([rows, cols + ports]), weights)
+
+
+def _graph_schedule(m: Matching, ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """A matching on the demand graph as matched index arrays."""
+    mate = m.mate_array()[:ports]
+    mi = np.flatnonzero(mate >= 0)
+    return mi, mate.take(mi) - ports
 
 
 def _request_rows(occupancy: np.ndarray) -> list[list[int]]:
@@ -263,11 +271,7 @@ class PimScheduler:
     def schedule_matrix(
         self, occupancy: np.ndarray, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule directly on a ``(ports, ports)`` occupancy matrix."""
         return pim_schedule_matrix(occupancy > 0, self.rng, self.iterations)
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        return pim_schedule(demand, self.ports, self.rng, self.iterations)
 
 
 class IslipAdapter:
@@ -280,11 +284,7 @@ class IslipAdapter:
     def schedule_matrix(
         self, occupancy: np.ndarray, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule directly on a ``(ports, ports)`` occupancy matrix."""
         return self.inner.schedule_matrix(occupancy > 0)
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        return self.inner.schedule(demand)
 
 
 class GreedyMaximalScheduler:
@@ -299,14 +299,8 @@ class GreedyMaximalScheduler:
     def schedule_matrix(
         self, occupancy: np.ndarray, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule directly on a ``(ports, ports)`` occupancy matrix."""
         np.greater(occupancy, 0, out=self._req)
         return greedy_maximal_matrix(self._req, self.tape)
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        return _pairs(*greedy_maximal_matrix(
-            _request_matrix(demand, self.ports), self.tape
-        ))
 
 
 class PaperScheduler:
@@ -330,33 +324,22 @@ class PaperScheduler:
     def schedule_matrix(
         self, occupancy: np.ndarray, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule directly on a ``(ports, ports)`` occupancy matrix.
+        """Truncated Hopcroft–Karp on the request rows.
 
-        Runs the HK phases with augmenting paths of at most 2k−1 edges
-        on the request rows: the pairs :meth:`schedule` returns for the
-        same demand.  ``distributed=True`` hands the demand sets to
-        :meth:`schedule`, which runs the protocol.
+        Augmenting paths have at most 2k−1 edges, and the pairs are
+        those :func:`~repro.matching.hopcroft_karp.hopcroft_karp_truncated`
+        returns on the demand graph.  ``distributed=True`` runs the
+        Section 3.2 protocol on that graph instead, seeded per slot.
         """
         if self.distributed:
-            pairs = self.schedule(
-                [set(outs) for outs in _request_rows(occupancy)], slot
-            )
-            arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-            return arr[:, 0], arr[:, 1]
-        return _hk_schedule(occupancy, 2 * self.k - 1)
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        g, xs = _demand_graph(demand, self.ports)
-        if self.distributed:
             m, _res = bipartite_mcm(
-                g,
+                _demand_graph(occupancy),
                 self.k,
-                xs=xs,
+                xs=list(range(self.ports)),
                 seed=int(self._slot_seq.spawn(1)[0].generate_state(1)[0]),
             )
-        else:
-            m = hopcroft_karp_truncated(g, self.k, xs=xs)
-        return [(u, v - self.ports) for u, v in m.edges()]
+            return _graph_schedule(m, self.ports)
+        return _hk_schedule(occupancy, 2 * self.k - 1)
 
 
 class MaxSizeScheduler:
@@ -368,36 +351,7 @@ class MaxSizeScheduler:
     def schedule_matrix(
         self, occupancy: np.ndarray, slot: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Schedule directly on a ``(ports, ports)`` occupancy matrix."""
         return _hk_schedule(occupancy, None)
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        g, xs = _demand_graph(demand, self.ports)
-        m = hopcroft_karp(g, xs=xs)
-        return [(u, v - self.ports) for u, v in m.edges()]
-
-
-def _weighted_demand_graph(
-    weights: list[dict[int, float]], ports: int
-) -> Graph:
-    """Bipartite demand graph weighted by queue occupancy."""
-    edges, ws = [], []
-    for i, row in enumerate(weights):
-        for j in sorted(row):
-            if row[j] > 0:
-                edges.append((i, ports + j))
-                ws.append(float(row[j]))
-    return Graph(2 * ports, np.asarray(edges, dtype=np.int64).reshape(-1, 2), ws)
-
-
-class WeightedScheduler(Protocol):
-    """Schedulers that consume per-VOQ weights (queue lengths)."""
-
-    def schedule_weighted(
-        self, weights: list[dict[int, float]], slot: int
-    ) -> list[tuple[int, int]]:
-        """Return matched pairs given ``weights[i][j]`` = occupancy."""
-        ...
 
 
 class MaxWeightScheduler:
@@ -411,22 +365,15 @@ class MaxWeightScheduler:
     def __init__(self, ports: int):
         self.ports = ports
 
-    def schedule_weighted(
-        self, weights: list[dict[int, float]], slot: int
-    ) -> list[tuple[int, int]]:
+    def schedule_matrix(
+        self, occupancy: np.ndarray, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         from repro.matching.exact_mwm import max_weight_matching
 
-        g = _weighted_demand_graph(weights, self.ports)
+        g = _demand_graph(occupancy, weighted=True)
         if g.m == 0:
-            return []
-        m = max_weight_matching(g)
-        return [(u, v - self.ports) for u, v in m.edges()]
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        """Unweighted adapter: treat every backlogged VOQ as weight 1."""
-        return self.schedule_weighted(
-            [{j: 1.0 for j in outs} for outs in demand], slot
-        )
+            return _EMPTY_I64, _EMPTY_I64
+        return _graph_schedule(max_weight_matching(g), self.ports)
 
 
 class WeightedPaperScheduler:
@@ -442,19 +389,13 @@ class WeightedPaperScheduler:
         self.ports = ports
         self.eps = eps
 
-    def schedule_weighted(
-        self, weights: list[dict[int, float]], slot: int
-    ) -> list[tuple[int, int]]:
+    def schedule_matrix(
+        self, occupancy: np.ndarray, slot: int
+    ) -> tuple[np.ndarray, np.ndarray]:
         from repro.core.weighted_mwm import weighted_mwm_reference
 
-        g = _weighted_demand_graph(weights, self.ports)
+        g = _demand_graph(occupancy, weighted=True)
         if g.m == 0:
-            return []
+            return _EMPTY_I64, _EMPTY_I64
         m, _ = weighted_mwm_reference(g, eps=self.eps)
-        return [(u, v - self.ports) for u, v in m.edges()]
-
-    def schedule(self, demand: list[set[int]], slot: int) -> list[tuple[int, int]]:
-        """Unweighted adapter: weight-1 VOQs."""
-        return self.schedule_weighted(
-            [{j: 1.0 for j in outs} for outs in demand], slot
-        )
+        return _graph_schedule(m, self.ports)

@@ -1,15 +1,19 @@
 """The scalar cell-slot simulation loop tying traffic, switch and scheduler.
 
 This is the *reference semantics* for the switch subsystem: one
-Python-level pass per slot over deque-backed VOQs.  The production
-path for long horizons, large port counts and seed lanes is
+Python-level pass per slot over deque-backed VOQs, moving one cell per
+pair the scheduler's ``schedule_matrix`` returns.  The production path
+for long horizons, large port counts and seed lanes is
 :func:`repro.switch.engine.run_switch_batched` (a single seed is a
 one-lane batch, :func:`~repro.switch.engine.run_switch_vectorized`),
 which is pinned byte-identical to this loop on
-:class:`~repro.switch.fabric.SwitchStats`, lane by lane.
+:class:`~repro.switch.fabric.SwitchStats`, lane by lane, and rejects
+the same bad schedules.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.switch.fabric import Switch, SwitchStats
 from repro.switch.schedulers import Scheduler
@@ -42,12 +46,14 @@ def run_switch(
 ) -> SwitchStats:
     """Simulate ``slots`` cell slots; returns the switch statistics.
 
-    Per slot: arrivals are enqueued, the scheduler is consulted with
-    the current VOQ occupancy, and the fabric transfers one cell per
-    matched pair.  ``warmup`` extra slots run first without being
-    counted (to measure steady state).  Negative ``slots`` or
-    ``warmup``, or a scheduler whose ``ports`` differs from the
-    switch's, raise :class:`ValueError`.
+    Per slot: arrivals are enqueued, the scheduler's
+    ``schedule_matrix`` is consulted with the current VOQ occupancy
+    matrix, and the fabric transfers one cell per matched pair.
+    ``warmup`` extra slots run first without being counted (to measure
+    steady state).  Negative ``slots`` or ``warmup``, a scheduler whose
+    ``ports`` differs from the switch's, and a schedule that is out of
+    range, not a matching or serves an empty VOQ raise
+    :class:`ValueError`.
     """
     _check_horizon(slots, warmup)
     _check_ports(scheduler, ports)
@@ -60,10 +66,8 @@ def run_switch(
             sw.stats = SwitchStats(ports=ports)
         for i, j in traffic(slot):
             sw.enqueue(i, j, slot)
-        if hasattr(scheduler, "schedule_weighted"):
-            matches = scheduler.schedule_weighted(sw.occupancy(), slot)
-        else:
-            matches = scheduler.schedule(sw.demand(), slot)
-        sw.transfer(matches, slot)
+        mi, mj = scheduler.schedule_matrix(sw.counts, slot)
+        pairs = zip(np.asarray(mi).tolist(), np.asarray(mj).tolist())
+        sw.transfer(pairs, slot)
     sw.stats.backlog = sw.backlog()
     return sw.stats

@@ -145,6 +145,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
 
+    @pytest.mark.parametrize("spec,name", [
+        ("delay=100000000000000000000", "delay"),
+        ("crash_window=100000000000000000000,crash=1", "crash_window"),
+        ("crash=1,crashes=3", "crashes"),
+        ("seed=-1,loss=0.1", "seed"),
+    ])
+    def test_baselines_rejects_bad_fault_spec(self, capsys, spec, name):
+        assert main(["baselines", "--n", "20", "--faults", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --faults spec: ") and name in err
+
     def test_switch_seed_batch_rejects_nonpositive(self, capsys):
         assert main(["switch", "--ports", "6", "--slots", "50",
                      "--seed-batch", "0"]) == 1

@@ -26,6 +26,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.israeli_itai import (
     israeli_itai_array_batched,
@@ -35,13 +37,20 @@ from repro.baselines.israeli_itai import (
 )
 from repro.baselines.luby_mis import luby_mis, luby_mis_program
 from repro.distributed.backends import run_program_batched
-from repro.distributed.faults import NEVER, FaultPlan, bind_many, with_seed
+from repro.distributed.faults import (
+    _PARSE_KEYS,
+    NEVER,
+    FaultPlan,
+    bind_many,
+    with_seed,
+)
 from repro.distributed.network import Network
 from repro.distributed.trace import Tracer, run_traced
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     gnp_random,
+    path_graph,
     random_tree,
 )
 from repro.matching.certify import (
@@ -91,6 +100,27 @@ PLANS = [
 ]
 
 
+_SMALL = st.integers(0, 12)
+_INTS = st.one_of(
+    _SMALL, _SMALL, _SMALL,
+    st.sampled_from([int(NEVER) - 1, int(NEVER), 2**64 - 1, 2**64, -1]),
+    st.integers(-(2**70), 2**70),
+).map(str)
+_FLOATS = st.one_of(
+    st.floats(0, 1), st.floats(0, 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(repr)
+#: ``key=value`` items whose value has the key's type (mostly in range),
+#: and items pairing any key, or an unknown one, with any value.
+_TYPED_ITEM = st.sampled_from(sorted(_PARSE_KEYS)).flatmap(
+    lambda k: st.tuples(st.just(k), _FLOATS if k == "loss" else _INTS)
+)
+_ANY_ITEM = st.tuples(
+    st.sampled_from([*_PARSE_KEYS, "junk"]),
+    st.one_of(_INTS, _FLOATS, st.text(max_size=4)),
+)
+
+
 class TestPlanParsing:
     def test_parse_round_trips_the_knobs(self):
         plan = FaultPlan.parse("loss=0.05,crash=3,link=2,crash_window=4,seed=7")
@@ -111,6 +141,54 @@ class TestPlanParsing:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             FaultPlan.parse(bad)
+
+    @pytest.mark.parametrize("bad,name", [
+        ("delay=4611686018427387904", "delay"),  # 2^62 == NEVER
+        ("delay=100000000000000000000", "delay"),
+        ("crash_window=100000000000000000000,crash=1", "crash_window"),
+        ("link_window=4611686018427387904,link=1", "link_window"),
+        ("seed=-1", "seed"),
+        ("seed=18446744073709551616", "seed"),  # 2^64
+    ])
+    def test_rejects_values_past_the_schedule_range(self, bad, name):
+        """A round at or past NEVER would read as "never triggers", and
+        a seed outside [0, 2^64) would alias another seed's faults."""
+        with pytest.raises(ValueError, match=name):
+            FaultPlan.parse(bad)
+
+    def test_accepts_the_largest_values(self):
+        plan = FaultPlan.parse(
+            f"delay={int(NEVER) - 1},crash_window={int(NEVER) - 1},"
+            f"seed={2**64 - 1}"
+        )
+        assert plan.delay == plan.crash_window == int(NEVER) - 1
+        assert plan.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("spec", [
+        "crash=1,crashes=3", "loss=0.1,loss=0.2", "link=1,link_failures=2",
+        "links=1,link=1", "seed=1,seed=1",
+    ])
+    def test_rejects_a_key_given_twice(self, spec):
+        with pytest.raises(ValueError, match="twice"):
+            FaultPlan.parse(spec)
+
+    @given(st.lists(st.one_of(_TYPED_ITEM, _TYPED_ITEM, _TYPED_ITEM,
+                              _ANY_ITEM), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_spec_raises_value_error_or_runs(self, items):
+        """Any ``key=value`` list either fails to parse with a
+        ValueError or yields a plan Israeli–Itai runs to completion or
+        to the stall RuntimeError — never another exception."""
+        spec = ",".join(f"{k}={v}" for k, v in items)
+        try:
+            plan = FaultPlan.parse(spec)
+        except ValueError:
+            return
+        try:
+            israeli_itai_matching(path_graph(6), seed=1, max_rounds=120,
+                                  faults=plan)
+        except RuntimeError as e:
+            assert "still running" in str(e)
 
     def test_describe_mentions_every_active_knob(self):
         plan = FaultPlan(loss=0.1, crashes=2, link_failures=1, seed=3)

@@ -161,15 +161,6 @@ class TestBulkAccessors:
             with pytest.raises(ValueError):
                 arr[0] = 99
 
-    def test_sorted_neighbors(self):
-        g = Graph(5, [(0, 4), (0, 1), (0, 3), (0, 2)])
-        assert g.sorted_neighbors(0).tolist() == [1, 2, 3, 4]
-        # aligned edge ids: neighbor k was inserted as edge ...
-        snbrs = g.sorted_neighbors(0).tolist()
-        seids = g.sorted_incident_eids(0).tolist()
-        for u, eid in zip(snbrs, seids):
-            assert g.edge_id(0, u) == eid
-
     def test_neighbor_sets_cached_and_correct(self):
         g = Graph(4, [(0, 1), (0, 2), (2, 3)])
         sets = g.neighbor_sets()

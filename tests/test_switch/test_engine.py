@@ -200,9 +200,9 @@ class TestValidation:
 
     def test_rejects_non_matching_schedule(self):
         class Bad:
-            def schedule(self, demand, slot):
+            def schedule_matrix(self, occupancy, slot):
                 # two cells out of the same input: not a matching
-                return [(0, 0), (0, 1)]
+                return np.array([0, 0]), np.array([0, 1])
 
         traffic = bernoulli_uniform(4, 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -210,8 +210,8 @@ class TestValidation:
 
     def test_rejects_scheduling_empty_voq(self):
         class Bad:
-            def schedule(self, demand, slot):
-                return [(0, 0)]  # regardless of occupancy
+            def schedule_matrix(self, occupancy, slot):
+                return np.array([0]), np.array([0])  # regardless of occupancy
 
         traffic = bernoulli_uniform(4, 0.0, seed=0)  # no arrivals ever
         with pytest.raises(ValueError):

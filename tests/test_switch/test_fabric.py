@@ -1,5 +1,6 @@
 """Tests for the VOQ switch fabric."""
 
+import numpy as np
 import pytest
 
 from repro.switch import Switch
@@ -12,7 +13,8 @@ class TestSwitch:
         sw.enqueue(0, 2, slot=0)
         sw.enqueue(0, 3, slot=0)
         sw.enqueue(1, 2, slot=0)
-        assert sw.demand() == [{2, 3}, {2}, set(), set()]
+        demand = [set(np.flatnonzero(row).tolist()) for row in sw.counts]
+        assert demand == [{2, 3}, {2}, set(), set()]
 
     def test_transfer_moves_cells(self):
         sw = Switch(3)

@@ -1,10 +1,9 @@
 """The paper and max-size schedulers' request-matrix cores.
 
 ``schedule_matrix`` feeds each input's ascending backlogged outputs to
-Hopcroft–Karp's phase loop; ``schedule`` builds the demand graph and
-calls the ``Graph`` wrappers on it.  The two must return the same pairs,
-and the engine, which consults the matrix core, must build no ``Graph``
-and no ``Matching``.
+Hopcroft–Karp's phase loop.  It must return the pairs the ``Graph``
+wrappers return on the demand graph, and neither switch loop, both of
+which consult it, may build a ``Graph`` or a ``Matching``.
 """
 
 import numpy as np
@@ -36,9 +35,7 @@ def occupancies(draw):
 def _graph_pairs(occ, k):
     """The pairs the ``Graph`` wrappers return on the demand graph."""
     ports = occ.shape[0]
-    g, xs = _demand_graph(
-        [set(np.flatnonzero(row).tolist()) for row in occ], ports
-    )
+    g, xs = _demand_graph(occ), list(range(ports))
     m = hopcroft_karp(g, xs) if k is None else hopcroft_karp_truncated(g, k, xs)
     return sorted((u, v - ports) for u, v in m.edges())
 
@@ -89,10 +86,24 @@ class TestEngineBuildsNoGraph:
         assert stats.departures > 0
         assert constructions == []
 
-    def test_spy_sees_the_reference_fabric(self, make, constructions):
-        """The scalar fabric drives ``schedule``: a Graph per slot."""
-        run_switch(8, bernoulli_uniform(8, 0.9, seed=2), make(), slots=5)
-        assert "Graph" in constructions and "Matching" in constructions
+    def test_scalar_loop(self, make, constructions):
+        """The reference loop consults the same matrix core."""
+        stats = run_switch(
+            8, bernoulli_uniform(8, 0.9, seed=2), make(), slots=200, warmup=20
+        )
+        assert stats.departures > 0
+        assert constructions == []
+
+
+def test_spy_sees_the_distributed_protocol(constructions):
+    """``distributed=True`` runs the protocol on a demand Graph per slot."""
+    run_switch_vectorized(
+        8,
+        bernoulli_uniform(8, 0.9, seed=2),
+        PaperScheduler(8, k=3, seed=1, distributed=True),
+        slots=5,
+    )
+    assert "Graph" in constructions and "Matching" in constructions
 
 
 class TestPaperSchedulerK:
