@@ -17,6 +17,13 @@ seam and charts honest degradation:
     real per-round delivery filtering (one vectorized loss hash over
     the round's messages).
 
+  - ``faulted_batch`` — the CI gate of the array fault path:
+    Israeli–Itai at n=2000 under ``crashes=20, link_failures=40`` (no
+    loss, so no lane stalls), 8 seeds as one array batch vs the same 8
+    seeds as generator runs; every lane is asserted equal to its
+    generator run (fault counters included) before timing, and the
+    batch must not be slower.
+
   Timing is interleaved best-of-k (the variants alternate within each
   repetition) so machine noise cancels instead of biasing one side.
 
@@ -32,8 +39,9 @@ Run as a script for the JSON artifact::
     PYTHONPATH=src python benchmarks/bench_s10_faults.py --out s10.json
 
 ``--quick`` trims repetitions and ladder points; ``--check`` exits 2
-if the noop-seam overhead breaches 1.05x or the degradation oracle
-rejects a completed run.  The committed full run lives at
+if the noop-seam overhead breaches 1.05x, the faulted array batch is
+slower than the generator runs, or the degradation oracle rejects a
+completed run.  The committed full run lives at
 ``benchmarks/results/s10_faults.json``.
 """
 
@@ -45,7 +53,10 @@ from typing import Any, Callable
 
 import harness
 from repro.analysis import format_table, print_banner
-from repro.baselines.israeli_itai import israeli_itai_matching
+from repro.baselines.israeli_itai import (
+    israeli_itai_matching,
+    israeli_itai_matching_batched,
+)
 from repro.baselines.luby_mis import luby_mis
 from repro.distributed.faults import FaultPlan
 from repro.graphs.generators import gnp_random
@@ -67,6 +78,11 @@ EPS_LOSS = 2.0 ** -64
 #: ``--check`` fails above this noop-seam overhead ratio: the seam must
 #: be free when no plan is active.
 MAX_OVERHEAD = 1.05
+#: The faulted-batch cell's plan: crashes and link failures but no
+#: loss, so every lane completes.
+BATCH_PLAN = FaultPlan(crashes=20, link_failures=40)
+#: Seeds of the faulted-batch cell (one array batch of this many lanes).
+BATCH_SEEDS = 8
 
 
 def _interleaved_best(
@@ -135,6 +151,41 @@ def run_overhead_cells(n: int, seed: int, reps: int) -> list[dict[str, Any]]:
             "speedup": round(t_plain / t_active, 4),
         },
     ]
+
+
+def run_faulted_batch_cell(n: int, reps: int) -> dict[str, Any]:
+    """Time one faulted array batch against per-seed generator runs.
+
+    Every lane is asserted equal to its generator run (matching and
+    ``RunResult``, fault counters included) before anything is timed.
+    """
+    g = gnp_random(n, AVG_DEG / (n - 1), seed=0)
+    seeds = list(range(BATCH_SEEDS))
+
+    def array_leg():
+        return israeli_itai_matching_batched(
+            g, seeds, backend="array", faults=BATCH_PLAN
+        )
+
+    def generator_leg():
+        return [israeli_itai_matching(g, seed=s, faults=BATCH_PLAN)
+                for s in seeds]
+
+    lanes = array_leg()
+    for s, ((am, ar), (gm, gr)) in enumerate(zip(lanes, generator_leg())):
+        if am.edges() != gm.edges() or ar != gr:
+            raise AssertionError(f"faulted batch lane {s} differs at n={n}")
+    t_array, t_gen = _interleaved_best([array_leg, generator_leg], reps)
+    return {
+        "workload": "faulted_batch", "n": n, "m": g.m,
+        "plan": BATCH_PLAN.describe(), "seeds": len(seeds), "reps": reps,
+        "rounds": [res.rounds for _, res in lanes],
+        "nodes_crashed": sum(res.nodes_crashed for _, res in lanes),
+        "links_failed": sum(res.links_failed for _, res in lanes),
+        "identical_results": True,
+        "array_s": round(t_array, 4), "generator_s": round(t_gen, 4),
+        "speedup": round(t_gen / t_array, 4),
+    }
 
 
 def _faulted_ii(g, seed: int, plan: FaultPlan) -> dict[str, Any]:
@@ -216,6 +267,7 @@ def run(quick: bool) -> dict[str, Any]:
               else [0.0, 0.0001, 0.001, 0.002, 0.003, 0.005, 0.01])
     crashes = [0, 5, 20] if quick else [0, 2, 5, 10, 20]
     cells = run_overhead_cells(SMOKE_N, seed=0, reps=reps)
+    cells.append(run_faulted_batch_cell(SMOKE_N, reps=3 if quick else 5))
     loss_curve, crash_curve = run_degradation_curves(
         CURVE_N, seeds, losses, crashes
     )
@@ -230,6 +282,13 @@ def gate(data: dict[str, Any]) -> list[str]:
     if ratio > MAX_OVERHEAD:
         failures.append(f"n={SMOKE_N} noop-seam overhead {ratio:.3f}x "
                         f"exceeds the {MAX_OVERHEAD:.2f}x gate")
+    batch = harness.find_cell(data, workload="faulted_batch")
+    if batch["speedup"] < 1.0:
+        failures.append(
+            f"n={batch['n']} faulted {batch['seeds']}-lane array batch is "
+            f"slower than its generator runs ({batch['array_s']} s vs "
+            f"{batch['generator_s']} s)"
+        )
     bad = [p["plan"] for p in data["loss_curve"] + data["crash_curve"]
            if not p["oracle_ok"]]
     if bad:
@@ -248,9 +307,14 @@ def show(data: dict[str, Any]) -> None:
         [
             [c["workload"], c["n"], c["rounds"], c["plain_s"],
              c["faulted_s"], c["overhead"]]
-            for c in data["cells"]
+            for c in data["cells"] if c["workload"] != "faulted_batch"
         ],
     ))
+    batch = harness.find_cell(data, workload="faulted_batch")
+    print(f"\nIsraeli-Itai, {batch['plan']}, n={batch['n']}: "
+          f"{batch['seeds']} seeds as one array batch {batch['array_s']} s "
+          f"vs generator runs {batch['generator_s']} s "
+          f"({batch['speedup']}x; every lane identical)")
     n, budget = data["curve_n"], data["curve_max_rounds"]
     print(f"\nIsraeli-Itai degradation, n={n} G(n,p) avg deg "
           f"{data['avg_degree']}, stall = no termination within "

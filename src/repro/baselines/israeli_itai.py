@@ -23,7 +23,11 @@ spec and :func:`israeli_itai_array_batched` the array program, written
 over a lane axis of seeds.  ``israeli_itai_matching(...,
 backend="array")`` runs the array program as a one-lane batch and
 :func:`israeli_itai_matching_batched` over a whole seed list; every
-form produces byte-identical ``RunResult``s from the same seed.
+form produces byte-identical ``RunResult``s from the same seed.  The
+array program is also the only array form of the protocol under a
+:class:`~repro.distributed.faults.FaultPlan`: faulted and fault-free
+lanes run the same loop, so the array side's fault behaviour is
+defined in one place.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ from repro.distributed.backends import (
     lane_nonzero,
     replay_acceptor_choices,
     run_program_batched,
-    segment_bounds,
     sorted_csr,
 )
-from repro.distributed.faults import NEVER, FaultPlan, FaultState
+from repro.distributed.faults import NEVER, FaultPlan
 from repro.distributed.network import Network, RunResult
 from repro.distributed.node import Node
 from repro.graphs.graph import Graph
@@ -107,351 +110,183 @@ def israeli_itai_program(node: Node) -> Generator[None, None, int]:
                 announced.add(src)
 
 
-class _BatchedLaneOps:
-    """One batch lane's view of a BatchedArrayContext.
-
-    Faulted batches run the fault core once per lane (the per-lane
-    crash/link schedules differ, so the lanes share no phase structure
-    to vectorize across); this adapter routes the core's accounting to
-    lane ``s``'s counters and its draws to the lane-offset RNG streams,
-    so each lane's run stays byte-identical to its generator run.
-    """
-
-    __slots__ = ("ctx", "lanes", "s", "_base", "_live", "_yielded")
-
-    def __init__(self, ctx: BatchedArrayContext, s: int) -> None:
-        self.ctx = ctx
-        self.lanes = ctx.lanes
-        self.s = s
-        self._base = s * ctx.n
-        self._live = np.zeros(ctx.num_seeds, dtype=np.int64)
-        self._yielded = np.zeros(ctx.num_seeds, dtype=bool)
-        self._yielded[s] = True
-
-    def rounds(self) -> int:
-        return int(self.ctx.rounds[self.s])
-
-    def begin(self, live: int) -> None:
-        self._live[self.s] = live
-        self.ctx.begin_step(self._live)
-
-    def end(self) -> None:
-        self.ctx.end_step(self._yielded)
-
-    def account(self, bits: np.ndarray, counts: np.ndarray) -> None:
-        self.ctx.account_groups(
-            bits, counts, np.full(len(bits), self.s, dtype=np.int64)
-        )
-
-    def faults(self, **kw: int) -> None:
-        self.ctx.add_fault_counts(self.s, **kw)
-
-    def draw(
-        self, low: int, high: np.ndarray | int, ids: np.ndarray
-    ) -> np.ndarray:
-        return self.lanes.integers(low, high, self._base + ids)
-
-
-def _israeli_itai_faulty(
-    g: Graph,
-    snbr: np.ndarray,
-    seid: np.ndarray,
-    fs: FaultState,
-    ops: _BatchedLaneOps,
-    outputs: list,
-) -> None:
-    """Vectorized Israeli–Itai under an active fault plan (one lane).
-
-    The array-side fault seam (tentpole of the robustness tier): a
-    faithful mirror of one faulted :class:`Network` run of
-    :func:`israeli_itai_program`, byte-identical in outputs, rounds,
-    message accounting, and fault counters.  The structural deltas from
-    the fault-free array core:
-
-    * global truth is replaced by *knowledge*: a per-half-edge ``heard``
-      array (did this slot's owner receive its neighbor's ``_MATCHED``
-      announcement?) stands in for the shared ``mate == -1`` residual
-      mask — under loss an announcement can vanish, and the two
-      endpoints' views legitimately diverge;
-    * scheduled crash/link events apply at the top of every resume with
-      the engine's exact timing (a link failure always counts when its
-      round is reached; a crash of an already-returned node is a silent
-      no-op), and candidate/view sets are recomputed per round from the
-      surviving slots;
-    * per-delivery loss is the same stateless hash the generator seam
-      evaluates, batched with :meth:`FaultState.drop_mask` — attempted
-      sends always count toward the message totals, and drops (dead
-      letters included) land in ``messages_dropped``.
-
-    ``snbr``/``seid`` are the CSR's neighbor and edge ids with each
-    vertex's slots in ascending neighbor order.  Writes per-node mates
-    into ``outputs`` (``None`` for crashed nodes) and reports
-    everything else through ``ops``.
-    """
-    n = g.n
-    indptr, _, _ = g.adjacency_arrays()
-    owner = np.repeat(np.arange(n, dtype=np.int64), g.degrees())
-    # twin[t] = the reverse slot of t's edge (owner/neighbor swapped):
-    # a heard announcement over edge e marks e's other half-edge.
-    twin = np.empty(owner.size, dtype=np.int64)
-    t_order = np.argsort(seid, kind="stable")
-    twin[t_order[0::2]] = t_order[1::2]
-    twin[t_order[1::2]] = t_order[0::2]
-    slot_link = fs.link_fail_round[seid]   # round t's edge dies
-    crash_round = fs.crash_round
-    # Effective crash rounds: a crash landing on an already-returned
-    # node is a silent no-op in the reference engine — not counted AND
-    # not pruned from the survivors' views — so its round is
-    # neutralized to NEVER when the event fires.
-    eff_crash = crash_round.copy()
-    has_loss = fs.plan.loss > 0
-    heard = np.zeros(owner.size, dtype=bool)
-    mate = np.full(n, -1, dtype=np.int64)
-    running = np.ones(n, dtype=bool)  # neither returned nor crashed
-    link_counted = np.zeros(fs.m, dtype=bool)
-    crash_handled = np.zeros(n, dtype=bool)
-    link_fail_round = fs.link_fail_round
-    eight = np.int64(8)
-
-    def apply_events(r: int) -> None:
-        # Mirror of Network._apply_fault_events: every link event due
-        # by round r counts once; a crash counts (and halts the node)
-        # only if its program had not already returned.
-        due_l = (link_fail_round <= r) & ~link_counted
-        nl = int(due_l.sum())
-        if nl:
-            link_counted[due_l] = True
-        nc = 0
-        due_c = (crash_round <= r) & ~crash_handled
-        if due_c.any():
-            crash_handled[due_c] = True
-            victims = due_c & running
-            nc = int(victims.sum())
-            running[victims] = False
-            eff_crash[due_c & ~victims] = NEVER
-        if nl or nc:
-            ops.faults(crashed=nc, links=nl)
-
-    while True:
-        # -- Resume A (round r): returns, coins, proposals ------------
-        r = ops.rounds()
-        apply_events(r)
-        live = np.flatnonzero(running)
-        if live.size == 0:
-            break
-        ops.begin(live.size)
-        view = (slot_link > r) & (eff_crash[snbr] > r)
-        cand = view & ~heard
-        cand_deg = np.bincount(owner[cand], minlength=n)
-        ret = live[(mate[live] != -1) | (cand_deg[live] == 0)]
-        for v in ret.tolist():
-            outputs[v] = int(mate[v])
-        running[ret] = False
-        live = np.flatnonzero(running)
-        if live.size == 0:
-            break  # everyone returned without yielding: no round counted
-        coins = ops.draw(0, 2, live)
-        proposer_ids = live[coins == 1]
-        idx = ops.draw(0, cand_deg[proposer_ids], proposer_ids)
-        # choice(cand) replay: the idx-th candidate slot of the
-        # proposer's (neighbor-ascending) segment, via the global
-        # candidate-rank prefix sum.
-        cand_rank = np.cumsum(cand)
-        base = indptr[proposer_ids]
-        pre = cand_rank[base] - cand[base]
-        tslot = np.searchsorted(cand_rank, pre + idx + 1, side="left")
-        target = snbr[tslot]
-        ops.account(
-            np.full(proposer_ids.size, eight),
-            np.ones(proposer_ids.size, np.int64),
-        )
-        if has_loss:
-            pdrop = fs.drop_mask(proposer_ids, target, r)
-            nd = int(pdrop.sum())
-            if nd:
-                ops.faults(dropped=nd)
-        else:
-            pdrop = np.zeros(proposer_ids.size, dtype=bool)
-        ops.end()
-        # -- Resume B (round r+1): acceptors reply --------------------
-        rb = ops.rounds()
-        apply_events(rb)
-        live = np.flatnonzero(running)
-        if live.size == 0:
-            break
-        ops.begin(live.size)
-        proposer = np.zeros(n, dtype=bool)
-        proposer[proposer_ids] = True
-        # A delivered proposal is visible to its target iff it survived
-        # loss at the send round, its link and proposer outlived the
-        # read round (the acceptor's `src in cur` view filter), and the
-        # target is a still-running acceptor (dead letters to returned
-        # or crashed nodes were delivered but never read).
-        ok = (
-            ~pdrop
-            & (link_fail_round[seid[tslot]] > rb)
-            & (eff_crash[proposer_ids] > rb)
-            & running[target]
-            & ~proposer[target]
-        )
-        tgt_v, src_v = target[ok], proposer_ids[ok]
-        order = np.argsort(tgt_v, kind="stable")  # src ascending per tgt
-        s_tgt, s_src = tgt_v[order], src_v[order]
-        bounds = segment_bounds(s_tgt)
-        heads = bounds[:-1]
-        acceptors = s_tgt[heads]
-        aidx = ops.draw(0, np.diff(bounds), acceptors)
-        chosen = s_src[heads + aidx]
-        mate[acceptors] = chosen
-        ops.account(
-            np.full(acceptors.size, eight),
-            np.ones(acceptors.size, np.int64),
-        )
-        if has_loss:
-            adrop = fs.drop_mask(acceptors, chosen, rb)
-            nd = int(adrop.sum())
-            if nd:
-                ops.faults(dropped=nd)
-        else:
-            adrop = np.zeros(acceptors.size, dtype=bool)
-        ops.end()
-        # -- Resume C (round r+2): acceptance + announcements ---------
-        rc = ops.rounds()
-        apply_events(rc)
-        live = np.flatnonzero(running)
-        if live.size == 0:
-            break
-        ops.begin(live.size)
-        # A proposer is matched iff its target's ACCEPT survived loss
-        # and the proposer itself outlived round r+2 — deliberately no
-        # view filter (an acceptor crashing right after replying leaves
-        # a widowed survivor; the degradation oracle reports it).
-        winners = chosen[~adrop]
-        winners_acc = acceptors[~adrop]
-        wok = running[winners]
-        mate[winners[wok]] = winners_acc[wok]
-        bc = np.flatnonzero(running & (mate != -1))
-        view_c = (slot_link > rc) & (eff_crash[snbr] > rc)
-        bmask = np.zeros(n, dtype=bool)
-        bmask[bc] = True
-        bslots = np.flatnonzero(bmask[owner] & view_c)
-        ops.account(
-            np.full(bc.size, eight),
-            np.bincount(owner[bslots], minlength=n)[bc],
-        )
-        if has_loss:
-            mdrop = fs.drop_mask(owner[bslots], snbr[bslots], rc)
-            nd = int(mdrop.sum())
-            if nd:
-                ops.faults(dropped=nd)
-            heard[twin[bslots[~mdrop]]] = True
-        else:
-            heard[twin[bslots]] = True
-        ops.end()
-
-
-def israeli_itai_array_batched(ctx: BatchedArrayContext) -> list[list[int]]:
+def israeli_itai_array_batched(
+    ctx: BatchedArrayContext,
+) -> list[list[int | None]]:
     """Array program of :func:`israeli_itai_program`, one lane per seed.
 
-    SoA state with a leading seed axis: an ``int64`` ``mate`` column and
-    an ``alive`` mask of not-yet-returned nodes.  A live node's *active*
-    set in the generator form is its never-matched neighbors (every
-    matched node announces ``_MATCHED`` in its matching phase, and a
-    node that quits unmatched provably has no unmatched neighbors
-    left), so the residual graph is implied by ``mate == -1`` — and a
-    returned node's mate never changes again, so the final ``mate``
-    rows are the outputs.
+    SoA state with a leading seed axis: an ``int64`` ``mate`` column, a
+    ``running`` mask (neither returned nor crashed) and a ``cand`` mask
+    over the CSR's half-edge slots: slot ``(v, u)`` is set while ``u``
+    is in ``v``'s view and has not announced ``_MATCHED`` to ``v``.  A
+    delivered ``_MATCHED`` clears the reverse slot of its sender's
+    half-edge, and a node's candidate count is the per-vertex sum of
+    the mask (``ctx.slot_counts``).
 
-    Every draw of a resume is one bulk ``ctx.lanes`` call: live nodes
-    flip their coins, then proposers and accepting acceptors each
+    Every draw of a resume is one bulk ``ctx.lanes`` call: running
+    nodes flip coins, then proposers and accepting acceptors each
     consume one bounded draw (``choice(seq)`` consumes exactly
-    ``integers(0, len(seq))``); nodes that returned draw nothing.  The
-    picks are array selections too — each proposer's from its sorted
-    unmatched-neighbor list by one rank-select over the sorted CSR
-    (:func:`~repro.distributed.backends.choose_targets`), each
-    acceptor's by
-    :func:`~repro.distributed.backends.replay_acceptor_choices`.  Seeds
-    terminate independently (masked rows).  Under an active fault plan
-    each lane runs the fault core instead.
+    ``integers(0, len(seq))``).  Proposers pick by one rank-select over
+    the sorted CSR (:func:`~repro.distributed.backends.choose_targets`),
+    acceptors by
+    :func:`~repro.distributed.backends.replay_acceptor_choices`, which
+    skips proposers, returned nodes and crashed nodes.
+
+    A bound fault plan (``ctx.faults``) runs in the same loop.  The
+    lanes still running share one round number, so the top of each
+    resume fires that round's events from the per-lane schedules
+    (stacked ``(lanes, m)`` link and ``(lanes, n)`` crash rounds) on
+    the running lanes only: a link failure always counts, a crash only
+    if its node still runs, as in
+    :class:`~repro.distributed.network.Network`.  Each delivery's loss
+    is its lane's stateless hash
+    (:meth:`~repro.distributed.faults.FaultState.drop_mask`); attempted
+    sends always count.  A proposal reaches an acceptor that still sees
+    its proposer; an acceptance matches its proposer even if the
+    acceptor crashed right after replying (the widow case the
+    degradation oracle reports).  Crashed nodes output ``None``.
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
-    indptr = ctx.indptr
-    sidx, s_nbr = sorted_csr(indptr, ctx.indices)
-    if ctx.faults is not None:
-        # Per-lane fault schedules share no cross-seed phase structure;
-        # run the fault core once per lane (see _BatchedLaneOps).
-        s_eid = g.adjacency_arrays()[2][sidx]
-        outputs: list[list[int | None]] = [
-            [None] * size for _ in range(num_seeds)
-        ]
-        for s, fstate in enumerate(ctx.faults):
-            _israeli_itai_faulty(
-                g, s_nbr, s_eid, fstate, _BatchedLaneOps(ctx, s), outputs[s]
-            )
-        return outputs
+    indptr, indices, eids = g.adjacency_arrays()
+    sidx, s_nbr = sorted_csr(indptr, indices)
+    half = eids.size
+    # An edge's two slots sum to pair[e], so slot t's reverse slot is
+    # pair[eids[t]] - t (exact: the float sums stay below 2^53).
+    pair = np.bincount(
+        eids, weights=np.arange(half, dtype=np.float64), minlength=g.m
+    ).astype(np.int64)
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
-    alive = np.ones((num_seeds, size), dtype=bool)
-    degrees = g.degrees()
+    running = np.ones((num_seeds, size), dtype=bool)
+    cand = np.ones((num_seeds, half), dtype=bool)
     lanes = ctx.lanes
     eight = np.int64(8)  # every tag payload is one 8-bit character
-    while alive.any():
-        # Resume A: matched nodes and nodes with no unmatched neighbor
-        # return; the rest flip proposer coins and send invitations.
-        ctx.begin_step(alive.sum(axis=1))
-        unmatched = mate == -1
-        residual_deg = ctx.masked_degrees(unmatched)
-        alive &= unmatched & (residual_deg > 0)
-        lrows, lcols = lane_nonzero(alive)  # row-major: per-seed node order
+    fstates = ctx.faults
+    if fstates is not None:
+        link = np.array(
+            [f.link_fail_round for f in fstates], dtype=np.int64
+        ).reshape(num_seeds, g.m)
+        crash = np.array(
+            [f.crash_round for f in fstates], dtype=np.int64
+        ).reshape(num_seeds, size)
+        crashed = np.zeros((num_seeds, size), dtype=bool)
+        last_event = max(
+            int(a[a < NEVER].max(initial=-1)) for a in (link, crash)
+        )
+
+    def fire_events(r: int) -> None:
+        """Round ``r``'s link failures and crashes, on running lanes."""
+        if fstates is None or r > last_event:
+            return
+        dead = (link == r) & running.any(axis=1)[:, None]
+        victims = (crash == r) & running
+        ctx.add_fault_counts(
+            crashed=victims.sum(axis=1), links=dead.sum(axis=1)
+        )
+        running[victims] = False
+        crashed[victims] = True
+        cand[dead[:, eids] | victims[:, indices]] = False
+
+    def lost(rows: np.ndarray, src: np.ndarray, dst: np.ndarray, r: int
+             ) -> np.ndarray:
+        """Loss of each lane-``rows`` delivery ``src -> dst`` of round r."""
+        drop = np.zeros(rows.size, dtype=bool)
+        for s, f in enumerate(fstates):
+            on = rows == s
+            drop[on] = f.drop_mask(src[on], dst[on], r)
+        ctx.add_fault_counts(
+            dropped=np.bincount(rows[drop], minlength=num_seeds)
+        )
+        return drop
+
+    while True:
+        # Resume A: matched nodes and nodes without candidates return;
+        # the rest flip proposer coins and send invitations.
+        r = int(ctx.rounds.max(initial=0))  # the running lanes' round
+        fire_events(r)
+        ctx.begin_step(running.sum(axis=1))
+        deg = ctx.slot_counts(cand)
+        running &= (mate == -1) & (deg > 0)
+        lrows, lcols = lane_nonzero(running)  # row-major: per-seed order
         if lrows.size == 0:
             break  # every seed returned without yielding: no rounds
-        live = alive.sum(axis=1)
-        in_phase = live > 0
         coins = lanes.integers(0, 2, lrows * size + lcols)
         picked = coins == 1
         prows, pcols = lrows[picked], lcols[picked]
+        pflat = prows * size + pcols
         # Each proposer replays choice(cands): one bounded draw, then
-        # the idx-th entry of its sorted unmatched-neighbor list.
-        idx = lanes.integers(
-            0, residual_deg[prows, pcols], prows * size + pcols
-        )
+        # the idx-th entry of its sorted candidate list.
+        idx = lanes.integers(0, deg[prows, pcols], pflat)
         tgt = choose_targets(
             indptr, s_nbr, sidx, pcols, idx,
-            lambda seg, pos, nbr: unmatched[prows[seg], nbr],
+            lambda seg, pos, nbr: cand[prows[seg], pos],
         )
         ctx.account_groups(
             np.full(prows.size, eight), np.ones(prows.size, np.int64), prows
         )
-        ctx.end_step(in_phase)
-        # Resume B: each acceptor (non-proposer) picks one incoming
-        # proposal uniformly at random and replies.
-        ctx.begin_step(live)
-        proposer = np.zeros(num_seeds * size, dtype=bool)
-        proposer[prows * size + pcols] = True
-        acc_lanes, chosen = replay_acceptor_choices(
-            lanes, prows * size + tgt, pcols, proposer
-        )
-        accepted_by = np.full(num_seeds * size, -1, dtype=np.int64)
-        accepted_by[acc_lanes] = chosen
-        arows, acols = np.divmod(acc_lanes, size)
-        ctx.account_groups(
-            np.full(acc_lanes.size, eight), np.ones(acc_lanes.size, np.int64),
-            arows,
-        )
-        ctx.end_step(in_phase)
-        # Resume C: proposers learn acceptance; every freshly matched
-        # node broadcasts _MATCHED to its *full* neighborhood.
-        ctx.begin_step(live)
-        succeeded = accepted_by[prows * size + tgt] == pcols
-        mate[prows[succeeded], pcols[succeeded]] = tgt[succeeded]
+        keys, srcs = prows * size + tgt, pcols
+        if fstates is not None:
+            pdrop = lost(prows, pcols, tgt, r)
+        ctx.end_step(running.any(axis=1))
+        # Resume B: each running acceptor picks one proposal it can see
+        # uniformly at random and replies.
+        fire_events(r + 1)
+        if not running.any():
+            break
+        ctx.begin_step(running.sum(axis=1))
+        if fstates is not None:
+            seen = (
+                ~pdrop & ~crashed[prows, pcols]
+                & (link[prows, g.edge_ids_array(pcols, tgt)] > r + 1)
+            )
+            keys, srcs = keys[seen], srcs[seen]
+        ignores = ~running.reshape(-1)  # returned and crashed nodes
+        ignores[pflat] = True  # and proposers ignore proposals
+        acc, chosen = replay_acceptor_choices(lanes, keys, srcs, ignores)
+        arows, acols = np.divmod(acc, size)
         mate[arows, acols] = chosen
-        m_rows = np.concatenate((prows[succeeded], arows))
-        m_cols = np.concatenate((pcols[succeeded], acols))
         ctx.account_groups(
-            np.full(m_rows.size, eight), degrees[m_cols], m_rows
+            np.full(acc.size, eight), np.ones(acc.size, np.int64), arows
         )
-        ctx.end_step(in_phase)
-    return [row.tolist() for row in mate]
+        won = np.ones(acc.size, dtype=bool)
+        if fstates is not None:
+            won = ~lost(arows, acols, chosen, r + 1)
+        ctx.end_step(running.any(axis=1))
+        # Resume C: proposers learn acceptance; every freshly matched
+        # node broadcasts _MATCHED to its whole view.
+        fire_events(r + 2)
+        if not running.any():
+            break
+        ctx.begin_step(running.sum(axis=1))
+        won &= running[arows, chosen]
+        mate[arows[won], chosen[won]] = acols[won]
+        brows, bcols = lane_nonzero(running & (mate != -1))
+        bdeg = (indptr[bcols + 1] - indptr[bcols]).astype(np.int64)
+        seg = np.repeat(np.arange(bcols.size), bdeg)
+        slot = np.arange(seg.size) + np.repeat(
+            indptr[bcols] - np.cumsum(bdeg) + bdeg, bdeg
+        )
+        row = brows[seg]
+        if fstates is not None:
+            seen = (
+                (link[row, eids[slot]] > r + 2) & ~crashed[row, indices[slot]]
+            )
+            seg, row, slot = seg[seen], row[seen], slot[seen]
+        ctx.account_groups(
+            np.full(bcols.size, eight),
+            np.bincount(seg, minlength=bcols.size),
+            brows,
+        )
+        if fstates is not None:
+            kept = ~lost(row, bcols[seg], indices[slot], r + 2)
+            row, slot = row[kept], slot[kept]
+        cand.reshape(-1)[row * half + pair[eids[slot]] - slot] = False
+        ctx.end_step(running.any(axis=1))
+    if fstates is None:
+        return [row.tolist() for row in mate]
+    outputs = mate.astype(object)
+    outputs[crashed] = None
+    return outputs.tolist()
 
 
 #: fault-seam marker: the batched port may run under an active plan.

@@ -52,6 +52,13 @@ its round loop and reports everything observable through the context:
   it yielded in this resume (programs that return without yielding
   cost zero rounds), after the resume's messages are flushed — the
   same order as the generator loop.
+* ``ctx.faults`` and ``ctx.add_fault_counts(dropped=, crashed=,
+  links=)`` — under a fault plan, one bound
+  :class:`~repro.distributed.faults.FaultState` per lane (``None``
+  when fault-free), and the per-lane fault counters, each a
+  ``(num_seeds,)`` vector.  A program that declares ``supports_faults
+  = True`` applies the plan inside its own loop, for every lane at
+  once (:func:`repro.baselines.israeli_itai.israeli_itai_array_batched`).
 
 Message *routing* needs no per-message work at all: senders may only
 address graph neighbors, so an array program reads "what did my
@@ -298,12 +305,13 @@ class BatchedArrayContext:
     byte-identical to the generator run of that seed.
 
     The CSR reductions (:meth:`masked_degrees`, :meth:`neighbor_any`,
-    :meth:`neighbor_max`) take ``(num_seeds, n)`` inputs and reduce
-    every seed's segments in one ``reduceat`` pass.  One-lane batches —
-    every single-seed ``backend="array"`` run — go through the same
-    calls; where a call's cost depends on the lane count, the one-lane
-    fast path lives here and in the shared helpers of this module,
-    never in a program.
+    :meth:`neighbor_max`) take ``(num_seeds, n)`` inputs, and
+    :meth:`slot_counts` ``(num_seeds, 2m)`` per-slot inputs; each
+    reduces every seed's segments in one ``reduceat`` pass.  One-lane
+    batches — every single-seed ``backend="array"`` run — go through
+    the same calls; where a call's cost depends on the lane count, the
+    one-lane fast path lives here and in the shared helpers of this
+    module, never in a program.
     """
 
     __slots__ = (
@@ -355,8 +363,8 @@ class BatchedArrayContext:
         self._messages = np.zeros(self.num_seeds, dtype=np.int64)
         self._bits = np.zeros(self.num_seeds, dtype=np.int64)
         self._peak = np.zeros(self.num_seeds, dtype=np.int64)
-        # rows: dropped / delayed / crashed / links, one column per seed.
-        self._fault_counts = np.zeros((4, self.num_seeds), dtype=np.int64)
+        # rows: dropped / crashed / links, one column per seed.
+        self._fault_counts = np.zeros((3, self.num_seeds), dtype=np.int64)
         # Gather/reduce indices in the platform index type, converted
         # once instead of on every call.  reduceat runs over non-empty
         # segments only: a degree-0 vertex's start repeats its
@@ -446,18 +454,19 @@ class BatchedArrayContext:
 
     def add_fault_counts(
         self,
-        seed_index: int,
-        dropped: int = 0,
-        delayed: int = 0,
-        crashed: int = 0,
-        links: int = 0,
+        dropped: np.ndarray | int = 0,
+        crashed: np.ndarray | int = 0,
+        links: np.ndarray | int = 0,
     ) -> None:
-        """Accumulate one lane's fault counters (generator-seam mirror)."""
-        col = self._fault_counts[:, seed_index]
-        col[0] += dropped
-        col[1] += delayed
-        col[2] += crashed
-        col[3] += links
+        """Accumulate per-lane fault counters (generator-seam mirror).
+
+        Each argument is a ``(num_seeds,)`` vector of one step's counts.
+        There is no ``delayed`` counter: message delay is
+        generator-engine-only, so array lanes report 0 delayed.
+        """
+        self._fault_counts[0] += dropped
+        self._fault_counts[1] += crashed
+        self._fault_counts[2] += links
 
     def idle_steps(self, live: np.ndarray, count: int) -> None:
         """Fast-forward ``count`` fully lockstep idle resumes.
@@ -504,9 +513,8 @@ class BatchedArrayContext:
                     else dict(enumerate(outputs[s]))
                 ),
                 messages_dropped=int(self._fault_counts[0, s]),
-                messages_delayed=int(self._fault_counts[1, s]),
-                nodes_crashed=int(self._fault_counts[2, s]),
-                links_failed=int(self._fault_counts[3, s]),
+                nodes_crashed=int(self._fault_counts[1, s]),
+                links_failed=int(self._fault_counts[2, s]),
             )
             for s in range(self.num_seeds)
         ]
@@ -531,13 +539,21 @@ class BatchedArrayContext:
         out[:, self._nonempty] = red
         return out
 
+    def slot_counts(self, slots: np.ndarray) -> np.ndarray:
+        """Per-(seed, vertex) count of set half-edge slots.
+
+        ``slots`` is ``bool[num_seeds, 2m]`` over the CSR's half-edge
+        slots (a per-slot state such as "this neighbor is still a
+        candidate"); counts are ``int64``.
+        """
+        return self._reduce(np.add, slots, np.dtype(np.int64))
+
     def masked_degrees(self, mask: np.ndarray) -> np.ndarray:
         """Per-(seed, vertex) count of neighbors with ``mask`` set.
 
         ``mask`` is ``bool[num_seeds, n]``; counts are ``int64``.
         """
-        gathered = np.take(mask, self._gather, axis=1)
-        return self._reduce(np.add, gathered, np.dtype(np.int64))
+        return self.slot_counts(np.take(mask, self._gather, axis=1))
 
     def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
         """Per-(seed, vertex) "some neighbor has ``mask`` set"."""
@@ -587,9 +603,10 @@ class BatchedArrayBackend:
         Optional :class:`~repro.distributed.faults.FaultPlan`, bound
         per lane seed.  Only programs that declare ``supports_faults =
         True`` may run under an active plan (the program owns its round
-        loop, so the fault seam is inside it — see the Israeli–Itai
-        fault core); bounded message *delay* is generator-engine-only
-        and rejected here.
+        loop, so the fault seam is inside it — see
+        :func:`repro.baselines.israeli_itai.israeli_itai_array_batched`,
+        which runs every lane's plan in its one loop); bounded message
+        *delay* is generator-engine-only and rejected here.
     node_ids:
         The node id each vertex of ``graph`` stands for, when ``graph``
         is a relabeled subgraph of the network the generator run sees

@@ -70,6 +70,7 @@ _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
 #: closure) so boundary tests can monkeypatch it down to a small value
 #: and exercise the promotion threshold without allocating 2^31 slots.
 INT32_INDEX_LIMIT = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -144,7 +145,32 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _as_edge_array(edges: object) -> np.ndarray:
+def _check_endpoints(
+    arr: np.ndarray, n: int, values: Iterable | None = None
+) -> None:
+    """Reject endpoints that no int64 vertex id can hold.
+
+    ``values`` are the endpoints as given, when NumPy chose ``arr``'s
+    dtype from Python objects (default: ``arr``'s own entries).  An
+    integer outside int64 is an out-of-range endpoint,
+    :class:`ValueError`; any other non-integer is a
+    :class:`TypeError`.
+    """
+    if np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype != np.uint64 or not (arr > _INT64_MAX).any():
+            return
+        values = arr[arr > _INT64_MAX].tolist()
+    elif values is None:
+        values = arr.ravel().tolist()
+    for x in values:
+        if isinstance(x, (int, np.integer)) and not (
+            -_INT64_MAX - 1 <= x <= _INT64_MAX
+        ):
+            raise ValueError(f"edge endpoint {x} out of range for n={n}")
+    raise TypeError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+
+
+def _as_edge_array(edges: object, n: int) -> np.ndarray:
     """Normalize an edge iterable / array to an ``(m, 2)`` integer array.
 
     int32 and int64 arrays pass through without a widening copy (the
@@ -157,6 +183,7 @@ def _as_edge_array(edges: object) -> np.ndarray:
             return _EMPTY_EDGES
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"edge array must have shape (m, 2), got {arr.shape}")
+        _check_endpoints(arr, n)
     else:
         edges = list(edges)
         if not edges:
@@ -164,10 +191,7 @@ def _as_edge_array(edges: object) -> np.ndarray:
         arr = np.asarray(edges)
         if arr.ndim != 2 or arr.shape[-1] != 2:
             raise ValueError("edges must be (u, v) pairs")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise TypeError(
-            f"edge endpoints must be integers, got dtype {arr.dtype}"
-        )
+        _check_endpoints(arr, n, (x for pair in edges for x in pair))
     if arr.dtype in (np.dtype(np.int32), np.dtype(np.int64)):
         return arr
     return arr.astype(np.int64, copy=False)
@@ -230,7 +254,7 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = n
-        earr = _as_edge_array(edges)
+        earr = _as_edge_array(edges, n)
         m = self.m = len(earr)
         idt = _resolve_index_dtype(n, m, index_dtype)
         u = earr[:, 0]
@@ -366,10 +390,7 @@ class Graph:
                 raise ValueError(
                     f"edge chunk must have shape (k, 2), got {arr.shape}"
                 )
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise TypeError(
-                    f"edge endpoints must be integers, got dtype {arr.dtype}"
-                )
+            _check_endpoints(arr, n)
             if arr.dtype.itemsize > edge_dt.itemsize:
                 # Guard the narrowing cast: an out-of-range endpoint
                 # must surface as the usual validation error, not wrap.

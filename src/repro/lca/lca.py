@@ -48,6 +48,7 @@ aggregated on ``self.stats``.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from repro.distributed.metrics import LcaProbeStats
@@ -58,6 +59,21 @@ from repro.lca.ranks import edge_ranks
 #: Optional persistent edge-state source supplied by the service layer:
 #: ``lookup(eid)`` returns True/False if the state is cached, else None.
 Lookup = Callable[[int], "bool | None"]
+
+
+def vertex_id(v: object) -> int:
+    """``v`` as a Python ``int`` vertex id.
+
+    Python and NumPy integers pass; anything else (a float, a string)
+    raises :class:`TypeError` naming it, so a query fails the same way
+    whatever the service's cache holds.
+    """
+    if type(v) is int:
+        return v
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"vertex id must be an integer, got {v!r}") from None
 
 
 class LcaMatching:
@@ -121,7 +137,7 @@ class LcaMatching:
         """
         q = LcaProbeStats(queries=1)
         memo: dict[int, bool] = {}
-        eid = self._find_edge(u, v)
+        eid = self._find_edge(vertex_id(u), vertex_id(v))
         ans = eid >= 0 and self._state(eid, memo, q, lookup)
         self._account(q)
         return ans, q, memo
@@ -138,6 +154,7 @@ class LcaMatching:
         every incident edge out of the matching, which is what makes
         the induced mapping maximal.
         """
+        v = vertex_id(v)
         if not 0 <= v < self.graph.n:
             raise IndexError(f"vertex {v} out of range for n={self.graph.n}")
         a, b = self._ptr[v], self._ptr[v + 1]

@@ -39,7 +39,7 @@ import numpy as np
 from repro.distributed.metrics import LcaProbeStats
 from repro.graphs.graph import Graph
 
-from repro.lca.lca import LcaMatching
+from repro.lca.lca import LcaMatching, vertex_id
 
 
 @dataclass
@@ -107,6 +107,7 @@ class MatchingService:
 
     def mate_of(self, v: int) -> int:
         """``M(v)`` — served from the LRU when possible."""
+        v = vertex_id(v)
         if self.cache_enabled:
             entry = self._lru_get((self.seed, v))
             if entry is not None:
@@ -128,6 +129,7 @@ class MatchingService:
         but do not create vertex entries (they resolve one edge's
         state, not a whole neighborhood).
         """
+        u, v = vertex_id(u), vertex_id(v)
         if self.cache_enabled:
             for a, b in ((u, v), (v, u)):
                 entry = self._lru_get((self.seed, a))
@@ -147,26 +149,32 @@ class MatchingService:
     def batch(self, queries: Iterable[Sequence]) -> BatchResult:
         """Run mixed ``("mate", v)`` / ``("edge", u, v)`` queries.
 
+        Every query is checked before any is served: a query of another
+        shape raises :class:`ValueError` and a non-integer vertex id
+        :class:`TypeError`, with the service's state untouched.
         Returns a :class:`BatchResult`; ``batch([])`` returns the empty
         result (guard for the zero-length reductions below).
         """
-        queries = list(queries)
-        if not queries:
+        calls = []
+        for qr in queries:
+            op = qr[0] if isinstance(qr, Sequence) and qr else None
+            if op == "mate" and len(qr) == 2:
+                calls.append((self.mate_of, (vertex_id(qr[1]),)))
+            elif op == "edge" and len(qr) == 3:
+                calls.append((self.edge_in_matching,
+                              (vertex_id(qr[1]), vertex_id(qr[2]))))
+            else:
+                raise ValueError(
+                    f"query must be ('mate', v) or ('edge', u, v), got {qr!r}"
+                )
+        if not calls:
             return BatchResult()
         answers: list = []
         probes: list[int] = []
         depths: list[int] = []
         hits = 0
-        for qr in queries:
-            op = qr[0]
-            if op == "mate":
-                answers.append(self.mate_of(qr[1]))
-            elif op == "edge":
-                answers.append(self.edge_in_matching(qr[1], qr[2]))
-            else:
-                raise ValueError(
-                    f"query must be ('mate', v) or ('edge', u, v), got {qr!r}"
-                )
+        for call, args in calls:
+            answers.append(call(*args))
             st = self.last_query_stats
             probes.append(st.edges_probed)
             depths.append(st.max_depth)
@@ -175,7 +183,7 @@ class MatchingService:
         total = int(parr.sum())
         return BatchResult(
             answers=answers,
-            queries=len(queries),
+            queries=len(calls),
             edges_probed=total,
             mean_probes=float(parr.mean()),
             max_depth=int(np.max(depths)),

@@ -13,7 +13,6 @@ from repro.matching.augmenting import (
     find_augmenting_paths_upto,
     is_augmenting_path,
     shortest_augmenting_path_length,
-    symmetric_difference_components,
 )
 from repro.matching.greedy import greedy_maximal_matching, greedy_mwm
 from repro.matching.hopcroft_karp import hopcroft_karp, hopcroft_karp_truncated
@@ -37,7 +36,6 @@ __all__ = [
     "find_augmenting_paths_upto",
     "is_augmenting_path",
     "shortest_augmenting_path_length",
-    "symmetric_difference_components",
     "greedy_maximal_matching",
     "greedy_mwm",
     "hopcroft_karp",

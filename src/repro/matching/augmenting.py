@@ -298,63 +298,3 @@ def apply_paths_array(m: Matching, paths: Sequence[Sequence[int]]) -> Matching:
     new_mate[dst[even]] = src[even]
     return Matching.from_mate_array(g, new_mate)
 
-
-def symmetric_difference_components(
-    m: Matching, m_star: Matching
-) -> list[dict]:
-    """Decompose ``M ⊕ M*`` into alternating paths and cycles.
-
-    Used by the Lemma 3.9 analysis benches: the decomposition's
-    augmenting paths (w.r.t. M) of length <= 2k−1 are the set P* whose
-    size lower-bounds the progress of Algorithm 4.
-
-    Returns a list of ``{"kind": "path"|"cycle", "vertices": [...],
-    "augmenting": bool}`` records, ``augmenting`` meaning augmenting
-    w.r.t. ``m``.
-    """
-    g = m.graph
-    in_m = {tuple(sorted(e)) for e in m.edges()}
-    in_s = {tuple(sorted(e)) for e in m_star.edges()}
-    sym = in_m.symmetric_difference(in_s)
-    adj: dict[int, list[int]] = {}
-    for u, v in sym:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen: set[int] = set()
-    comps: list[dict] = []
-    # Every vertex of M ⊕ M* has degree 1 or 2, so each component is a
-    # path or a cycle.  Pass 1: walk paths from their degree-1 endpoints.
-    for start in sorted(adj):
-        if start in seen or len(adj[start]) != 1:
-            continue
-        verts = [start]
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while True:
-            verts.append(cur)
-            seen.add(cur)
-            nxts = [w for w in adj[cur] if w != prev]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-        comps.append(
-            {
-                "kind": "path",
-                "vertices": verts,
-                "augmenting": is_augmenting_path(g, m, verts),
-            }
-        )
-    # Pass 2: everything unseen lies on cycles.
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        verts = [start]
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur != start:
-            verts.append(cur)
-            seen.add(cur)
-            nxts = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, nxts[0]
-        comps.append({"kind": "cycle", "vertices": verts, "augmenting": False})
-    return comps

@@ -305,6 +305,9 @@ class TestFileCommand:
             ("n 3\ne 0 x\n", ":2: "),
             ("n 3\ne 0 1 nan\n", "non-finite"),
             ("n 3\ne 0 1 inf\n", "non-finite"),
+            ("n 3\ne 0 99999999999999999999\n",
+             "endpoint 99999999999999999999 out of range for n=3"),
+            ("n 3\ne -9223372036854775809 1\n", "out of range for n=3"),
         ],
     )
     def test_bad_file_is_an_error_line(self, tmp_path, capsys, text, expect):

@@ -47,9 +47,11 @@ from repro.distributed.faults import (
 from repro.distributed.network import Network
 from repro.distributed.trace import Tracer, run_traced
 from repro.graphs.generators import (
+    barabasi_albert,
     complete_graph,
     cycle_graph,
     gnp_random,
+    grid_graph,
     path_graph,
     random_tree,
 )
@@ -299,12 +301,81 @@ class TestCrossBackendIdentity:
             assert am.edges() == gm.edges()
             assert _snapshot(ar) == _snapshot(gr)
 
+    @pytest.mark.parametrize("backend", ["array", "generator"])
+    def test_empty_seed_list_under_a_plan(self, backend):
+        g = gnp_random(8, 0.4, seed=0)
+        plan = FaultPlan(loss=0.1, crashes=2, link_failures=2)
+        assert israeli_itai_matching_batched(
+            g, [], backend=backend, faults=plan
+        ) == []
+
     def test_fault_free_plan_changes_nothing(self):
         g = gnp_random(12, 0.3, seed=2)
         plain = israeli_itai_matching(g, seed=3)
         noop = israeli_itai_matching(g, seed=3, faults=FaultPlan())
         assert _snapshot(plain[1]) == _snapshot(noop[1])
         assert _snapshot(noop[1])["messages_dropped"] == 0
+
+
+#: Graph families of the faulted-batch net, each drawn at up to 40
+#: vertices from a Hypothesis-chosen size and graph seed.
+_NET_GRAPHS = st.sampled_from([
+    lambda n, s: gnp_random(n, 0.2, seed=s),
+    lambda n, s: random_tree(n, seed=s),
+    lambda n, s: cycle_graph(max(n, 3)),
+    lambda n, s: complete_graph(min(n, 9)),
+    lambda n, s: grid_graph(max(n // 6, 1), 6),
+    lambda n, s: barabasi_albert(max(n, 4), 2, seed=s),
+])
+_NET_PLANS = st.builds(
+    FaultPlan,
+    loss=st.one_of(st.just(0.0), st.floats(0.0, 0.01)),
+    crashes=st.integers(0, 4),
+    crash_window=st.integers(0, 11),
+    link_failures=st.integers(0, 4),
+    link_window=st.integers(0, 11),
+    seed=st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+)
+
+
+def _faulted_batch(g, seeds, plan, backend):
+    """Per-lane (edges, RunResult fields), or ('stall', message)."""
+    try:
+        runs = israeli_itai_matching_batched(
+            g, seeds, max_rounds=150, backend=backend, faults=plan
+        )
+    except RuntimeError as e:
+        return ("stall", str(e))
+    return [(m.edges(), _snapshot(res)) for m, res in runs]
+
+
+class TestFaultedBatchNet:
+    """Multi-lane faulted batches against per-seed generator runs.
+
+    Every lane of one array batch runs its own fault schedule, so the
+    program must fire each lane's events, count each lane's faults and
+    stop each lane on its own; a batch must equal its seeds' generator
+    runs field for field, fault counters included, or stall with the
+    same message as the first generator run that stalls.
+    """
+
+    @given(
+        _NET_GRAPHS, st.integers(1, 40), st.integers(0, 99), _NET_PLANS,
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batch_equals_per_seed_generator_runs(
+        self, family, n, graph_seed, plan, seeds
+    ):
+        g = family(n, graph_seed)
+        want: list | tuple = []
+        for s in seeds:
+            run = _faulted_batch(g, [s], plan, "generator")
+            if run[0] == "stall":
+                want = run
+                break
+            want += run
+        assert _faulted_batch(g, seeds, plan, "array") == want
 
 
 class TestBackendGates:

@@ -103,6 +103,23 @@ class TestQueries:
         with pytest.raises(TypeError, match="integers"):
             Graph(3, np.array([[0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [2**63, 2**64, -(2**63) - 1, 10**20])
+    def test_endpoint_outside_int64_is_out_of_range(self, bad):
+        """An integer endpoint no int64 can hold is out of range, not a
+        type error (it used to read "got dtype float64/object")."""
+        msg = f"endpoint {bad} out of range for n=3"
+        with pytest.raises(ValueError, match=msg):
+            Graph(3, [(0, 1), (0, bad)])
+        with pytest.raises(ValueError, match=msg):
+            Graph(3, np.array([[0, bad]], dtype=object))
+        with pytest.raises(ValueError, match=msg):
+            Graph.from_edge_chunks(3, [np.array([[0, bad]], dtype=object)])
+
+    def test_uint64_endpoint_outside_int64_is_not_wrapped(self):
+        arr = np.array([[0, 2**63 + 1]], dtype=np.uint64)
+        with pytest.raises(ValueError, match=f"endpoint {2**63 + 1} out of"):
+            Graph(3, arr)
+
     def test_unweighted_weight_is_one(self):
         g = Graph(2, [(0, 1)])
         assert g.weight(0, 1) == 1.0

@@ -100,3 +100,12 @@ class TestParsing:
         p.write_text(f"n 3\ne 0 1 {weight}\ne 1 2 2.0\n")
         with pytest.raises(ValueError, match="non-finite"):
             read_edgelist(p)
+
+    @pytest.mark.parametrize("big", ["99999999999999999999",
+                                     "-9223372036854775809"])
+    def test_endpoint_outside_int64_names_file(self, tmp_path, big):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"n 3\ne 0 1\ne {big} 2\n")
+        msg = f"edge endpoint {big} out of range for n=3"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {msg}"):
+            read_edgelist(p)

@@ -128,11 +128,26 @@ class TestBatchApi:
         assert res.max_depth >= 0
         assert len(res.answers) == 10
 
-    def test_batch_rejects_malformed_query(self):
-        g = Graph(2, [(0, 1)])
-        svc = MatchingService(g, 0)
-        with pytest.raises(ValueError):
-            svc.batch([("mates", 0)])
+    @pytest.mark.parametrize("query", [
+        ("mates", 0), ("edge", 1), ("mate",), (), ("mate", 1, 2),
+        ("edge", 0, 1, 2), "mate", 5,
+    ])
+    def test_batch_rejects_malformed_query(self, query):
+        """An unknown op or a tuple of the wrong length is malformed (a
+        wrong length used to raise a bare IndexError, or answer
+        ``("mate", 1, 2)`` as ``("mate", 1)``), and no query of the
+        batch is served."""
+        svc = MatchingService(Graph(2, [(0, 1)]), 0)
+        with pytest.raises(ValueError, match=r"query must be \('mate', v\)"):
+            svc.batch([("mate", 0), query])
+        assert svc.stats.queries == 0
+        assert svc.cache_info()["entries"] == 0
+
+    def test_batch_rejects_non_integer_vertex(self):
+        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
+        with pytest.raises(TypeError, match="got 2.0"):
+            svc.batch([("mate", 0), ("edge", 1, 2.0)])
+        assert svc.stats.queries == 0
 
     def test_batch_mixed_matches_point_queries(self):
         g = gnp_random(30, 0.12, seed=8)
@@ -146,6 +161,41 @@ class TestBatchApi:
             ref.edge_in_matching(u, v) for u, v in g.edges()[:20]
         ]
         assert got == want
+
+
+class TestVertexIds:
+    """Point queries take integer vertex ids, whatever the cache holds."""
+
+    @pytest.mark.parametrize("cache", [True, False])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_non_integer_vertex_raises_type_error(self, cache, warm):
+        # A warm cache holds vertices 1 and 3: 1.0 hashes like 1, so
+        # the LRU used to answer mate_of(1.0) while a cold or uncached
+        # service failed inside a memoryview.
+        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0, cache=cache)
+        if warm:
+            svc.mate_of(1)
+            svc.mate_of(3)
+        for call, args in ((svc.mate_of, (1.0,)),
+                           (svc.edge_in_matching, (0.5, 3)),
+                           (svc.edge_in_matching, (3, "1")),
+                           (svc.lca.mate_of, (1.0,)),
+                           (svc.lca.edge_in_matching, (0.5, 3))):
+            with pytest.raises(TypeError, match="must be an integer"):
+                call(*args)
+
+    def test_numpy_integers_still_work(self):
+        g = gnp_random(20, 0.2, seed=3)
+        ref = random_greedy_matching(g, 0).mate_array()
+        for cache in (True, False):
+            svc = MatchingService(g, 0, cache=cache)
+            for v in range(g.n):
+                assert svc.mate_of(np.int64(v)) == ref[v]
+                assert svc.mate_of(np.int32(v)) == ref[v]
+            u, w = g.edges()[0]
+            assert svc.edge_in_matching(np.int64(u), np.uint16(w)) == (
+                ref[u] == w
+            )
 
 
 class TestStatsExposure:

@@ -13,9 +13,7 @@ from repro.matching import (
     is_augmenting_path,
     maximum_matching_size,
     shortest_augmenting_path_length,
-    symmetric_difference_components,
 )
-from repro.matching.blossom import maximum_matching_blossom
 
 from tests.conftest import matchable
 
@@ -147,55 +145,6 @@ class TestApplyPaths:
     def test_empty_apply_identity(self, p4):
         m = Matching(p4, [(0, 1)])
         assert apply_paths(m, []) == m
-
-
-class TestSymmetricDifferenceComponents:
-    def test_single_augmenting_path(self, p4):
-        m = Matching(p4, [(1, 2)])
-        mstar = Matching(p4, [(0, 1), (2, 3)])
-        comps = symmetric_difference_components(m, mstar)
-        assert len(comps) == 1
-        assert comps[0]["kind"] == "path"
-        assert comps[0]["augmenting"]
-
-    def test_cycle_component(self):
-        g = cycle_graph(4)
-        m = Matching(g, [(0, 1), (2, 3)])
-        mstar = Matching(g, [(1, 2), (0, 3)])
-        comps = symmetric_difference_components(m, mstar)
-        assert len(comps) == 1
-        assert comps[0]["kind"] == "cycle"
-        assert len(comps[0]["vertices"]) == 4
-
-    def test_identical_matchings_empty(self, p4):
-        m = Matching(p4, [(1, 2)])
-        assert symmetric_difference_components(m, m.copy()) == []
-
-    @given(matchable(max_n=10))
-    @settings(max_examples=60)
-    def test_components_cover_every_sym_diff_vertex(self, gm):
-        g, edges = gm
-        m = Matching(g, edges)
-        mstar = maximum_matching_blossom(g)
-        comps = symmetric_difference_components(m, mstar)
-        covered = sorted(v for c in comps for v in c["vertices"])
-        sym = {
-            v
-            for e in set(map(tuple, m.edges())) ^ set(map(tuple, mstar.edges()))
-            for v in e
-        }
-        assert sorted(sym) == covered
-
-    @given(matchable(max_n=10))
-    @settings(max_examples=60)
-    def test_augmenting_component_count_bounds_deficit(self, gm):
-        """|M*| − |M| = number of augmenting paths in M ⊕ M*."""
-        g, edges = gm
-        m = Matching(g, edges)
-        mstar = maximum_matching_blossom(g)
-        comps = symmetric_difference_components(m, mstar)
-        aug = sum(1 for c in comps if c["augmenting"])
-        assert aug == len(mstar) - len(m)
 
 
 class TestHKLemmas:

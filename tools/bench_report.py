@@ -42,8 +42,9 @@ COMPARISONS = {
               "crossover_queries records the honest break-even)",
     "s10_faults": "fault-free run vs the same run through the fault "
                   "seam (noop plan = the <1.05x overhead gate; active "
-                  "epsilon-loss plan = the real filtering cost; "
-                  "identity asserted before timing)",
+                  "epsilon-loss plan = the real filtering cost); "
+                  "faulted array batch vs per-seed generator runs "
+                  "(identity asserted before timing)",
 }
 
 
