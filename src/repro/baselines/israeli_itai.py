@@ -27,7 +27,10 @@ form produces byte-identical ``RunResult``s from the same seed.  The
 array program is also the only array form of the protocol under a
 :class:`~repro.distributed.faults.FaultPlan`: faulted and fault-free
 lanes run the same loop, so the array side's fault behaviour is
-defined in one place.
+defined in one place.  It keeps each node's candidate count across
+phases and updates it only where a phase clears a candidate, so a
+phase costs what it delivers rather than a pass over all 2m
+half-edges.
 """
 
 from __future__ import annotations
@@ -120,8 +123,10 @@ def israeli_itai_array_batched(
     over the CSR's half-edge slots: slot ``(v, u)`` is set while ``u``
     is in ``v``'s view and has not announced ``_MATCHED`` to ``v``.  A
     delivered ``_MATCHED`` clears the reverse slot of its sender's
-    half-edge, and a node's candidate count is the per-vertex sum of
-    the mask (``ctx.slot_counts``).
+    half-edge.  A node's candidate count ``deg`` is kept across phases:
+    it starts at the degree and loses exactly the set slots that get
+    cleared, so a phase's slot work is what it delivers, not a pass
+    over the mask (its per-vertex masks stay ``(num_seeds, n)``).
 
     Every draw of a resume is one bulk ``ctx.lanes`` call: running
     nodes flip coins, then proposers and accepting acceptors each
@@ -159,6 +164,8 @@ def israeli_itai_array_batched(
     mate = np.full((num_seeds, size), -1, dtype=np.int64)
     running = np.ones((num_seeds, size), dtype=bool)
     cand = np.ones((num_seeds, half), dtype=bool)
+    deg = np.tile(g.degrees().astype(np.int64), (num_seeds, 1))
+    flat_deg = deg.reshape(-1)
     lanes = ctx.lanes
     eight = np.int64(8)  # every tag payload is one 8-bit character
     fstates = ctx.faults
@@ -173,6 +180,14 @@ def israeli_itai_array_batched(
         last_event = max(
             int(a[a < NEVER].max(initial=-1)) for a in (link, crash)
         )
+        owner = np.repeat(np.arange(size, dtype=np.int64), g.degrees())
+
+    def drop_candidates(
+        rows: np.ndarray, slots: np.ndarray, owners: np.ndarray
+    ) -> None:
+        """Clear the set slots ``(rows, slots)`` owned by ``owners``."""
+        cand[rows, slots] = False
+        np.subtract.at(flat_deg, rows * size + owners, 1)
 
     def fire_events(r: int) -> None:
         """Round ``r``'s link failures and crashes, on running lanes."""
@@ -185,7 +200,10 @@ def israeli_itai_array_batched(
         )
         running[victims] = False
         crashed[victims] = True
-        cand[dead[:, eids] | victims[:, indices]] = False
+        # Only slots still set count: a link can fail after a _MATCHED
+        # cleared its slot.
+        rows, slots = np.nonzero(cand & (dead[:, eids] | victims[:, indices]))
+        drop_candidates(rows, slots, owner[slots])
 
     def lost(rows: np.ndarray, src: np.ndarray, dst: np.ndarray, r: int
              ) -> np.ndarray:
@@ -205,7 +223,6 @@ def israeli_itai_array_batched(
         r = int(ctx.rounds.max(initial=0))  # the running lanes' round
         fire_events(r)
         ctx.begin_step(running.sum(axis=1))
-        deg = ctx.slot_counts(cand)
         running &= (mate == -1) & (deg > 0)
         lrows, lcols = lane_nonzero(running)  # row-major: per-seed order
         if lrows.size == 0:
@@ -280,7 +297,10 @@ def israeli_itai_array_batched(
         if fstates is not None:
             kept = ~lost(row, bcols[seg], indices[slot], r + 2)
             row, slot = row[kept], slot[kept]
-        cand.reshape(-1)[row * half + pair[eids[slot]] - slot] = False
+        # The reverse slots are still set: a node broadcasts once, and
+        # a link or crash that would have cleared one also stops the
+        # delivery.
+        drop_candidates(row, pair[eids[slot]] - slot, indices[slot])
         ctx.end_step(running.any(axis=1))
     if fstates is None:
         return [row.tolist() for row in mate]

@@ -11,17 +11,20 @@ Used in two places:
 * step 5 of Algorithm 1 — MIS on the conflict graph C_M(ℓ);
 * the A1 ablation bench, standalone.
 
-A phase costs 2 rounds (numbers / membership announcements).  Numbers
-are drawn from [1, N⁴] as in Section 3.2, so a message is O(log N)
-bits.  Nodes terminate locally once decided, and announce their
-decision so undecided neighbors can prune.
+A phase costs 3 rounds (numbers / membership announcements /
+withdrawals).  Numbers are drawn from [1, N⁴] as in Section 3.2, so a
+message is O(log N) bits.  Nodes terminate locally once decided, and
+announce their decision so undecided neighbors can prune.
 
 Two executable forms: :func:`luby_mis_program` is the generator spec
 and :func:`luby_mis_array_batched` the array program, written over a
 lane axis of seeds.  ``luby_mis(..., backend="array")`` runs the array
 program as a one-lane batch and :func:`luby_mis_batched` over a whole
 seed list; every form produces byte-identical ``RunResult``s from the
-same seed.
+same seed.  The array program works on a shrinking list of live edges,
+so a phase's edge work follows the residual graph, as the O(log N)
+bound assumes, not the whole CSR; its per-vertex passes (live-degree
+counts, the alive and winner masks) stay O(lanes·n) a phase.
 """
 
 from __future__ import annotations
@@ -108,22 +111,41 @@ def luby_mis_program(node: Node, n: int) -> Generator[None, None, bool]:
 def luby_mis_array_batched(ctx: BatchedArrayContext, n: int) -> list[list[bool]]:
     """Array program of :func:`luby_mis_program`, one lane per seed.
 
-    State is struct-of-arrays over ``(num_seeds, n)``: an ``alive`` mask
-    (undecided nodes), a ``joined`` mask, and per-phase ``int64`` number
-    columns.  The residual graph is implied by the mask — a live node's
-    *active* set in the generator form is exactly its live neighbors,
-    because withdrawers announce ``_OUT`` and MIS winners eliminate
-    their whole neighborhood in the same phase — so each 3-resume phase
-    is a handful of CSR segment reductions.  Seeds terminate
-    independently: a finished seed's row is all-False, so it
-    contributes no rounds, groups, or draws while stragglers run.  The
-    random numbers come from ``ctx.lanes``, whose per-(seed, node)
-    streams replicate the generator program's draws bit for bit, one
-    bulk call per resume.
+    State is struct-of-arrays over ``(num_seeds, n)`` — an ``alive``
+    mask (undecided nodes), a ``joined`` mask and a number column — plus
+    the residual graph as one compacted list of live edges, flat over
+    lanes: endpoint keys ``seed_index * n + vertex``, ``int32`` while
+    they fit.  A live node's *active* set in the generator form is
+    exactly its live neighbors, because withdrawers announce ``_OUT``
+    and MIS winners eliminate their whole neighborhood in the same
+    phase; so an edge stays live while both its ends are alive, and
+    each 3-resume phase's edge work runs on the live edges alone (the
+    per-vertex masks and counts stay ``(num_seeds, n)``):
+
+    * live degrees are two ``bincount`` calls over the edge ends;
+    * every edge compares the numbers at its two ends, and an end whose
+      number is not larger loses — the generator's ``number >
+      max(neighbor numbers)``, so a tie loses both ends;
+    * the winners' live neighbors are beaten, and every edge with a
+      dead end is dropped, so the list shrinks with the residual graph.
+
+    Seeds terminate independently: a finished seed has no alive node
+    and no live edge, so it contributes no rounds, groups, or draws
+    while stragglers run.  The random numbers come from ``ctx.lanes``,
+    whose per-(seed, node) streams replicate the generator program's
+    draws bit for bit, one bulk call per resume.
     """
     num_seeds, size = ctx.num_seeds, ctx.n
-    alive = np.ones((num_seeds, size), dtype=bool)
-    joined = np.zeros((num_seeds, size), dtype=bool)
+    shape = (num_seeds, size)
+    total = num_seeds * size
+    key = np.int32 if total <= np.iinfo(np.int32).max else np.int64
+    u, v = ctx.graph.endpoints_array()
+    base = np.arange(num_seeds, dtype=key)[:, None] * key(size)
+    ends_a = (base + u.astype(key)).reshape(-1)
+    ends_b = (base + v.astype(key)).reshape(-1)
+    alive = np.ones(shape, dtype=bool)
+    joined = np.zeros(shape, dtype=bool)
+    number = np.zeros(total, dtype=np.int64)  # read at live edge ends only
     hi = _number_bound(n)
     lanes = ctx.lanes
     eight = np.int64(8)
@@ -131,43 +153,54 @@ def luby_mis_array_batched(ctx: BatchedArrayContext, n: int) -> list[list[bool]]
         # Resume A: isolated-in-the-residual nodes join and return; the
         # rest draw numbers and send them to their live neighbors.
         ctx.begin_step(alive.sum(axis=1))
-        live_deg = ctx.masked_degrees(alive)
+        live_deg = np.bincount(ends_a, minlength=total)
+        live_deg += np.bincount(ends_b, minlength=total)
+        live_deg = live_deg.reshape(shape)
         senders = alive & (live_deg > 0)
         joined |= alive & ~senders
         in_phase = senders.any(axis=1)  # seeds with a live, non-isolated node
         srows, scols = lane_nonzero(senders)  # row-major: per-seed node order
-        numbers = lanes.integers(1, hi + 1, srows * size + scols)
+        sflat = srows * size + scols
+        numbers = lanes.integers(1, hi + 1, sflat)
         ctx.account_groups(
             int_payload_bits(numbers), live_deg[srows, scols], srows
         )
         ctx.end_step(in_phase)
         # Resume B: a node wins iff its number beats every live
-        # neighbor's (non-senders scatter 0, below every number);
-        # winners announce membership (8-bit tag).
+        # neighbor's; winners announce membership (8-bit tag).
         live = senders.sum(axis=1)
         ctx.begin_step(live)
-        scattered = np.zeros((num_seeds, size), dtype=np.int64)
-        scattered[srows, scols] = numbers
-        winner = np.zeros((num_seeds, size), dtype=bool)
-        winner[srows, scols] = (
-            numbers > ctx.neighbor_max(scattered)[srows, scols]
-        )
+        number[sflat] = numbers
+        at_a, at_b = number[ends_a], number[ends_b]
+        lost = np.zeros(total, dtype=bool)
+        lost[ends_a[at_a <= at_b]] = True
+        lost[ends_b[at_b <= at_a]] = True
+        del at_a, at_b
+        winner = senders & ~lost.reshape(shape)
         wrows, wcols = lane_nonzero(winner)
         ctx.account_groups(
             np.full(wrows.size, eight), live_deg[wrows, wcols], wrows
         )
         ctx.end_step(in_phase)
-        # Resume C: winners return; their neighbors withdraw (8-bit
-        # ``_OUT`` to the whole phase-start active set) and return.
+        # Resume C: winners return; their live neighbors — senders that
+        # lost to them — withdraw (8-bit ``_OUT`` to the whole
+        # phase-start active set) and return.
         ctx.begin_step(live)
-        beaten = ctx.neighbor_any(winner)
-        lrows, lcols = lane_nonzero(senders & ~winner & beaten)
+        won = winner.reshape(-1)
+        beaten = np.zeros(total, dtype=bool)
+        beaten[ends_b[won[ends_a]]] = True
+        beaten[ends_a[won[ends_b]]] = True
+        beaten = beaten.reshape(shape)
+        lrows, lcols = lane_nonzero(beaten)
         ctx.account_groups(
             np.full(lrows.size, eight), live_deg[lrows, lcols], lrows
         )
         alive = senders & ~winner & ~beaten
         ctx.end_step(alive.any(axis=1))
         joined |= winner
+        flat_alive = alive.reshape(-1)
+        keep = flat_alive[ends_a] & flat_alive[ends_b]
+        ends_a, ends_b = ends_a[keep], ends_b[keep]
     return [row.tolist() for row in joined]
 
 

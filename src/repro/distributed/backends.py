@@ -66,11 +66,12 @@ neighbors send" straight off the CSR arrays.  The port-numbering
 invariant (see ``repro.graphs.graph``) makes this exact: vertex ``v``'s
 half-edges occupy ``indptr[v]:indptr[v+1]`` in a stable per-vertex
 order, so a value scattered to ``values[s, u]`` is gathered by every
-neighbor ``v`` via ``values[s, indices[indptr[v]:indptr[v+1]]]`` — the
-segment reductions (:meth:`BatchedArrayContext.masked_degrees`,
-:meth:`BatchedArrayContext.neighbor_max`,
-:meth:`BatchedArrayContext.neighbor_any`) are that gather fused with a
-per-vertex ``reduceat``.
+neighbor ``v`` via ``values[s, indices[indptr[v]:indptr[v+1]]]``.  A
+program's per-phase edge work should follow what is still live, not
+the whole CSR (its per-vertex passes stay O(lanes·n)): Israeli–Itai
+keeps its per-vertex candidate counts and subtracts the slots each
+phase clears, and Luby keeps its live edges as one compacted endpoint
+list that it gathers, compares and shrinks every phase.
 
 Divergence note (documented, deliberate): error *messages* carry less
 per-node context on the array side (no single offending node mid-scan).
@@ -304,14 +305,13 @@ class BatchedArrayContext:
     :class:`RunResult` per seed by :meth:`finalize` — each
     byte-identical to the generator run of that seed.
 
-    The CSR reductions (:meth:`masked_degrees`, :meth:`neighbor_any`,
-    :meth:`neighbor_max`) take ``(num_seeds, n)`` inputs, and
-    :meth:`slot_counts` ``(num_seeds, 2m)`` per-slot inputs; each
-    reduces every seed's segments in one ``reduceat`` pass.  One-lane
-    batches — every single-seed ``backend="array"`` run — go through
-    the same calls; where a call's cost depends on the lane count, the
-    one-lane fast path lives here and in the shared helpers of this
-    module, never in a program.
+    The context holds no per-phase reductions: a program reads its
+    neighbors off ``indptr``/``indices`` and keeps whatever it gathers
+    in step with what is still live (see the module docstring).
+    One-lane batches — every single-seed ``backend="array"`` run — go
+    through the same calls; where a call's cost depends on the lane
+    count, the one-lane fast path lives here and in the shared helpers
+    of this module, never in a program.
     """
 
     __slots__ = (
@@ -332,9 +332,6 @@ class BatchedArrayContext:
         "_bits",
         "_peak",
         "_fault_counts",
-        "_gather",
-        "_starts",
-        "_nonempty",
     )
 
     def __init__(
@@ -365,15 +362,6 @@ class BatchedArrayContext:
         self._peak = np.zeros(self.num_seeds, dtype=np.int64)
         # rows: dropped / crashed / links, one column per seed.
         self._fault_counts = np.zeros((3, self.num_seeds), dtype=np.int64)
-        # Gather/reduce indices in the platform index type, converted
-        # once instead of on every call.  reduceat runs over non-empty
-        # segments only: a degree-0 vertex's start repeats its
-        # successor's (or runs off the end), and reduceat would read one
-        # element for it instead of none.
-        self._gather = self.indices.astype(np.intp, copy=False)
-        nonempty = self.indptr[:-1] != self.indptr[1:]
-        self._starts = self.indptr[:-1][nonempty].astype(np.intp)
-        self._nonempty = None if nonempty.all() else nonempty
 
     @property
     def lanes(self) -> LaneRngs:
@@ -518,59 +506,6 @@ class BatchedArrayContext:
             )
             for s in range(self.num_seeds)
         ]
-
-    # -- CSR scatter/gather reductions (seed axis leading) ------------
-
-    def _reduce(
-        self, ufunc: np.ufunc, gathered: np.ndarray, dtype: np.dtype
-    ) -> np.ndarray:
-        """Per-(seed, vertex) ``ufunc`` over each vertex's CSR segment.
-
-        ``gathered`` is ``(num_seeds, half_edges)``, CSR-aligned;
-        degree-0 vertices get 0.
-        """
-        shape = (self.num_seeds, self.n)
-        if self._starts.size == 0:
-            return np.zeros(shape, dtype=dtype)
-        red = ufunc.reduceat(gathered, self._starts, axis=1, dtype=dtype)
-        if self._nonempty is None:
-            return red
-        out = np.zeros(shape, dtype=dtype)
-        out[:, self._nonempty] = red
-        return out
-
-    def slot_counts(self, slots: np.ndarray) -> np.ndarray:
-        """Per-(seed, vertex) count of set half-edge slots.
-
-        ``slots`` is ``bool[num_seeds, 2m]`` over the CSR's half-edge
-        slots (a per-slot state such as "this neighbor is still a
-        candidate"); counts are ``int64``.
-        """
-        return self._reduce(np.add, slots, np.dtype(np.int64))
-
-    def masked_degrees(self, mask: np.ndarray) -> np.ndarray:
-        """Per-(seed, vertex) count of neighbors with ``mask`` set.
-
-        ``mask`` is ``bool[num_seeds, n]``; counts are ``int64``.
-        """
-        return self.slot_counts(np.take(mask, self._gather, axis=1))
-
-    def neighbor_any(self, mask: np.ndarray) -> np.ndarray:
-        """Per-(seed, vertex) "some neighbor has ``mask`` set"."""
-        return self.masked_degrees(mask) > 0
-
-    def neighbor_max(
-        self, values: np.ndarray, mask: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Per-(seed, vertex) max of ``values`` over (masked) neighbors.
-
-        ``values`` is ``(num_seeds, n)`` and must be nonnegative (0 is
-        the identity); vertices with no (masked) neighbors get 0.
-        """
-        gathered = np.take(values, self._gather, axis=1)
-        if mask is not None:
-            gathered[~np.take(mask, self._gather, axis=1)] = 0
-        return self._reduce(np.maximum, gathered, values.dtype)
 
 
 class BatchedArrayBackend:

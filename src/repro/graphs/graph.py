@@ -37,11 +37,12 @@ edges appear in *edge-insertion order* — the position of a half-edge in
 the slice is the "port number" of that edge at ``v``, exactly as in the
 distributed model of Section 2 (Algorithm 3 indexes its counter array
 by port).  The vectorized build preserves this with a stable argsort of
-the interleaved endpoint array.  Since the backend refactors (ISSUEs
-3–4) the invariant is doubly load-bearing: the array backend's CSR
-scatter/gather reductions (``BatchedArrayContext.masked_degrees`` /
-``neighbor_max``) read "what my neighbors sent" straight off these
-slices, so reordering them would silently corrupt every array program.
+the interleaved endpoint array, so every vertex's ports ascend by edge
+id.  :meth:`Graph.support_subgraph` keeps that order when it cuts a
+kept edge set out, so a cut-out support is the graph a fresh build of
+its edges gives.  The array programs read "what my neighbors sent"
+straight off each vertex's contiguous slice (Israeli–Itai's per-slot
+candidate mask, the LPS programs' per-half-edge classes).
 
 Topology is immutable after construction; weights may be replaced
 wholesale via :meth:`Graph.with_weights` (used by Algorithm 5, which
@@ -573,10 +574,10 @@ class Graph:
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The raw CSR triple ``(indptr, indices, eids)`` (read-only).
 
-        The substrate the array backend's scatter/gather rides on:
-        ``BatchedArrayContext`` holds exactly these views, relying on
-        the port-numbering invariant (module docstring) for its segment
-        reductions.
+        The substrate the array programs' scatter/gather rides on:
+        ``BatchedArrayContext`` holds exactly these views, and the
+        programs rely on the port-numbering invariant (module
+        docstring) to read a vertex's neighbors off its slice.
         """
         return self._indptr, self._indices, self._eids
 

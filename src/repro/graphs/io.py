@@ -5,8 +5,9 @@ Format (one record per line, ``#`` comments allowed)::
     n <num_vertices>
     e <u> <v> [weight]
 
-Weights are either present on every edge line or on none.  A malformed
-record raises ``ValueError`` prefixed ``path:lineno:``; a graph the
+Files are UTF-8 text.  Weights are either present on every edge line
+or on none.  A malformed record, or a line holding bytes that are not
+UTF-8, raises ``ValueError`` prefixed ``path:lineno:``; a graph the
 records cannot form (an endpoint out of range, a duplicate edge, a
 weight that is not positive and finite) raises one prefixed ``path:``.
 """
@@ -30,6 +31,21 @@ def write_edgelist(g: Graph, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    """``path`` decoded as UTF-8; undecodable bytes name their line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # The bytes before the bad one decode, so the bad byte's line is
+        # the last of that prefix plus one more character.
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path}:{lineno}: byte {data[e.start]:#04x} is not UTF-8 "
+            f"text ({e.reason})"
+        ) from None
+
+
 def read_edgelist(path: str | Path) -> Graph:
     """Parse a graph written by :func:`write_edgelist`."""
     path = Path(path)
@@ -37,7 +53,7 @@ def read_edgelist(path: str | Path) -> Graph:
     edges: list[tuple[int, int]] = []
     weights: list[float] = []
     saw_unweighted = False
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

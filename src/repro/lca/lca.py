@@ -76,6 +76,15 @@ def vertex_id(v: object) -> int:
         raise TypeError(f"vertex id must be an integer, got {v!r}") from None
 
 
+def vertex_in_range(v: object, n: int) -> int:
+    """:func:`vertex_id` of ``v``, which must also be a vertex of an
+    ``n``-vertex graph: :class:`IndexError` otherwise."""
+    v = vertex_id(v)
+    if not 0 <= v < n:
+        raise IndexError(f"vertex {v} out of range for n={n}")
+    return v
+
+
 class LcaMatching:
     """Query access to the random-greedy matching of ``(graph, seed)``.
 
@@ -154,9 +163,7 @@ class LcaMatching:
         every incident edge out of the matching, which is what makes
         the induced mapping maximal.
         """
-        v = vertex_id(v)
-        if not 0 <= v < self.graph.n:
-            raise IndexError(f"vertex {v} out of range for n={self.graph.n}")
+        v = vertex_in_range(v, self.graph.n)
         a, b = self._ptr[v], self._ptr[v + 1]
         q = LcaProbeStats(queries=1, adjacency_scanned=b - a)
         memo: dict[int, bool] = {}

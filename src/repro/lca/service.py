@@ -39,7 +39,7 @@ import numpy as np
 from repro.distributed.metrics import LcaProbeStats
 from repro.graphs.graph import Graph
 
-from repro.lca.lca import LcaMatching, vertex_id
+from repro.lca.lca import LcaMatching, vertex_id, vertex_in_range
 
 
 @dataclass
@@ -150,16 +150,20 @@ class MatchingService:
         """Run mixed ``("mate", v)`` / ``("edge", u, v)`` queries.
 
         Every query is checked before any is served: a query of another
-        shape raises :class:`ValueError` and a non-integer vertex id
-        :class:`TypeError`, with the service's state untouched.
-        Returns a :class:`BatchResult`; ``batch([])`` returns the empty
-        result (guard for the zero-length reductions below).
+        shape raises :class:`ValueError`, a non-integer vertex id
+        :class:`TypeError` and a ``("mate", v)`` with ``v`` out of range
+        :class:`IndexError`, with the service's state untouched.  An
+        ``("edge", u, v)`` with an end out of range is a non-edge and
+        answers ``False``.  Returns a :class:`BatchResult`;
+        ``batch([])`` returns the empty result (guard for the
+        zero-length reductions below).
         """
         calls = []
         for qr in queries:
             op = qr[0] if isinstance(qr, Sequence) and qr else None
             if op == "mate" and len(qr) == 2:
-                calls.append((self.mate_of, (vertex_id(qr[1]),)))
+                calls.append((self.mate_of,
+                              (vertex_in_range(qr[1], self.graph.n),)))
             elif op == "edge" and len(qr) == 3:
                 calls.append((self.edge_in_matching,
                               (vertex_id(qr[1]), vertex_id(qr[2]))))

@@ -317,6 +317,15 @@ class TestFileCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}") and expect in err
 
+    def test_undecodable_file_is_an_error_line(self, tmp_path, capsys):
+        # A non-UTF-8 byte used to print the decoder's message alone,
+        # without the file or the line.
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"n 3\n# ok\ne 0 1\xff\n")
+        assert main(["file", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}:3: byte 0xff is not UTF-8 text")
+
     def test_missing_file_is_an_error_line(self, tmp_path, capsys):
         assert main(["file", str(tmp_path / "absent.txt")]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -2,8 +2,8 @@
 
 Backend *equivalence* on whole algorithms lives in
 ``tests/test_backend_identity.py``; this module covers the protocol,
-the registry, the contexts' accounting and segment reductions, the
-shared proposal helpers, and the array backends' engine-contract edges
+the registry, the contexts' accounting, the shared lane and proposal
+helpers, and the array backends' engine-contract edges
 (budget, CONGEST, idempotency).
 """
 
@@ -141,76 +141,7 @@ class TestIntPayloadBits:
 
 @pytest.mark.parametrize("num_seeds", [1, 3])
 class TestBatchedSegments:
-    """The CSR reductions against brute force, at one lane and three."""
-
-    def test_masked_degrees_brute_force(self, num_seeds):
-        g = gnp_random(40, 0.15, seed=3)
-        ctx = _bctx(g, num_seeds)
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            mask = rng.random((num_seeds, g.n)) < 0.5
-            expect = [
-                [sum(mask[s, u] for u in g.neighbors(v)) for v in range(g.n)]
-                for s in range(num_seeds)
-            ]
-            assert ctx.masked_degrees(mask).tolist() == expect
-
-    def test_neighbor_any_matches_degrees(self, num_seeds):
-        g = gnp_random(30, 0.2, seed=4)
-        ctx = _bctx(g, num_seeds)
-        mask = np.zeros((num_seeds, g.n), dtype=bool)
-        mask[:, [0, 7, 13]] = True
-        mask[-1, 7] = False
-        assert (
-            ctx.neighbor_any(mask) == (ctx.masked_degrees(mask) > 0)
-        ).all()
-
-    def test_neighbor_max_brute_force(self, num_seeds):
-        g = gnp_random(35, 0.2, seed=5)
-        ctx = _bctx(g, num_seeds)
-        rng = np.random.default_rng(2)
-        values = rng.integers(1, 1000, size=(num_seeds, g.n))
-        mask = rng.random((num_seeds, g.n)) < 0.6
-        got = ctx.neighbor_max(values, mask=mask)
-        for s in range(num_seeds):
-            for v in range(g.n):
-                vals = [values[s, u] for u in g.neighbors(v) if mask[s, u]]
-                assert got[s, v] == (max(vals) if vals else 0), (s, v)
-
-    def test_neighbor_max_unmasked_and_isolated(self, num_seeds):
-        # Vertex 3 is isolated; reduceat's empty-segment quirk must not
-        # leak the next segment's head into it.
-        g = Graph(5, [(0, 1), (1, 2), (2, 4)])
-        ctx = _bctx(g, num_seeds)
-        values = np.tile(np.array([10, 20, 30, 99, 40]), (num_seeds, 1))
-        got = ctx.neighbor_max(values)
-        assert got.tolist() == [[20, 30, 40, 0, 30]] * num_seeds
-
-    def test_empty_graph_helpers(self, num_seeds):
-        ctx = _bctx(Graph(4), num_seeds)
-        zeros = [[0, 0, 0, 0]] * num_seeds
-        mask = np.ones((num_seeds, 4), dtype=bool)
-        assert ctx.masked_degrees(mask).tolist() == zeros
-        values = np.tile(np.arange(4), (num_seeds, 1))
-        assert ctx.neighbor_max(values).tolist() == zeros
-
-    def test_trailing_isolated_vertices(self, num_seeds):
-        # Regression: trailing degree-0 vertices once clamped the
-        # reduceat starts, silently truncating the last non-empty
-        # segment — the last non-isolated vertex (degree >= 2) lost its
-        # final half-edge from every reduction.
-        g = Graph(6, [(0, 1), (0, 2), (1, 2)])  # vertices 3-5 isolated
-        ctx = _bctx(g, num_seeds)
-        mask = np.ones((num_seeds, 6), dtype=bool)
-        values = np.tile(np.array([5, 7, 9, 1, 1, 1]), (num_seeds, 1))
-        degs = ctx.masked_degrees(mask).tolist()
-        assert degs == [[2, 2, 2, 0, 0, 0]] * num_seeds
-        maxes = ctx.neighbor_max(values).tolist()
-        assert maxes == [[9, 9, 7, 0, 0, 0]] * num_seeds
-        mask[-1, 1] = False
-        assert ctx.masked_degrees(mask)[-1].tolist() == [1, 2, 1, 0, 0, 0]
-        got = ctx.neighbor_max(values, mask=mask)[-1].tolist()
-        assert got == [9, 9, 5, 0, 0, 0]
+    """The lane-mask helper, at one lane and three."""
 
     def test_lane_nonzero_matches_nonzero(self, num_seeds):
         mask = np.random.default_rng(3).random((num_seeds, 17)) < 0.4
@@ -222,33 +153,7 @@ class TestBatchedSegments:
 
 @pytest.mark.parametrize("gname", sorted(SHAPES))
 class TestSharedHelpersByShape:
-    """Reductions and proposal helpers against brute force, per shape."""
-
-    def test_reductions_brute_force(self, gname):
-        g = SHAPES[gname]
-        rng = np.random.default_rng(0)
-        for num_seeds in (1, 3):
-            ctx = _bctx(g, num_seeds)
-            for density in (0.0, 0.3, 1.0):
-                mask = rng.random((num_seeds, g.n)) < density
-                degs = ctx.masked_degrees(mask)
-                assert degs.dtype == np.int64
-                assert degs.tolist() == [
-                    [sum(mask[s, u] for u in g.neighbors(v)) for v in range(g.n)]
-                    for s in range(num_seeds)
-                ]
-                assert (ctx.neighbor_any(mask) == (degs > 0)).all()
-            values = rng.integers(0, 1 << 40, size=(num_seeds, g.n))
-            for m in (None, rng.random((num_seeds, g.n)) < 0.4):
-                got = ctx.neighbor_max(values, mask=m)
-                assert got.dtype == values.dtype
-                for s in range(num_seeds):
-                    for v in range(g.n):
-                        vals = [
-                            values[s, u] for u in g.neighbors(v)
-                            if m is None or m[s, u]
-                        ]
-                        assert got[s, v] == max(vals, default=0), (s, v)
+    """The proposal helpers against brute force, per shape."""
 
     def test_sorted_csr_ascends_within_segments(self, gname):
         g = SHAPES[gname]

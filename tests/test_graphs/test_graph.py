@@ -1,10 +1,14 @@
 """Unit tests for the Graph data structure."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import Graph
+from repro.graphs.graph import forced_index_dtype
 
 from tests.conftest import graphs
 
@@ -243,6 +247,55 @@ class TestStructure:
         assert sub.weights_array().tolist() == [1.0, 3.0, 5.0]
         empty, none = g.support_subgraph(np.array([], dtype=np.int64))
         assert (empty.n, empty.m, none.size) == (0, 0, 0)
+
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_support_subgraph_property(self, tier, data):
+        """``support_subgraph(eids)`` is a fresh build of the relabeled
+        kept edges — CSR arrays, endpoints, index dtype and weights —
+        for graphs built from shuffled, randomly oriented edge lists and
+        any ascending subset, including the empty and the full set."""
+        n = data.draw(st.integers(0, 12), label="n")
+        pairs = list(combinations(range(n), 2))
+        edges = data.draw(
+            st.lists(st.sampled_from(pairs), unique=True) if pairs
+            else st.just([]), label="edges",
+        )
+        edges = [
+            (v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges
+        ]
+        weights = None
+        if data.draw(st.booleans(), label="weighted"):
+            weights = [float(1 + i) for i in range(len(edges))]
+        mode = data.draw(st.sampled_from(["empty", "full", "random"]))
+        kept = [
+            mode == "full" or (mode == "random" and data.draw(st.booleans()))
+            for _ in edges
+        ]
+        eids = np.flatnonzero(np.array(kept, dtype=bool))
+        with forced_index_dtype(tier):
+            g = Graph(n, edges, weights)
+            sub, verts = g.support_subgraph(eids)
+            ends = sorted({x for e in eids for x in edges[e]})
+            at = {x: i for i, x in enumerate(ends)}
+            fresh = Graph(
+                len(ends),
+                [(at[edges[e][0]], at[edges[e][1]]) for e in eids],
+                None if weights is None else [weights[e] for e in eids],
+            )
+        assert verts.dtype == np.int64 and verts.tolist() == ends
+        assert (sub.n, sub.m) == (fresh.n, fresh.m)
+        assert sub.weighted == fresh.weighted
+        assert sub.index_dtype == fresh.index_dtype == np.dtype(tier)
+        for got, want in zip(
+            (*sub.adjacency_arrays(), *sub.endpoints_array()),
+            (*fresh.adjacency_arrays(), *fresh.endpoints_array()),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert sub.weights_array().tolist() == fresh.weights_array().tolist()
+        assert sub.edges() == fresh.edges()
 
     def test_with_weights_replaces(self):
         g = Graph(3, [(0, 1), (1, 2)])

@@ -149,6 +149,27 @@ class TestBatchApi:
             svc.batch([("mate", 0), ("edge", 1, 2.0)])
         assert svc.stats.queries == 0
 
+    @pytest.mark.parametrize("bad", [99, 20, -1])
+    def test_batch_rejects_out_of_range_mate_before_serving(self, bad):
+        """An out-of-range ``("mate", v)`` is found by the validation
+        pass: the queries before it are neither served, counted nor
+        cached (it used to raise only when served, after the first
+        query had been answered and cached)."""
+        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
+        with pytest.raises(
+            IndexError, match=f"^vertex {bad} out of range for n=20$"
+        ):
+            svc.batch([("mate", 0), ("edge", 0, 1), ("mate", bad)])
+        assert svc.stats.queries == 0
+        assert svc.cache_info()["entries"] == 0
+        assert svc.cache_info()["edge_states"] == 0
+
+    def test_batch_edge_with_out_of_range_end_is_a_non_edge(self):
+        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
+        res = svc.batch([("edge", 0, 99), ("edge", -1, 3), ("mate", 0)])
+        assert res.answers[:2] == [False, False]
+        assert res.queries == 3
+
     def test_batch_mixed_matches_point_queries(self):
         g = gnp_random(30, 0.12, seed=8)
         svc = MatchingService(g, 5, max_entries=2)
