@@ -27,10 +27,10 @@ form produces byte-identical ``RunResult``s from the same seed.  The
 array program is also the only array form of the protocol under a
 :class:`~repro.distributed.faults.FaultPlan`: faulted and fault-free
 lanes run the same loop, so the array side's fault behaviour is
-defined in one place.  It keeps each node's candidate count across
-phases and updates it only where a phase clears a candidate, so a
-phase costs what it delivers rather than a pass over all 2m
-half-edges.
+defined in one place.  It keeps the candidate sets as one list of
+``(owner, neighbor)`` pairs that every phase compacts to the pairs
+still live, so a phase costs the residual graph rather than a pass
+over all 2m half-edges.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ import numpy as np
 
 from repro.distributed.backends import (
     BatchedArrayContext,
-    choose_targets,
     lane_nonzero,
+    pair_keys,
     replay_acceptor_choices,
     run_program_batched,
+    segment_bounds,
     sorted_csr,
 )
 from repro.distributed.faults import NEVER, FaultPlan
@@ -118,22 +119,23 @@ def israeli_itai_array_batched(
 ) -> list[list[int | None]]:
     """Array program of :func:`israeli_itai_program`, one lane per seed.
 
-    SoA state with a leading seed axis: an ``int64`` ``mate`` column, a
-    ``running`` mask (neither returned nor crashed) and a ``cand`` mask
-    over the CSR's half-edge slots: slot ``(v, u)`` is set while ``u``
-    is in ``v``'s view and has not announced ``_MATCHED`` to ``v``.  A
-    delivered ``_MATCHED`` clears the reverse slot of its sender's
-    half-edge.  A node's candidate count ``deg`` is kept across phases:
-    it starts at the degree and loses exactly the set slots that get
-    cleared, so a phase's slot work is what it delivers, not a pass
-    over the mask (its per-vertex masks stay ``(num_seeds, n)``).
+    State is flat over lane ids (``seed_index * n + vertex``): an
+    ``int64`` ``mate`` column, a ``running`` mask (neither returned nor
+    crashed), and the candidate sets as one list of ``(owner,
+    neighbor)`` key pairs (:func:`~repro.distributed.backends.pair_keys`),
+    each owner's pairs one run in ascending neighbor order.  Every
+    resume A drops the pairs whose owner stopped running and,
+    fault-free, those whose neighbor did: such a neighbor is matched
+    (its ``_MATCHED`` reached every neighbor) or ran out of candidates
+    (so every neighbor is matched).  A running node without pairs
+    returns; the drawers are the runs, and a proposer's
+    ``choice(sorted(cand))`` is the drawn offset into its run, so a
+    phase costs the pairs still live, not a pass over all 2m half-edges.
 
     Every draw of a resume is one bulk ``ctx.lanes`` call: running
     nodes flip coins, then proposers and accepting acceptors each
     consume one bounded draw (``choice(seq)`` consumes exactly
-    ``integers(0, len(seq))``).  Proposers pick by one rank-select over
-    the sorted CSR (:func:`~repro.distributed.backends.choose_targets`),
-    acceptors by
+    ``integers(0, len(seq))``).  Acceptors pick by
     :func:`~repro.distributed.backends.replay_acceptor_choices`, which
     skips proposers, returned nodes and crashed nodes.
 
@@ -143,8 +145,12 @@ def israeli_itai_array_batched(
     (stacked ``(lanes, m)`` link and ``(lanes, n)`` crash rounds) on
     the running lanes only: a link failure always counts, a crash only
     if its node still runs, as in
-    :class:`~repro.distributed.network.Network`.  Each delivery's loss
-    is its lane's stateless hash
+    :class:`~repro.distributed.network.Network`.  Each pair then also
+    carries its lane's edge id (``lane * m + edge``), and a pair stays
+    while its neighbor has not crashed and its edge has neither failed
+    nor carried a delivered ``_MATCHED`` (that drops the sender's pair
+    too, which goes anyway: the sender is matched).  Each delivery's
+    loss is its lane's stateless hash
     (:meth:`~repro.distributed.faults.FaultState.drop_mask`); attempted
     sends always count.  A proposal reaches an acceptor that still sees
     its proposer; an acceptance matches its proposer even if the
@@ -153,57 +159,40 @@ def israeli_itai_array_batched(
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
+    shape = (num_seeds, size)
     indptr, indices, eids = g.adjacency_arrays()
     sidx, s_nbr = sorted_csr(indptr, indices)
-    half = eids.size
-    # An edge's two slots sum to pair[e], so slot t's reverse slot is
-    # pair[eids[t]] - t (exact: the float sums stay below 2^53).
-    pair = np.bincount(
-        eids, weights=np.arange(half, dtype=np.float64), minlength=g.m
-    ).astype(np.int64)
-    mate = np.full((num_seeds, size), -1, dtype=np.int64)
-    running = np.ones((num_seeds, size), dtype=bool)
-    cand = np.ones((num_seeds, half), dtype=bool)
-    deg = np.tile(g.degrees().astype(np.int64), (num_seeds, 1))
-    flat_deg = deg.reshape(-1)
+    own, nbr = pair_keys(indptr, s_nbr, num_seeds)
+    mate = np.full(num_seeds * size, -1, dtype=np.int64)
+    running = np.ones(num_seeds * size, dtype=bool)
     lanes = ctx.lanes
     eight = np.int64(8)  # every tag payload is one 8-bit character
     fstates = ctx.faults
     if fstates is not None:
-        link = np.array(
-            [f.link_fail_round for f in fstates], dtype=np.int64
-        ).reshape(num_seeds, g.m)
-        crash = np.array(
-            [f.crash_round for f in fstates], dtype=np.int64
-        ).reshape(num_seeds, size)
-        crashed = np.zeros((num_seeds, size), dtype=bool)
+        link = np.array([f.link_fail_round for f in fstates], np.int64)
+        crash = np.array([f.crash_round for f in fstates], np.int64).ravel()
+        crashed = np.zeros(num_seeds * size, dtype=bool)
+        gone = np.zeros(link.size, dtype=bool)  # lane edges out of use
         last_event = max(
             int(a[a < NEVER].max(initial=-1)) for a in (link, crash)
         )
-        owner = np.repeat(np.arange(size, dtype=np.int64), g.degrees())
+        base = np.arange(num_seeds, dtype=np.int64)[:, None] * g.m
+        edge = (base + eids[sidx]).reshape(-1)  # each pair's lane edge
 
-    def drop_candidates(
-        rows: np.ndarray, slots: np.ndarray, owners: np.ndarray
-    ) -> None:
-        """Clear the set slots ``(rows, slots)`` owned by ``owners``."""
-        cand[rows, slots] = False
-        np.subtract.at(flat_deg, rows * size + owners, 1)
+    def per_lane(mask: np.ndarray) -> np.ndarray:
+        """Per-lane counts of a flat lane mask."""
+        return mask.reshape(shape).sum(axis=1)
 
     def fire_events(r: int) -> None:
         """Round ``r``'s link failures and crashes, on running lanes."""
         if fstates is None or r > last_event:
             return
-        dead = (link == r) & running.any(axis=1)[:, None]
+        dead = (link == r) & running.reshape(shape).any(axis=1)[:, None]
         victims = (crash == r) & running
-        ctx.add_fault_counts(
-            crashed=victims.sum(axis=1), links=dead.sum(axis=1)
-        )
+        ctx.add_fault_counts(crashed=per_lane(victims), links=dead.sum(axis=1))
         running[victims] = False
         crashed[victims] = True
-        # Only slots still set count: a link can fail after a _MATCHED
-        # cleared its slot.
-        rows, slots = np.nonzero(cand & (dead[:, eids] | victims[:, indices]))
-        drop_candidates(rows, slots, owner[slots])
+        gone[dead.reshape(-1)] = True
 
     def lost(rows: np.ndarray, src: np.ndarray, dst: np.ndarray, r: int
              ) -> np.ndarray:
@@ -222,90 +211,93 @@ def israeli_itai_array_batched(
         # the rest flip proposer coins and send invitations.
         r = int(ctx.rounds.max(initial=0))  # the running lanes' round
         fire_events(r)
-        ctx.begin_step(running.sum(axis=1))
-        running &= (mate == -1) & (deg > 0)
-        lrows, lcols = lane_nonzero(running)  # row-major: per-seed order
-        if lrows.size == 0:
+        ctx.begin_step(per_lane(running))
+        running &= mate == -1
+        keep = running[own]
+        if fstates is None:
+            keep &= running[nbr]
+        else:
+            keep &= ~(gone[edge] | crashed[nbr])
+            edge = edge[keep]
+        own, nbr = own[keep], nbr[keep]
+        runs = segment_bounds(own)  # one run per drawer, in lane order
+        drawers = own[runs[:-1]]
+        running[:] = False
+        running[drawers] = True
+        if drawers.size == 0:
             break  # every seed returned without yielding: no rounds
-        coins = lanes.integers(0, 2, lrows * size + lcols)
-        picked = coins == 1
-        prows, pcols = lrows[picked], lcols[picked]
-        pflat = prows * size + pcols
-        # Each proposer replays choice(cands): one bounded draw, then
-        # the idx-th entry of its sorted candidate list.
-        idx = lanes.integers(0, deg[prows, pcols], pflat)
-        tgt = choose_targets(
-            indptr, s_nbr, sidx, pcols, idx,
-            lambda seg, pos, nbr: cand[prows[seg], pos],
-        )
+        picked = lanes.integers(0, 2, drawers) == 1
+        prop = drawers[picked]
+        # Each proposer replays choice(cand): one bounded draw, then the
+        # entry at that offset into its run.
+        sel = runs[:-1][picked] + lanes.integers(0, np.diff(runs)[picked], prop)
+        tgt = nbr[sel]
+        prows = prop // size
+        pcols = prop - prows * size
         ctx.account_groups(
-            np.full(prows.size, eight), np.ones(prows.size, np.int64), prows
+            np.full(prop.size, eight), np.ones(prop.size, np.int64), prows
         )
-        keys, srcs = prows * size + tgt, pcols
         if fstates is not None:
-            pdrop = lost(prows, pcols, tgt, r)
-        ctx.end_step(running.any(axis=1))
+            pdrop = lost(prows, pcols, tgt - prows * size, r)
+        ctx.end_step(per_lane(running) > 0)
         # Resume B: each running acceptor picks one proposal it can see
         # uniformly at random and replies.
         fire_events(r + 1)
         if not running.any():
             break
-        ctx.begin_step(running.sum(axis=1))
+        ctx.begin_step(per_lane(running))
+        keys, srcs = tgt, pcols
         if fstates is not None:
-            seen = (
-                ~pdrop & ~crashed[prows, pcols]
-                & (link[prows, g.edge_ids_array(pcols, tgt)] > r + 1)
-            )
+            # the pair was live at resume A, so only a link failure
+            # since then can have marked its edge gone
+            seen = ~pdrop & ~crashed[prop] & ~gone[edge[sel]]
             keys, srcs = keys[seen], srcs[seen]
-        ignores = ~running.reshape(-1)  # returned and crashed nodes
-        ignores[pflat] = True  # and proposers ignore proposals
+        ignores = ~running  # returned and crashed nodes
+        ignores[prop] = True  # and proposers ignore proposals
         acc, chosen = replay_acceptor_choices(lanes, keys, srcs, ignores)
-        arows, acols = np.divmod(acc, size)
-        mate[arows, acols] = chosen
+        arows = acc // size
+        acols = acc - arows * size
+        mate[acc] = chosen
         ctx.account_groups(
             np.full(acc.size, eight), np.ones(acc.size, np.int64), arows
         )
         won = np.ones(acc.size, dtype=bool)
         if fstates is not None:
             won = ~lost(arows, acols, chosen, r + 1)
-        ctx.end_step(running.any(axis=1))
+        ctx.end_step(per_lane(running) > 0)
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED to its whole view.
         fire_events(r + 2)
         if not running.any():
             break
-        ctx.begin_step(running.sum(axis=1))
-        won &= running[arows, chosen]
-        mate[arows[won], chosen[won]] = acols[won]
-        brows, bcols = lane_nonzero(running & (mate != -1))
+        ctx.begin_step(per_lane(running))
+        wins = arows * size + chosen  # the proposers' lane ids
+        won &= running[wins]
+        mate[wins[won]] = acols[won]
+        brows, bcols = lane_nonzero((running & (mate != -1)).reshape(shape))
         bdeg = (indptr[bcols + 1] - indptr[bcols]).astype(np.int64)
-        seg = np.repeat(np.arange(bcols.size), bdeg)
-        slot = np.arange(seg.size) + np.repeat(
-            indptr[bcols] - np.cumsum(bdeg) + bdeg, bdeg
-        )
-        row = brows[seg]
-        if fstates is not None:
+        if fstates is not None:  # the view: live links, live neighbors
+            seg = np.repeat(np.arange(bcols.size), bdeg)
+            slot = np.arange(seg.size) + np.repeat(
+                indptr[bcols] - np.cumsum(bdeg) + bdeg, bdeg
+            )
+            row = brows[seg]
             seen = (
-                (link[row, eids[slot]] > r + 2) & ~crashed[row, indices[slot]]
+                (link[row, eids[slot]] > r + 2)
+                & ~crashed[row * size + indices[slot]]
             )
             seg, row, slot = seg[seen], row[seen], slot[seen]
-        ctx.account_groups(
-            np.full(bcols.size, eight),
-            np.bincount(seg, minlength=bcols.size),
-            brows,
-        )
+            bdeg = np.bincount(seg, minlength=bcols.size)
+        ctx.account_groups(np.full(bcols.size, eight), bdeg, brows)
         if fstates is not None:
             kept = ~lost(row, bcols[seg], indices[slot], r + 2)
-            row, slot = row[kept], slot[kept]
-        # The reverse slots are still set: a node broadcasts once, and
-        # a link or crash that would have cleared one also stops the
-        # delivery.
-        drop_candidates(row, pair[eids[slot]] - slot, indices[slot])
-        ctx.end_step(running.any(axis=1))
+            gone[row[kept] * g.m + eids[slot[kept]]] = True
+        ctx.end_step(per_lane(running) > 0)
+    mate = mate.reshape(shape)
     if fstates is None:
         return [row.tolist() for row in mate]
     outputs = mate.astype(object)
-    outputs[crashed] = None
+    outputs[crashed.reshape(shape)] = None
     return outputs.tolist()
 
 

@@ -25,7 +25,8 @@ Two executable forms: :func:`lps_interleaved_program` is the generator
 spec, :func:`lps_interleaved_array` the array program over a lane axis
 of seeds; ``lps_interleaved_mwm(..., backend="array")`` runs it as a
 one-lane batch, and both forms produce byte-identical ``RunResult``s
-from the same seed.
+from the same seed.  The array program's per-phase edge work is one
+compaction of its live candidate pairs, ordered by class per owner.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from repro.baselines.israeli_itai import matching_from_mates
 from repro.baselines.lps_mwm import _weight_class, _weight_class_array
 from repro.distributed.backends import (
     BatchedArrayContext,
-    choose_targets,
     int_payload_bits,
-    lane_nonzero,
+    pair_keys,
     replay_acceptor_choices,
     resolve_backend,
     run_program_batched,
@@ -114,38 +114,42 @@ def lps_interleaved_array(
 ) -> list[list[int]]:
     """Array program of :func:`lps_interleaved_program`, one lane per seed.
 
-    SoA state with a leading seed axis: an ``int64`` ``mate`` column, an
-    ``alive`` mask of not-yet-returned nodes (lanes terminate
-    independently, as in the Israeli–Itai program), and a ``dead`` mask
-    of nodes whose ``_MATCHED`` broadcast has been delivered (a
-    broadcast, so one mask row per lane agrees with every generator
-    node's private ``dead`` set).  Each live node's *current class* — the
-    heaviest weight class with a usable half-edge to a non-dead
-    neighbor — is a scatter-min over those half-edges.  Coin flips and
-    the two ``choice`` replays are bulk ``ctx.lanes`` draws: proposal
-    targets are one rank-select over the sorted CSR
-    (:func:`~repro.distributed.backends.choose_targets`) restricted to
-    the proposer's class and non-dead neighbors, and acceptances replay
-    over same-class proposals
+    State is flat over lane ids (``seed_index * n + vertex``): an
+    ``int64`` ``mate`` column, an ``alive`` mask of not-yet-returned
+    nodes (lanes terminate independently), a ``dead`` mask of nodes
+    whose ``_MATCHED`` broadcast has been delivered (one mask per lane
+    agrees with every generator node's private ``dead`` set), and the
+    usable half-edges as one list of ``(owner, neighbor)`` key pairs
+    (:func:`~repro.distributed.backends.pair_keys`), each owner's pairs
+    ordered by class, then neighbor id.  Every resume A drops the pairs
+    with a dead end; a node's *current class* is then the class of its
+    first pair, and its ``sorted(cands)`` the leading class run.  Coin
+    flips and the two ``choice`` replays are bulk ``ctx.lanes`` draws:
+    a proposer's target is the drawn offset into its leading run, and
+    acceptances replay over same-class proposals
     (:func:`~repro.distributed.backends.replay_acceptor_choices`).  A
     returned node's mate never changes again, so the final ``mate``
     rows are the outputs.
     """
     g = ctx.graph
     num_seeds, size = ctx.num_seeds, ctx.n
+    shape = (num_seeds, size)
     indptr, indices = ctx.indptr, ctx.indices
     _, _, eids = g.adjacency_arrays()
-    he_cls = _weight_class_array(g.weights_array(), wmax)[eids]
-    # usable half-edges (class below the cutoff): owner, neighbor, class
-    usable = np.flatnonzero(he_cls < num_classes)
-    owner = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))
-    u_owner = owner[usable]
-    u_nbr = indices[usable]
-    u_cls = he_cls[usable]
     sidx, s_nbr = sorted_csr(indptr, indices)
-    mate = np.full((num_seeds, size), -1, dtype=np.int64)
-    alive = np.ones((num_seeds, size), dtype=bool)
-    dead = np.zeros((num_seeds, size), dtype=bool)
+    row_cls = np.tile(
+        _weight_class_array(g.weights_array(), wmax)[eids[sidx]], num_seeds
+    )
+    rows = np.flatnonzero(row_cls < num_classes)  # the usable half-edges
+    own, nbr = pair_keys(indptr, s_nbr, num_seeds, rows)
+    cls = row_cls[rows]
+    # each owner's pairs by class; the stable sort keeps neighbor order
+    order = np.argsort(own.astype(np.int64) * num_classes + cls, kind="stable")
+    own, nbr, cls = own[order], nbr[order], cls[order]
+    mate = np.full(num_seeds * size, -1, dtype=np.int64)
+    alive = np.ones(num_seeds * size, dtype=bool)
+    dead = np.zeros(num_seeds * size, dtype=bool)
+    my_cls = np.zeros(num_seeds * size, dtype=np.int64)  # read at drawers only
     degrees = g.degrees()
     lanes = ctx.lanes
     eight = np.int64(8)
@@ -153,50 +157,48 @@ def lps_interleaved_array(
         # Resume A: matched nodes and nodes without a live usable edge
         # return; the rest target their heaviest available class, flip
         # proposer coins, and invite one random same-class neighbor.
-        ctx.begin_step(alive.sum(axis=1))
-        alive &= mate == -1
-        hr, hc = lane_nonzero(alive[:, u_owner] & ~dead[:, u_nbr])
-        hkey = hr * size + u_owner[hc]
-        my_cls = np.full(num_seeds * size, num_classes, dtype=np.int64)
-        np.minimum.at(my_cls, hkey, u_cls[hc])
-        alive &= (my_cls < num_classes).reshape(num_seeds, size)
-        lrows, lcols = lane_nonzero(alive)
-        if lrows.size == 0:
+        ctx.begin_step(alive.reshape(shape).sum(axis=1))
+        keep = ~(dead[own] | dead[nbr])
+        own, nbr, cls = own[keep], nbr[keep], cls[keep]
+        if own.size == 0:
             break  # every lane returned without yielding: no round counted
-        live = alive.sum(axis=1)
-        in_phase = live > 0
-        at_cls = u_cls[hc] == my_cls[hkey]
-        cand_deg = np.bincount(hkey[at_cls], minlength=num_seeds * size)
-        coins = lanes.integers(0, 2, lrows * size + lcols)
-        picked = coins == 1
-        pr, pv = lrows[picked], lcols[picked]
-        pflat = pr * size + pv
-        idx = lanes.integers(0, cand_deg[pflat], pflat)
-        tgt = choose_targets(
-            indptr, s_nbr, sidx, pv, idx,
-            lambda seg, pos, nbr: (
-                (he_cls[pos] == my_cls[pflat[seg]]) & ~dead[pr[seg], nbr]
-            ),
+        # One run per owner and class; each owner's leading run holds
+        # its current class's candidates.
+        new_own = np.concatenate(([True], own[1:] != own[:-1]))
+        runs = np.flatnonzero(
+            new_own | np.concatenate(([False], cls[1:] != cls[:-1]))
         )
+        leading = new_own[runs]
+        cand_deg = np.diff(np.append(runs, own.size))[leading]
+        heads = runs[leading]
+        drawers = own[heads]
+        alive[:] = False
+        alive[drawers] = True
+        my_cls[drawers] = cls[heads]
+        live = alive.reshape(shape).sum(axis=1)
+        in_phase = live > 0
+        picked = lanes.integers(0, 2, drawers) == 1
+        prop = drawers[picked]
+        tflat = nbr[heads[picked] + lanes.integers(0, cand_deg[picked], prop)]
+        pr = prop // size
+        pcols = prop - pr * size
+        pcls = my_cls[prop]
         ctx.account_groups(
-            eight + int_payload_bits(my_cls[pflat]),
-            np.ones(pr.size, np.int64),
-            pr,
+            eight + int_payload_bits(pcls), np.ones(prop.size, np.int64), pr
         )
         ctx.end_step(in_phase)
         # Resume B: each live non-proposer accepts one same-class
         # proposal uniformly at random (heavier classes cannot arrive).
         ctx.begin_step(live)
-        tflat = pr * size + tgt
-        same = my_cls[tflat] == my_cls[pflat]
-        ignores = ~alive.reshape(-1)  # returned nodes ignore proposals
-        ignores[pflat] = True  # and so do proposers
+        same = my_cls[tflat] == pcls
+        ignores = ~alive  # returned nodes ignore proposals
+        ignores[prop] = True  # and so do proposers
         acc, chosen = replay_acceptor_choices(
-            lanes, tflat[same], pv[same], ignores
+            lanes, tflat[same], pcols[same], ignores
         )
         accepted_by = np.full(num_seeds * size, -1, dtype=np.int64)
         accepted_by[acc] = chosen
-        arows, acols = np.divmod(acc, size)
+        arows = acc // size
         ctx.account_groups(
             np.full(acc.size, eight), np.ones(acc.size, np.int64), arows
         )
@@ -204,17 +206,17 @@ def lps_interleaved_array(
         # Resume C: proposers learn acceptance; every freshly matched
         # node broadcasts _MATCHED once to its *full* neighborhood.
         ctx.begin_step(live)
-        succeeded = accepted_by[tflat] == pv
-        mate[pr[succeeded], pv[succeeded]] = tgt[succeeded]
-        mate[arows, acols] = chosen
+        succeeded = accepted_by[tflat] == pcols
+        mate[prop[succeeded]] = tflat[succeeded] - pr[succeeded] * size
+        mate[acc] = chosen
+        m_flat = np.concatenate((prop[succeeded], acc))
         m_rows = np.concatenate((pr[succeeded], arows))
-        m_cols = np.concatenate((pv[succeeded], acols))
         ctx.account_groups(
-            np.full(m_rows.size, eight), degrees[m_cols], m_rows
+            np.full(m_rows.size, eight), degrees[m_flat - m_rows * size], m_rows
         )
         ctx.end_step(in_phase)
-        dead[m_rows, m_cols] = True  # the broadcast lands next resume A
-    return [row.tolist() for row in mate]
+        dead[m_flat] = True  # the broadcast lands next resume A
+    return [row.tolist() for row in mate.reshape(shape)]
 
 
 def lps_interleaved_mwm(

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.distributed.backends import (
     BatchedArrayContext,
+    pair_keys,
     replay_acceptor_choices,
     resolve_backend,
     run_program_batched,
@@ -130,26 +131,20 @@ def _class_pairs(
 
     Returns ``(bounds, owner, nbr)``: class ``c``'s pairs are entries
     ``bounds[c]:bounds[c + 1]`` of ``owner`` and ``nbr``, the flat lane
-    ids (``lane * n + vertex``) of each half-edge's two ends.  A class
-    keeps its pairs in (lane, owner, neighbor id) order, so each
-    owner's candidates form one run, ascending like the generator's
+    keys of each half-edge's two ends
+    (:func:`~repro.distributed.backends.pair_keys`).  A class keeps its
+    pairs in (lane, owner, neighbor id) order, so each owner's
+    candidates form one run, ascending like the generator's
     ``sorted(active)``.
     """
-    size = indptr.size - 1
     sidx, s_nbr = sorted_csr(indptr, indices)
     cls = he_cls[:, sidx]  # half-edge slots in ascending-neighbor order
-    pairs = np.flatnonzero(cls < num_classes)
-    cls = cls.reshape(-1)[pairs].astype(np.int16)  # classes stay below 2^12
-    pairs = pairs[np.argsort(cls, kind="stable")]  # a radix sort on int16
+    rows = np.flatnonzero(cls < num_classes)
+    cls = cls.reshape(-1)[rows].astype(np.int16)  # classes stay below 2^12
+    rows = rows[np.argsort(cls, kind="stable")]  # a radix sort on int16
     bounds = np.zeros(num_classes + 1, dtype=np.int64)
     np.cumsum(np.bincount(cls, minlength=num_classes), out=bounds[1:])
-    lane, slot = np.divmod(pairs, sidx.size)
-    lane *= size
-    owner = np.repeat(np.arange(size, dtype=np.int64), np.diff(indptr))[slot]
-    owner += lane
-    nbr = s_nbr[slot]
-    nbr += lane
-    return bounds, owner, nbr
+    return (bounds, *pair_keys(indptr, s_nbr, he_cls.shape[0], rows))
 
 
 def lps_mwm_array_batched(
@@ -180,10 +175,12 @@ def lps_mwm_array_batched(
     every generator node's private ``dead`` set; it flips *after*
     resume C, landing next phase exactly like the generator's
     post-yield inbox scan).  The usable (lane, half-edge) pairs are
-    partitioned by class once, each vertex's pairs in ascending
-    neighbor order.  A pair stays a candidate while neither end is
-    dead — a node is dead exactly when it is matched, and dead only
-    grows — so every phase first drops the pairs that died, and its
+    expanded to ``(owner, neighbor)`` keys
+    (:func:`~repro.distributed.backends.pair_keys`) and partitioned by
+    class once, each vertex's pairs in ascending neighbor order.  A
+    pair stays a candidate while neither end is dead — a node is dead
+    exactly when it is matched, and dead only grows — so every phase
+    first drops the pairs that died, and its
     remaining work is proportional to the class's live pairs: the
     drawers are the runs of the (sorted) owner keys, each proposer's
     ``choice(sorted(active))`` is the drawn offset into its run, and

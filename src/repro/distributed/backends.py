@@ -68,9 +68,11 @@ half-edges occupy ``indptr[v]:indptr[v+1]`` in a stable per-vertex
 order, so a value scattered to ``values[s, u]`` is gathered by every
 neighbor ``v`` via ``values[s, indices[indptr[v]:indptr[v+1]]]``.  A
 program's per-phase edge work should follow what is still live, not
-the whole CSR (its per-vertex passes stay O(lanes·n)): Israeli–Itai
-keeps its per-vertex candidate counts and subtracts the slots each
-phase clears, and Luby keeps its live edges as one compacted endpoint
+the whole CSR (its per-vertex passes stay O(lanes·n)): the proposal
+programs (Israeli–Itai and both LPS forms) keep their candidates as
+one list of ``(owner, neighbor)`` key pairs (:func:`pair_keys`) that
+every phase compacts, with a proposer's choice an offset into its
+owner's run, and Luby keeps its live edges as one compacted endpoint
 list that it gathers, compares and shrinks every phase.
 
 Divergence note (documented, deliberate): error *messages* carry less
@@ -132,22 +134,22 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
+#: ``2**k`` for k = 0..63: a uint64 magnitude's bit length is the number
+#: of these it reaches.
+_POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
 def int_payload_bits(values: np.ndarray | Sequence[int]) -> np.ndarray:
     """Vectorized ``bit_size`` for integer payloads (sign + magnitude).
 
     Matches :func:`repro.distributed.message.bit_size` on every int64:
-    ``1 + max(1, |v|.bit_length())``.  Exact (shift-based, no floating
-    log) so CONGEST checks and golden bit totals cannot drift.
+    ``1 + max(1, |v|.bit_length())``.  Exact (no floating log) so CONGEST
+    checks and golden bit totals cannot drift: the magnitude is read as
+    ``uint64`` (so ``|-2**63|`` is ``2**63``) and sized by one
+    ``searchsorted`` against the 64 powers of two.
     """
-    v = np.abs(np.asarray(values, dtype=np.int64))
-    length = np.zeros(v.shape, dtype=np.int64)
-    x = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = x >= (np.int64(1) << shift)
-        length[big] += shift
-        x[big] >>= shift
-    length += x  # remaining 0/1 bit
-    return 1 + np.maximum(length, 1)
+    mag = np.abs(np.asarray(values, dtype=np.int64)).view(np.uint64)
+    return 1 + np.maximum(np.searchsorted(_POW2, mag, side="right"), 1)
 
 
 def segment_bounds(sorted_keys: np.ndarray) -> np.ndarray:
@@ -187,37 +189,31 @@ def sorted_csr(
     return sidx, indices.astype(np.int64)[sidx]
 
 
-def choose_targets(
+def pair_keys(
     indptr: np.ndarray,
     s_nbr: np.ndarray,
-    sidx: np.ndarray,
-    pv: np.ndarray,
-    idx: np.ndarray,
-    eligible: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Vectorized replay of each proposer's ``choice(sorted(active))``.
+    num_lanes: int,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-CSR half-edges as flat ``(owner, neighbor)`` lane-key pairs.
 
-    Proposer ``k`` at vertex ``pv[k]`` drew ``idx[k]`` ∈ [0, #active)
-    and picks the ``idx[k]``-th entry of its ascending-id active
-    neighbor list.  ``eligible(seg, pos, nbr)`` returns the active mask
-    for the flat candidate rows — ``seg`` is the proposer row, ``pos``
-    the original CSR half-edge slot, ``nbr`` the candidate id.  One
-    rank-select over ``sum(deg(pv))`` flat rows (a cumsum ranks each
-    segment's eligible entries; the drawn index picks per segment)
-    replaces a per-proposer Python loop.  ``s_nbr``/``sidx`` come from
-    :func:`sorted_csr`.
+    Row ``lane * 2m + t`` is half-edge ``t`` of the sorted CSR (``s_nbr``
+    from :func:`sorted_csr`) in lane ``lane``; its keys are the flat lane
+    ids ``lane * n + owner`` and ``lane * n + s_nbr[t]`` (``int32`` while
+    ``lanes · n`` fits).  ``rows`` picks the rows to expand, in order;
+    all rows list each owner's pairs as one run in ascending neighbor
+    id, the generator programs' ``sorted(...)`` candidate order.
     """
-    deg = (indptr[pv + 1] - indptr[pv]).astype(np.int64)
-    seg = np.repeat(np.arange(pv.size, dtype=np.int64), deg)
-    off = np.zeros(pv.size + 1, dtype=np.int64)
-    np.cumsum(deg, out=off[1:])
-    flat = indptr[pv[seg]] + (np.arange(seg.size, dtype=np.int64) - off[seg])
-    nbr = s_nbr[flat]
-    elig = eligible(seg, sidx[flat], nbr)
-    csum = np.cumsum(elig)
-    base = np.concatenate(([0], csum[off[1:] - 1][:-1]))
-    hit = elig & ((csum - elig - base[seg]) == idx[seg])
-    return nbr[hit]
+    size = indptr.size - 1
+    key = np.int32 if num_lanes * size <= np.iinfo(np.int32).max else np.int64
+    owner = np.repeat(np.arange(size, dtype=key), np.diff(indptr))
+    nbr = s_nbr.astype(key)
+    if rows is None:
+        base = np.arange(num_lanes, dtype=key)[:, None] * key(size)
+        return (base + owner).reshape(-1), (base + nbr).reshape(-1)
+    lane, t = np.divmod(rows, s_nbr.size)
+    base = lane.astype(key) * key(size)
+    return base + owner[t], base + nbr[t]
 
 
 def lane_nonzero(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,8 +26,9 @@ at once:
 * ``Generator.choice(seq)`` for 1-D sequences, which draws exactly
   ``integers(0, len(seq))`` (and draws *nothing* when ``len == 1``).
 
-Correctness is pinned two ways: ``tests/test_batch_rng.py`` compares
-lanes against real ``Generator`` objects draw by draw, and
+Correctness is pinned two ways:
+``tests/test_distributed/test_batch_rng.py`` compares lanes against
+real ``Generator`` objects draw by draw, and
 :func:`verify_replication` (run once, lazily, on first lane
 construction) cross-checks a handful of draws at import-cost ~1 ms so
 a NumPy build with a diverging stream fails loudly instead of

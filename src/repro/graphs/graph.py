@@ -41,8 +41,9 @@ the interleaved endpoint array, so every vertex's ports ascend by edge
 id.  :meth:`Graph.support_subgraph` keeps that order when it cuts a
 kept edge set out, so a cut-out support is the graph a fresh build of
 its edges gives.  The array programs read "what my neighbors sent"
-straight off each vertex's contiguous slice (Israeli–Itai's per-slot
-candidate mask, the LPS programs' per-half-edge classes).
+straight off each vertex's contiguous slice (the proposal programs'
+pair lists, expanded from the per-vertex slices, and the LPS programs'
+per-half-edge classes).
 
 Topology is immutable after construction; weights may be replaced
 wholesale via :meth:`Graph.with_weights` (used by Algorithm 5, which
@@ -254,6 +255,8 @@ class Graph:
     ) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if n > _INT64_MAX:
+            raise ValueError(f"vertex count {n} exceeds the int64 index range")
         self.n = n
         earr = _as_edge_array(edges, n)
         m = self.m = len(earr)

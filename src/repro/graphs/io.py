@@ -9,7 +9,8 @@ Files are UTF-8 text.  Weights are either present on every edge line
 or on none.  A malformed record, or a line holding bytes that are not
 UTF-8, raises ``ValueError`` prefixed ``path:lineno:``; a graph the
 records cannot form (an endpoint out of range, a duplicate edge, a
-weight that is not positive and finite) raises one prefixed ``path:``.
+weight that is not positive and finite, a vertex count beyond int64 or
+too large to allocate) raises one prefixed ``path:``.
 """
 
 from __future__ import annotations
@@ -85,3 +86,5 @@ def read_edgelist(path: str | Path) -> Graph:
         return Graph(n, edges, weights if weights else None)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
+    except MemoryError as e:
+        raise ValueError(f"{path}: no memory for a graph with n={n}: {e}") from None

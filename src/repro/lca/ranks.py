@@ -18,7 +18,8 @@ same arithmetic live here:
 * :func:`edge_ranks` — vectorized, ``uint64`` NumPy wraparound
   arithmetic (what the global oracle and the LCA read).
 
-``test_lca/test_properties.py`` pins them equal element for element.
+``tests/test_lca/test_lca_properties.py`` pins them equal element for
+element.
 
 The *order* the algorithms agree on is lexicographic ``(rank, eid)``:
 64-bit collisions are astronomically unlikely but the tie-break makes

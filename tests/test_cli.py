@@ -317,6 +317,35 @@ class TestFileCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}") and expect in err
 
+    @pytest.mark.parametrize("text", [
+        "n 9223372036854775808\n",
+        "n 100000000000000000000\ne 0 1\n",
+    ])
+    def test_vertex_count_beyond_int64_is_an_error_line(
+        self, tmp_path, capsys, text
+    ):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert main(["file", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: vertex count ")
+        assert "int64 index range" in err
+
+    def test_unallocatable_graph_is_an_error_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Graph is stubbed to fail as an 8 TiB allocation would, so the
+        # test allocates nothing.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr("repro.graphs.io.Graph", no_memory)
+        p = tmp_path / "big.txt"
+        p.write_text("n 1099511627776\n")
+        assert main(["file", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: no memory for a graph with n=")
+
     def test_undecodable_file_is_an_error_line(self, tmp_path, capsys):
         # A non-UTF-8 byte used to print the decoder's message alone,
         # without the file or the line.

@@ -32,8 +32,8 @@ from repro.distributed import (
     run_program_batched,
 )
 from repro.distributed.backends import (
-    choose_targets,
     lane_nonzero,
+    pair_keys,
     replay_acceptor_choices,
     sorted_csr,
 )
@@ -127,7 +127,11 @@ class TestProtocolAndRegistry:
 
 class TestIntPayloadBits:
     @pytest.mark.parametrize(
-        "value", [0, 1, 2, 3, 7, 8, 255, 256, -1, -17, 2**40, 2**62, -(2**62)]
+        "value",
+        [
+            0, 1, 2, 3, 7, 8, 255, 256, -1, -17, 2**40, 2**62, -(2**62),
+            -(2**63), 2**63 - 1, -(2**63 - 1),
+        ],
     )
     def test_matches_bit_size(self, value):
         assert int_payload_bits([value])[0] == bit_size(value)
@@ -151,6 +155,19 @@ class TestBatchedSegments:
         assert cols.tolist() == want_cols.tolist()
 
 
+def test_pair_keys_widen_past_int32():
+    # 2^30 lanes of a 3-vertex path put the keys past 2^31; only the
+    # four picked rows of the last lane are expanded.
+    g = path_graph(3)
+    indptr, indices, _ = g.adjacency_arrays()
+    _, s_nbr = sorted_csr(indptr, indices)
+    lane = 2**30 - 1
+    own, nbr = pair_keys(indptr, s_nbr, 2**30, lane * 4 + np.arange(4))
+    assert own.dtype == nbr.dtype == np.int64
+    assert own.tolist() == [lane * 3 + v for v in (0, 1, 1, 2)]
+    assert nbr.tolist() == [lane * 3 + u for u in (1, 0, 2, 1)]
+
+
 @pytest.mark.parametrize("gname", sorted(SHAPES))
 class TestSharedHelpersByShape:
     """The proposal helpers against brute force, per shape."""
@@ -166,36 +183,23 @@ class TestSharedHelpersByShape:
             assert s_nbr[lo:hi].tolist() == sorted(g.neighbors(v))
             assert sorted(sidx[lo:hi].tolist()) == list(range(lo, hi))
 
-    def test_choose_targets_brute_force(self, gname):
-        # Three lanes; a candidate must pass a per-lane vertex mask (read
-        # through the proposer row) and a per-half-edge mask (read
-        # through the original CSR slot).
+    def test_pair_keys_list_sorted_candidates(self, gname):
+        # Three lanes: every row in order is each lane's owners with
+        # their neighbors ascending; picked rows expand in pick order.
         g = SHAPES[gname]
+        n = g.n
         indptr, indices, _ = g.adjacency_arrays()
-        sidx, s_nbr = sorted_csr(indptr, indices)
-        rng = np.random.default_rng(4)
-        active = rng.random((3, g.n)) < 0.6
-        slot_ok = rng.random(indices.size) < 0.8
-        rows, pv, idx, want = [], [], [], []
-        for s in range(3):
-            for v in range(g.n):
-                cand = sorted(
-                    int(indices[p]) for p in range(indptr[v], indptr[v + 1])
-                    if slot_ok[p] and active[s, indices[p]]
-                )
-                if cand:
-                    k = int(rng.integers(len(cand)))
-                    rows.append(s)
-                    pv.append(v)
-                    idx.append(k)
-                    want.append(cand[k])
-        rows = np.array(rows, dtype=np.int64)
-        got = choose_targets(
-            indptr, s_nbr, sidx,
-            np.array(pv, dtype=np.int64), np.array(idx, dtype=np.int64),
-            lambda seg, pos, nbr: slot_ok[pos] & active[rows[seg], nbr],
-        )
-        assert got.tolist() == want
+        _, s_nbr = sorted_csr(indptr, indices)
+        want = [
+            (s * n + v, s * n + u)
+            for s in range(3) for v in range(n) for u in sorted(g.neighbors(v))
+        ]
+        own, nbr = pair_keys(indptr, s_nbr, 3)
+        assert own.dtype == nbr.dtype == np.int32
+        assert list(zip(own.tolist(), nbr.tolist())) == want
+        rows = np.random.default_rng(6).permutation(len(want))[: len(want) // 2]
+        own, nbr = pair_keys(indptr, s_nbr, 3, rows)
+        assert list(zip(own.tolist(), nbr.tolist())) == [want[i] for i in rows]
 
     def test_replay_acceptor_choices_brute_force(self, gname):
         # Each lane's proposers, in vertex order, propose to a random

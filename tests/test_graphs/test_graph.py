@@ -27,6 +27,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="nonnegative"):
             Graph(-1)
 
+    @pytest.mark.parametrize("n", [2**63, 10**20])
+    @pytest.mark.parametrize("edges", [(), [(0, 1)]])
+    def test_n_beyond_int64_rejected_before_numpy(self, n, edges):
+        # A NumPy dimension error, or an OverflowError from the edge-key
+        # check, used to stand in for a named error.
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds"):
+            Graph(n, edges)
+
     def test_edge_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])

@@ -113,6 +113,33 @@ class TestParsing:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {msg}"):
             read_edgelist(p)
 
+    @pytest.mark.parametrize("text", [
+        "n 9223372036854775808\n",
+        "n 100000000000000000000\ne 0 1\n",
+    ])
+    def test_n_beyond_int64_names_file(self, tmp_path, text):
+        # The second file raised an OverflowError from NumPy.
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(
+            ValueError,
+            match=f"^{re.escape(str(p))}: vertex count .* int64 index range",
+        ):
+            read_edgelist(p)
+
+    def test_unallocatable_graph_names_file(self, tmp_path, monkeypatch):
+        # A vertex count too large for memory raised NumPy's MemoryError;
+        # Graph is stubbed so that the test allocates nothing.
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr("repro.graphs.io.Graph", no_memory)
+        p = tmp_path / "big.txt"
+        p.write_text("n 1099511627776\n")
+        msg = "no memory for a graph with n=1099511627776: Unable to allocate"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {msg}"):
+            read_edgelist(p)
+
     @pytest.mark.parametrize(
         "data,lineno",
         [

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Reference checker for the repository's Markdown docs.
+"""Reference checker for the repository's docs and docstrings.
 
-Docs rot when code moves; this tool fails CI the moment README.md or
-ARCHITECTURE.md mentions something the tree no longer has.  For each
-Markdown file given on the command line it extracts
+Docs rot when code moves; this tool fails CI the moment README.md,
+ARCHITECTURE.md or a docstring in ``src/repro`` mentions something the
+tree no longer has.  For each file given on the command line — a
+Markdown file line by line, a ``.py`` file through its module, class
+and function docstrings (read with :mod:`ast`) — it extracts
 
 * **file paths** — any token ending in a known source extension
   (``.py``, ``.md``, ``.json``, ``.yml``, ``.ini``) — and requires the
@@ -15,14 +17,16 @@ Markdown file given on the command line it extracts
 
 Usage::
 
-    python tools/check_docs.py README.md ARCHITECTURE.md
+    python tools/check_docs.py README.md ARCHITECTURE.md $(git ls-files 'src/repro/*.py')
 
 Exit status 0 when every reference resolves, 1 otherwise (each failure
-is printed as ``file:line: reference — reason``).
+is printed as ``path:line: reference — reason``, the path relative to
+the repository root).
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pathlib
 import re
@@ -66,10 +70,34 @@ def _check_dotted(token: str) -> str | None:
     return f"module {token!r} does not import"
 
 
+def _doc_lines(path: pathlib.Path) -> list[tuple[int, str]]:
+    """``(line number, text)`` of every line the checker reads.
+
+    All lines of a Markdown file; the docstring lines of a ``.py`` file.
+    """
+    text = path.read_text()
+    if path.suffix != ".py":
+        return list(enumerate(text.splitlines(), start=1))
+    lines: list[tuple[int, str]] = []
+    for node in ast.walk(ast.parse(text, filename=str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:  # it starts on its opening quotes' line
+                lines.extend(
+                    enumerate(doc.splitlines(), start=node.body[0].lineno)
+                )
+    return sorted(lines)
+
+
 def check_file(path: pathlib.Path) -> list[str]:
-    """All unresolved references in one Markdown file."""
+    """All unresolved references in one Markdown or Python file."""
+    name = (
+        path.relative_to(REPO_ROOT).as_posix()
+        if path.is_relative_to(REPO_ROOT) else str(path)
+    )
     errors: list[str] = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in _doc_lines(path):
         if any(s in line for s in _SKIP_SUBSTRINGS):
             continue
         seen: set[str] = set()
@@ -82,7 +110,7 @@ def check_file(path: pathlib.Path) -> list[str]:
             seen.add(token)
             err = _check_path(token)
             if err:
-                errors.append(f"{path.name}:{lineno}: {err}")
+                errors.append(f"{name}:{lineno}: {err}")
         for m in _MODULE_RE.finditer(line):
             token = m.group(0).rstrip(".")
             if token in seen:
@@ -90,13 +118,13 @@ def check_file(path: pathlib.Path) -> list[str]:
             seen.add(token)
             err = _check_dotted(token)
             if err:
-                errors.append(f"{path.name}:{lineno}: {err}")
+                errors.append(f"{name}:{lineno}: {err}")
     return errors
 
 
 def main(argv: list[str]) -> int:
     if not argv:
-        print("usage: check_docs.py FILE.md [FILE.md ...]", file=sys.stderr)
+        print("usage: check_docs.py FILE [FILE ...]", file=sys.stderr)
         return 2
     errors: list[str] = []
     for name in argv:
