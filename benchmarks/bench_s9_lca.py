@@ -9,10 +9,10 @@ This bench measures the serving economics:
   consistency is asserted first (the mapping induced by point queries
   equals one global :func:`repro.lca.random_greedy_matching` run —
   byte-identical over all vertices up to n=20000, over a 2000-vertex
-  random sample beyond, with the cache on and off), then a fresh
-  service serves a batch of uniform ``mate_of`` queries.  Recorded:
-  queries/sec, mean probes per query, cache hit rate, the global
-  scan/rounds engine times, and
+  random sample beyond, through the bare resolver and the service),
+  then a fresh service serves a batch of uniform ``mate_of`` queries.
+  Recorded: queries/sec, mean probes per query, the global scan/rounds
+  engine times, and
 
   - ``speedup`` — one global run (its *faster* engine) vs serving the
     cell's query batch: "this many lookups cost 1/speedup of a full
@@ -66,7 +66,7 @@ MIN_QPS = 1000.0
 
 
 def _assert_consistent(g, seed: int, truth: np.ndarray) -> str:
-    """Every access path agrees with the oracle; returns the mode."""
+    """The resolver and the service agree with the oracle; returns the mode."""
     if g.n <= FULL_CHECK_MAX_N:
         vertices = np.arange(g.n)
         mode = "full"
@@ -75,13 +75,11 @@ def _assert_consistent(g, seed: int, truth: np.ndarray) -> str:
             g.n, size=SAMPLE_CHECK
         )
         mode = f"sample-{SAMPLE_CHECK}"
-    cached = MatchingService(g, seed, max_entries=256)
-    uncached = MatchingService(g, seed, cache=False)
+    svc = MatchingService(g, seed)
     bare = LcaMatching(g, seed)
     for v in vertices.tolist():
         want = int(truth[v])
-        if not (cached.mate_of(v) == uncached.mate_of(v)
-                == bare.mate_of(v) == want):
+        if not svc.mate_of(v) == bare.mate_of(v) == want:
             raise AssertionError(
                 f"LCA/oracle mismatch at n={g.n} seed={seed} vertex={v}"
             )
@@ -103,7 +101,7 @@ def run_cell(n: int, seed: int, queries: int) -> dict[str, Any]:
         raise AssertionError(f"scan/rounds oracle divergence at n={n}")
     check_mode = _assert_consistent(g, seed, truth)
 
-    svc = MatchingService(g, seed, max_entries=4096)
+    svc = MatchingService(g, seed)
     vs = np.random.default_rng(seed + 1).integers(n, size=queries).tolist()
     t0 = time.perf_counter()
     for v in vs:
@@ -128,7 +126,6 @@ def run_cell(n: int, seed: int, queries: int) -> dict[str, Any]:
         "queries_per_sec": round(queries / serve_s, 1),
         "mean_probes": round(st.mean_probes, 3),
         "max_depth": st.max_depth,
-        "cache_hit_rate": round(st.cache_hit_rate, 4),
         # One global run vs serving this cell's batch of point queries.
         "speedup": round(global_best_s / serve_s, 4),
         # Queries one global run buys (the break-even point).
@@ -162,11 +159,11 @@ def show(data: dict[str, Any]) -> None:
         "consistency asserted per cell",
     )
     print(format_table(
-        ["n", "m", "queries", "qps", "probes/q", "hit rate",
+        ["n", "m", "queries", "qps", "probes/q",
          "global s", "serve s", "speedup", "crossover"],
         [
             [c["n"], c["m"], c["queries"], c["queries_per_sec"],
-             c["mean_probes"], c["cache_hit_rate"], c["global_best_s"],
+             c["mean_probes"], c["global_best_s"],
              c["serve_s"], c["speedup"], c["crossover_queries"]]
             for c in data["cells"]
         ],
@@ -174,10 +171,10 @@ def show(data: dict[str, Any]) -> None:
     print("\nprobe growth at fixed average degree "
           "(polylog per query is the LCA claim):")
     print(format_table(
-        ["n", "m", "mean probes/query", "qps", "hit rate"],
+        ["n", "m", "mean probes/query", "qps"],
         [
             [int(c["n"]), int(c["m"]), round(c["mean_probes"], 3),
-             round(c["queries_per_sec"]), round(c["cache_hit_rate"], 3)]
+             round(c["queries_per_sec"])]
             for c in data["curves"]
         ],
     ))

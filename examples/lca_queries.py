@@ -25,7 +25,7 @@ g = gnp_random(N, DEG / (N - 1), seed=SEED)
 print(f"  {g.n} vertices, {g.m} edges\n")
 
 # -- serve point queries through the LCA ------------------------------------
-svc = MatchingService(g, SEED, max_entries=4096)
+svc = MatchingService(g, SEED)
 rng = np.random.default_rng(SEED)
 vertices = rng.integers(N, size=QUERIES).tolist()
 
@@ -40,8 +40,6 @@ print(format_table(["LCA serving metric", "value"], [
     ["queries/sec", f"{st.queries / serve_s:.0f}"],
     ["mean probes/query", f"{st.mean_probes:.2f}"],
     ["max exploration depth", st.max_depth],
-    ["cache hit rate", f"{st.cache_hit_rate:.3f}"],
-    ["cached neighborhoods", svc.cache_info()["entries"]],
 ]))
 
 # -- the honest comparison: one full global run -----------------------------

@@ -4,10 +4,10 @@ The serving benchmark's two questions, as reusable measurements:
 
 * :func:`lca_query_curve` — for each ``n``, build a sparse random
   graph, serve a fixed mix of point queries, and record the measured
-  queries/sec, mean probes per query, and cache hit rate.  The LCA
-  theory (PAPERS.md: Alon–Rubinfeld–Vardi, Reingold–Vardi) predicts
-  probes-per-query growing polylogarithmically while a global run
-  grows like m — the curve makes that visible.
+  queries/sec, mean probes per query and dependency depth.  The LCA
+  theory (PAPERS.md: Alon–Rubinfeld–Vardi, Reingold–Vardi) bounds
+  probes-per-query polylogarithmically in n while a global run grows
+  like m — the curve makes that visible.
 * :func:`crossover_queries` — the honest break-even: how many point
   queries one full global run buys.  Below the crossover, serving
   queries via the LCA is strictly cheaper than recomputing the
@@ -35,8 +35,8 @@ def serve_queries(
     """Serve ``mate_of`` queries for ``vertices``; return timing + cost.
 
     Returns ``queries``, ``seconds``, ``queries_per_sec``,
-    ``mean_probes``, ``max_depth``, ``cache_hit_rate`` for exactly this
-    batch (the service's lifetime aggregates are left to the caller).
+    ``mean_probes``, ``max_depth`` for exactly this batch (the
+    service's lifetime aggregates are left to the caller).
     """
     before = service.stats.merge(type(service.stats)())  # snapshot copy
     vs = [int(v) for v in vertices]
@@ -47,14 +47,12 @@ def serve_queries(
     agg = service.stats
     queries = agg.queries - before.queries
     probed = agg.edges_probed - before.edges_probed
-    hits = agg.cache_hits - before.cache_hits
     return {
         "queries": float(queries),
         "seconds": seconds,
         "queries_per_sec": queries / seconds if seconds > 0 else math.inf,
         "mean_probes": probed / queries if queries else 0.0,
         "max_depth": float(agg.max_depth),
-        "cache_hit_rate": hits / (hits + probed) if hits + probed else 0.0,
     }
 
 
@@ -64,8 +62,6 @@ def lca_query_curve(
     avg_degree: float = 8.0,
     seed: int = 0,
     queries: int = 2000,
-    max_entries: int = 4096,
-    cache: bool = True,
 ) -> list[dict[str, Any]]:
     """Probe cost and throughput vs graph size, one dict per ``n``.
 
@@ -78,7 +74,7 @@ def lca_query_curve(
     for n in ns:
         n = int(n)
         g = gnp_random(n, min(1.0, avg_degree / max(1, n - 1)), seed=seed)
-        svc = MatchingService(g, seed, max_entries=max_entries, cache=cache)
+        svc = MatchingService(g, seed)
         rng = np.random.default_rng(seed)
         cell = serve_queries(svc, rng.integers(n, size=queries).tolist())
         cell.update({"n": n, "m": g.m, "avg_degree": avg_degree, "seed": seed})

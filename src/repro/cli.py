@@ -37,11 +37,12 @@ seed-axis batched execution (ISSUE 8) and prints each metric as a
 mean ± 95% CI over the lanes; out-of-range flags and infeasible
 traffic parameters print an ``error:`` line and exit 1.  ``lca``
 (ISSUE 9) serves per-vertex point lookups through the
-:mod:`repro.lca` query layer — probe counters and cache hit rate per
-run, ``--verify`` cross-checks every vertex against one global
-``random_greedy_matching`` oracle run; it too prints an ``error:`` line
-and exits 1 on an out-of-range ``--n``, ``--p``, ``--queries`` or
-``--max-entries``.
+:mod:`repro.lca` query layer — probe counters per run, ``--verify``
+cross-checks every vertex against one global ``random_greedy_matching``
+oracle run; it too prints an ``error:`` line and exits 1 on an
+out-of-range ``--n``, ``--p`` or ``--queries``.  Whatever the command,
+an input too large for memory prints an ``error:`` line and exits 1
+instead of ending in a traceback.
 """
 
 from __future__ import annotations
@@ -334,29 +335,23 @@ def cmd_lca(args) -> int:
         (args.n >= 1, f"--n must be >= 1, got {args.n}"),
         (0 <= args.p <= 1, f"--p must be in [0, 1], got {args.p}"),
         (args.queries >= 1, f"--queries must be >= 1, got {args.queries}"),
-        (args.max_entries >= 1,
-         f"--max-entries must be >= 1, got {args.max_entries}"),
     ):
         return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
-    svc = MatchingService(
-        g, args.seed, max_entries=args.max_entries, cache=not args.no_cache
-    )
+    svc = MatchingService(g, args.seed)
     rng = np.random.default_rng(args.seed)
     vs = rng.integers(g.n, size=args.queries).tolist()
     t0 = time.perf_counter()
     matched = sum(1 for v in vs if svc.mate_of(v) != -1)
     dt = time.perf_counter() - t0
     st = svc.stats
-    print(f"G(n,p): {g.n} vertices, {g.m} edges "
-          f"(cache {'off' if args.no_cache else f'on, {args.max_entries} entries'})")
+    print(f"G(n,p): {g.n} vertices, {g.m} edges")
     rows = [
         ["queries served", st.queries],
         ["matched answers", matched],
         ["queries/sec", f"{st.queries / dt:.0f}" if dt > 0 else "inf"],
         ["mean probes/query", f"{st.mean_probes:.2f}"],
         ["max exploration depth", st.max_depth],
-        ["cache hit rate", f"{st.cache_hit_rate:.3f}"],
     ]
     print(format_table(["metric", "value"], rows))
     if args.verify:
@@ -630,10 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, n=2000, pdef=0.004)
     sp.add_argument("--queries", type=int, default=5000,
                     help="random mate_of lookups to serve")
-    sp.add_argument("--max-entries", type=int, default=4096,
-                    help="LRU capacity (explored neighborhoods)")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="disable cross-query caching (answers identical)")
     sp.add_argument("--verify", action="store_true",
                     help="cross-check every vertex against one global "
                          "random_greedy_matching run")
@@ -661,7 +652,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if _bad_flags((args.seed >= 0, f"--seed must be >= 0, got {args.seed}")):
         return 1
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MemoryError as e:
+        # NumPy's message names the allocation it could not make.
+        print(f"error: out of memory: {str(e) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,7 +31,7 @@ class LcaProbeStats:
 
     * ``queries`` — queries aggregated into this record;
     * ``edges_probed`` — edge-membership subproblems resolved (DFS
-      frames opened; memo/cache hits are *not* re-counted);
+      frames opened; memo hits are *not* re-counted);
     * ``adjacency_scanned`` — CSR half-edge slots examined while
       listing lower-rank dependencies (the "explored neighborhood
       size"; every probed edge beyond the query root was discovered
@@ -39,16 +39,13 @@ class LcaProbeStats:
       ``edges_probed <= adjacency_scanned + 1`` per query — pinned by
       the property net);
     * ``max_depth`` — deepest dependency chain followed (recursion
-      depth of the equivalent recursive resolver);
-    * ``cache_hits`` — resolutions served by a cache (the service's
-      vertex LRU or its flat edge-state index) instead of exploration.
+      depth of the equivalent recursive resolver).
     """
 
     queries: int = 0
     edges_probed: int = 0
     adjacency_scanned: int = 0
     max_depth: int = 0
-    cache_hits: int = 0
 
     @property
     def mean_probes(self) -> float:
@@ -57,9 +54,13 @@ class LcaProbeStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Fraction of resolutions served by cache (0.0 when idle)."""
-        looked = self.cache_hits + self.edges_probed
-        return self.cache_hits / looked if looked else 0.0
+        """Always 0.0: every resolution is explored, none is cached.
+
+        The LCA layer keeps no state between queries.  The property
+        stays because the benchmark's ``lca.cache_hit_rate`` metric
+        (``perfbench/workloads.py``) reads it; it goes with that metric.
+        """
+        return 0.0
 
     def merge(self, other: "LcaProbeStats") -> "LcaProbeStats":
         """Aggregate composition: totals add, depth takes the max."""
@@ -68,7 +69,6 @@ class LcaProbeStats:
             edges_probed=self.edges_probed + other.edges_probed,
             adjacency_scanned=self.adjacency_scanned + other.adjacency_scanned,
             max_depth=max(self.max_depth, other.max_depth),
-            cache_hits=self.cache_hits + other.cache_hits,
         )
 
     def add(self, other: "LcaProbeStats") -> None:
@@ -77,7 +77,6 @@ class LcaProbeStats:
         self.edges_probed += other.edges_probed
         self.adjacency_scanned += other.adjacency_scanned
         self.max_depth = max(self.max_depth, other.max_depth)
-        self.cache_hits += other.cache_hits
 
 
 @dataclass

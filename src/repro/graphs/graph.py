@@ -23,8 +23,13 @@ otherwise — halving CSR memory for every graph this repo can actually
 hold in RAM.  An explicit ``index_dtype=`` request that cannot address
 the graph raises ``ValueError`` (the overflow guard) rather than
 silently wrapping.  All index *math* that could overflow int32 (the
-``u*n+v`` edge keys used by validation and ``edge_id``) is performed in
-int64 regardless of the storage dtype.  Algorithm results are
+``u*n+v`` edge keys behind ``edge_id``, ``has_edge``,
+``edge_key_index`` and ``edge_ids_array``) is performed in int64
+regardless of the storage dtype.  Those keys are exact while ``n*n``
+fits in int64, i.e. ``n <= 3037000499`` (``_EDGE_KEY_MAX_N``); the
+duplicate-edge check uses them up to that bound and sorts on the
+endpoint pair above it, so any vertex count int64 holds is validated
+correctly.  Algorithm results are
 byte-identical under either tier — consumers treat the CSR arrays as
 dtype-agnostic indexers — which the golden suite asserts under the
 :func:`forced_index_dtype` test hook.  ``weight_dtype`` stays
@@ -60,6 +65,7 @@ vectorized algorithm code.  All returned array views are read-only.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,6 +79,9 @@ _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
 #: and exercise the promotion threshold without allocating 2^31 slots.
 INT32_INDEX_LIMIT = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+#: Largest ``n`` whose flat edge keys ``u*n + v`` (below ``n*n``) fit
+#: in int64.
+_EDGE_KEY_MAX_N = math.isqrt(_INT64_MAX)
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -353,9 +362,16 @@ class Graph:
         loops = u == v
         if loops.any():
             raise ValueError(f"self-loop at vertex {u[int(np.argmax(loops))]}")
-        key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
-        order = np.argsort(key, kind="stable")
-        dup = key[order][1:] == key[order][:-1]
+        if n <= _EDGE_KEY_MAX_N:
+            key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+            order = np.argsort(key, kind="stable")
+            dup = key[order][1:] == key[order][:-1]
+        else:
+            # lo*n + hi would wrap in int64: sort on the pair itself.
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         if dup.any():
             # Stable sort keeps equal keys in insertion order, so the
             # first duplicate *encountered* is the smallest original

@@ -16,10 +16,14 @@ Layers, bottom up:
   run (reference scan + vectorized local-minima rounds) every point
   query provably agrees with;
 * :mod:`repro.lca.lca` — :class:`LcaMatching`, the stateless
-  per-query resolver with exploration counters;
+  per-query resolver with exploration counters
+  (:class:`repro.distributed.metrics.LcaProbeStats`);
 * :mod:`repro.lca.service` — :class:`MatchingService`, the serving
-  layer: LRU of explored neighborhoods, batched queries, aggregate
-  :class:`repro.distributed.metrics.LcaProbeStats`.
+  layer: point and batched queries over one resolver.
+
+Every query is answered from the shared random ranks alone, by a fresh
+exploration; nothing is kept between queries, so the answers cannot
+depend on what was asked before.
 
 Also runnable from the shell: ``python -m repro lca --n 2000 --p 0.004
 --queries 5000 --verify``.

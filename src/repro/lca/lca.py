@@ -21,15 +21,12 @@ increasing key order with early exit on the first matched one — the
 canonical random-greedy probe order, whose expected probe count is
 polylog for random ranks (Nguyen–Onak; Yoshida–Yamamoto–Ito analysis).
 
-**Statelessness.**  ``LcaMatching`` itself keeps no answer state
-across queries: each query starts a fresh memo, so two calls can never
-influence each other's answers.  Cross-query reuse (the LRU of
-explored neighborhoods) lives one layer up, in
-:class:`repro.lca.service.MatchingService`, which passes its cache in
-through the ``lookup``/query-memo seam of :meth:`query_mate` /
-:meth:`query_edge` — reads that can only ever return what a fresh
-exploration would have computed, which is the whole cache-consistency
-argument.
+**Statelessness.**  ``LcaMatching`` keeps no answer state across
+queries: each query starts a fresh memo and drops it on return, so an
+answer depends on the shared random ranks alone and two calls can never
+influence each other — the LCA model of Alon–Rubinfeld–Vardi–Xie and
+Reingold–Vardi (PAPERS.md).  What a query leaves behind is its cost,
+added to :attr:`LcaMatching.stats`.
 
 **Buffer reads.**  The resolver reads the graph's CSR (``indptr``,
 ``indices``, ``eids``), its ``lo``/``hi`` endpoint arrays and the rank
@@ -42,38 +39,35 @@ the lower-degree endpoint's adjacency.
 
 Per-query cost is accounted in a
 :class:`repro.distributed.metrics.LcaProbeStats` (edges probed,
-neighborhood slots scanned, dependency depth, cache hits) and
-aggregated on ``self.stats``.
+neighborhood slots scanned, dependency depth) and aggregated on
+``self.stats``.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable
 
 from repro.distributed.metrics import LcaProbeStats
 from repro.graphs.graph import Graph
 
 from repro.lca.ranks import edge_ranks
 
-#: Optional persistent edge-state source supplied by the service layer:
-#: ``lookup(eid)`` returns True/False if the state is cached, else None.
-Lookup = Callable[[int], "bool | None"]
-
 
 def vertex_id(v: object) -> int:
     """``v`` as a Python ``int`` vertex id.
 
-    Python and NumPy integers pass; anything else (a float, a string)
-    raises :class:`TypeError` naming it, so a query fails the same way
-    whatever the service's cache holds.
+    Python and NumPy integers pass; anything else (a float, a string,
+    a ``bool`` — Python's or NumPy's) raises :class:`TypeError` naming
+    it, rather than being read as some vertex.
     """
     if type(v) is int:
         return v
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise TypeError(f"vertex id must be an integer, got {v!r}") from None
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise TypeError(f"vertex id must be an integer, got {v!r}")
 
 
 def vertex_in_range(v: object, n: int) -> int:
@@ -124,37 +118,28 @@ class LcaMatching:
     def edge_in_matching(self, u: int, v: int) -> bool:
         """Whether ``(u, v) ∈ M`` (False when ``(u, v)`` is not an edge,
         mirroring :meth:`repro.matching.Matching.is_matched_edge`)."""
-        ans, _, _ = self.query_edge(u, v)
+        ans, _ = self.query_edge(u, v)
         return ans
 
     def mate_of(self, v: int) -> int:
         """``M(v)``: the partner of ``v``, or -1 when ``v`` is free."""
-        ans, _, _ = self.query_mate(v)
+        ans, _ = self.query_mate(v)
         return ans
 
     # ------------------------------------------------------------------
-    # Service seam: queries that expose their exploration
+    # Queries that also return their exploration cost
     # ------------------------------------------------------------------
 
-    def query_edge(
-        self, u: int, v: int, *, lookup: Lookup | None = None,
-    ) -> tuple[bool, LcaProbeStats, dict[int, bool]]:
-        """Resolve one edge query; returns ``(answer, stats, memo)``.
-
-        ``memo`` maps every edge resolved during this query to its
-        membership — the "explored neighborhood" the service may cache.
-        """
+    def query_edge(self, u: int, v: int) -> tuple[bool, LcaProbeStats]:
+        """Resolve one edge query; returns ``(answer, stats)``."""
         q = LcaProbeStats(queries=1)
-        memo: dict[int, bool] = {}
         eid = self._find_edge(vertex_id(u), vertex_id(v))
-        ans = eid >= 0 and self._state(eid, memo, q, lookup)
+        ans = eid >= 0 and self._state(eid, {}, q)
         self._account(q)
-        return ans, q, memo
+        return ans, q
 
-    def query_mate(
-        self, v: int, *, lookup: Lookup | None = None,
-    ) -> tuple[int, LcaProbeStats, dict[int, bool]]:
-        """Resolve one mate query; returns ``(mate, stats, memo)``.
+    def query_mate(self, v: int) -> tuple[int, LcaProbeStats]:
+        """Resolve one mate query; returns ``(mate, stats)``.
 
         Walks ``v``'s incident edges in increasing key order under one
         shared memo; the first one in M names the mate (it blocks every
@@ -173,11 +158,11 @@ class LcaMatching:
         )
         mate = -1
         for _, e, w in incident:
-            if self._state(e, memo, q, lookup):
+            if self._state(e, memo, q):
                 mate = w
                 break
         self._account(q)
-        return mate, q, memo
+        return mate, q
 
     # ------------------------------------------------------------------
     # Internals
@@ -222,13 +207,7 @@ class LcaMatching:
         keyed.sort()
         return [e2 for _, e2 in keyed], scanned
 
-    def _state(
-        self,
-        eid0: int,
-        memo: dict[int, bool],
-        q: LcaProbeStats,
-        lookup: Lookup | None,
-    ) -> bool:
+    def _state(self, eid0: int, memo: dict[int, bool], q: LcaProbeStats) -> bool:
         """Membership of ``eid0`` — explicit-stack DFS over the rank DAG.
 
         A frame is ``[eid, deps, next]``: the open edge, its lower-key
@@ -236,17 +215,11 @@ class LcaMatching:
         first one not yet known to be out of M.
         """
         s = memo.get(eid0)
-        if s is None and lookup is not None:
-            s = lookup(eid0)
-            if s is not None:
-                q.cache_hits += 1
-                memo[eid0] = s
         if s is not None:
             return s
         deps, scanned = self._deps(eid0)
         stack = [[eid0, deps, 0]]
         probed = depth = 1
-        hits = 0
         while stack:
             frame = stack[-1]
             eid, deps, i = frame
@@ -254,11 +227,6 @@ class LcaMatching:
             while i < k:
                 dep = deps[i]
                 s = memo.get(dep)
-                if s is None and lookup is not None:
-                    s = lookup(dep)
-                    if s is not None:
-                        hits += 1
-                        memo[dep] = s
                 if s is None:
                     break
                 if s:
@@ -282,6 +250,5 @@ class LcaMatching:
             stack.pop()
         q.edges_probed += probed
         q.adjacency_scanned += scanned
-        q.cache_hits += hits
         q.max_depth = max(q.max_depth, depth)
         return memo[eid0]

@@ -1,5 +1,6 @@
 """Unit tests for the Graph data structure."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graphs.graph as graph_mod
 from repro.graphs import Graph
 from repro.graphs.graph import forced_index_dtype
 
@@ -46,6 +48,39 @@ class TestConstruction:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph(3, [(0, 1), (1, 0)])
+
+    def test_huge_n_reports_no_false_duplicate(self):
+        # The lo*n+hi duplicate key wrapped in int64 above n=3037000499,
+        # so (4, 5) keyed like (0, 5).  NumPy now refuses the CSR by
+        # size, before anything is allocated.
+        with pytest.raises(ValueError) as exc:
+            Graph(2**62, [(0, 5), (4, 5)])
+        assert "duplicate" not in str(exc.value)
+
+    @pytest.mark.parametrize("edges,dup", [
+        ([(0, 5), (5, 0)], "(5,0)"),
+        ([(1, 2), (3, 4), (2, 1)], "(2,1)"),
+        ([(1, 2), (3, 4), (4, 3), (2, 1)], "(4,3)"),
+    ])
+    def test_huge_n_still_names_first_duplicate(self, edges, dup):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate edge {dup}")):
+            Graph(2**62, edges)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5))
+                    .filter(lambda e: e[0] != e[1]), min_size=1, max_size=12))
+    def test_pair_sort_names_the_same_duplicate(self, edges):
+        """The pair sort used above the key bound reports exactly what
+        the flat key reports below it."""
+        def error(key_max_n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph_mod, "_EDGE_KEY_MAX_N", key_max_n)
+                try:
+                    Graph(6, edges)
+                except ValueError as e:
+                    return str(e)
+            return None
+
+        assert error(0) == error(graph_mod._EDGE_KEY_MAX_N)
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="weights"):

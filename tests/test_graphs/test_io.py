@@ -127,6 +127,19 @@ class TestParsing:
         ):
             read_edgelist(p)
 
+    def test_huge_n_is_a_size_error_not_a_duplicate(self, tmp_path):
+        # At n=2**62 the wrapped edge key made (4, 5) a duplicate of
+        # (0, 5); the size error NumPy raises before allocating is what
+        # the file gets now.
+        p = tmp_path / "big.txt"
+        p.write_text(f"n {2**62}\ne 0 5\ne 4 5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: ") as exc:
+            read_edgelist(p)
+        assert "duplicate" not in str(exc.value)
+        p.write_text(f"n {2**62}\ne 0 5\ne 4 5\ne 5 4\n")
+        with pytest.raises(ValueError, match=r"duplicate edge \(5,4\)"):
+            read_edgelist(p)
+
     def test_unallocatable_graph_names_file(self, tmp_path, monkeypatch):
         # A vertex count too large for memory raised NumPy's MemoryError;
         # Graph is stubbed so that the test allocates nothing.

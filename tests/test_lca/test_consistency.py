@@ -3,7 +3,7 @@
 The acceptance bar of the serving layer: for every graph/seed cell,
 the mapping induced by querying ``mate_of(v)`` for all ``v`` is
 byte-identical to the global :func:`repro.lca.random_greedy_matching`
-oracle, with caching on and off, under any query order.  Property
+oracle, through the resolver and the service, under any query order.  Property
 tests sample; these enumerate — every labelled graph on up to 5
 vertices and every bipartite 3+3 graph (the same universes as
 ``tests/test_exhaustive.py``) goes through the full stack, so a
@@ -30,25 +30,21 @@ def induced_map(query_mate, g: Graph) -> np.ndarray:
 
 
 def check_cell(g: Graph, seed: int, *, edge_queries: bool = True) -> None:
-    """One (graph, seed) cell of the net: every access path agrees."""
+    """One (graph, seed) cell of the net: both access paths agree."""
     oracle = random_greedy_matching(g, seed)
     truth = oracle.mate_array()
 
-    lca = LcaMatching(g, seed)  # cache-free resolver
+    lca = LcaMatching(g, seed)
     assert np.array_equal(induced_map(lca.mate_of, g), truth)
 
-    cached = MatchingService(g, seed, max_entries=4)  # eviction-heavy
-    assert np.array_equal(induced_map(cached.mate_of, g), truth)
-
-    uncached = MatchingService(g, seed, cache=False)
-    assert np.array_equal(induced_map(uncached.mate_of, g), truth)
+    svc = MatchingService(g, seed)
+    assert np.array_equal(induced_map(svc.mate_of, g), truth)
 
     if edge_queries:
         for u, v in g.edges():
             want = oracle.is_matched_edge(u, v)
             assert lca.edge_in_matching(u, v) == want
-            assert cached.edge_in_matching(u, v) == want
-            assert uncached.edge_in_matching(u, v) == want
+            assert svc.edge_in_matching(u, v) == want
 
 
 class TestAllGraphsUpTo4:
@@ -69,8 +65,8 @@ class TestAllGraphsUpTo4:
 
 
 class TestAllGraphsOn5:
-    """All 1024 graphs on 5 vertices x 16 seeds (mate map, both cache
-    modes); edge queries are covered exhaustively on <= 4 vertices."""
+    """All 1024 graphs on 5 vertices x 16 seeds (mate map, both access
+    paths); edge queries are covered exhaustively on <= 4 vertices."""
 
     def test_every_cell_agrees(self):
         for g in all_graphs(5):
@@ -94,7 +90,7 @@ class TestQueryOrderAndMaximality:
         for g in all_graphs(4):
             for seed in (0, 1, 2):
                 truth = random_greedy_matching(g, seed).mate_array()
-                svc = MatchingService(g, seed, max_entries=2)
+                svc = MatchingService(g, seed)
                 rev = np.asarray(
                     [svc.mate_of(v) for v in reversed(range(g.n))],
                     dtype=np.int64,

@@ -66,14 +66,12 @@ class TestForcedRankCollisions:
             rounds = random_greedy_matching(g, seed, method="rounds")
             assert rounds.mate_array().tolist() == scan
             assert induced(LcaMatching(g, seed).mate_of, g) == scan
-            cached = MatchingService(g, seed, max_entries=2)
-            assert induced(cached.mate_of, g) == scan
-            uncached = MatchingService(g, seed, cache=False)
-            assert induced(uncached.mate_of, g) == scan
+            svc = MatchingService(g, seed)
+            assert induced(svc.mate_of, g) == scan
             for u, v in g.edges():
                 want = scan[u] == v
-                assert cached.edge_in_matching(u, v) == want
-                assert uncached.edge_in_matching(v, u) == want
+                assert svc.edge_in_matching(u, v) == want
+                assert svc.edge_in_matching(v, u) == want
 
     @given(graphs(max_n=12), seeds)
     @settings(max_examples=40)
@@ -85,7 +83,7 @@ class TestForcedRankCollisions:
         with patched_ranks(zero_ranks):
             rounds = random_greedy_matching(g, seed, method="rounds")
             assert rounds.mate_array().tolist() == mate
-            svc = MatchingService(g, seed, max_entries=3)
+            svc = MatchingService(g, seed)
             assert induced(svc.mate_of, g) == mate
 
 
@@ -101,7 +99,7 @@ def probe_stream(g: Graph, make):
     answers += [svc.edge_in_matching(0, v) for v in range(0, g.n, 7)]
     st_ = svc.stats
     stats = (st_.queries, st_.edges_probed, st_.adjacency_scanned,
-             st_.max_depth, st_.cache_hits)
+             st_.max_depth)
     return answers, stats
 
 
@@ -109,26 +107,22 @@ def probe_graph() -> Graph:
     return gnp_random(400, 8 / 399, seed=21)
 
 
-#: Aggregate (queries, edges_probed, adjacency_scanned, max_depth,
-#: cache_hits) of ``probe_stream`` on ``probe_graph()`` under LCA seed 3.
-PINNED = {
-    "lru16": (858, 3735, 70316, 10, 885),
-    "lru4096": (858, 634, 13303, 9, 1288),
-    "uncached": (858, 5595, 104897, 11, 0),
-}
+#: Aggregate (queries, edges_probed, adjacency_scanned, max_depth) of
+#: ``probe_stream`` on ``probe_graph()`` under LCA seed 3.  The service
+#: reports its resolver's counters, so both pin the same values.
+PINNED = (858, 5595, 104897, 11)
 SERVICES = {
-    "lru16": lambda g: MatchingService(g, 3, max_entries=16),
-    "lru4096": lambda g: MatchingService(g, 3),
-    "uncached": lambda g: MatchingService(g, 3, cache=False),
+    "resolver": lambda g: LcaMatching(g, 3),
+    "service": lambda g: MatchingService(g, 3),
 }
 
 
 class TestExplorationOrder:
-    @pytest.mark.parametrize("name", sorted(PINNED))
+    @pytest.mark.parametrize("name", sorted(SERVICES))
     def test_aggregate_stats_pinned(self, name):
         g = probe_graph()
         answers, stats = probe_stream(g, SERVICES[name])
-        assert stats == PINNED[name]
+        assert stats == PINNED
         truth = random_greedy_matching(g, 3).mate_array()
         assert answers[:600] == truth[
             np.random.default_rng(5).integers(0, g.n, 600)
@@ -161,7 +155,7 @@ class TestNoScalarGraphCaches:
     def test_queries_build_no_edge_list_or_eid_map(self):
         g = gnp_random(300, 0.03, seed=4)
         lo, hi = (a.tolist() for a in g.endpoints_array())
-        svc = MatchingService(g, 1, max_entries=8)
+        svc = MatchingService(g, 1)
         bare = LcaMatching(g, 1)
         for v in range(0, g.n, 3):
             svc.mate_of(v)

@@ -1,9 +1,7 @@
-"""Service-layer tests: the fuzz net, cache mechanics, batch API.
+"""Service-layer tests: the fuzz net, batch API, vertex ids, stats.
 
-The headline property: *consistency survives cache loss*.  A tiny
-``max_entries`` forces evictions constantly; interleaved point, edge,
-and batch queries must keep returning exactly the oracle's answers no
-matter what the cache dropped in between.
+The headline property: interleaved point, edge and batch queries keep
+returning exactly the oracle's answers, whatever was asked before.
 """
 
 from __future__ import annotations
@@ -12,18 +10,22 @@ import numpy as np
 import pytest
 
 from repro.graphs import Graph, gnp_random
-from repro.lca import BatchResult, MatchingService, random_greedy_matching
+from repro.lca import (
+    BatchResult,
+    LcaMatching,
+    MatchingService,
+    random_greedy_matching,
+)
 
 
 class TestServiceFuzz:
     @pytest.mark.parametrize("lca_seed", [0, 1, 7])
-    @pytest.mark.parametrize("max_entries", [1, 2, 5])
-    def test_interleaved_queries_survive_evictions(self, lca_seed, max_entries):
+    def test_interleaved_queries_match_oracle(self, lca_seed):
         g = gnp_random(40, 0.1, seed=11)
         oracle = random_greedy_matching(g, lca_seed)
         truth = oracle.mate_array()
         edges = g.edges()
-        svc = MatchingService(g, lca_seed, max_entries=max_entries)
+        svc = MatchingService(g, lca_seed)
         rng = np.random.default_rng(1234 + lca_seed)
         for _ in range(400):
             op = rng.integers(4)
@@ -50,57 +52,6 @@ class TestServiceFuzz:
                         qs.append(("edge", u, v))
                         want.append(oracle.is_matched_edge(u, v))
                 assert svc.batch(qs).answers == want
-            assert len(svc._lru) <= max_entries
-        # The cache actually cycled: far more queries than capacity.
-        assert svc.stats.queries > 100 * max_entries or svc.stats.queries > 400
-
-    def test_clear_cache_mid_stream_changes_nothing(self):
-        g = gnp_random(30, 0.12, seed=5)
-        truth = random_greedy_matching(g, 3).mate_array()
-        svc = MatchingService(g, 3, max_entries=8)
-        first = [svc.mate_of(v) for v in range(g.n)]
-        svc.clear_cache()
-        assert svc.cache_info()["entries"] == 0
-        assert svc.cache_info()["edge_states"] == 0
-        second = [svc.mate_of(v) for v in range(g.n)]
-        assert first == second == truth.tolist()
-
-
-class TestCacheMechanics:
-    def test_eviction_releases_edge_states(self):
-        g = gnp_random(60, 0.08, seed=2)
-        svc = MatchingService(g, 0, max_entries=3)
-        for v in range(g.n):
-            svc.mate_of(v)
-        info = svc.cache_info()
-        assert info["entries"] <= 3
-        # Every surviving edge state is owned by a surviving entry.
-        owned = set()
-        for entry in svc._lru.values():
-            owned.update(entry.eids)
-        assert set(svc._edge_states) == owned
-        assert set(svc._edge_refs) == owned
-
-    def test_max_entries_validated(self):
-        g = Graph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            MatchingService(g, 0, max_entries=0)
-
-    def test_cache_disabled_never_stores(self):
-        g = gnp_random(30, 0.1, seed=9)
-        svc = MatchingService(g, 0, cache=False)
-        for v in range(g.n):
-            svc.mate_of(v)
-        assert svc.cache_info()["entries"] == 0
-        assert svc.stats.cache_hits == 0
-
-    def test_cached_endpoint_answers_edge_query(self):
-        g = Graph(3, [(0, 1), (1, 2)])
-        svc = MatchingService(g, 0)
-        mate0 = svc.mate_of(0)
-        before = svc.stats.edges_probed
-        assert svc.edge_in_matching(0, 1) == (mate0 == 1)
-        assert svc.stats.edges_probed == before  # served from the LRU
 
 
 class TestBatchApi:
@@ -116,12 +67,10 @@ class TestBatchApi:
         assert res.edges_probed == 0
         assert res.mean_probes == 0.0
         assert res.max_depth == 0
-        assert res.cache_hits == 0
-        assert res.cache_hit_rate == 0.0
 
     def test_batch_stats_aggregate_per_query_counters(self):
         g = gnp_random(25, 0.15, seed=4)
-        svc = MatchingService(g, 2, cache=False)
+        svc = MatchingService(g, 2)
         res = svc.batch([("mate", v) for v in range(10)])
         assert res.queries == 10
         assert res.mean_probes == res.edges_probed / 10
@@ -141,7 +90,6 @@ class TestBatchApi:
         with pytest.raises(ValueError, match=r"query must be \('mate', v\)"):
             svc.batch([("mate", 0), query])
         assert svc.stats.queries == 0
-        assert svc.cache_info()["entries"] == 0
 
     def test_batch_rejects_non_integer_vertex(self):
         svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
@@ -152,17 +100,15 @@ class TestBatchApi:
     @pytest.mark.parametrize("bad", [99, 20, -1])
     def test_batch_rejects_out_of_range_mate_before_serving(self, bad):
         """An out-of-range ``("mate", v)`` is found by the validation
-        pass: the queries before it are neither served, counted nor
-        cached (it used to raise only when served, after the first
-        query had been answered and cached)."""
+        pass: the queries before it are neither served nor counted (it
+        used to raise only when served, after the first query had been
+        answered)."""
         svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
         with pytest.raises(
             IndexError, match=f"^vertex {bad} out of range for n=20$"
         ):
             svc.batch([("mate", 0), ("edge", 0, 1), ("mate", bad)])
         assert svc.stats.queries == 0
-        assert svc.cache_info()["entries"] == 0
-        assert svc.cache_info()["edge_states"] == 0
 
     def test_batch_edge_with_out_of_range_end_is_a_non_edge(self):
         svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
@@ -172,8 +118,8 @@ class TestBatchApi:
 
     def test_batch_mixed_matches_point_queries(self):
         g = gnp_random(30, 0.12, seed=8)
-        svc = MatchingService(g, 5, max_entries=2)
-        ref = MatchingService(g, 5, cache=False)
+        svc = MatchingService(g, 5)
+        ref = LcaMatching(g, 5)
         queries = [("mate", v) for v in range(g.n)] + [
             ("edge", u, v) for u, v in g.edges()[:20]
         ]
@@ -185,18 +131,12 @@ class TestBatchApi:
 
 
 class TestVertexIds:
-    """Point queries take integer vertex ids, whatever the cache holds."""
+    """Point queries take integer vertex ids, whatever was asked before."""
 
-    @pytest.mark.parametrize("cache", [True, False])
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_non_integer_vertex_raises_type_error(self, cache, warm):
-        # A warm cache holds vertices 1 and 3: 1.0 hashes like 1, so
-        # the LRU used to answer mate_of(1.0) while a cold or uncached
-        # service failed inside a memoryview.
-        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0, cache=cache)
-        if warm:
-            svc.mate_of(1)
-            svc.mate_of(3)
+    def test_non_integer_vertex_raises_type_error(self):
+        svc = MatchingService(gnp_random(20, 0.2, seed=3), 0)
+        svc.mate_of(1)
+        svc.mate_of(3)
         for call, args in ((svc.mate_of, (1.0,)),
                            (svc.edge_in_matching, (0.5, 3)),
                            (svc.edge_in_matching, (3, "1")),
@@ -205,18 +145,36 @@ class TestVertexIds:
             with pytest.raises(TypeError, match="must be an integer"):
                 call(*args)
 
+    @pytest.mark.parametrize("query", [
+        lambda s: s.mate_of(True),
+        lambda s: s.mate_of(np.True_),
+        lambda s: s.edge_in_matching(False, True),
+        lambda s: s.edge_in_matching(0, True),
+        lambda s: s.lca.mate_of(True),
+        lambda s: s.lca.edge_in_matching(True, 2),
+        lambda s: s.batch([("mate", 0), ("mate", True)]),
+        lambda s: s.batch([("edge", 0, 1), ("edge", False, 1)]),
+    ], ids=["mate", "numpy-mate", "edge", "edge-end", "lca-mate",
+            "lca-edge", "batch-mate", "batch-edge"])
+    def test_bool_is_not_a_vertex_id(self, query):
+        # True used to answer for vertex 1 and False for vertex 0, while
+        # NumPy's bool already raised.
+        svc = MatchingService(Graph(3, [(0, 1), (1, 2)]), 0)
+        with pytest.raises(TypeError, match="must be an integer, got"):
+            query(svc)
+        assert svc.stats.queries == 0
+
     def test_numpy_integers_still_work(self):
         g = gnp_random(20, 0.2, seed=3)
         ref = random_greedy_matching(g, 0).mate_array()
-        for cache in (True, False):
-            svc = MatchingService(g, 0, cache=cache)
-            for v in range(g.n):
-                assert svc.mate_of(np.int64(v)) == ref[v]
-                assert svc.mate_of(np.int32(v)) == ref[v]
-            u, w = g.edges()[0]
-            assert svc.edge_in_matching(np.int64(u), np.uint16(w)) == (
-                ref[u] == w
-            )
+        svc = MatchingService(g, 0)
+        for v in range(g.n):
+            assert svc.mate_of(np.int64(v)) == ref[v]
+            assert svc.mate_of(np.int32(v)) == ref[v]
+        u, w = g.edges()[0]
+        assert svc.edge_in_matching(np.int64(u), np.uint16(w)) == (
+            ref[u] == w
+        )
 
 
 class TestStatsExposure:
@@ -232,17 +190,30 @@ class TestStatsExposure:
         assert svc.stats.edges_probed > 0
         assert 0.0 <= svc.stats.cache_hit_rate <= 1.0
 
+    def test_service_counters_are_the_resolvers(self):
+        """The service is ``(graph, seed)`` and its resolver: no knob, no
+        second copy of the counters."""
+        g = gnp_random(30, 0.1, seed=3)
+        with pytest.raises(TypeError):
+            MatchingService(g, 0, max_entries=8)
+        svc = MatchingService(g, 0)
+        assert svc.last_query_stats is None
+        svc.mate_of(4)
+        svc.edge_in_matching(*g.edges()[0])
+        assert svc.stats is svc.lca.stats and svc.stats.queries == 2
+        assert svc.last_query_stats is svc.lca.last_stats
+
     def test_merge_and_mean(self):
         from repro.distributed import LcaProbeStats
 
         a = LcaProbeStats(queries=2, edges_probed=10, adjacency_scanned=30,
-                          max_depth=3, cache_hits=1)
+                          max_depth=3)
         b = LcaProbeStats(queries=1, edges_probed=5, adjacency_scanned=9,
-                          max_depth=7, cache_hits=0)
+                          max_depth=7)
         c = a.merge(b)
         assert c.queries == 3 and c.edges_probed == 15
         assert c.adjacency_scanned == 39
-        assert c.max_depth == 7 and c.cache_hits == 1
+        assert c.max_depth == 7
         assert c.mean_probes == 5.0
         assert LcaProbeStats().mean_probes == 0.0
         assert LcaProbeStats().cache_hit_rate == 0.0

@@ -2,10 +2,11 @@
 """Reference checker for the repository's docs and docstrings.
 
 Docs rot when code moves; this tool fails CI the moment README.md,
-ARCHITECTURE.md or a docstring in ``src/repro`` mentions something the
-tree no longer has.  For each file given on the command line — a
-Markdown file line by line, a ``.py`` file through its module, class
-and function docstrings (read with :mod:`ast`) — it extracts
+ARCHITECTURE.md or a docstring in ``src/repro``, ``examples``,
+``tests`` or ``tools`` mentions something the tree no longer has.  For
+each file given on the command line — a Markdown file line by line, a
+``.py`` file through its module, class and function docstrings (read
+with :mod:`ast`) — it extracts
 
 * **file paths** — any token ending in a known source extension
   (``.py``, ``.md``, ``.json``, ``.yml``, ``.ini``) — and requires the
@@ -17,7 +18,7 @@ and function docstrings (read with :mod:`ast`) — it extracts
 
 Usage::
 
-    python tools/check_docs.py README.md ARCHITECTURE.md $(git ls-files 'src/repro/*.py')
+    python tools/check_docs.py README.md ARCHITECTURE.md $(git ls-files 'src/repro/*.py' 'examples/*.py' 'tests/*.py' 'tools/*.py')
 
 Exit status 0 when every reference resolves, 1 otherwise (each failure
 is printed as ``path:line: reference — reason``, the path relative to
