@@ -17,8 +17,16 @@ bench measures three things:
 * **scale curves** (under ``"curves"``) — time + peak-RSS vs n for
   Luby MIS and generic MCM (k=1, ``keep_views=False``) on the array
   backend, up to n=10^6 in the committed run.  Each curve cell runs in
-  a **fresh subprocess** so ``ru_maxrss`` is the cell's own peak, not
-  the bench harness's high-water mark.
+  a **fresh subprocess** and reads its peak RSS from ``VmHWM`` in
+  ``/proc/self/status``: the cell's own peak, not the bench harness's
+  high-water mark (Linux's ``ru_maxrss`` also counts the peak of the
+  process that exec'd the child).
+
+* **the build peak** (under ``"build_peak"``) — building
+  ``gnp_random(10^6, 8/(n-1))`` in a fresh child: the RSS the build
+  adds over the child's RSS before it, as a multiple of the finished
+  graph's arrays (``indptr``, ``indices``, ``eids``, ``lo``, ``hi``).
+  Every curve cell records the same ratio for its own build.
 
 * **the ceiling** (under ``"ceiling"`` / ``"largest_graph"``) —
   Luby MIS probes past 10^6 (committed run: up to n=10^7, avg degree
@@ -31,12 +39,14 @@ Run as a script for the JSON artifact::
     PYTHONPATH=src python benchmarks/bench_s7_scale.py --out s7.json
 
 ``--quick`` restricts to the n=240 kopt cell, the n=10^4 dtype cell,
-and one n=10^5 curve point per workload; ``--check`` exits 2 if (a)
-the kopt array leg is slower than the generator leg, (b) any curve
-cell at n <= 2·10^5 peaked above 1536 MiB, or (c) the generic-MCM
-n=10^5 seed-1 cell's rounds, messages, bits, peak message size,
-matching size or conflict-graph size differ from ``MCM_PIN`` — the CI
-fail-if-slower, peak-RSS and flood-accounting gate.  The committed
+the build-peak cell and one n=10^5 curve point per workload;
+``--check`` exits 2 if (a) the kopt array leg is slower than the
+generator leg, (b) any curve cell at n <= 2·10^5 peaked above
+1536 MiB, (c) the generic-MCM n=10^5 seed-1 cell's rounds, messages,
+bits, peak message size, matching size or conflict-graph size differ
+from ``MCM_PIN``, or (d) the n=10^6 build added more than 2x its
+finished arrays to RSS — the CI fail-if-slower, peak-RSS,
+flood-accounting and build-peak gate.  The committed
 full run lives at ``benchmarks/results/s7_scale.json``.
 """
 
@@ -104,14 +114,45 @@ MIN_SPEEDUP = 1.0
 MAX_RSS_MB = 1536.0
 RSS_GATE_N = 200_000
 
+#: ``--check`` fails when building ``gnp_random(BUILD_PEAK_N,
+#: CURVE_DEG/(n-1))`` lifts a fresh child's RSS by more than this
+#: multiple of the finished graph's arrays.
+MAX_BUILD_PEAK_RATIO = 2.0
+BUILD_PEAK_N = 1_000_000
+
 #: A curve cell's child process: one payload row as JSON on stdout.
 _CHILD = ("import json, sys; from bench_s7_scale import _curve_payload; "
           "print(json.dumps(_curve_payload(json.loads(sys.argv[1]))))")
 
 
+def _status_mb(field: str) -> float | None:
+    """A kB field of ``/proc/self/status`` in MiB; ``None`` without /proc."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith(field + ":"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _rss_mb() -> float:
-    """This process's peak RSS in MiB (Linux ru_maxrss is KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    """This process's peak RSS in MiB.
+
+    ``VmHWM`` where /proc has it; else ``ru_maxrss`` (KiB on Linux),
+    which also counts the peak of the process that exec'd this one.
+    """
+    peak = _status_mb("VmHWM")
+    if peak is None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return peak
+
+
+def _current_rss_mb() -> float:
+    """This process's RSS now in MiB (its peak where /proc is missing)."""
+    rss = _status_mb("VmRSS")
+    return _rss_mb() if rss is None else rss
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +166,15 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
     n = int(spec["n"])
     seed = int(spec.get("seed", 1))
     deg = MCM_DEG if spec["workload"] == "generic_mcm" else CURVE_DEG
+    p = deg / (n - 1) if spec["workload"] == "build_peak" else deg / n
+    rss_before = _current_rss_mb()
     t0 = time.perf_counter()
-    g = gnp_random(n, deg / n, seed=seed)
+    g = gnp_random(n, p, seed=seed)
     build_s = time.perf_counter() - t0
+    build_peak = _rss_mb()
+    graph_mb = sum(
+        a.nbytes for a in g.adjacency_arrays() + g.endpoints_array()
+    ) / 2**20
 
     out: dict[str, Any] = {
         "workload": spec["workload"],
@@ -138,7 +185,14 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
         "avg_deg": deg,
         "index_dtype": str(np.dtype(g.index_dtype)),
         "build_s": build_s,
+        "rss_before_build_mb": rss_before,
+        "build_peak_rss_mb": build_peak,
+        "graph_mb": graph_mb,
+        "build_peak_ratio": (build_peak - rss_before) / graph_mb,
     }
+    if spec["workload"] == "build_peak":
+        out["peak_rss_mb"] = build_peak
+        return out
     if spec["workload"] == "luby_mis":
         from repro.baselines.luby_mis import luby_mis
 
@@ -273,14 +327,15 @@ def cell_dtype(n: int, reps: int, seed: int = 1) -> dict[str, Any]:
 
 
 def run(quick: bool) -> dict[str, Any]:
+    build_peak = curve_cell("build_peak", BUILD_PEAK_N, seed=0)
     if quick:
         cells = [cell_kopt(240, QUICK_REPS), cell_dtype(10_000, QUICK_REPS)]
         curves = {
             "luby_mis": [curve_cell("luby_mis", 100_000)],
             "generic_mcm": [curve_cell("generic_mcm", 100_000)],
         }
-        return {"quick": True, "cells": cells, "curves": curves,
-                "ceiling": [], "largest_graph": None}
+        return {"quick": True, "cells": cells, "build_peak": build_peak,
+                "curves": curves, "ceiling": [], "largest_graph": None}
 
     cells = [
         cell_kopt(240, REPS),
@@ -300,6 +355,8 @@ def run(quick: bool) -> dict[str, Any]:
             "n": largest["n"],
             "m": largest["m"],
             "index_dtype": largest["index_dtype"],
+            "build_s": largest["build_s"],
+            "build_peak_rss_mb": largest["build_peak_rss_mb"],
             "total_s": largest["total_s"],
             "peak_rss_mb": largest["peak_rss_mb"],
         },
@@ -309,8 +366,9 @@ def run(quick: bool) -> dict[str, Any]:
                 "ceiling above is time-bounded, not memory-bounded "
                 "(peak RSS well under this host's RAM).",
     }
-    return {"quick": False, "cells": cells, "curves": curves,
-            "ceiling": ceiling, "largest_graph": largest_graph}
+    return {"quick": False, "cells": cells, "build_peak": build_peak,
+            "curves": curves, "ceiling": ceiling,
+            "largest_graph": largest_graph}
 
 
 def gate(data: dict[str, Any]) -> list[str]:
@@ -329,6 +387,13 @@ def gate(data: dict[str, Any]) -> list[str]:
                     f"{c['workload']} n={c['n']}: "
                     f"{c['peak_rss_mb']:.0f} MiB > {MAX_RSS_MB:.0f} MiB"
                 )
+    bp = data["build_peak"]
+    if bp["build_peak_ratio"] > MAX_BUILD_PEAK_RATIO:
+        failures.append(
+            f"building n={BUILD_PEAK_N} added {bp['build_peak_ratio']:.2f}x "
+            f"its {bp['graph_mb']:.0f} MiB of arrays to RSS "
+            f"(> {MAX_BUILD_PEAK_RATIO:.1f}x)"
+        )
     mcm = harness.find_cell(
         {"cells": data["curves"]["generic_mcm"]},
         n=MCM_PIN["n"], seed=MCM_PIN["seed"],
@@ -358,19 +423,28 @@ def show(data: dict[str, Any]) -> None:
         ])
     print(format_table(
         ["cell", "n", "m", "before x", "speedup"], rows))
+    bp = data["build_peak"]
+    print(f"\nbuild peak: gnp n={bp['n']:,} m={bp['m']:,} in "
+          f"{bp['build_s']:.2f}s, RSS {bp['rss_before_build_mb']:.0f} -> "
+          f"{bp['build_peak_rss_mb']:.0f} MiB = {bp['build_peak_ratio']:.2f}x "
+          f"its {bp['graph_mb']:.0f} MiB of arrays")
     for name, cells in data["curves"].items():
         deg = cells[0]["avg_deg"] if cells else CURVE_DEG
         print(f"\n{name} scale curve (array backend, gnp deg {deg}):")
         print(format_table(
-            ["n", "m", "dtype", "build s", "run s", "total s", "peak MiB"],
-            [[c["n"], c["m"], c["index_dtype"], c["build_s"], c["run_s"],
-              c["total_s"], c["peak_rss_mb"]] for c in cells],
+            ["n", "m", "dtype", "build s", "build x", "run s", "total s",
+             "peak MiB"],
+            [[c["n"], c["m"], c["index_dtype"], c["build_s"],
+              c["build_peak_ratio"], c["run_s"], c["total_s"],
+              c["peak_rss_mb"]] for c in cells],
         ))
     if data["ceiling"]:
         print("\nceiling probes (Luby MIS past 10^6):")
         print(format_table(
-            ["n", "m", "dtype", "total s", "peak MiB"],
-            [[c["n"], c["m"], c["index_dtype"], c["total_s"],
+            ["n", "m", "dtype", "build s", "build peak MiB", "build x",
+             "total s", "peak MiB"],
+            [[c["n"], c["m"], c["index_dtype"], c["build_s"],
+              c["build_peak_rss_mb"], c["build_peak_ratio"], c["total_s"],
               c["peak_rss_mb"]] for c in data["ceiling"]],
         ))
     lg = data.get("largest_graph")

@@ -43,9 +43,11 @@ state can differ.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from repro.graphs.graph import Graph, sorted_unique
+from repro.graphs.graph import _INT64_MAX, Graph, select_index_dtype, sorted_unique
 
 #: Edge-chunk granularity for the streamed generators.
 _CHUNK = 1 << 18
@@ -86,6 +88,34 @@ def _unrank_edges(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, u + 1 + (idx - base)
 
 
+def physical_memory_bytes() -> int | None:
+    """This host's physical memory in bytes, or ``None`` where unknown."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_fits(what: str, need: int) -> None:
+    """Raise :class:`MemoryError` before drawing what cannot be held.
+
+    ``need`` is the estimated bytes of ``what``; it must be addressable
+    by an int64 index and, where the host reports it, fit in physical
+    memory.
+    """
+    if need > _INT64_MAX:
+        raise MemoryError(
+            f"{what} needs about {need:.3g} bytes, past the "
+            f"{_INT64_MAX:.3g} bytes an int64 index addresses"
+        )
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise MemoryError(
+            f"{what} needs about {need:.3g} bytes, more than this host's "
+            f"{have:.3g} bytes of physical memory"
+        )
+
+
 def gnp_random(n: int, p: float, seed: int | np.random.Generator | None = 0) -> Graph:
     """Erdős–Rényi G(n, p).
 
@@ -94,37 +124,49 @@ def gnp_random(n: int, p: float, seed: int | np.random.Generator | None = 0) -> 
     are drawn in blocks (``rng.random`` fills arrays from the same
     uniform stream the scalar loop consumed, so the produced graph is
     bit-identical for integer seeds), cumulative-summed into edge
-    ranks, and unranked chunk by chunk into
-    :meth:`Graph.from_edge_chunks`.
+    ranks, and unranked block by block by a generator that
+    :meth:`Graph.from_edge_chunks` drains, so each int64 block is
+    compacted and dropped before the next one is drawn.  A graph whose
+    expected size cannot be held raises :class:`MemoryError` before
+    anything is drawn.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = _rng(seed)
     if p == 0.0 or n < 2:
         return Graph(n)
+    total = n * (n - 1) // 2
+    m = int(p * total)  # expected edges
+    _check_fits(
+        f"gnp_random(n={n}, p={p}) with ~{m:.3g} expected edges",
+        # indptr, indices, eids, lo and hi in the tier m would select
+        select_index_dtype(n, m).itemsize * (n + 1 + 6 * m),
+    )
     if p == 1.0:
         return complete_graph(n)
     # Iterate over the n*(n-1)/2 potential edges in lexicographic order,
     # jumping ahead by Geometric(p) each time (gap >= 1).
     lp = np.log1p(-p)
-    total = n * (n - 1) // 2
-    chunks: list[np.ndarray] = []
-    last = -1  # rank of the previously emitted edge
-    while True:
-        gaps = 1 + np.floor(
-            np.log(1.0 - rng.random(_CHUNK)) / lp
-        ).astype(np.int64)
-        ranks = last + np.cumsum(gaps)
-        done = bool(ranks[-1] >= total)
-        if done:
-            ranks = ranks[ranks < total]
-        else:
-            last = int(ranks[-1])
-        if ranks.size:
-            u, v = _unrank_edges(n, ranks)
-            chunks.append(np.stack([u, v], axis=1))
-        if done:
-            return Graph.from_edge_chunks(n, chunks)
+
+    def _chunks():
+        last = -1  # rank of the previously emitted edge
+        while True:
+            gaps = 1 + np.floor(
+                np.log(1.0 - rng.random(_CHUNK)) / lp
+            ).astype(np.int64)
+            ranks = last + np.cumsum(gaps)
+            done = bool(ranks[-1] >= total)
+            if done:
+                ranks = ranks[ranks < total]
+            else:
+                last = int(ranks[-1])
+            if ranks.size:
+                u, v = _unrank_edges(n, ranks)
+                yield np.stack([u, v], axis=1)
+            if done:
+                return
+
+    return Graph.from_edge_chunks(n, _chunks())
 
 
 def gnm_random(n: int, m: int, seed: int | np.random.Generator | None = 0) -> Graph:
@@ -162,6 +204,9 @@ def bipartite_random(
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
+    _check_fits(
+        f"the dense draw of bipartite_random(nx={nx}, ny={ny})", 8 * nx * ny
+    )
     rng = _rng(seed)
     mask = rng.random((nx, ny)) < p
     xs, ys = np.nonzero(mask)

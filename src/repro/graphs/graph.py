@@ -8,7 +8,8 @@ Algorithm 3, whose per-node counters ``c_v[i]`` are indexed by incident
 edge).
 
 Storage is an immutable CSR (compressed sparse row) core built once at
-construction with vectorized NumPy passes:
+construction with vectorized NumPy passes and two in-place sorts (the
+duplicate check's edge keys, then the half-edges' packed keys):
 
 * ``indptr`` — ``index_dtype[n+1]``; vertex ``v``'s incident half-edges
   live at positions ``indptr[v]:indptr[v+1]``;
@@ -41,11 +42,17 @@ workloads that do not require the pinned semantics.
 edges appear in *edge-insertion order* — the position of a half-edge in
 the slice is the "port number" of that edge at ``v``, exactly as in the
 distributed model of Section 2 (Algorithm 3 indexes its counter array
-by port).  The vectorized build preserves this with a stable argsort of
-the interleaved endpoint array, so every vertex's ports ascend by edge
-id.  :meth:`Graph.support_subgraph` keeps that order when it cuts a
-kept edge set out, so a cut-out support is the graph a fresh build of
-its edges gives.  The array programs read "what my neighbors sent"
+by port).  The build orders the interleaved endpoint array
+``[u0, v0, u1, v1, ...]`` by source with one sort of packed
+``(source << 32) | position`` uint64 keys: the position breaks every
+tie, so NumPy's unstable in-place sort returns the stable order, and
+every vertex's ports ascend by edge id.  Graphs past
+``PACKED_KEY_LIMIT`` take a stable argsort to the same order.  The
+keys and their uint32 positions are the build's largest temporaries,
+so a streamed build's peak stays under twice the finished arrays.
+:meth:`Graph.support_subgraph` keeps that order when it cuts a kept
+edge set out, so a cut-out support is the graph a fresh build of its
+edges gives.  The array programs read "what my neighbors sent"
 straight off each vertex's contiguous slice (the proposal programs'
 pair lists, expanded from the per-vertex slices, and the LPS programs'
 per-half-edge classes).
@@ -53,7 +60,8 @@ per-half-edge classes).
 Topology is immutable after construction; weights may be replaced
 wholesale via :meth:`Graph.with_weights` (used by Algorithm 5, which
 re-weights the same topology each iteration with the derived weight
-function ``w_M``).
+function ``w_M``).  The re-weighted graph shares the CSR and endpoint
+arrays, so only the new weights are checked.
 
 Scalar accessors (``neighbors``, ``incident``, ``edge_id``, …) are
 backed by lazily built caches so repeated queries stay cheap; bulk
@@ -66,6 +74,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -82,6 +91,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Largest ``n`` whose flat edge keys ``u*n + v`` (below ``n*n``) fit
 #: in int64.
 _EDGE_KEY_MAX_N = math.isqrt(_INT64_MAX)
+
+#: Largest ``n`` and half-edge count ``2m`` whose CSR is ordered by one
+#: sort of packed ``(source << 32) | position`` uint64 keys (both words
+#: must fit 32 bits); larger graphs fall back to a stable argsort.
+#: Module-level so tests can monkeypatch it down to reach the fallback.
+PACKED_KEY_LIMIT = 1 << 32
+#: Which uint32 word of a uint64 key holds its high half.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 _WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -208,6 +225,41 @@ def _as_edge_array(edges: object, n: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _csr_arrays(
+    n: int, earr: np.ndarray, idt: np.dtype
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR triple ``(indptr, indices, eids)`` of a validated edge array.
+
+    Position ``p`` of the interleaved half-edge array ``[u0, v0, u1, v1,
+    ...]`` belongs to edge ``p >> 1`` and points at endpoint ``p ^ 1``.
+    Ordering the positions stably by source groups each vertex's
+    half-edges in edge-insertion order — the port-numbering invariant
+    (module docstring).
+    """
+    src = earr.reshape(-1)
+    indptr = np.zeros(n + 1, dtype=idt)
+    if src.size:
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    if n <= PACKED_KEY_LIMIT and src.size <= PACKED_KEY_LIMIT:
+        # The position makes every key distinct, so the unstable
+        # in-place sort returns the stable order.  Both words are
+        # written in place: no int64 temporaries.
+        key = np.arange(src.size, dtype=np.uint64)
+        words = key.view(np.uint32)
+        words[_HIGH_WORD::2] = src
+        key.sort()
+        pos = words[1 - _HIGH_WORD::2].copy()
+        del key, words
+    else:
+        pos = np.argsort(src, kind="stable")
+    pos ^= 1
+    indices = src[pos].astype(idt, copy=False)
+    pos >>= 1  # (p ^ 1) >> 1 == p >> 1: the edge id
+    if pos.dtype == np.uint32:
+        pos = pos.view(np.int32)  # 2m <= 2^32, so every edge id fits
+    return indptr, indices, pos.astype(idt, copy=False)
+
+
 class Graph:
     """An undirected graph with integer vertices and stable edge ids.
 
@@ -272,20 +324,13 @@ class Graph:
         idt = _resolve_index_dtype(n, m, index_dtype)
         u = earr[:, 0]
         v = earr[:, 1]
+        # An out-of-range endpoint may wrap in the narrower lo/hi, but
+        # the range check reads u and v and raises before lo/hi are used.
+        lo = np.minimum(u, v).astype(idt, copy=False)
+        hi = np.maximum(u, v).astype(idt, copy=False)
         if m:
-            self._validate_topology(earr, u, v)
-        self._lo = np.minimum(u, v).astype(idt, copy=False)
-        self._hi = np.maximum(u, v).astype(idt, copy=False)
-        # CSR build: interleave the two directed half-edges of each edge
-        # as [u0, v0, u1, v1, ...]; a *stable* sort by source vertex then
-        # groups each vertex's half-edges in edge-insertion order — the
-        # port-numbering invariant (see module docstring).
-        src = earr.reshape(-1)
-        dst = earr[:, ::-1].reshape(-1)
-        order = np.argsort(src, kind="stable")
-        counts = np.bincount(src, minlength=n) if m else np.zeros(n, dtype=idt)
-        indptr = np.zeros(n + 1, dtype=idt)
-        np.cumsum(counts, out=indptr[1:])
+            self._validate_topology(earr, u, v, lo, hi)
+        self._lo, self._hi = lo, hi
         if weight_dtype is None:
             wdt = np.dtype(np.float64)
         else:
@@ -295,32 +340,32 @@ class Graph:
                     f"weight_dtype must be float32 or float64, got {wdt}"
                 )
         self._weight_dtype = wdt
-        if weights is not None:
-            warr = np.asarray(weights, dtype=wdt)
-            if warr.ndim != 1:
-                raise ValueError(
-                    f"weights must be 1-D, got shape {warr.shape}"
-                )
-            if len(warr) != m:
-                raise ValueError(f"{warr.size} weights for {m} edges")
-            # NaN fails every comparison, so test for the good case.
-            bad = ~((warr > 0.0) & (warr < np.inf))
-            if bad.any():
-                eid = int(np.argmax(bad))
-                raise ValueError(
-                    f"edge ({self._lo[eid]},{self._hi[eid]}) has non-positive "
-                    f"or non-finite weight {warr[eid]}; the paper assumes "
-                    "w : E -> R+"
-                )
-            warr = warr.copy()
-        else:
-            warr = None
-        self._set_arrays(
-            indptr,
-            dst[order].astype(idt, copy=False),
-            np.repeat(np.arange(m, dtype=idt), 2)[order],
-            warr,
-        )
+        warr = None if weights is None else self._checked_weights(weights, wdt)
+        self._set_arrays(*_csr_arrays(n, earr, idt), warr)
+
+    def _checked_weights(
+        self, weights: Sequence[float] | np.ndarray, wdt: np.dtype
+    ) -> np.ndarray:
+        """A private copy of ``weights`` for this graph's ``m`` edges.
+
+        Rejects a wrong shape or count and any weight that is not
+        positive and finite, naming the edge by this graph's endpoints.
+        """
+        warr = np.array(weights, dtype=wdt)
+        if warr.ndim != 1:
+            raise ValueError(f"weights must be 1-D, got shape {warr.shape}")
+        if len(warr) != self.m:
+            raise ValueError(f"{warr.size} weights for {self.m} edges")
+        # NaN fails every comparison, so test for the good case.
+        bad = ~((warr > 0.0) & (warr < np.inf))
+        if bad.any():
+            eid = int(np.argmax(bad))
+            raise ValueError(
+                f"edge ({self._lo[eid]},{self._hi[eid]}) has non-positive "
+                f"or non-finite weight {warr[eid]}; the paper assumes "
+                "w : E -> R+"
+            )
+        return warr
 
     def _set_arrays(
         self,
@@ -350,7 +395,14 @@ class Graph:
         self._edge_key_sorted: np.ndarray | None = None
         self._edge_key_order: np.ndarray | None = None
 
-    def _validate_topology(self, earr: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    def _validate_topology(
+        self,
+        earr: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+    ) -> None:
         """Vectorized checks; error paths scan for faithful messages."""
         n = self.n
         oob = (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -363,12 +415,19 @@ class Graph:
         if loops.any():
             raise ValueError(f"self-loop at vertex {u[int(np.argmax(loops))]}")
         if n <= _EDGE_KEY_MAX_N:
-            key = np.minimum(u, v) * np.int64(n) + np.maximum(u, v)
+            # Built and sorted in place; only a graph that has a
+            # duplicate pays for the stable sort that names it.
+            key = lo.astype(np.int64)
+            key *= n
+            key += hi
+            key.sort()
+            if not (key[1:] == key[:-1]).any():
+                return
+            key = lo * np.int64(n) + hi
             order = np.argsort(key, kind="stable")
             dup = key[order][1:] == key[order][:-1]
         else:
-            # lo*n + hi would wrap in int64: sort on the pair itself.
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            # lo*n+hi would wrap in int64: sort on the pair itself.
             order = np.lexsort((hi, lo))
             lo, hi = lo[order], hi[order]
             dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
@@ -393,10 +452,13 @@ class Graph:
 
         The chunked-construction protocol of the streamed generators:
         each chunk is an integer NumPy array of edges; chunks are
-        compacted to the vertex-id dtype as they arrive and concatenated
-        once — no Python edge list (~100 bytes/edge) ever exists.  An
-        optional parallel stream of 1-D weight chunks must align with
-        the edge chunks element-for-element.
+        compacted to the vertex-id dtype (int32 while ``n`` fits) as
+        they arrive, so a generator that yields its blocks lazily holds
+        one wide block at a time.  The compact parts are concatenated
+        once and dropped before the CSR build — no Python edge list
+        (~100 bytes/edge) ever exists.  An optional parallel stream of
+        1-D weight chunks must align with the edge chunks
+        element-for-element.
         """
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -426,6 +488,7 @@ class Graph:
             earr = parts[0] if len(parts) == 1 else np.concatenate(parts)
         else:
             earr = np.empty((0, 2), dtype=edge_dt)
+        del parts  # the build's peak must not hold the edges twice
         weights: np.ndarray | None = None
         if weight_chunks is not None:
             wdt = np.dtype(np.float64) if weight_dtype is None else np.dtype(weight_dtype)
@@ -777,19 +840,23 @@ class Graph:
     def with_weights(self, weights: Sequence[float] | np.ndarray) -> "Graph":
         """Same topology, new weights (used for the derived w_M graph).
 
-        The index tier is propagated so a graph family stays on one
-        dtype across Algorithm 5's re-weighting iterations.
+        The new graph shares this graph's read-only CSR and endpoint
+        arrays (so the index tier carries over across Algorithm 5's
+        re-weighting iterations); only the weights are checked.
         """
-        return Graph(self.n, self._endpoint_matrix(), weights,
-                     index_dtype=self.index_dtype)
+        wdt = np.dtype(np.float64)
+        return self._reweighted(self._checked_weights(weights, wdt))
 
     def unweighted(self) -> "Graph":
-        """Same topology without weights."""
-        return Graph(self.n, self._endpoint_matrix(),
-                     index_dtype=self.index_dtype)
+        """Same topology without weights (shares the CSR arrays)."""
+        return self._reweighted(None)
 
-    def _endpoint_matrix(self) -> np.ndarray:
-        return np.stack([self._lo, self._hi], axis=1)
+    def _reweighted(self, weights: np.ndarray | None) -> "Graph":
+        g = Graph.__new__(Graph)
+        g.n, g.m, g._lo, g._hi = self.n, self.m, self._lo, self._hi
+        g._weight_dtype = np.dtype(np.float64)
+        g._set_arrays(self._indptr, self._indices, self._eids, weights)
+        return g
 
     # ------------------------------------------------------------------
     # Iteration helpers

@@ -34,7 +34,7 @@ def assign_uniform_weights(
         raise ValueError("weights must be positive")
     rng = _rng(seed)
     w = rng.uniform(lo, hi, size=g.m)
-    return g.with_weights(w.tolist())
+    return g.with_weights(w)
 
 
 def assign_exponential_weights(
@@ -45,7 +45,7 @@ def assign_exponential_weights(
     """Weights ~ 1 + Exp(scale): positive with a heavy tail."""
     rng = _rng(seed)
     w = 1.0 + rng.exponential(scale, size=g.m)
-    return g.with_weights(w.tolist())
+    return g.with_weights(w)
 
 
 def assign_integer_weights(
@@ -58,4 +58,4 @@ def assign_integer_weights(
         raise ValueError("max_weight must be >= 1")
     rng = _rng(seed)
     w = rng.integers(1, max_weight + 1, size=g.m)
-    return g.with_weights([float(x) for x in w])
+    return g.with_weights(w)

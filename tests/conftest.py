@@ -94,3 +94,42 @@ def matchable(draw, max_n: int = 12):
 def make_rng(seed: int = 0) -> np.random.Generator:
     """Deterministic RNG helper for non-hypothesis tests."""
     return np.random.default_rng(seed)
+
+
+# ---------------------------------------------------------------------------
+# CSR oracle: the stable-argsort build of the port-numbering order
+# ---------------------------------------------------------------------------
+
+
+def stable_argsort_csr(n: int, edges, index_dtype) -> tuple[np.ndarray, ...]:
+    """``(indptr, indices, eids)`` by a stable argsort of the half-edges.
+
+    The reference for the port-numbering order: interleave each edge's
+    two half-edges as ``[u0, v0, u1, v1, ...]`` and stably sort them by
+    source, so every vertex's ports ascend by edge id.
+    """
+    earr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    idt = np.dtype(index_dtype)
+    src = earr.reshape(-1)
+    dst = earr[:, ::-1].reshape(-1)
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=idt)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    eids = np.repeat(np.arange(len(earr), dtype=idt), 2)[order]
+    return indptr, dst[order].astype(idt), eids
+
+
+def assert_same_csr(g: Graph, edges=None) -> None:
+    """``g``'s CSR triple is byte-identical to the stable-argsort build.
+
+    ``edges`` defaults to ``g``'s own ``(lo, hi)`` list: orientation
+    does not change the CSR, since an edge's two half-edges sit at
+    different vertices.
+    """
+    if edges is None:
+        edges = np.stack(g.endpoints_array(), axis=1)
+    want = stable_argsort_csr(g.n, edges, g.index_dtype)
+    for name, got, ref in zip(("indptr", "indices", "eids"),
+                              g.adjacency_arrays(), want):
+        assert got.dtype == ref.dtype, name
+        assert got.tobytes() == ref.tobytes(), name

@@ -283,6 +283,20 @@ def test_out_of_memory_is_an_error_line(capsys, monkeypatch, target, argv):
     )
 
 
+@pytest.mark.parametrize("command,what", [
+    ("generic", "gnp_random(n=1000000000000, p=0.1)"),
+    ("bipartite", "the dense draw of bipartite_random(nx=1000000000000, "),
+])
+def test_oversized_generator_fails_before_drawing(capsys, monkeypatch,
+                                                   command, what):
+    # These once drew edge chunks until the host ran out of memory, or
+    # ended in NumPy's "array is too big" traceback.
+    monkeypatch.setattr("repro.graphs.generators.physical_memory_bytes",
+                        lambda: 8 * 2**30)
+    assert main([command, "--n", "1000000000000"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: out of memory: {what}")
+
+
 class TestFileCommand:
     def test_general_on_file(self, tmp_path, capsys):
         g = gnp_random(16, 0.2, seed=1)

@@ -8,6 +8,7 @@ coverage fails the completeness test.  Family-specific invariants
 asserted per family below.
 """
 
+import numpy as np
 import pytest
 
 import repro.graphs as graphs_pkg
@@ -37,6 +38,9 @@ from repro.graphs import (
     switch_demand_graph,
     watts_strogatz,
 )
+from repro.graphs.graph import forced_index_dtype
+
+from tests.conftest import assert_same_csr
 
 
 def _graph_of(result):
@@ -121,6 +125,15 @@ class TestUniversalInvariants:
         for u, v in g.edges():
             assert v in g.neighbors(u) and u in g.neighbors(v)
             assert g.has_edge(u, v)
+
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    def test_csr_matches_the_stable_argsort(self, name, tier):
+        """Port numbers: each vertex's half-edges in edge-id order."""
+        for seed in (0, 1, 2):
+            with forced_index_dtype(tier):
+                g = _graph_of(CATALOG[name](seed=seed))
+            assert g.index_dtype == np.dtype(tier)
+            assert_same_csr(g)
 
     def test_same_seed_identical(self, name):
         a = _graph_of(CATALOG[name](seed=11))

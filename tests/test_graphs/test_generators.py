@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.graphs.generators as gen_mod
 from repro.graphs import (
     bipartite_random,
     complete_bipartite,
@@ -65,6 +66,74 @@ class TestGnm:
 
     def test_determinism(self):
         assert gnm_random(30, 50, seed=4).edges() == gnm_random(30, 50, seed=4).edges()
+
+
+class TestOversizedDrawsFailFast:
+    """A graph that cannot be held raises before anything is drawn.
+
+    The host-memory probe is monkeypatched, so no test allocates.
+    """
+
+    @staticmethod
+    def _host(monkeypatch, nbytes):
+        monkeypatch.setattr(gen_mod, "physical_memory_bytes", lambda: nbytes)
+
+    def test_gnp_past_physical_memory(self, monkeypatch):
+        self._host(monkeypatch, 10**6)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(MemoryError, match=(
+            r"gnp_random\(n=1000000, .*\) with ~4e\+06 expected edges "
+            r"needs about 1e\+08 bytes, more than this host's 1e\+06 bytes"
+        )):
+            gnp_random(10**6, 8 / (10**6 - 1), seed=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("p,need", [
+        (0.2, "2.4e\\+10"),  # m = 10^9 fits the int32 tier: 4-byte slots
+        (0.5, "1.2e\\+11"),  # 2m = 5e9 promotes to int64: 8-byte slots
+        (1.0, "2.4e\\+11"),  # checked before the complete-graph shortcut
+    ])
+    def test_gnp_estimate_follows_the_index_tier(self, monkeypatch, p, need):
+        self._host(monkeypatch, 10**9)
+        with pytest.raises(MemoryError, match=f"needs about {need} bytes"):
+            gnp_random(10**5, p)
+
+    def test_gnp_past_the_int64_range(self, monkeypatch):
+        self._host(monkeypatch, None)
+        with pytest.raises(MemoryError, match="an int64 index addresses"):
+            gnp_random(10**12, 0.1)
+
+    def test_gnp_that_fits_is_unchanged(self, monkeypatch):
+        ref = gnp_random(50, 0.1, seed=4)
+        for host in (10**9, None):
+            self._host(monkeypatch, host)
+            assert gnp_random(50, 0.1, seed=4).edges() == ref.edges()
+
+    def test_bipartite_dense_draw_past_physical_memory(self, monkeypatch):
+        self._host(monkeypatch, 10**6)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(MemoryError, match=(
+            r"dense draw of bipartite_random\(nx=1000, ny=1000\) needs "
+            r"about 8e\+06 bytes, more than this host's 1e\+06 bytes"
+        )):
+            bipartite_random(1000, 1000, 0.1, seed=rng)
+        assert rng.bit_generator.state == state
+        self._host(monkeypatch, None)
+        with pytest.raises(MemoryError, match="an int64 index addresses"):
+            bipartite_random(10**12, 10**12, 0.1)
+
+    def test_probe_reads_sysconf_or_gives_none(self, monkeypatch):
+        have = gen_mod.physical_memory_bytes()
+        assert have is None or have > 0
+
+        def unavailable(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(gen_mod.os, "sysconf", unavailable)
+        assert gen_mod.physical_memory_bytes() is None
+        assert gnp_random(20, 0.2, seed=1).m > 0  # the host check is skipped
 
 
 class TestBipartiteRandom:

@@ -12,7 +12,7 @@ import repro.graphs.graph as graph_mod
 from repro.graphs import Graph
 from repro.graphs.graph import forced_index_dtype
 
-from tests.conftest import graphs
+from tests.conftest import assert_same_csr, graphs
 
 
 class TestConstruction:
@@ -350,6 +350,36 @@ class TestStructure:
         g = Graph(2, [(0, 1)], [9.0])
         assert not g.unweighted().weighted
 
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    def test_reweighted_graphs_share_the_topology(self, tier):
+        g = Graph(5, [(3, 1), (0, 4), (2, 1), (4, 3)], index_dtype=tier)
+        w = np.array([2.5, 1.0, 7.0, 3.0])
+        for h in (g.with_weights(w), g.unweighted(),
+                  g.with_weights(w).unweighted()):
+            mine = g.adjacency_arrays() + g.endpoints_array()
+            theirs = h.adjacency_arrays() + h.endpoints_array()
+            for a, b in zip(mine, theirs):
+                assert a is b
+            assert (h.n, h.m, h.edges()) == (g.n, g.m, g.edges())
+        h = g.with_weights(w)
+        w[0] = 99.0  # the graph keeps its own read-only copy
+        assert h.weights_array().tolist() == [2.5, 1.0, 7.0, 3.0]
+        assert not h.weights_array().flags.writeable
+        assert h.weight_dtype == np.dtype(np.float64)
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, 0.0, 3.0], [1.0, 2.0, -1.0],
+        [float("nan"), 1.0, 1.0], [1.0, float("inf"), 1.0],
+    ])
+    def test_with_weights_rejects_what_the_constructor_rejects(self, bad):
+        edges = [(2, 1), (0, 2), (1, 0)]
+        g = Graph(3, edges, [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError) as built:
+            Graph(3, edges, bad)
+        with pytest.raises(ValueError) as reweighted:
+            g.with_weights(bad)
+        assert str(reweighted.value) == str(built.value)
+
 
 class TestProperties:
     @given(graphs())
@@ -383,3 +413,93 @@ class TestProperties:
             xset = set(xs)
             for u, v in g.edges():
                 assert (u in xset) != (v in xset)
+
+
+def _first_duplicate(edges) -> str | None:
+    """The error the build must raise: the first pair seen twice."""
+    seen = set()
+    for u, v in edges:
+        if (min(u, v), max(u, v)) in seen:
+            return f"duplicate edge ({u},{v})"
+        seen.add((min(u, v), max(u, v)))
+    return None
+
+
+@st.composite
+def edge_lists(draw, duplicates: bool = False):
+    """``(n, edges)``: a loop-free edge list in any order and orientation."""
+    n = draw(st.integers(2, 16))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    if duplicates:
+        return n, draw(st.lists(pair, min_size=2, max_size=40))
+    return n, draw(st.lists(pair, max_size=40,
+                            unique_by=lambda e: (min(e), max(e))))
+
+
+def _argsort_calls(mp) -> list:
+    """Count np.argsort calls (the fallback CSR order) under ``mp``."""
+    calls: list = []
+    real = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return real(*args, **kwargs)
+
+    mp.setattr(np, "argsort", spy)
+    return calls
+
+
+@pytest.mark.parametrize("tier", [np.int32, np.int64])
+class TestCsrIdentity:
+    """The packed-key sort builds exactly the stable-argsort CSR."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=edge_lists(), weighted=st.booleans())
+    def test_shuffled_edges(self, tier, case, weighted):
+        n, edges = case
+        weights = [1.0 + i for i in range(len(edges))] if weighted else None
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _argsort_calls(mp)
+            g = Graph(n, edges, weights, index_dtype=tier)
+        assert calls == []  # no comparison sort on a duplicate-free build
+        assert_same_csr(g, edges)
+        assert g.weighted == weighted
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=edge_lists())
+    def test_fallback_past_the_packing_bound(self, tier, case):
+        n, edges = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "PACKED_KEY_LIMIT", 1)
+            calls = _argsort_calls(mp)
+            g = Graph(n, edges, index_dtype=tier)
+        assert calls == ["stable"]
+        assert_same_csr(g, edges)
+
+    @pytest.mark.parametrize("n,limit,packed", [
+        (12, 12, True),   # n == 2m == limit: both words fit
+        (9, 11, False),   # one position too many
+        (13, 12, False),  # one vertex too many
+    ])
+    def test_packing_bound_is_inclusive(self, tier, n, limit, packed):
+        edges = [(8, 0), (1, 2), (2, 8), (5, 4), (0, 3), (7, 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "PACKED_KEY_LIMIT", limit)
+            calls = _argsort_calls(mp)
+            g = Graph(n, edges, index_dtype=tier)
+        assert calls == ([] if packed else ["stable"])
+        assert_same_csr(g, edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=edge_lists(duplicates=True))
+    def test_duplicate_names_the_first_repeat(self, tier, case):
+        n, edges = case
+        want = _first_duplicate(edges)
+        if want is None:
+            assert_same_csr(Graph(n, edges, index_dtype=tier), edges)
+            return
+        with pytest.raises(ValueError) as exc:
+            Graph(n, edges, index_dtype=tier)
+        assert str(exc.value) == want

@@ -1,5 +1,6 @@
 """Unit tests for weight assignment helpers."""
 
+import numpy as np
 import pytest
 
 from repro.graphs import (
@@ -57,3 +58,18 @@ class TestInteger:
     def test_invalid_max(self, base):
         with pytest.raises(ValueError):
             assign_integer_weights(base, max_weight=0)
+
+
+@pytest.mark.parametrize("assign,draw", [
+    (assign_uniform_weights, lambda rng, m: rng.uniform(1.0, 100.0, size=m)),
+    (assign_exponential_weights,
+     lambda rng, m: 1.0 + rng.exponential(10.0, size=m)),
+    (assign_integer_weights, lambda rng, m: rng.integers(1, 101, size=m)),
+])
+def test_weights_are_the_draws_bit_for_bit(base, assign, draw):
+    """Arrays pass through unconverted: each weight is its float64 draw."""
+    g = assign(base, seed=5)
+    want = np.asarray(draw(np.random.default_rng(5), base.m), dtype=np.float64)
+    assert g.weights_array().dtype == np.float64
+    assert g.weights_array().tobytes() == want.tobytes()
+    assert g.adjacency_arrays()[1] is base.adjacency_arrays()[1]

@@ -38,7 +38,7 @@ from repro.matching.augmenting import (
 )
 from repro.matching.matching import Matching
 
-from tests.conftest import graphs
+from tests.conftest import assert_same_csr, graphs
 from tests.golden_harness import GOLDEN_PATH, compute_goldens, to_canonical_json
 
 
@@ -187,11 +187,57 @@ class TestFromEdgeChunks:
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edge_chunks(4, [np.array([[0, -1]], dtype=np.int64)])
 
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 5), min_size=1, max_size=12))
+    def test_many_small_chunks_match_the_stable_argsort(self, tier, seed,
+                                                        sizes):
+        """Shuffled, randomly oriented edges in ragged mixed-dtype chunks."""
+        rng = np.random.default_rng(seed)
+        earr = rng.permutation(np.array(gnp_random(40, 0.15, seed=1).edges()))
+        flip = rng.random(len(earr)) < 0.5
+        earr[flip] = earr[flip][:, ::-1]
+        chunks, s, i = [], 0, 0
+        while s < len(earr):
+            k = sizes[i % len(sizes)]
+            dt = (np.int32, np.int64)[i % 2]
+            chunks += [earr[s: s + k].astype(dt), np.empty((0, 2), dtype=dt)]
+            s, i = s + k, i + 1
+        g = Graph.from_edge_chunks(40, iter(chunks), index_dtype=tier)
+        assert g.index_dtype == np.dtype(tier)
+        assert_same_csr(g, earr)
+
     def test_duplicate_across_chunks_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph.from_edge_chunks(
                 4, [np.array([[0, 1]]), np.array([[1, 0]])]
             )
+
+
+class TestPackedBuildAtScale:
+    """The packed-key CSR equals the stable-argsort build on both tiers."""
+
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    def test_streamed_gnp(self, tier):
+        with forced_index_dtype(tier):
+            g = gnp_random(20_000, 8 / 19_999, seed=3)
+        assert g.index_dtype == np.dtype(tier)
+        assert_same_csr(g)
+
+    def test_promoted_tier_and_fallback(self, monkeypatch):
+        # Past INT32_INDEX_LIMIT the graph promotes to int64; past
+        # PACKED_KEY_LIMIT it falls back to the stable argsort.
+        ref = gnp_random(300, 0.05, seed=2)
+        edges = np.stack(ref.endpoints_array(), axis=1)
+        monkeypatch.setattr(graph_mod, "INT32_INDEX_LIMIT", 100)
+        g = Graph(300, edges)
+        assert g.index_dtype == np.dtype(np.int64)
+        assert_same_csr(g, edges)
+        monkeypatch.setattr(graph_mod, "PACKED_KEY_LIMIT", 100)
+        g = Graph.from_edge_chunks(300, [edges[:50], edges[50:]])
+        assert g.index_dtype == np.dtype(np.int64)
+        assert_same_csr(g, edges)
 
 
 class TestEdgeIdsArray:
