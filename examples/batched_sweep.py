@@ -16,8 +16,7 @@ The walkthrough below sweeps Luby's MIS over three graph families with
 1. per-seed loop on the generator backend (the reference semantics);
 2. per-seed loop on the array backend (PR 3's win);
 3. one batched array execution per cell (this PR's win),
-   dispatched through ``ParallelRunner.sweep(seed_batch=64)`` — the
-   same seam ``python -m repro scenarios --seed-batch`` uses.
+   dispatched through ``ParallelRunner.sweep(seed_batch=64)``.
 """
 
 import time

@@ -16,7 +16,6 @@ from repro.analysis.runner import (
 )
 from repro.analysis.scenarios import (
     ALGORITHMS,
-    ARRAY_PORTED,
     SCENARIOS,
     build_scenario,
     run_scenario_cell,
@@ -43,7 +42,6 @@ __all__ = [
     "cell_seeds",
     "load_artifact",
     "ALGORITHMS",
-    "ARRAY_PORTED",
     "SCENARIOS",
     "build_scenario",
     "run_scenario_cell",

@@ -7,7 +7,8 @@ would skim.  Exposed as ``python -m repro report``.
 
 This intentionally duplicates *none* of the benchmark logic: benches
 assert individual paper claims with their own workloads; the report is
-a cross-cutting quality/cost snapshot on one shared suite.
+a cross-cutting quality/cost snapshot on one shared suite.  Every
+algorithm with an array program runs it; the rest run on the generator.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def collect_unweighted(seed: int = 0) -> list[ReportRow]:
         opt = maximum_matching_size(g)
         if opt == 0:
             continue
-        m, res = israeli_itai_matching(g, seed=seed)
+        m, res = israeli_itai_matching(g, seed=seed, backend="array")
         rows.append(ReportRow(
             "Israeli-Itai [15]", "1/2", name, len(m) / opt,
             res.rounds, res.max_message_bits,
@@ -98,17 +99,19 @@ def collect_weighted(seed: int = 0) -> list[ReportRow]:
             "Hoepman [11]", "1/2", name, m.weight() / opt,
             res.rounds, res.max_message_bits,
         ))
-        m, res = lps_mwm(g, seed=seed)
+        m, res = lps_mwm(g, seed=seed, backend="array")
         rows.append(ReportRow(
             "LPS classes [18]", "1/4-eps", name, m.weight() / opt,
             res.rounds, res.max_message_bits,
         ))
-        m, res = lps_interleaved_mwm(g, seed=seed)
+        m, res = lps_interleaved_mwm(g, seed=seed, backend="array")
         rows.append(ReportRow(
             "LPS interleaved", "~1/4", name, m.weight() / opt,
             res.rounds, res.max_message_bits,
         ))
-        m, res, _ = weighted_mwm(g, eps=0.1, seed=seed, box="interleaved")
+        m, res, _ = weighted_mwm(
+            g, eps=0.1, seed=seed, box="interleaved", backend="array"
+        )
         rows.append(ReportRow(
             "weighted_mwm (Thm 4.5)", "1/2-eps", name, m.weight() / opt,
             res.rounds, res.max_message_bits,

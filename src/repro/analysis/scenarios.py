@@ -7,8 +7,10 @@ classical random models plus the scale-free / small-world / heavy-tail
 each, checking the returned matching is valid and meets its paper
 bound against the exact oracles.
 
-Everything here is module-level and picklable on purpose, so the
-matrix can be fanned out by :class:`repro.analysis.runner.ParallelRunner`.
+Every algorithm with an array program runs it; the tests pin each
+byte-identical to the generator reference.  Everything here is
+module-level and picklable on purpose, so the matrix can be fanned out
+by :class:`repro.analysis.runner.ParallelRunner`.
 """
 
 from __future__ import annotations
@@ -122,15 +124,6 @@ ALGORITHMS: dict[str, float] = {
     "kopt_mwm": 1.0 - 1.0 / 3.0,       # Lemma 4.2 with k=2: k/(k+1)
 }
 
-#: algorithms with an array-program port; the rest fall back to the
-#: generator backend when ``backend="array"`` is requested (recorded
-#: per cell as ``array_backend`` plus the algorithm's name under
-#: ``fallback_algo`` so artifacts stay self-describing).
-ARRAY_PORTED: frozenset[str] = frozenset(
-    {"generic_mcm", "weighted_mwm", "lps_mwm", "kopt_mwm"}
-)
-
-
 def build_scenario(name: str, size: int, seed: int) -> Graph:
     """Instantiate a catalog family at the given scale and seed."""
     try:
@@ -159,30 +152,18 @@ def _check_matching(g: Graph, m: Matching) -> None:
 
 
 def run_scenario_cell(
-    scenario: str, algo: str, size: int = 20, seed: int = 0,
-    backend: str = "generator",
-) -> dict[str, float | str]:
+    scenario: str, algo: str, size: int = 20, seed: int = 0
+) -> dict[str, float]:
     """One matrix cell: build the graph, run the algorithm, check bounds.
 
     Returns ``value`` (matching size/weight), ``opt`` (exact oracle),
-    ``ratio``, the paper ``bound`` for the cell's parameters,
-    ``array_backend`` = 1.0 iff the cell actually executed on the
-    array backend (requesting ``"array"`` for an algorithm without an
-    array port falls back to the generator engine — the reference
-    semantics — and records 0.0 **plus** the algorithm's name under
-    ``fallback_algo``, so sweep artifacts name exactly what fell back
-    as ports land), and ``ok`` = 1.0 iff the matching is valid and
-    meets the bound.  Cells where the algorithm does not apply
-    (bipartite_mcm on an odd cycle) report ``skipped`` = 1.0 instead.
-    Backend choice never changes ``value``/``ratio``: both engines are
-    seed-identical by construction.
+    ``ratio``, the paper ``bound`` for the cell's parameters, and
+    ``ok`` = 1.0 iff the matching is valid and meets the bound.  Cells
+    where the algorithm does not apply (bipartite_mcm on an odd cycle)
+    report ``skipped`` = 1.0 instead.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; pick from {sorted(ALGORITHMS)}")
-    from repro.distributed.backends import resolve_backend
-
-    resolve_backend(backend)  # reject unknown names before running
-    used = backend if algo in ARRAY_PORTED else "generator"
     g = build_scenario(scenario, size, seed)
     bound = ALGORITHMS[algo]
     if algo == "bipartite_mcm":
@@ -192,65 +173,35 @@ def run_scenario_cell(
         m, _ = bipartite_mcm(g, k=3, xs=part[0], seed=seed)
         value, opt = float(len(m)), float(len(hopcroft_karp(g, part[0])))
     elif algo == "generic_mcm":
-        m, _ = generic_mcm(g, k=2, seed=seed, backend=used, keep_views=False)
+        m, _ = generic_mcm(g, k=2, seed=seed, backend="array", keep_views=False)
         value, opt = float(len(m)), float(maximum_matching_size(g))
     elif algo == "general_mcm":
         m, _, _ = general_mcm(g, k=3, seed=seed)
         value, opt = float(len(m)), float(maximum_matching_size(g))
     elif algo == "lps_mwm":
         gw = assign_uniform_weights(g, seed=seed)
-        m, _ = lps_mwm(gw, seed=seed, backend=used)
+        m, _ = lps_mwm(gw, seed=seed, backend="array")
         value, opt = m.weight(), maximum_matching_weight(gw)
         g = gw
     elif algo == "kopt_mwm":
         gw = assign_uniform_weights(g, seed=seed)
-        m, _ = kopt_mwm(gw, k=2, backend=used)
+        m, _ = kopt_mwm(gw, k=2, backend="array")
         value, opt = m.weight(), maximum_matching_weight(gw)
         g = gw
     else:  # weighted_mwm
         gw = assign_uniform_weights(g, seed=seed)
-        m, _, _ = weighted_mwm(gw, eps=0.1, seed=seed, backend=used)
+        m, _, _ = weighted_mwm(gw, eps=0.1, seed=seed, backend="array")
         value, opt = m.weight(), maximum_matching_weight(gw)
         g = gw
     _check_matching(g, m)
     ratio = value / opt if opt > 0 else 1.0
-    record: dict[str, float | str] = {
+    return {
         "value": value,
         "opt": opt,
         "ratio": ratio,
         "bound": bound,
-        "array_backend": 1.0 if used == "array" else 0.0,
         "ok": 1.0 if ratio >= bound - 1e-9 else 0.0,
     }
-    if used != backend:
-        record["fallback_algo"] = algo
-    return record
-
-
-def run_scenario_cell_batch(
-    seeds: Sequence[int],
-    scenario: str,
-    algo: str,
-    size: int = 20,
-    backend: str = "generator",
-) -> list[dict[str, float | str]]:
-    """Batch-aware matrix cell: one call covers a whole seed chunk.
-
-    The batch-aware twin of :func:`run_scenario_cell` for
-    ``ParallelRunner``'s ``seed_batch`` mode — one process-level task
-    per chunk instead of one fn call per seed.  Scenario cells build a
-    *different graph per seed* (the seed drives the generator), so the
-    seeds cannot share one seed-axis batched execution the way
-    fixed-graph workloads can (see
-    :func:`repro.baselines.luby_mis.luby_mis_batched` and
-    ``examples/batched_sweep.py``); within a chunk the cells run
-    sequentially, and the records are identical to the per-seed mode
-    by construction.
-    """
-    return [
-        run_scenario_cell(scenario, algo, size=size, seed=int(s), backend=backend)
-        for s in seeds
-    ]
 
 
 def scenario_matrix(
@@ -260,8 +211,6 @@ def scenario_matrix(
     seeds: Iterable[int] | None = None,
     workers: int = 1,
     artifact: str | None = None,
-    backend: str = "generator",
-    seed_batch: int | None = None,
     max_retries: int = 0,
     timeout: float | None = None,
     resume: bool = False,
@@ -270,12 +219,7 @@ def scenario_matrix(
 
     Each (scenario, algorithm) pair is one sweep cell; with
     ``seeds=None`` the cells draw independent ``SeedSequence``-spawned
-    seeds, so the matrix is deterministic for any worker count.  The
-    execution ``backend`` rides through the runner's ``common``
-    parameters into every cell (and its recorded params).  With
-    ``seed_batch=k`` the runner hands each cell's seeds to
-    :func:`run_scenario_cell_batch` in chunks of ``k`` (one task per
-    chunk); records are identical either way.
+    seeds, so the matrix is deterministic for any worker count.
 
     Crash-safety knobs pass straight through to the runner: a failed
     cell comes back with ``.error`` set instead of aborting the matrix,
@@ -291,12 +235,10 @@ def scenario_matrix(
         workers=workers, max_retries=max_retries, timeout=timeout
     )
     return runner.sweep(
-        run_scenario_cell if seed_batch is None else run_scenario_cell_batch,
+        run_scenario_cell,
         points,
         seeds=list(seeds) if seeds is not None else None,
         artifact=artifact,
-        common={"backend": backend},
-        seed_batch=seed_batch,
         resume=resume,
     )
 

@@ -25,7 +25,6 @@ def batched_point(
     seeds: list[int],
     slots: int,
     warmup: int = 0,
-    chunk_slots: int = 2048,
     z: float = 1.96,
 ) -> dict[str, Any]:
     """One operating point: mean ± CI over seed lanes, one execution.
@@ -42,7 +41,6 @@ def batched_point(
         [scheduler_factory(seed) for seed in seeds],
         slots,
         warmup=warmup,
-        chunk_slots=chunk_slots,
     )
     point: dict[str, Any] = {"seeds": list(seeds), "num_seeds": len(seeds)}
     for metric in ("throughput", "mean_delay", "backlog"):
@@ -62,7 +60,6 @@ def batched_load_curve(
     seeds: list[int],
     slots: int,
     warmup: int = 0,
-    chunk_slots: int = 2048,
     z: float = 1.96,
 ) -> list[dict[str, Any]]:
     """A load sweep of :func:`batched_point` — one execution per load.
@@ -79,7 +76,6 @@ def batched_load_curve(
             seeds,
             slots,
             warmup=warmup,
-            chunk_slots=chunk_slots,
             z=z,
         )
         point["load"] = load

@@ -13,36 +13,28 @@ Gives downstream users the paper's algorithms without writing Python:
 * ``python -m repro file <edgelist> --algo bipartite --k 3``  (your own graph)
 
 Every command prints the matching size/weight, the exact optimum, the
-achieved ratio, and the measured distributed cost.  ``generic``,
-``weighted``, ``baselines``, and ``scenarios`` accept ``--backend
-{generator,array}`` to pick the execution engine (results are
-seed-identical either way; only the wall clock changes) — since ISSUE
-5 this covers the whole weighted pipeline: Algorithm 5, its LPS-style
-black box, and the k-opt reference all run vectorized under
-``array``.  ``scenarios`` additionally accepts ``--seed-batch K`` to
-dispatch each cell's seeds in chunks of K — one process-level task per
-chunk instead of one call per seed.  ``baselines --faults SPEC`` (ISSUE 10)
-injects a deterministic fault plan — e.g. ``loss=0.05,crash=3`` — into
-the fault-adaptive Israeli–Itai baseline and prints the injected-fault
+achieved ratio, and the measured distributed cost.  Each command runs
+an algorithm's array program wherever one exists (the tests pin every
+array program byte-identical to the generator reference, so the engine
+changes only the wall clock); the one input that needs the generator
+is a ``baselines --faults`` plan with message delay, which no array
+program can represent.  ``baselines --faults SPEC`` injects a
+deterministic fault plan — e.g. ``loss=0.05,crash=3`` — into the
+fault-adaptive Israeli–Itai baseline and prints the injected-fault
 counters plus the degradation oracle's verdict.  ``scenarios`` also
 takes the crash-safety knobs ``--max-retries``, ``--timeout``, and
 ``--resume`` (retry only the failed/missing cells of an earlier
 ``--out`` artifact); failed cells print a summary and exit nonzero
 instead of aborting the matrix.  ``switch`` accepts ``--traffic
-{bernoulli,diagonal,bursty,hotspot}`` and ``--engine
-{vectorized,scalar}`` — the production engine (a one-lane batch) is
-the default and produces byte-identical statistics to the scalar loop
-— plus ``--seed-batch N``, which runs N seed lanes per scheduler as one
-seed-axis batched execution (ISSUE 8) and prints each metric as a
-mean ± 95% CI over the lanes; out-of-range flags and infeasible
-traffic parameters print an ``error:`` line and exit 1.  ``lca``
-(ISSUE 9) serves per-vertex point lookups through the
-:mod:`repro.lca` query layer — probe counters per run, ``--verify``
-cross-checks every vertex against one global ``random_greedy_matching``
-oracle run; it too prints an ``error:`` line and exits 1 on an
-out-of-range ``--n``, ``--p`` or ``--queries``.  Whatever the command,
-an input too large for memory prints an ``error:`` line and exits 1
-instead of ending in a traceback.
+{bernoulli,diagonal,bursty,hotspot}`` and ``--seed-batch N``, which
+runs N seed lanes per scheduler as one seed-axis batched execution
+and prints each metric as a mean ± 95% CI over the lanes.  ``lca``
+serves per-vertex point lookups through the :mod:`repro.lca` query
+layer — probe counters per run, ``--verify`` cross-checks every vertex
+against one global ``random_greedy_matching`` oracle run.  Out-of-range
+flags print an ``error:`` line and exit 1, and so does, whatever the
+command, an input too large for memory, instead of ending in a
+traceback.
 """
 
 from __future__ import annotations
@@ -131,10 +123,10 @@ def cmd_generic(args) -> int:
                   (args.k >= 1, f"--k must be >= 1, got {args.k}")):
         return 1
     g = gnp_random(args.n, args.p, seed=args.seed)
-    m, stats = generic_mcm(g, k=args.k, seed=args.seed, backend=args.backend,
+    m, stats = generic_mcm(g, k=args.k, seed=args.seed, backend="array",
                            keep_views=False)
     opt = maximum_matching_size(g)
-    print(f"G(n,p): {g.n} vertices, {g.m} edges ({args.backend} backend)")
+    print(f"G(n,p): {g.n} vertices, {g.m} edges")
     _print_result(f"generic_mcm (Thm 3.1, k={args.k})", len(m), opt, stats.result)
     print(f"  conflict graph sizes per phase: {stats.conflict_sizes}")
     return 0
@@ -149,12 +141,9 @@ def cmd_weighted(args) -> int:
     g = assign_uniform_weights(
         gnp_random(args.n, args.p, seed=args.seed), seed=args.seed
     )
-    m, res, iters = weighted_mwm(
-        g, eps=args.eps, seed=args.seed, backend=args.backend
-    )
+    m, res, iters = weighted_mwm(g, eps=args.eps, seed=args.seed, backend="array")
     opt = maximum_matching_weight(g)
-    print(f"weighted G(n,p): {g.n} vertices, {g.m} edges "
-          f"({args.backend} backend)")
+    print(f"weighted G(n,p): {g.n} vertices, {g.m} edges")
     _print_result(f"weighted_mwm (Thm 4.5, eps={args.eps})", m.weight(), opt, res)
     print(f"  black-box iterations: {iters}")
     return 0
@@ -167,15 +156,17 @@ def _cmd_baselines_faulted(args, g, plan) -> int:
     the table to the fault-adaptive algorithm and adds what matters
     under faults: the injected-fault counters and the degradation
     oracle's verdict (symmetric matching validity, widows, maximality
-    on the survivor subgraph).
+    on the survivor subgraph).  A delayed message crosses the array
+    program's phase boundaries, so only a plan with message delay runs
+    on the generator.
     """
     from repro.matching.certify import certify_degraded_matching
 
-    print(f"G(n,p): {g.n} vertices, {g.m} edges "
-          f"({args.backend} backend; faults: {plan.describe()})")
+    print(f"G(n,p): {g.n} vertices, {g.m} edges (faults: {plan.describe()})")
     try:
         m, res = israeli_itai_matching(
-            g, seed=args.seed, backend=args.backend, faults=plan
+            g, seed=args.seed, faults=plan,
+            backend="generator" if plan.delay > 0 else "array",
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -219,13 +210,13 @@ def cmd_baselines(args) -> int:
     opt = maximum_matching_size(g)
     wopt = maximum_matching_weight(gw)
     rows = []
-    ii, res = israeli_itai_matching(g, seed=args.seed, backend=args.backend)
+    ii, res = israeli_itai_matching(g, seed=args.seed, backend="array")
     rows.append(["Israeli-Itai (1/2-MCM)", len(ii), opt, _ratio(len(ii), opt),
                  res.rounds])
-    lm, res = lps_mwm(gw, seed=args.seed, backend=args.backend)
+    lm, res = lps_mwm(gw, seed=args.seed, backend="array")
     rows.append(["LPS-style (1/4-MWM)", round(lm.weight(), 1), round(wopt, 1),
                  _ratio(lm.weight(), wopt), res.rounds])
-    li, res = lps_interleaved_mwm(gw, seed=args.seed, backend=args.backend)
+    li, res = lps_interleaved_mwm(gw, seed=args.seed, backend="array")
     rows.append(["LPS interleaved", round(li.weight(), 1), round(wopt, 1),
                  _ratio(li.weight(), wopt), res.rounds])
     hm, res = hoepman_mwm(gw)
@@ -249,7 +240,6 @@ def cmd_switch(args) -> int:
         bursty,
         diagonal,
         hotspot,
-        run_switch,
         run_switch_vectorized,
     )
 
@@ -307,19 +297,13 @@ def cmd_switch(args) -> int:
         return 0
     rows = []
     for name, factory in schedulers:
-        if args.engine == "vectorized":
-            st = run_switch_vectorized(
-                args.ports, make_traffic(args.seed), factory(args.seed),
-                slots=args.slots, warmup=args.slots // 5,
-            )
-        else:
-            st = run_switch(
-                args.ports, make_traffic(args.seed), factory(args.seed),
-                slots=args.slots, warmup=args.slots // 5,
-            )
+        st = run_switch_vectorized(
+            args.ports, make_traffic(args.seed), factory(args.seed),
+            slots=args.slots, warmup=args.slots // 5,
+        )
         rows.append([name, st.throughput, st.mean_delay, st.backlog])
     print(f"{args.ports}x{args.ports} switch at load {args.load} "
-          f"({args.traffic} traffic, {args.engine} engine):")
+          f"({args.traffic} traffic):")
     print(format_table(["scheduler", "throughput", "mean delay", "backlog"], rows))
     return 0
 
@@ -377,30 +361,18 @@ def cmd_scenarios(args) -> int:
         scenario_table,
     )
 
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 1
-    if args.repeats < 1:
-        print(f"error: --repeats must be >= 1, got {args.repeats}", file=sys.stderr)
-        return 1
-    if args.size < 8:
-        print(f"error: --size must be >= 8, got {args.size}", file=sys.stderr)
-        return 1
-    if args.seed_batch is not None and args.seed_batch < 1:
-        print(f"error: --seed-batch must be >= 1, got {args.seed_batch}",
-              file=sys.stderr)
-        return 1
-    if args.max_retries < 0:
-        print(f"error: --max-retries must be >= 0, got {args.max_retries}",
-              file=sys.stderr)
-        return 1
-    if args.timeout is not None and not 0 < args.timeout <= threading.TIMEOUT_MAX:
-        print(f"error: --timeout must be in (0, {threading.TIMEOUT_MAX:g}] "
-              f"seconds, got {args.timeout}", file=sys.stderr)
-        return 1
-    if args.resume and not args.out:
-        print("error: --resume needs --out (the artifact to resume from)",
-              file=sys.stderr)
+    if _bad_flags(
+        (args.workers >= 1, f"--workers must be >= 1, got {args.workers}"),
+        (args.repeats >= 1, f"--repeats must be >= 1, got {args.repeats}"),
+        (args.size >= 8, f"--size must be >= 8, got {args.size}"),
+        (args.max_retries >= 0,
+         f"--max-retries must be >= 0, got {args.max_retries}"),
+        (args.timeout is None or 0 < args.timeout <= threading.TIMEOUT_MAX,
+         f"--timeout must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+         f"got {args.timeout}"),
+        (not args.resume or args.out,
+         "--resume needs --out (the artifact to resume from)"),
+    ):
         return 1
     scenarios = args.family or None
     algos = args.algo or None
@@ -422,8 +394,6 @@ def cmd_scenarios(args) -> int:
             seeds=range(args.seed, args.seed + args.repeats),
             workers=args.workers,
             artifact=args.out,
-            backend=args.backend,
-            seed_batch=args.seed_batch,
             max_retries=args.max_retries,
             timeout=args.timeout,
             resume=args.resume,
@@ -470,8 +440,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_file(args) -> int:
+    kmin = 3 if args.algo == "general" else 1  # Algorithm 4 needs k >= 3
     if _bad_flags(
-        (args.k >= 1, f"--k must be >= 1, got {args.k}"),
+        (args.k >= kmin, f"--k must be >= {kmin}, got {args.k}"),
         (0 < args.eps < 1, f"--eps must be in (0, 1), got {args.eps}"),
     ):
         return 1
@@ -491,14 +462,14 @@ def cmd_file(args) -> int:
         opt = len(hopcroft_karp(g, part[0]))
         _print_result(f"bipartite_mcm (k={args.k})", len(m), opt, res)
     elif args.algo == "general":
-        m, res, _ = general_mcm(g, k=max(args.k, 3), seed=args.seed)
+        m, res, _ = general_mcm(g, k=args.k, seed=args.seed)
         opt = maximum_matching_size(g)
-        _print_result(f"general_mcm (k={max(args.k, 3)})", len(m), opt, res)
+        _print_result(f"general_mcm (k={args.k})", len(m), opt, res)
     else:  # weighted
         if not g.weighted:
             print("error: weighted algorithm needs edge weights", file=sys.stderr)
             return 1
-        m, res, _ = weighted_mwm(g, eps=args.eps, seed=args.seed)
+        m, res, _ = weighted_mwm(g, eps=args.eps, seed=args.seed, backend="array")
         opt = maximum_matching_weight(g)
         _print_result(f"weighted_mwm (eps={args.eps})", m.weight(), opt, res)
     return 0
@@ -517,12 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=float, default=pdef, help="edge probability")
         sp.add_argument("--seed", type=int, default=0)
 
-    def backend_opt(sp):
-        sp.add_argument(
-            "--backend", choices=("generator", "array"), default="generator",
-            help="execution engine (seed-identical results either way)",
-        )
-
     sp = sub.add_parser("bipartite", help="Theorem 3.8 on a random bipartite graph")
     common(sp)
     sp.add_argument("--k", type=int, default=3, help="guarantee 1-1/k")
@@ -536,18 +501,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("generic", help="Theorem 3.1 on G(n,p) (LOCAL model)")
     common(sp, n=30, pdef=0.1)
     sp.add_argument("--k", type=int, default=2)
-    backend_opt(sp)
     sp.set_defaults(fn=cmd_generic)
 
     sp = sub.add_parser("weighted", help="Theorem 4.5 on weighted G(n,p)")
     common(sp, n=50, pdef=0.1)
     sp.add_argument("--eps", type=float, default=0.1)
-    backend_opt(sp)
     sp.set_defaults(fn=cmd_weighted)
 
     sp = sub.add_parser("baselines", help="run all prior-work baselines")
     common(sp, n=80, pdef=0.06)
-    backend_opt(sp)
     sp.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="inject a deterministic fault plan, e.g. "
@@ -571,15 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="traffic model feeding the switch",
     )
     sp.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default="vectorized",
-        help="cell-slot loop implementation (stats are byte-identical; "
-             "vectorized is the long-horizon path)",
-    )
-    sp.add_argument(
         "--seed-batch", type=int, default=None, metavar="N",
         help="run N seed lanes per scheduler as one batched execution "
              "and report mean ± 95%% CI per metric (lanes are seeds "
-             "--seed .. --seed+N-1; overrides --engine)",
+             "--seed .. --seed+N-1)",
     )
     sp.set_defaults(fn=cmd_switch)
 
@@ -596,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None, help="stream JSONL records here")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
-        "--seed-batch", type=int, default=None, metavar="K",
-        help="dispatch each cell's seeds in chunks of K (one task per "
-             "chunk instead of one call per seed); records are identical",
-    )
-    sp.add_argument(
         "--max-retries", type=int, default=0, metavar="N",
         help="re-run a failed cell up to N times (exponential backoff) "
              "before recording it as an error",
@@ -616,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
              "artifact from an earlier run; only failed and missing "
              "cells re-run",
     )
-    backend_opt(sp)
     sp.set_defaults(fn=cmd_scenarios)
 
     sp = sub.add_parser(

@@ -626,7 +626,7 @@ def run_program_batched(
     return net.run(max_rounds=max_rounds)
 
 
-#: Backend registry — the seam layer 4 routes ``--backend`` through.
+#: Backend registry — the names every algorithm's ``backend=`` accepts.
 BACKENDS: dict[str, type] = {
     "generator": GeneratorBackend,
     "array": BatchedArrayBackend,

@@ -37,12 +37,13 @@ seeded streams (their old forms were inherently one-edge-at-a-time);
 the affected goldens were recaptured, per the PR 6 precedent.  When a
 shared ``np.random.Generator`` instance is passed instead of an int
 seed, block drawing may consume more raw draws than the scalar loops
-did — the produced graph is unaffected, but the generator's subsequent
-state can differ.
+did, as many more as the last block's unused tail — the produced graph
+is unaffected, but the generator's subsequent state can differ.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -123,12 +124,15 @@ def gnp_random(n: int, p: float, seed: int | np.random.Generator | None = 0) -> 
     large sparse instances are cheap.  Streamed: the Geometric(p) gaps
     are drawn in blocks (``rng.random`` fills arrays from the same
     uniform stream the scalar loop consumed, so the produced graph is
-    bit-identical for integer seeds), cumulative-summed into edge
-    ranks, and unranked block by block by a generator that
-    :meth:`Graph.from_edge_chunks` drains, so each int64 block is
-    compacted and dropped before the next one is drawn.  A graph whose
-    expected size cannot be held raises :class:`MemoryError` before
-    anything is drawn.
+    bit-identical for integer seeds, whatever the block sizes),
+    cumulative-summed into edge ranks, and unranked block by block by a
+    generator that :meth:`Graph.from_edge_chunks` drains, so each int64
+    block is compacted and dropped before the next one is drawn.  The
+    first block covers the expected edge count plus six standard
+    deviations, so a small graph draws about as many uniforms as it
+    has edges; later blocks are ``_CHUNK`` long.  A graph whose expected
+    size cannot be held raises :class:`MemoryError` before anything is
+    drawn.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
@@ -150,10 +154,12 @@ def gnp_random(n: int, p: float, seed: int | np.random.Generator | None = 0) -> 
 
     def _chunks():
         last = -1  # rank of the previously emitted edge
+        block = min(_CHUNK, m + 6 * math.isqrt(m + 1) + 64)
         while True:
             gaps = 1 + np.floor(
-                np.log(1.0 - rng.random(_CHUNK)) / lp
+                np.log(1.0 - rng.random(block)) / lp
             ).astype(np.int64)
+            block = _CHUNK
             ranks = last + np.cumsum(gaps)
             done = bool(ranks[-1] >= total)
             if done:

@@ -15,7 +15,7 @@ duplicate check's edge keys, then the half-edges' packed keys):
   live at positions ``indptr[v]:indptr[v+1]``;
 * ``indices`` — ``index_dtype[2m]``; the neighbor at each half-edge slot;
 * ``eids`` — ``index_dtype[2m]``; the edge id at each half-edge slot;
-* ``weights`` — ``weight_dtype[m]`` or ``None`` (unweighted).
+* ``weights`` — ``float64[m]`` or ``None`` (unweighted).
 
 **Compact index dtype (the scale tier).**  ``index_dtype`` is selected
 automatically: ``int32`` whenever both ``n`` and ``2m`` fit (i.e.
@@ -33,10 +33,8 @@ endpoint pair above it, so any vertex count int64 holds is validated
 correctly.  Algorithm results are
 byte-identical under either tier — consumers treat the CSR arrays as
 dtype-agnostic indexers — which the golden suite asserts under the
-:func:`forced_index_dtype` test hook.  ``weight_dtype`` stays
-``float64`` by default (weight arithmetic feeds byte-identical
-RunResults); ``float32`` is an explicit opt-in for memory-bound
-workloads that do not require the pinned semantics.
+:func:`forced_index_dtype` test hook.  Weights are always ``float64``:
+weight arithmetic feeds byte-identical RunResults.
 
 **Port-numbering invariant.**  Within vertex ``v``'s CSR slice, half-
 edges appear in *edge-insertion order* — the position of a half-edge in
@@ -101,7 +99,6 @@ PACKED_KEY_LIMIT = 1 << 32
 _HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 _INDEX_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
-_WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 #: When set (via :func:`forced_index_dtype`), overrides the automatic
 #: index-dtype selection for constructions that do not pass an explicit
@@ -279,9 +276,6 @@ class Graph:
         ``None`` (the default) auto-selects the compact tier (module
         docstring); an explicit dtype that cannot address the graph
         raises ``ValueError``.
-    weight_dtype:
-        Storage dtype for the weights (``float64`` default; ``float32``
-        is a memory-bound opt-in without the byte-identity pin).
     """
 
     __slots__ = (
@@ -300,7 +294,6 @@ class Graph:
         "_nbr_sets",
         "_max_degree",
         "_unit_weights",
-        "_weight_dtype",
         "_edge_key_sorted",
         "_edge_key_order",
     )
@@ -312,7 +305,6 @@ class Graph:
         weights: Sequence[float] | np.ndarray | None = None,
         *,
         index_dtype: object = None,
-        weight_dtype: object = None,
     ) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -331,27 +323,18 @@ class Graph:
         if m:
             self._validate_topology(earr, u, v, lo, hi)
         self._lo, self._hi = lo, hi
-        if weight_dtype is None:
-            wdt = np.dtype(np.float64)
-        else:
-            wdt = np.dtype(weight_dtype)
-            if wdt not in _WEIGHT_DTYPES:
-                raise ValueError(
-                    f"weight_dtype must be float32 or float64, got {wdt}"
-                )
-        self._weight_dtype = wdt
-        warr = None if weights is None else self._checked_weights(weights, wdt)
+        warr = None if weights is None else self._checked_weights(weights)
         self._set_arrays(*_csr_arrays(n, earr, idt), warr)
 
     def _checked_weights(
-        self, weights: Sequence[float] | np.ndarray, wdt: np.dtype
+        self, weights: Sequence[float] | np.ndarray
     ) -> np.ndarray:
-        """A private copy of ``weights`` for this graph's ``m`` edges.
+        """A private float64 copy of ``weights`` for this graph's ``m`` edges.
 
         Rejects a wrong shape or count and any weight that is not
         positive and finite, naming the edge by this graph's endpoints.
         """
-        warr = np.array(weights, dtype=wdt)
+        warr = np.array(weights, dtype=np.float64)
         if warr.ndim != 1:
             raise ValueError(f"weights must be 1-D, got shape {warr.shape}")
         if len(warr) != self.m:
@@ -376,8 +359,8 @@ class Graph:
     ) -> None:
         """Freeze the CSR triple and weights; reset the lazy caches.
 
-        ``n``, ``m``, ``_lo``, ``_hi`` and ``_weight_dtype`` are set by
-        the caller, which also owns every validity check.
+        ``n``, ``m``, ``_lo`` and ``_hi`` are set by the caller, which
+        also owns every validity check.
         """
         self._indptr, self._indices, self._eids = indptr, indices, eids
         self._weights: np.ndarray | None = weights
@@ -446,7 +429,6 @@ class Graph:
         weight_chunks: Iterable[np.ndarray] | None = None,
         *,
         index_dtype: object = None,
-        weight_dtype: object = None,
     ) -> "Graph":
         """Build a graph from a stream of ``(k, 2)`` edge-array chunks.
 
@@ -491,16 +473,10 @@ class Graph:
         del parts  # the build's peak must not hold the edges twice
         weights: np.ndarray | None = None
         if weight_chunks is not None:
-            wdt = np.dtype(np.float64) if weight_dtype is None else np.dtype(weight_dtype)
-            wparts = [np.asarray(w, dtype=wdt) for w in weight_chunks]
+            wparts = [np.asarray(w, dtype=np.float64) for w in weight_chunks]
             wparts = [w for w in wparts if w.size]
-            weights = (
-                np.concatenate(wparts) if wparts else np.empty(0, dtype=wdt)
-            )
-        return cls(
-            n, earr, weights,
-            index_dtype=index_dtype, weight_dtype=weight_dtype,
-        )
+            weights = np.concatenate(wparts) if wparts else np.empty(0)
+        return cls(n, earr, weights, index_dtype=index_dtype)
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -515,11 +491,6 @@ class Graph:
     def index_dtype(self) -> np.dtype:
         """Storage dtype of the CSR index arrays (int32 or int64)."""
         return self._indptr.dtype
-
-    @property
-    def weight_dtype(self) -> np.dtype:
-        """Storage dtype of the edge weights (float32 or float64)."""
-        return self._weight_dtype
 
     def vertices(self) -> range:
         """All vertices as a range."""
@@ -636,10 +607,10 @@ class Graph:
         return self._lo, self._hi
 
     def weights_array(self) -> np.ndarray:
-        """Edge weights as ``weight_dtype[m]`` (ones when unweighted), read-only."""
+        """Edge weights as ``float64[m]`` (ones when unweighted), read-only."""
         if self._weights is None:
             if self._unit_weights is None:
-                ones = np.ones(self.m, dtype=self._weight_dtype)
+                ones = np.ones(self.m)
                 ones.setflags(write=False)
                 self._unit_weights = ones
             return self._unit_weights
@@ -790,9 +761,7 @@ class Graph:
         weights = None
         if self._weights is not None:
             weights = self._weights[eids]
-        return Graph(self.n, edges, weights,
-                     index_dtype=self.index_dtype,
-                     weight_dtype=self._weight_dtype if weights is not None else None)
+        return Graph(self.n, edges, weights, index_dtype=self.index_dtype)
 
     def support_subgraph(self, eids: np.ndarray) -> tuple["Graph", np.ndarray]:
         """The edges ``eids`` on just their endpoints, relabeled in order.
@@ -828,7 +797,6 @@ class Graph:
         sub.n, sub.m = int(vertices.size), int(eids.size)
         sub._lo = relabel[lo].astype(idt)
         sub._hi = relabel[hi].astype(idt)
-        sub._weight_dtype = self._weight_dtype
         sub._set_arrays(
             np.append(before[self._indptr[vertices]], before[-1]).astype(idt),
             relabel[self._indices[keep]].astype(idt),
@@ -844,8 +812,7 @@ class Graph:
         arrays (so the index tier carries over across Algorithm 5's
         re-weighting iterations); only the weights are checked.
         """
-        wdt = np.dtype(np.float64)
-        return self._reweighted(self._checked_weights(weights, wdt))
+        return self._reweighted(self._checked_weights(weights))
 
     def unweighted(self) -> "Graph":
         """Same topology without weights (shares the CSR arrays)."""
@@ -854,7 +821,6 @@ class Graph:
     def _reweighted(self, weights: np.ndarray | None) -> "Graph":
         g = Graph.__new__(Graph)
         g.n, g.m, g._lo, g._hi = self.n, self.m, self._lo, self._hi
-        g._weight_dtype = np.dtype(np.float64)
         g._set_arrays(self._indptr, self._indices, self._eids, weights)
         return g
 

@@ -48,6 +48,12 @@ from repro.switch.fabric import SwitchStats, out_of_range
 from repro.switch.simulator import _check_horizon, _check_ports
 from repro.switch.traffic import BatchedChunkedTraffic, ChunkedTraffic
 
+#: Slots of traffic drawn, scheduled and checked per chunk: one
+#: ``(lanes, CHUNK_SLOTS, ports)`` destination block at a time.  Results
+#: do not depend on it; tests lower it to put chunk boundaries inside
+#: short runs.
+CHUNK_SLOTS = 2048
+
 
 def _chunk_events(block: np.ndarray, ports: int):
     """Flat slot-major arrival events for one batched traffic chunk.
@@ -118,7 +124,6 @@ def run_switch_vectorized(
     scheduler,
     slots: int,
     warmup: int = 0,
-    chunk_slots: int = 2048,
 ) -> SwitchStats:
     """Simulate ``slots`` cell slots of one seed: a one-lane batch.
 
@@ -136,8 +141,7 @@ def run_switch_vectorized(
             "(every repro.switch.traffic model returns one)"
         )
     return run_switch_batched(
-        ports, [traffic], [scheduler], slots, warmup=warmup,
-        chunk_slots=chunk_slots,
+        ports, [traffic], [scheduler], slots, warmup=warmup
     )[0]
 
 
@@ -147,7 +151,6 @@ def run_switch_batched(
     schedulers,
     slots: int,
     warmup: int = 0,
-    chunk_slots: int = 2048,
 ) -> list[SwitchStats]:
     """Simulate every seed lane in one execution.
 
@@ -174,8 +177,6 @@ def run_switch_batched(
     if ports < 1:
         raise ValueError("need at least one port")
     _check_horizon(slots, warmup)
-    if chunk_slots < 1:
-        raise ValueError("chunk_slots must be >= 1")
     schedulers = list(schedulers)
     num_seeds = len(schedulers)
     if num_seeds < 1:
@@ -263,7 +264,7 @@ def run_switch_batched(
 
     slot = 0
     while slot < horizon:
-        count = min(chunk_slots, horizon - slot)
+        count = min(CHUNK_SLOTS, horizon - slot)
         block = traffic.chunk(count)  # (num_seeds, count, ports)
         _, aflat, bounds = _chunk_events(block, ports)
         # per-lane in-window arrival totals: one bincount per chunk
@@ -351,8 +352,7 @@ def run_switch_batched(
     arr_slot_sum = np.zeros(num_seeds, dtype=np.int64)
     if departures.any():
         arr_slot_sum = _replay_arrival_slots(
-            traffic.clone(), ports, horizon, chunk_slots,
-            dep_cnt_window, dep_cnt,
+            traffic.clone(), ports, horizon, dep_cnt_window, dep_cnt
         )
 
     return [
@@ -373,7 +373,6 @@ def _replay_arrival_slots(
     replay: BatchedChunkedTraffic,
     ports: int,
     horizon: int,
-    chunk_slots: int,
     lo: np.ndarray,
     hi: np.ndarray,
 ) -> np.ndarray:
@@ -394,7 +393,7 @@ def _replay_arrival_slots(
     lane_edges = np.arange(num_seeds + 1, dtype=np.int64) * cell
     slot = 0
     while slot < horizon:
-        count = min(chunk_slots, horizon - slot)
+        count = min(CHUNK_SLOTS, horizon - slot)
         er, keys, _ = _chunk_events(replay.chunk(count), ports)
         if keys.size:
             # ordering by (key, slot) via a composite lets the default

@@ -16,7 +16,9 @@ from repro.analysis import (
     scenario_matrix,
     scenario_table,
 )
-from repro.core import generic_mcm
+from repro.baselines import lps_mwm
+from repro.core import generic_mcm, kopt_mwm, weighted_mwm
+from repro.graphs.weights import assign_uniform_weights
 
 NEW_FAMILIES = [
     "barabasi_albert",
@@ -55,17 +57,25 @@ class TestCrossAlgorithmInvariants:
         assert rec["ok"] == 1.0, rec
 
 
-class TestBackendRouting:
-    def test_array_backend_identical_records(self):
-        # generic_mcm has an array port; values must not depend on it.
-        gen = run_scenario_cell("comb", "generic_mcm", size=12, seed=1)
-        arr = run_scenario_cell(
-            "comb", "generic_mcm", size=12, seed=1, backend="array"
-        )
-        assert arr.pop("array_backend") == 1.0
-        assert gen.pop("array_backend") == 0.0
-        assert gen == arr
+#: The generator-backend library call each array-run cell must equal.
+REFERENCE = {
+    "generic_mcm": lambda g, seed: float(len(generic_mcm(
+        g, k=2, seed=seed, backend="generator", keep_views=False
+    )[0])),
+    "weighted_mwm": lambda g, seed: weighted_mwm(
+        assign_uniform_weights(g, seed=seed), eps=0.1, seed=seed,
+        backend="generator",
+    )[0].weight(),
+    "lps_mwm": lambda g, seed: lps_mwm(
+        assign_uniform_weights(g, seed=seed), seed=seed, backend="generator"
+    )[0].weight(),
+    "kopt_mwm": lambda g, seed: kopt_mwm(
+        assign_uniform_weights(g, seed=seed), k=2, backend="generator"
+    )[0].weight(),
+}
 
+
+class TestBackendRouting:
     def test_generic_cell_builds_no_views(self, monkeypatch):
         # The cell reads the matching only; views would be dead weight.
         import repro.analysis.scenarios as scenarios
@@ -80,35 +90,27 @@ class TestBackendRouting:
         run_scenario_cell("comb", "generic_mcm", size=12, seed=1)
         assert [c.get("keep_views") for c in calls] == [False]
 
-    def test_unported_algo_falls_back_to_generator(self):
-        rec = run_scenario_cell(
-            "gnp", "general_mcm", size=12, seed=0, backend="array"
-        )
-        assert rec["array_backend"] == 0.0
-        assert rec["fallback_algo"] == "general_mcm"
-        assert rec["ok"] == 1.0
+    @pytest.mark.parametrize("family", ["gnp", "barabasi_albert"])
+    @pytest.mark.parametrize("algo", sorted(REFERENCE))
+    def test_array_program_equals_the_generator_reference(
+        self, monkeypatch, family, algo
+    ):
+        import repro.analysis.scenarios as scenarios
 
-    def test_weighted_rows_run_on_the_array_backend(self):
-        # ISSUE 5: the weighted rows no longer fall back.
-        for algo in ("weighted_mwm", "lps_mwm", "kopt_mwm"):
-            rec = run_scenario_cell("gnp", algo, size=12, seed=0, backend="array")
-            assert rec["array_backend"] == 1.0, algo
-            assert "fallback_algo" not in rec, algo
-            assert rec["ok"] == 1.0, algo
-            ref = run_scenario_cell("gnp", algo, size=12, seed=0)
-            assert rec["value"] == ref["value"] and rec["ratio"] == ref["ratio"]
+        backends = []
+        real = getattr(scenarios, algo)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_scenario_cell("gnp", "generic_mcm", size=12, backend="nope")
+        def spy(*args, **kwargs):
+            backends.append(kwargs.get("backend"))
+            return real(*args, **kwargs)
 
-    def test_matrix_records_backend_in_params(self):
-        results = scenario_matrix(
-            scenarios=["comb"], algos=["generic_mcm"], size=12,
-            seeds=[0], workers=1, backend="array",
-        )
-        assert results[0].params["backend"] == "array"
-        assert results[0].records[0]["ok"] == 1.0
+        monkeypatch.setattr(scenarios, algo, spy)
+        for seed in (0, 1):
+            rec = run_scenario_cell(family, algo, size=14, seed=seed)
+            g = build_scenario(family, 14, seed)
+            assert rec["value"] == REFERENCE[algo](g, seed), seed
+            assert rec["ok"] == 1.0
+        assert backends == ["array", "array"]
 
 
 class TestMatrix:

@@ -4,9 +4,8 @@
 to a batch-aware experiment fn (one process-level task per chunk).  A
 correct batched fn yields records identical to the classic per-seed
 mode for any chunk size and worker count — which these tests assert
-with plain arithmetic fns, with a genuinely batched workload
-(:func:`luby_mis_batched` on a fixed graph), and through the scenario
-matrix / CLI plumbing.
+with plain arithmetic fns and with a genuinely batched workload
+(:func:`luby_mis_batched` on a fixed graph).
 
 The cell functions live at module level because the >1-worker path
 pickles them into the pool.
@@ -17,11 +16,6 @@ import json
 import pytest
 
 from repro.analysis import ParallelRunner
-from repro.analysis.scenarios import (
-    run_scenario_cell,
-    run_scenario_cell_batch,
-    scenario_matrix,
-)
 from repro.baselines.luby_mis import luby_mis_batched
 from repro.graphs import barabasi_albert
 
@@ -128,42 +122,3 @@ class TestSweepSeedBatch:
             luby_cell_batch, [{"n": 30}], seeds=[0, 1, 2, 3], seed_batch=4
         )
         assert _dump(plain) == _dump(batched)
-
-
-class TestScenarioSeedBatch:
-    def test_matrix_records_identical(self):
-        kwargs = dict(
-            scenarios=["gnp", "tree"], algos=["generic_mcm"],
-            size=12, seeds=[0, 1, 2],
-        )
-        plain = scenario_matrix(**kwargs)
-        batched = scenario_matrix(**kwargs, seed_batch=2)
-        assert _dump(plain) == _dump(batched)
-
-    def test_cell_batch_matches_cell(self):
-        recs = run_scenario_cell_batch(
-            [0, 1], "gnp", "generic_mcm", size=12, backend="array"
-        )
-        assert recs == [
-            run_scenario_cell("gnp", "generic_mcm", size=12, seed=s,
-                              backend="array")
-            for s in (0, 1)
-        ]
-
-    def test_cli_seed_batch(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "scenarios", "--size", "12", "--repeats", "2", "--family", "gnp",
-            "--algo", "generic_mcm", "--seed-batch", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "scenario matrix" in out
-
-    def test_cli_rejects_bad_seed_batch(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "scenarios", "--size", "12", "--seed-batch", "0",
-        ]) == 1
-        assert "--seed-batch" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 from repro.core import generic_mcm
 from repro.graphs import Graph, gnp_random, write_edgelist
@@ -156,8 +157,6 @@ class TestCommands:
     def test_generic_builds_no_views(self, monkeypatch, capsys):
         # The command prints counters only: the per-node view frozensets
         # would cost more than the rest of the run.
-        import repro.cli
-
         calls = []
 
         def spy(*args, **kwargs):
@@ -167,34 +166,6 @@ class TestCommands:
         monkeypatch.setattr(repro.cli, "generic_mcm", spy)
         assert main(["generic", "--n", "18", "--k", "2"]) == 0
         assert [c.get("keep_views") for c in calls] == [False]
-
-    def test_generic_array_backend(self, capsys):
-        assert main(["generic", "--n", "18", "--k", "2",
-                     "--backend", "array"]) == 0
-        out = capsys.readouterr().out
-        assert "array backend" in out and "generic_mcm" in out
-
-    def test_generic_backends_agree(self, capsys):
-        assert main(["generic", "--n", "18", "--k", "2"]) == 0
-        gen_out = capsys.readouterr().out
-        assert main(["generic", "--n", "18", "--k", "2",
-                     "--backend", "array"]) == 0
-        arr_out = capsys.readouterr().out
-        # Identical ratio and distributed cost lines, only the banner differs.
-        assert gen_out.splitlines()[1:] == arr_out.splitlines()[1:]
-
-    def test_baselines_array_backend(self, capsys):
-        assert main(["baselines", "--n", "30", "--p", "0.1",
-                     "--backend", "array"]) == 0
-        assert "Israeli-Itai" in capsys.readouterr().out
-
-    def test_scenarios_array_backend(self, capsys):
-        assert main([
-            "scenarios", "--size", "12", "--repeats", "1",
-            "--family", "comb", "--algo", "generic_mcm",
-            "--backend", "array",
-        ]) == 0
-        assert "NO" not in capsys.readouterr().out
 
     def test_scenarios_subset(self, capsys):
         assert main([
@@ -228,6 +199,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: --timeout")
 
+    @pytest.mark.parametrize("flags,msg", [
+        (["--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--repeats", "0"], "--repeats must be >= 1, got 0"),
+        (["--size", "7"], "--size must be >= 8, got 7"),
+        (["--max-retries", "-1"], "--max-retries must be >= 0, got -1"),
+        (["--resume"], "--resume needs --out (the artifact to resume from)"),
+    ])
+    def test_scenarios_rejects_bad_flags(self, capsys, flags, msg):
+        assert main(["scenarios", *flags]) == 1
+        assert capsys.readouterr().err == f"error: {msg}\n"
+
     def test_scenarios_unknown_family(self, capsys):
         assert main(["scenarios", "--family", "bogus"]) == 1
         assert "unknown family" in capsys.readouterr().err
@@ -235,6 +217,83 @@ class TestCommands:
     def test_scenarios_unknown_algo(self, capsys):
         assert main(["scenarios", "--algo", "bogus"]) == 1
         assert "unknown algorithm" in capsys.readouterr().err
+
+
+def _run_spied(monkeypatch, capsys, argv, names, backend=None):
+    """``main(argv)``'s exit code and stdout, and the backend of each call.
+
+    ``names`` are the engine-taking library functions the command calls
+    through ``repro.cli``; ``backend``, when given, replaces the one the
+    command passes them.
+    """
+    used = []
+    with monkeypatch.context() as mp:
+        for name in names:
+            real = getattr(repro.cli, name)
+
+            def spy(*args, _real=real, **kwargs):
+                if backend is not None:
+                    kwargs["backend"] = backend
+                used.append(kwargs.get("backend"))
+                return _real(*args, **kwargs)
+
+            mp.setattr(repro.cli, name, spy)
+        code = main(argv)
+    return code, capsys.readouterr().out, used
+
+
+BASELINE_CALLS = ["israeli_itai_matching", "lps_mwm", "lps_interleaved_mwm"]
+
+
+class TestArrayProgramsMatchTheReference:
+    """Each command runs the array programs and prints what the
+    generator reference prints for the same seed."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("argv,names", [
+        (["generic", "--n", "24"], ["generic_mcm"]),
+        (["weighted", "--n", "30"], ["weighted_mwm"]),
+        (["baselines", "--n", "40"], BASELINE_CALLS),
+        (["baselines", "--n", "40", "--faults", "loss=0.005,crash=2,link=2"],
+         ["israeli_itai_matching"]),
+    ])
+    def test_stdout_equals_the_generator_run(
+        self, monkeypatch, capsys, argv, names, seed
+    ):
+        argv = [*argv, "--seed", str(seed)]
+        code, out, used = _run_spied(monkeypatch, capsys, argv, names)
+        assert code == 0 and used == ["array"] * len(names)
+        assert (code, out) == _run_spied(
+            monkeypatch, capsys, argv, names, backend="generator"
+        )[:2]
+
+    def test_weighted_file_equals_the_generator_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        p = tmp_path / "gw.txt"
+        write_edgelist(
+            assign_uniform_weights(gnp_random(30, 0.15, seed=3), seed=3), p
+        )
+        argv = ["file", str(p), "--algo", "weighted", "--seed", "2"]
+        code, out, used = _run_spied(monkeypatch, capsys, argv, ["weighted_mwm"])
+        assert code == 0 and used == ["array"]
+        assert "weighted_mwm" in out
+        assert (code, out) == _run_spied(
+            monkeypatch, capsys, argv, ["weighted_mwm"], backend="generator"
+        )[:2]
+
+    def test_delay_plan_runs_on_the_generator(self, monkeypatch, capsys):
+        # The array programs cannot represent a delayed message.  (Most
+        # delayed runs stall: a late announcement is never read.  This
+        # graph's run ends.)
+        code, out, used = _run_spied(
+            monkeypatch, capsys,
+            ["baselines", "--n", "20", "--p", "0.05", "--seed", "1",
+             "--faults", "delay=1"],
+            ["israeli_itai_matching"],
+        )
+        assert code == 0 and used == ["generator"]
+        assert "faults injected: 0 dropped, 30 delayed," in out
 
 
 @pytest.mark.parametrize(
@@ -311,6 +370,14 @@ class TestFileCommand:
         write_edgelist(g, p)
         assert main(["file", str(p), "--algo", "bipartite"]) == 1
         assert "not bipartite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_general_rejects_k_below_3(self, tmp_path, capsys, k):
+        # Once silently ran k=3; `general --k` fails the same way.
+        p = tmp_path / "g.txt"
+        write_edgelist(gnp_random(16, 0.2, seed=1), p)
+        assert main(["file", str(p), "--algo", "general", "--k", k]) == 1
+        assert capsys.readouterr().err == f"error: --k must be >= 3, got {k}\n"
 
     def test_weighted_needs_weights(self, tmp_path, capsys):
         g = gnp_random(10, 0.3, seed=2)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graphs.generators as gen_mod
 from repro.graphs import (
+    Graph,
     bipartite_random,
     complete_bipartite,
     complete_graph,
@@ -53,6 +56,88 @@ class TestGnp:
     def test_no_duplicate_or_self_edges(self):
         g = gnp_random(100, 0.2, seed=5)  # Graph() would raise otherwise
         assert all(u < v for u, v in g.edges())
+
+
+def _gnp_fixed_blocks(n, p, seed):
+    """``gnp_random``'s loop with every block 2^18 uniforms long (oracle)."""
+    rng = np.random.default_rng(seed)
+    if p == 0.0 or n < 2:
+        return Graph(n)
+    if p == 1.0:
+        return complete_graph(n)
+    total = n * (n - 1) // 2
+    lp = np.log1p(-p)
+
+    def chunks():
+        last = -1
+        while True:
+            gaps = 1 + np.floor(
+                np.log(1.0 - rng.random(1 << 18)) / lp
+            ).astype(np.int64)
+            ranks = last + np.cumsum(gaps)
+            done = bool(ranks[-1] >= total)
+            if done:
+                ranks = ranks[ranks < total]
+            else:
+                last = int(ranks[-1])
+            if ranks.size:
+                u, v = gen_mod._unrank_edges(n, ranks)
+                yield np.stack([u, v], axis=1)
+            if done:
+                return
+
+    return Graph.from_edge_chunks(n, chunks())
+
+
+def _assert_same_graph(g, h):
+    """Byte-equal CSR and endpoint arrays, dtypes included."""
+    for a, b in zip(g.adjacency_arrays() + g.endpoints_array(),
+                    h.adjacency_arrays() + h.endpoints_array()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# Below about p = 1e-17 the int64 cast of a gap overflows, in both loops
+# alike, and the stream never ends; that defect does not depend on the
+# block sizes these tests are about.
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0))
+
+
+class TestGnpBlockSizes:
+    """The first block is sized from the expected edge count; the graph
+    is the one fixed 2^18-uniform blocks give."""
+
+    @given(n=st.integers(0, 300), p=probabilities,
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_fixed_blocks(self, n, p, seed):
+        _assert_same_graph(gnp_random(n, p, seed=seed),
+                           _gnp_fixed_blocks(n, p, seed))
+
+    @given(n=st.integers(2, 120), p=probabilities,
+           seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 64))
+    @settings(max_examples=80, deadline=None)
+    def test_short_blocks_equal_fixed_blocks(self, n, p, seed, chunk):
+        # A small block size makes the first block run short and later
+        # ones get drawn, at sizes a test can afford.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gen_mod, "_CHUNK", chunk)
+            g = gnp_random(n, p, seed=seed)
+        _assert_same_graph(g, _gnp_fixed_blocks(n, p, seed))
+
+    def test_a_full_first_block_runs_short(self):
+        # ~2.9e5 expected edges: the first block is 2^18 uniforms and a
+        # second one is drawn.
+        g = gnp_random(800, 0.9, seed=2)
+        assert g.m > 1 << 18
+        _assert_same_graph(g, _gnp_fixed_blocks(800, 0.9, 2))
+
+    def test_small_graph_draws_its_sized_block(self):
+        # 93 expected edges: one block of 93 + 6*isqrt(94) + 64 uniforms.
+        rng = np.random.default_rng(5)
+        gnp_random(40, 0.12, seed=rng)
+        ref = np.random.default_rng(5)
+        ref.random(93 + 6 * 9 + 64)
+        assert rng.random() == ref.random()
 
 
 class TestGnm:

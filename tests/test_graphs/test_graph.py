@@ -365,7 +365,7 @@ class TestStructure:
         w[0] = 99.0  # the graph keeps its own read-only copy
         assert h.weights_array().tolist() == [2.5, 1.0, 7.0, 3.0]
         assert not h.weights_array().flags.writeable
-        assert h.weight_dtype == np.dtype(np.float64)
+        assert h.weights_array().dtype == np.float64
 
     @pytest.mark.parametrize("bad", [
         [1.0, 2.0], [[1.0, 2.0, 3.0]], [1.0, 0.0, 3.0], [1.0, 2.0, -1.0],

@@ -63,16 +63,6 @@ class TestIndexDtypeSelection:
         with pytest.raises(ValueError, match="int32 or int64"):
             Graph(5, [(0, 1)], index_dtype=np.int16)
 
-    def test_invalid_weight_dtype_rejected(self):
-        with pytest.raises(ValueError, match="float32 or float64"):
-            Graph(5, [(0, 1)], [2.0], weight_dtype=np.float16)
-
-    def test_float32_weights_opt_in(self):
-        g = Graph(5, [(0, 1), (2, 3)], [1.5, 2.5], weight_dtype=np.float32)
-        assert g.weight_dtype == np.dtype(np.float32)
-        assert g.weights_array().dtype == np.float32
-        assert g.weight(0, 1) == 1.5
-
     def test_promotion_past_n_boundary(self, monkeypatch):
         # With the limit pinned to 6: n=6 still fits int32, n=7 promotes.
         monkeypatch.setattr(graph_mod, "INT32_INDEX_LIMIT", 6)

@@ -26,6 +26,7 @@ from repro.switch import (
     run_switch,
     run_switch_batched,
 )
+from repro.switch import engine
 from repro.switch.schedulers import MaxSizeScheduler
 from repro.switch.traffic import BatchedChunkedTraffic
 
@@ -61,14 +62,15 @@ def sequential(tname, sname, seeds=SEEDS, slots=120, warmup=30):
 
 
 def batched(tname, sname, seeds=SEEDS, slots=120, warmup=30, chunk_slots=37):
-    return run_switch_batched(
-        PORTS,
-        batched_traffic(TRAFFIC[tname], seeds),
-        [SCHEDULERS[sname](s) for s in seeds],
-        slots=slots,
-        warmup=warmup,
-        chunk_slots=chunk_slots,
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CHUNK_SLOTS", chunk_slots)
+        return run_switch_batched(
+            PORTS,
+            batched_traffic(TRAFFIC[tname], seeds),
+            [SCHEDULERS[sname](s) for s in seeds],
+            slots=slots,
+            warmup=warmup,
+        )
 
 
 @pytest.mark.parametrize("tname", sorted(TRAFFIC))
@@ -88,7 +90,7 @@ class TestBatchingInvariants:
                 "bernoulli", "greedy", chunk_slots=chunk
             ) == reference
 
-    def test_mixed_per_lane_loads(self):
+    def test_mixed_per_lane_loads(self, monkeypatch):
         """Lanes may run different models/loads; identity is per lane."""
         lane_specs = [
             bernoulli_uniform(PORTS, 0.3, seed=1),
@@ -103,8 +105,9 @@ class TestBatchingInvariants:
             hotspot(PORTS, 0.4, hot_fraction=0.5, seed=4),
         ]
         scheds = [GreedyMaximalScheduler(PORTS, seed=s) for s in range(4)]
+        monkeypatch.setattr(engine, "CHUNK_SLOTS", 41)
         bat = run_switch_batched(
-            PORTS, lane_specs, scheds, slots=150, warmup=20, chunk_slots=41
+            PORTS, lane_specs, scheds, slots=150, warmup=20
         )
         seq = [
             run_switch(
@@ -120,18 +123,19 @@ class TestBatchingInvariants:
         bat = batched("bursty", "pim", seeds=[5])
         assert bat == sequential("bursty", "pim", seeds=[5])
 
-    def test_scheduler_state_carries_over(self):
+    def test_scheduler_state_carries_over(self, monkeypatch):
         """A batched run leaves each scheduler where sequential runs do.
 
         Running the same scheduler objects through a second (scalar)
         run must match two back-to-back scalar runs — the tape matrix /
         pointer state is written back per lane on finalize.
         """
+        monkeypatch.setattr(engine, "CHUNK_SLOTS", 29)
         for sname in ("greedy", "pim", "islip"):
             scheds = [SCHEDULERS[sname](s) for s in SEEDS]
             run_switch_batched(
                 PORTS, batched_traffic(TRAFFIC["bernoulli"], SEEDS),
-                scheds, slots=90, warmup=10, chunk_slots=29,
+                scheds, slots=90, warmup=10,
             )
             second_after_batched = [
                 run_switch(

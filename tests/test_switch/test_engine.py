@@ -26,6 +26,7 @@ from repro.switch import (
     run_switch_batched,
     run_switch_vectorized,
 )
+from repro.switch import engine
 from repro.switch.schedulers import MaxSizeScheduler
 
 PORTS = 8
@@ -51,18 +52,19 @@ SCHEDULERS = {
 @pytest.mark.parametrize("tname", sorted(TRAFFIC))
 @pytest.mark.parametrize("sname", sorted(SCHEDULERS))
 class TestIdentity:
-    def test_identical_stats(self, tname, sname):
+    def test_identical_stats(self, tname, sname, monkeypatch):
         """Vectorized == scalar on the full SwitchStats, warmup included."""
         scalar = run_switch(
             PORTS, TRAFFIC[tname](), SCHEDULERS[sname](), slots=120, warmup=30
         )
+        # odd on purpose: window boundary mid-chunk
+        monkeypatch.setattr(engine, "CHUNK_SLOTS", 37)
         vec = run_switch_vectorized(
             PORTS,
             TRAFFIC[tname](),
             SCHEDULERS[sname](),
             slots=120,
             warmup=30,
-            chunk_slots=37,  # odd on purpose: window boundary mid-chunk
         )
         assert vec == scalar
 
@@ -121,20 +123,19 @@ class TestIdentityEdgeCases:
 
 
 class TestChunkInvariance:
-    def test_consumer_chunk_size_irrelevant(self):
+    def test_consumer_chunk_size_irrelevant(self, monkeypatch):
         """The stats are a pure function of (params, seed), not of how
         the engine slices the stream into chunks."""
-        results = [
-            run_switch_vectorized(
+        results = []
+        for cs in (1, 7, 100, 999, 4096):
+            monkeypatch.setattr(engine, "CHUNK_SLOTS", cs)
+            results.append(run_switch_vectorized(
                 PORTS,
                 bernoulli_uniform(PORTS, 0.6, seed=3),
                 GreedyMaximalScheduler(PORTS, seed=4),
                 slots=200,
                 warmup=25,
-                chunk_slots=cs,
-            )
-            for cs in (1, 7, 100, 999, 4096)
-        ]
+            ))
         assert all(r == results[0] for r in results)
 
 
@@ -149,13 +150,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_switch_vectorized(
                 4, bernoulli_uniform(8, 0.5), GreedyMaximalScheduler(4), slots=10
-            )
-
-    def test_rejects_bad_chunk_slots(self):
-        with pytest.raises(ValueError):
-            run_switch_vectorized(
-                4, bernoulli_uniform(4, 0.5), GreedyMaximalScheduler(4),
-                slots=10, chunk_slots=0,
             )
 
     @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from repro.switch import (
     run_switch_batched,
     run_switch_vectorized,
 )
+from repro.switch import engine
 
 
 def _greedy(occupancy, seed):
@@ -120,11 +121,12 @@ class TestLoopsAgreeOnUserSchedules:
         want = _scalar(ports, slots, warmup, lane)
         seed, load, script = lane
         try:
-            got = run_switch_vectorized(
-                ports, bernoulli_uniform(ports, load, seed=seed),
-                Scripted(ports, script), slots=slots, warmup=warmup,
-                chunk_slots=chunk,
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK_SLOTS", chunk)
+                got = run_switch_vectorized(
+                    ports, bernoulli_uniform(ports, load, seed=seed),
+                    Scripted(ports, script), slots=slots, warmup=warmup,
+                )
         except ValueError as e:
             got = e
         if isinstance(want, ValueError):
@@ -139,13 +141,15 @@ class TestLoopsAgreeOnUserSchedules:
         ports, slots, warmup, chunk, lane_specs = run
         want = [_scalar(ports, slots, warmup, lane) for lane in lane_specs]
         try:
-            got = run_switch_batched(
-                ports,
-                [bernoulli_uniform(ports, load, seed=seed)
-                 for seed, load, _ in lane_specs],
-                [Scripted(ports, script) for _, _, script in lane_specs],
-                slots=slots, warmup=warmup, chunk_slots=chunk,
-            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "CHUNK_SLOTS", chunk)
+                got = run_switch_batched(
+                    ports,
+                    [bernoulli_uniform(ports, load, seed=seed)
+                     for seed, load, _ in lane_specs],
+                    [Scripted(ports, script) for _, _, script in lane_specs],
+                    slots=slots, warmup=warmup,
+                )
         except ValueError as e:
             assert any(isinstance(w, ValueError) for w in want), e
         else:
