@@ -20,13 +20,16 @@ port of the paper's headline weighted side:
   weighted sweeps vs sequential array runs (one-lane batches).  The
   Algorithm 5 batch runs the paper's full iteration count (23 at the
   default eps and delta), the path a seed sweep takes: after the first
-  iterations the box runs on a small positive-edge support.
+  iterations the box runs on a small positive-edge support.  A second
+  Algorithm 5 batch has perfbench ``seed_sweep``'s shape: 16 lanes on
+  G(5000, 8/4999) with weights uniform on [1, 100].
 
 Every cell asserts the two legs produce **equal** results (matchings,
 ``RunResult``s, iteration/pass counts) before any time is reported.
 Timings are end-to-end per leg (what a sweep cell pays), best-of-reps.
 
-Run as a script for the JSON artifact::
+The JSON artifact records the ``host`` it was measured on.  Run as a
+script for it::
 
     PYTHONPATH=src python benchmarks/bench_s5_weighted.py --out s5.json
 
@@ -58,6 +61,7 @@ from repro.core.weighted_mwm import (
     weighted_mwm_batched,
     wrap_gain,
 )
+from repro.graphs.generators import gnp_random
 from repro.graphs.weights import assign_uniform_weights
 from repro.matching.greedy import greedy_maximal_matching
 
@@ -78,6 +82,9 @@ N = 2000
 
 #: Seeds per batched cell.
 NUM_SEEDS = 8
+
+#: perfbench ``seed_sweep``'s Algorithm 5 shape: lanes on G(n, 8/(n-1)).
+SWEEP_N, SWEEP_SEEDS = 5000, 16
 
 #: Best-of reps per leg: full run, ``--quick``.
 REPS, QUICK_REPS = 2, 1
@@ -164,8 +171,6 @@ def cell_weighted(family: str, n: int, reps: int, seed: int = 1,
 
 
 def cell_kopt(n: int, reps: int, k: int = 2) -> dict[str, Any]:
-    from repro.graphs.generators import gnp_random
-
     g = assign_uniform_weights(gnp_random(n, 6.0 / n, seed=0), seed=0)
     g.neighbor_sets()
     return _cell(
@@ -209,6 +214,14 @@ def cell_lps_batched(family: str, n: int, num_seeds: int,
     )
 
 
+def _same_runs(a, b) -> bool:
+    """Equal matchings, ``RunResult``s and iteration counts, lane by lane."""
+    return len(a) == len(b) and all(
+        ra == rb and ia == ib and sorted(ma.edges()) == sorted(mb.edges())
+        for (ma, ra, ia), (mb, rb, ib) in zip(a, b)
+    )
+
+
 def cell_weighted_batched(family: str, n: int, num_seeds: int, reps: int,
                           iterations: int = FULL_ITERATIONS) -> dict[str, Any]:
     g = _weighted_graph(family, n)
@@ -220,11 +233,33 @@ def cell_weighted_batched(family: str, n: int, num_seeds: int, reps: int,
             for s in seeds
         ],
         lambda: weighted_mwm_batched(g, seeds, iterations=iterations),
-        lambda a, b: all(
-            ra == rb and ia == ib and sorted(ma.edges()) == sorted(mb.edges())
-            for (ma, ra, ia), (mb, rb, ib) in zip(a, b)
-        ),
+        _same_runs,
         {"m": g.m, "num_seeds": num_seeds, "iterations": iterations,
+         "baseline": "sequential array runs"},
+    )
+
+
+def cell_seed_sweep(reps: int) -> dict[str, Any]:
+    """perfbench ``seed_sweep``'s Algorithm 5 batch, all 23 iterations.
+
+    The two legs run once and must agree before either is timed.
+    """
+    g = assign_uniform_weights(
+        gnp_random(SWEEP_N, 8 / (SWEEP_N - 1), seed=0), 1.0, 100.0, seed=0
+    )
+    seeds = list(range(SWEEP_SEEDS))
+
+    def one_lane():
+        return [weighted_mwm(g, seed=s, backend="array") for s in seeds]
+
+    def batch():
+        return weighted_mwm_batched(g, seeds)
+
+    assert _same_runs(one_lane(), batch()), "legs diverged on the sweep shape"
+    return _cell(
+        "weighted_mwm_batched", "gnp_deg8_w100", SWEEP_N, reps,
+        one_lane, batch, _same_runs,
+        {"m": g.m, "num_seeds": SWEEP_SEEDS, "iterations": FULL_ITERATIONS,
          "baseline": "sequential array runs"},
     )
 
@@ -244,8 +279,10 @@ def run(quick: bool) -> dict[str, Any]:
             cell_weighted("gnp", N, reps),
             cell_kopt(240, reps),
             cell_lps_batched("barabasi_albert", N, NUM_SEEDS, reps),
+            cell_seed_sweep(reps),
         ])
-    return {"n": N, "num_seeds": NUM_SEEDS, "cells": cells}
+    return {"n": N, "num_seeds": NUM_SEEDS, "host": harness.host(),
+            "cells": cells}
 
 
 def gate(data: dict[str, Any]) -> list[str]:

@@ -20,9 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from typing import Any, Callable
+
+import numpy
 
 from repro.graphs.generators import (
     barabasi_albert,
@@ -38,6 +42,27 @@ FAMILIES: dict[str, Callable[[int, int], Any]] = {
     "gnp": lambda n, s: gnp_random(n, 4.0 / n, seed=s),
     "powerlaw": lambda n, s: powerlaw_configuration(n, 2.5, seed=s),
 }
+
+
+def host() -> dict[str, Any]:
+    """The host a run measured on: CPU count and model, and the
+    interpreter's and NumPy's versions (fields of perfbench's ``host``
+    line)."""
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in f
+                 if line.startswith("model name")), cpu,
+            )
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
 
 
 def best_of(fn: Callable[[], Any], reps: int) -> tuple[float, Any]:

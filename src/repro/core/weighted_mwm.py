@@ -35,11 +35,12 @@ from repro.baselines.lps_mwm import (
     lps_mwm_array_batched,
 )
 from repro.distributed.backends import (
-    BatchedArrayBackend,
+    BatchedArrayContext,
     lane_nonzero,
     resolve_backend,
     segment_bounds,
 )
+from repro.distributed.models import LOCAL
 from repro.distributed.network import RunResult
 from repro.graphs.graph import Graph
 from repro.matching.greedy import greedy_mwm
@@ -86,21 +87,26 @@ def derived_weights_array(g: Graph, mate: np.ndarray) -> np.ndarray:
 
     ``mate`` may carry a leading seed axis (``(num_seeds, n)``), in
     which case the result is ``(num_seeds, m)`` — the batched form
-    :func:`weighted_mwm_batched` iterates on.
+    :func:`weighted_mwm_batched` starts from.
     """
     mate = np.asarray(mate, dtype=np.int64)
-    lanes = np.atleast_2d(mate)
+    wm, _ = _derived_weights(g, np.atleast_2d(mate))
+    return wm[0] if mate.ndim == 1 else wm
+
+
+def _derived_weights(g: Graph, mate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`derived_weights_array` on ``(lanes, n)`` mates: ``(wm, vw)``."""
     lo, hi = g.endpoints_array()
     w = g.weights_array()
     lo_i, hi_i = lo.astype(np.intp), hi.astype(np.intp)
-    rows, eidx = lane_nonzero(np.take(lanes, lo_i, axis=1) == hi)  # matched
-    vw = np.zeros(lanes.shape, dtype=np.float64)
+    rows, eidx = lane_nonzero(np.take(mate, lo_i, axis=1) == hi)  # matched
+    vw = np.zeros(mate.shape, dtype=np.float64)
     flat = vw.reshape(-1)
     flat[rows * g.n + lo[eidx]] = w[eidx]
     flat[rows * g.n + hi[eidx]] = w[eidx]
     wm = w - np.take(vw, lo_i, axis=1) - np.take(vw, hi_i, axis=1)
     wm[rows, eidx] = 0.0
-    return wm[0] if mate.ndim == 1 else wm
+    return wm, vw
 
 
 def derived_weights(g: Graph, m: Matching) -> list[float]:
@@ -261,14 +267,18 @@ def weighted_mwm(
 
 
 def _support_box(
-    g: Graph, wm: np.ndarray, pos: np.ndarray, num_classes: int
+    g: Graph,
+    wm: np.ndarray,
+    pos: np.ndarray,
+    lanes: np.ndarray,
+    num_classes: int,
 ) -> tuple[Graph, np.ndarray, np.ndarray, np.ndarray]:
     """The box lanes' compact support and their per-lane masks.
 
-    ``wm`` and ``pos`` are the box lanes' derived weights and
-    positive-edge masks, one row per lane.  Returns ``(sub, verts,
-    he_cls, lane_degrees)``: ``sub`` is the union of the lanes'
-    positive edges on their endpoints ``verts``
+    ``wm`` and ``pos`` are every lane's derived weights and
+    positive-edge masks, one row per lane; ``lanes`` picks the box
+    lanes.  Returns ``(sub, verts, he_cls, lane_degrees)``: ``sub`` is
+    the union of the lanes' positive edges on their endpoints ``verts``
     (:meth:`~repro.graphs.graph.Graph.support_subgraph`).  Each
     positive (lane, edge) pair gets its lane's weight class, gathered
     to ``sub``'s half-edges; a support edge a lane does not have keeps
@@ -276,23 +286,81 @@ def _support_box(
     its own positive edges.  (A function of its own so that the
     per-pair arrays are freed before the box runs.)
     """
-    rows, eidx = lane_nonzero(pos)
+    lane_pos = pos[lanes]
+    rows, eidx = lane_nonzero(lane_pos)
+    pw = wm[lanes][lane_pos]  # row-major, like the pairs
     in_support = np.zeros(g.m, dtype=bool)
     in_support[eidx] = True
     support = np.flatnonzero(in_support)
     sub, verts = g.support_subgraph(support)
-    col = (np.cumsum(in_support) - 1)[eidx]  # each pair's support edge
-    pw = wm[rows, eidx]
+    col = np.empty(g.m, dtype=np.intp)  # each pair's support edge
+    col[support] = np.arange(support.size)
+    col = col[eidx]
     wmax = np.maximum.reduceat(pw, segment_bounds(rows)[:-1])
-    cls = np.full((pos.shape[0], support.size), num_classes, dtype=np.int16)
+    cls = np.full((lanes.size, support.size), num_classes, dtype=np.int16)
     cls[rows, col] = _weight_class_array(pw, wmax[rows])
     s_lo, s_hi = sub.endpoints_array()
-    size = pos.shape[0] * verts.size
+    size = lanes.size * verts.size
     lane_degrees = (
         np.bincount(rows * verts.size + s_lo[col], minlength=size)
         + np.bincount(rows * verts.size + s_hi[col], minlength=size)
-    ).reshape(pos.shape[0], verts.size)
+    ).reshape(lanes.size, verts.size)
     return sub, verts, cls[:, sub.adjacency_arrays()[2]], lane_degrees
+
+
+def _rederive(
+    g: Graph,
+    mate: np.ndarray,
+    vw: np.ndarray,
+    wm: np.ndarray,
+    pos: np.ndarray,
+    lanes: np.ndarray,
+    changed: np.ndarray,
+) -> None:
+    """Bring w_M up to date after the given lanes' mates changed.
+
+    ``changed`` marks, one row per entry of ``lanes``, the vertices
+    whose mate changed; ``vw`` holds each vertex's matched-edge weight
+    (0 if unmatched).  A derived weight reads only its endpoints' ``vw``
+    and whether the edge itself is matched, so only the edges in a
+    changed vertex's CSR row move.  Their w_M is ``w − vw[lo] −
+    vw[hi]`` (0 on matched edges), the float expression of
+    :func:`derived_weights_array`, so the values are bit-identical to a
+    full recompute.  When those rows hold more than a quarter of the
+    lanes' edges (in the first iterations most vertices change) the
+    lanes' rows are recomputed whole by the kernel instead: its dense
+    passes cost less per edge than this pass's gathers (about a fifth),
+    and its temporaries bound this pass's.  ``vw``, ``wm`` and ``pos``
+    are updated in place.
+    """
+    n = g.n
+    indptr, indices, eids = g.adjacency_arrays()
+    c_rows, verts = lane_nonzero(changed)
+    deg = (indptr[verts + 1] - indptr[verts]).astype(np.int64)
+    if 4 * int(deg.sum()) > lanes.size * g.m:
+        lane_wm, vw[lanes] = _derived_weights(g, mate[lanes])
+        wm[lanes] = lane_wm
+        pos[lanes] = lane_wm > _EPS_W
+        return
+    lo, hi = g.endpoints_array()
+    w = g.weights_array()
+    seg = np.repeat(np.arange(verts.size), deg)
+    slot = np.arange(seg.size) + np.repeat(
+        indptr[verts] - np.cumsum(deg) + deg, deg
+    )
+    row = lanes[c_rows][seg]
+    at = row * n + verts[seg]  # each slot's owner in the flat mate state
+    e = eids[slot]
+    on = mate.reshape(-1)[at] == indices[slot]  # the owner's matched edge
+    flat = vw.reshape(-1)
+    flat[lanes[c_rows] * n + verts] = 0.0
+    flat[at[on]] = w[e[on]]  # both ends of a new matched edge changed
+    base = row * n
+    vals = w[e] - flat[base + lo[e]] - flat[base + hi[e]]
+    vals[on] = 0.0
+    cells = row * g.m + e
+    wm.reshape(-1)[cells] = vals
+    pos.reshape(-1)[cells] = vals > _EPS_W
 
 
 def weighted_mwm_batched(
@@ -306,24 +374,29 @@ def weighted_mwm_batched(
 ) -> list[tuple[Matching, RunResult, int]]:
     """Seed-axis batched Algorithm 5: one pipeline run, many seeds.
 
-    Per iteration every live lane computes its derived weights from the
-    ``(num_seeds, n)`` mate state in one kernel call, and all lanes'
-    black-box calls execute as a *single*
-    :class:`~repro.distributed.backends.BatchedArrayBackend` run of
-    :func:`~repro.baselines.lps_mwm.lps_mwm_array_batched`.  Only edges
-    of positive derived weight can enter M′, so the box runs on their
-    *support*: the union over the box lanes of those edges, on just
-    their endpoints, relabeled in ascending order
+    Every lane's derived weights are computed once, from the empty
+    matching, by the :func:`derived_weights_array` kernel, and then
+    *follow the changed mates*: after each augmentation only the edges
+    at a vertex whose mate changed are recomputed (:func:`_rederive`),
+    bit-identical to a full recompute.  All lanes' black-box calls
+    execute as a *single* batched run of
+    :func:`~repro.baselines.lps_mwm.lps_mwm_array_batched` on a
+    :class:`~repro.distributed.backends.BatchedArrayContext`, whose
+    counters are added up per lane directly (no per-node outputs are
+    built).  Only edges of positive derived weight can enter M′, so the
+    box runs on their *support*: the union over the box lanes of those
+    edges, on just their endpoints, relabeled in ascending order and
+    cut out of those endpoints' CSR rows
     (:meth:`~repro.graphs.graph.Graph.support_subgraph`).  Each lane is
     masked to its own derived-weight subgraph of that support through
     per-lane half-edge classes and broadcast degrees; its RNG lanes are
     keyed by the original node ids, and its lockstep live count is
     ``g.n`` — the nodes left out have no usable edge, so in the
     generator run they only idle and never draw.  After the first
-    iteration the support is a small fraction of the graph, and the
-    box's cost follows it.  Lanes whose derived weights are all
-    non-positive skip the box exactly as the scalar loop does (and
-    stop outright under ``adaptive``).
+    iteration the support is a small fraction of the graph, and both
+    the box's cost and the w_M update follow it.  Lanes whose derived
+    weights are all non-positive skip the box exactly as the scalar
+    loop does (and stop outright under ``adaptive``).
 
     Returns one ``(matching, metrics, iterations_executed)`` triple per
     seed, byte-identical to ``[weighted_mwm(g, seed=s, ...) for s in
@@ -348,16 +421,19 @@ def weighted_mwm_batched(
         box_params = _lps_params(g, None, None)
         num_classes = int(box_params["num_classes"])
         phases_per_class = int(box_params["phases_per_class"])
+    # Each lane's w_M row, positive-edge mask and per-vertex matched
+    # weight, kept from one iteration to the next.
+    wm = derived_weights_array(g, mate)
+    pos = wm > _EPS_W  # only these edges can enter M'
+    vw = np.zeros((num_seeds, n))
     for it in range(1, iterations + 1):
         act = np.flatnonzero(running)
         if act.size == 0:
             break
-        wm = derived_weights_array(g, mate[act])
         charged[act] += 1
         messages[act] += 2 * g.m
         its[act] = it
-        pos = wm > _EPS_W  # only these edges can enter M'
-        has_gain = pos.any(axis=1)
+        has_gain = pos[act].any(axis=1)
         if adaptive:
             stopped = act[~has_gain]
             its[stopped] = it - 1
@@ -372,44 +448,43 @@ def weighted_mwm_batched(
             for s in box_lanes.tolist()
         ]
         sub, verts, he_cls, lane_degrees = _support_box(
-            g, wm[has_gain], pos[has_gain], num_classes
+            g, wm, pos, box_lanes, num_classes
         )
-        net = BatchedArrayBackend(
-            sub,
-            lps_mwm_array_batched,
-            params={
-                "n": n,
-                "wmax": None,
-                "num_classes": num_classes,
-                "phases_per_class": phases_per_class,
-                "he_cls": he_cls,
-                "lane_degrees": lane_degrees,
-            },
-            seeds=box_seeds,
-            node_ids=verts,
+        ctx = BatchedArrayContext(
+            sub, box_seeds, LOCAL, None, max_rounds, node_ids=verts
         )
-        for row, res in enumerate(net.run(max_rounds=max_rounds)):
-            s = box_lanes[row]
-            rounds[s] += res.rounds
-            messages[s] += res.total_messages
-            bits[s] += res.total_bits
-            peak[s] = max(peak[s], res.max_message_bits)
+        out = lps_mwm_array_batched(
+            ctx, n=n, wmax=None, num_classes=num_classes,
+            phases_per_class=phases_per_class, he_cls=he_cls,
+            lane_degrees=lane_degrees,
+        )
+        del sub, he_cls, lane_degrees
+        box_rounds, box_messages, box_bits, box_peak = ctx.totals
+        del ctx
+        rounds[box_lanes] += box_rounds
+        messages[box_lanes] += box_messages
+        bits[box_lanes] += box_bits
+        np.maximum.at(peak, box_lanes, box_peak)
         charged[box_lanes] += 2
         # Bulk wrap-augmentation, every lane at once: evict the wrap
         # endpoints' old partners, then install the M' edges.
-        rr, cc = np.nonzero(net.outputs > np.arange(verts.size))
+        rr, cc = np.nonzero(out > np.arange(verts.size))
         vv = verts[cc]
-        uu = verts[net.outputs[rr, cc]]
+        uu = verts[out[rr, cc]]
         gl = box_lanes[rr]
         if (mate[gl, vv] == uu).any():
             raise ValueError("M' must be disjoint from M")
         flat = mate.reshape(-1)
+        changed = np.zeros((box_lanes.size, n), dtype=bool)
+        changed[rr, vv] = changed[rr, uu] = True
         for end in (vv, uu):
             old = flat[gl * n + end]
             keep_old = old != -1
             flat[gl[keep_old] * n + old[keep_old]] = -1
+            changed[rr[keep_old], old[keep_old]] = True
         flat[gl * n + vv] = uu
         flat[gl * n + uu] = vv
+        _rederive(g, mate, vw, wm, pos, box_lanes, changed)
     return [
         (
             Matching.from_mate_array(g, mate[s]),

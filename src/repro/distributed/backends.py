@@ -378,6 +378,15 @@ class BatchedArrayContext:
         view.flags.writeable = False
         return view
 
+    @property
+    def totals(self) -> np.ndarray:
+        """Per-seed ``(rounds, messages, bits, peak)`` so far, one row each.
+
+        A ``(4, num_seeds)`` copy: what :meth:`finalize` reports, for a
+        caller that adds runs up without their per-node outputs.
+        """
+        return np.stack((self._rounds, self._messages, self._bits, self._peak))
+
     # -- lockstep accounting ------------------------------------------
 
     def begin_step(self, live: np.ndarray) -> None:

@@ -21,7 +21,7 @@ at once:
   permutation, emulated on ``uint64`` hi/lo pairs);
 * ``Generator.integers(low, high)``'s tiered bounded-draw algorithm:
   Lemire rejection on buffered 32-bit halves for ranges below 2³²−1,
-  raw words at exactly 2³²−1 / 2⁶⁴−1, 128-bit Lemire in between —
+  a raw 32-bit word at exactly 2³²−1, 128-bit Lemire above —
   including the half-word buffer PCG64 keeps between 32-bit draws;
 * ``Generator.choice(seq)`` for 1-D sequences, which draws exactly
   ``integers(0, len(seq))`` (and draws *nothing* when ``len == 1``).
@@ -62,11 +62,19 @@ _MIX_MULT_R = U32(0x4973F715)
 _POOL_SIZE = 4
 
 # PCG64's default 128-bit LCG multiplier, as (hi, lo) uint64 halves.
-_PCG_MULT_HI = U64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = U64(0x4385DF649FCCF645)
+_PCG_MULT_HI = 0x2360ED051FC65DA4
+_PCG_MULT_LO = 0x4385DF649FCCF645
 
-_LOW32 = U64(0xFFFFFFFF)
-_FULL64 = 0xFFFFFFFFFFFFFFFF
+
+def _u64(value: int) -> np.ndarray:
+    """A 0-d ``uint64`` operand (NumPy dispatches these faster than scalars)."""
+    return np.array(value, dtype=U64)
+
+
+_LOW32 = _u64(0xFFFFFFFF)
+_ZERO, _ONE, _32, _58, _63, _64 = (_u64(v) for v in (0, 1, 32, 58, 63, 64))
+_MULT_HI, _MULT_LO = _u64(_PCG_MULT_HI), _u64(_PCG_MULT_LO)
+_MULT_LO_LO, _MULT_LO_HI = _u64(_PCG_MULT_LO & 0xFFFFFFFF), _u64(_PCG_MULT_LO >> 32)
 
 
 def _to_uint32_words(value: int) -> list[int]:
@@ -143,20 +151,105 @@ def _generate_state4(pools: np.ndarray) -> np.ndarray:
         data ^= data >> _XSHIFT
         out32[:, i_dst] = data
     # uint32 word pairs combine little-endian: low word first.
-    return out32[:, 0::2].astype(U64) | (out32[:, 1::2].astype(U64) << U64(32))
+    return out32[:, 0::2].astype(U64) | (out32[:, 1::2].astype(U64) << _32)
 
 
-def _mulhi64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product of two uint64 arrays."""
+def _mulhi64(
+    a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
+) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``a * b``, ``b`` in 32-bit halves."""
     a_lo = a & _LOW32
-    a_hi = a >> U64(32)
-    b_lo = b & _LOW32
-    b_hi = b >> U64(32)
-    lo_lo = a_lo * b_lo
+    a_hi = a >> _32
     hi_lo = a_hi * b_lo
-    lo_hi = a_lo * b_hi
-    cross = (lo_lo >> U64(32)) + (hi_lo & _LOW32) + lo_hi
-    return a_hi * b_hi + (hi_lo >> U64(32)) + (cross >> U64(32))
+    cross = ((a_lo * b_lo) >> _32) + (hi_lo & _LOW32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _32) + (cross >> _32)
+
+
+#: A lane's state as one ``uint64`` array per field, in this order: the
+#: 128-bit LCG state and increment as (hi, lo) halves, and the upper
+#: half-word PCG64 buffers between 32-bit draws.  A sixth, ``bool``
+#: array says whether that buffer is full.
+_SH, _SL, _IH, _IL, _BUF, _HAS = range(6)
+
+
+def _step(st: list[np.ndarray]) -> None:
+    """state <- state * MULT + inc (mod 2^128) in every lane of ``st``."""
+    sh, sl = st[_SH], st[_SL]
+    pl = sl * _MULT_LO
+    lo = pl + st[_IL]
+    st[_SH] = (
+        sh * _MULT_LO + sl * _MULT_HI + _mulhi64(sl, _MULT_LO_LO, _MULT_LO_HI)
+        + st[_IH] + (lo < pl)
+    )
+    st[_SL] = lo
+
+
+def _next64(st: list[np.ndarray]) -> np.ndarray:
+    """One raw 64-bit word per lane of ``st`` (XSL-RR output)."""
+    _step(st)
+    sh = st[_SH]
+    rot = sh >> _58
+    xored = sh ^ st[_SL]
+    return (xored >> rot) | (xored << ((_64 - rot) & _63))
+
+
+def _next32(st: list[np.ndarray]) -> np.ndarray:
+    """One 32-bit word per lane of ``st``, low half first, buffered."""
+    has = st[_HAS]
+    st[_HAS] = ~has  # a full buffer is spent, an empty one refilled
+    if not has.any():
+        word = _next64(st)
+        st[_BUF] = word >> _32
+        return word & _LOW32
+    out = st[_BUF].copy()
+    fresh = ~has
+    if fresh.any():
+        sub = [st[f][fresh] for f in (_SH, _SL, _IH, _IL)]
+        word = _next64(sub)
+        st[_SH][fresh] = sub[_SH]
+        st[_SL][fresh] = sub[_SL]
+        st[_BUF][fresh] = word >> _32
+        out[fresh] = word & _LOW32
+    return out
+
+
+def _lemire(
+    st: list[np.ndarray], excl: np.ndarray, threshold: np.ndarray, wide: bool
+) -> np.ndarray:
+    """Lemire's bounded draw, one per lane of ``st``.
+
+    ``excl`` is the exclusive range and ``threshold`` the rejection
+    bound; ``wide`` draws raw 64-bit words (a 128-bit product), else
+    buffered 32-bit words.  A rejected lane draws again, as the
+    per-node Generator would; rejections are rare, so the first pass
+    covers every lane and each retry only the ones still rejected.
+    """
+    if wide:
+        word = _next64(st)
+        out = _mulhi64(word, excl & _LOW32, excl >> _32)
+        bad = np.flatnonzero(word * excl < threshold)
+    else:
+        prod = _next32(st) * excl
+        out = prod >> _32
+        bad = np.flatnonzero(prod & _LOW32 < threshold)
+    if bad.size:
+        sub = [field[bad] for field in st]
+        out[bad] = _lemire(
+            sub,
+            np.broadcast_to(excl, out.shape)[bad],
+            np.broadcast_to(threshold, out.shape)[bad],
+            wide,
+        )
+        for field, vals in zip(st, sub):
+            field[bad] = vals
+    return out
+
+
+#: ``Generator.integers``' tiers that draw, as (first, last) inclusive
+#: ranges: 32-bit Lemire, one raw 32-bit word, 64-bit Lemire.  ``high``
+#: is an int64, so the raw 64-bit tier at 2⁶⁴−1 cannot be asked for.
+_RAW32 = 0xFFFFFFFF
+_TIERS = ((1, _RAW32 - 1), (_RAW32, _RAW32), (_RAW32 + 1, np.iinfo(np.int64).max))
 
 
 class LaneRngs:
@@ -172,13 +265,14 @@ class LaneRngs:
     the original id of each compact vertex, so its lanes draw what the
     full-graph nodes would (nodes left out are simply never spawned).
 
-    All state lives in flat ``uint64`` arrays (LCG hi/lo, increment
+    All state lives in flat per-lane arrays (LCG hi/lo, increment
     hi/lo, and the one-word 32-bit buffer PCG64 keeps between 32-bit
-    draws), so a bulk :meth:`integers` call is a handful of array ops
-    regardless of how many lanes draw.
+    draws with its flag), so a bulk :meth:`integers` call gathers its
+    lanes' state once, draws on the gathered copy, and scatters it back
+    once, regardless of how many lanes draw.
     """
 
-    __slots__ = ("num_seeds", "n", "_sh", "_sl", "_ih", "_il", "_buf", "_has_buf")
+    __slots__ = ("num_seeds", "n", "_state")
 
     def __init__(
         self,
@@ -206,51 +300,18 @@ class LaneRngs:
                 vals[s * n: (s + 1) * n] = _generate_state4(pools)
             # PCG64 seeding: val[0:2] = initstate (hi, lo), val[2:4] =
             # initseq (hi, lo); inc = (initseq << 1) | 1 over 128 bits.
-            self._ih = (vals[:, 2] << U64(1)) | (vals[:, 3] >> U64(63))
-            self._il = (vals[:, 3] << U64(1)) | U64(1)
-            self._sh = np.zeros(lanes, dtype=U64)
-            self._sl = np.zeros(lanes, dtype=U64)
-            self._step(slice(None))
-            lo = self._sl + vals[:, 1]
-            self._sh += vals[:, 0] + (lo < self._sl)
-            self._sl = lo
-            self._step(slice(None))
-        self._buf = np.zeros(lanes, dtype=U64)
-        self._has_buf = np.zeros(lanes, dtype=bool)
-
-    def _step(self, idx) -> None:
-        """state <- state * MULT + inc (mod 2^128) on the selected lanes."""
-        sh, sl = self._sh[idx], self._sl[idx]
-        ph = sh * _PCG_MULT_LO + sl * _PCG_MULT_HI + _mulhi64(sl, _PCG_MULT_LO)
-        pl = sl * _PCG_MULT_LO
-        lo = pl + self._il[idx]
-        self._sh[idx] = ph + self._ih[idx] + (lo < pl)
-        self._sl[idx] = lo
-
-    def _next64(self, idx: np.ndarray) -> np.ndarray:
-        """One raw 64-bit word per selected lane (XSL-RR output)."""
-        self._step(idx)
-        sh, sl = self._sh[idx], self._sl[idx]
-        rot = sh >> U64(58)
-        xored = sh ^ sl
-        return (xored >> rot) | (xored << (U64(64) - rot & U64(63)))
-
-    def _next32(self, idx: np.ndarray) -> np.ndarray:
-        """One 32-bit word per selected lane, low half first, buffered."""
-        out = np.empty(idx.shape, dtype=U64)
-        buffered = self._has_buf[idx]
-        if buffered.any():
-            hit = idx[buffered]
-            out[buffered] = self._buf[hit]
-            self._has_buf[hit] = False
-        fresh = ~buffered
-        if fresh.any():
-            miss = idx[fresh]
-            word = self._next64(miss)
-            out[fresh] = word & _LOW32
-            self._buf[miss] = word >> U64(32)
-            self._has_buf[miss] = True
-        return out
+            st = [
+                np.zeros(lanes, dtype=U64),
+                np.zeros(lanes, dtype=U64),
+                (vals[:, 2] << _ONE) | (vals[:, 3] >> _63),
+                (vals[:, 3] << _ONE) | _ONE,
+            ]
+            _step(st)
+            lo = st[_SL] + vals[:, 1]
+            st[_SH] = st[_SH] + vals[:, 0] + (lo < st[_SL])
+            st[_SL] = lo
+            _step(st)
+        self._state = st + [np.zeros(lanes, dtype=U64), np.zeros(lanes, dtype=bool)]
 
     def integers(
         self,
@@ -260,67 +321,61 @@ class LaneRngs:
     ) -> np.ndarray:
         """One ``Generator.integers(low, high)`` draw per selected lane.
 
-        ``lanes`` holds flat lane ids (``seed_index * n + vertex``),
-        each at most once per call; ``high`` is exclusive and may be an
-        array aligned with ``lanes``.  Returns ``int64`` values and
-        advances exactly the words the real per-node Generators would
-        consume (including Lemire rejections and the 32-bit buffer).
+        ``lanes`` holds flat lane ids (``seed_index * n + vertex``, any
+        integer dtype), each at most once per call; ``high`` is
+        exclusive and may be an array aligned with ``lanes``.  Returns
+        ``int64`` values and advances exactly the words the real
+        per-node Generators would consume (including Lemire rejections
+        and the 32-bit buffer).
+
+        The ranges are checked once, by their smallest and largest
+        value.  A range of 0 draws nothing, as in NumPy; the others
+        fall in ``Generator.integers``' tiers — Lemire on buffered
+        32-bit words below 2³²−1, one raw 32-bit word at 2³²−1, and
+        128-bit Lemire on raw 64-bit words above.  When every lane
+        draws in one tier (each proposal-protocol draw is 32-bit
+        Lemire, each Luby draw 64-bit Lemire), the call is one pass
+        over the lanes' gathered state; otherwise each tier's lanes
+        draw in turn.
         """
-        lanes = np.asarray(lanes, dtype=np.int64)
-        out = np.empty(lanes.shape, dtype=np.int64)
+        lanes = np.asarray(lanes, dtype=np.intp)  # index once, not per field
         rng = np.asarray(high, dtype=np.int64) - low - 1  # inclusive range
-        rng = np.broadcast_to(rng, lanes.shape)
-        if (rng < 0).any():
+        if lanes.size == 0:
+            return np.empty(lanes.shape, dtype=np.int64)
+        if rng.ndim:
+            rng = np.broadcast_to(rng, lanes.shape)
+            r_min, r_max = int(rng.min()), int(rng.max())
+        else:
+            r_min = r_max = int(rng)
+        if r_min < 0:
             raise ValueError("low >= high in bounded draw")
+        tiers = [t for t in _TIERS if t[0] <= r_max and r_min <= t[1]]
+        if r_min > 0 and len(tiers) == 1:
+            return low + self._draw(lanes, rng, tiers[0][0]).astype(np.int64)
+        out = np.full(lanes.shape, low, dtype=np.int64)  # a 0 range: no draw
+        for first, last in tiers:
+            sel = rng >= first
+            if last < r_max:
+                sel &= rng <= last
+            out[sel] += self._draw(lanes[sel], rng[sel], first).astype(np.int64)
+        return out
+
+    def _draw(self, lanes: np.ndarray, rng: np.ndarray, tier: int) -> np.ndarray:
+        """Draw in the tier starting at ``tier`` on the given lanes' state."""
+        st = [field[lanes] for field in self._state]
         with np.errstate(over="ignore"):
-            zero = rng == 0
-            out[zero] = low  # no words consumed, as in NumPy
-            small = (rng > 0) & (rng < 0xFFFFFFFF)
-            if small.any():
-                out[small] = low + self._lemire32(
-                    lanes[small], rng[small].astype(U64)
-                ).astype(np.int64)
-            raw32 = rng == 0xFFFFFFFF
-            if raw32.any():
-                out[raw32] = low + self._next32(lanes[raw32]).astype(np.int64)
-            big = (rng > 0xFFFFFFFF) & (rng.astype(U64) < U64(_FULL64))
-            if big.any():
-                out[big] = low + self._lemire64(
-                    lanes[big], rng[big].astype(U64)
-                ).astype(np.int64)
-            raw64 = rng.astype(U64) == U64(_FULL64)
-            if raw64.any():
-                out[raw64] = low + self._next64(lanes[raw64]).astype(np.int64)
+            if tier == _RAW32:
+                out = _next32(st)
+            else:
+                excl = rng.astype(U64) + _ONE
+                if tier < _RAW32:
+                    out = _lemire(st, excl, (_ONE << _32) % excl, False)
+                else:  # (2^64 - excl) % excl without 128-bit ints
+                    out = _lemire(st, excl, (_ZERO - excl) % excl, True)
+        for f in (_SH, _SL, _BUF, _HAS):  # the increments never change
+            self._state[f][lanes] = st[f]
         return out
 
-    def _lemire32(self, idx: np.ndarray, rng: np.ndarray) -> np.ndarray:
-        """Lemire's bounded draw on buffered 32-bit words (rng < 2³²−1)."""
-        rng_excl = rng + U64(1)
-        threshold = (U64(1) << U64(32)) % rng_excl  # == (2^32 - excl) % excl
-        out = np.empty(idx.shape, dtype=U64)
-        pending = np.arange(idx.size)
-        while pending.size:
-            m = self._next32(idx[pending]) * rng_excl[pending]
-            ok = (m & _LOW32) >= threshold[pending]
-            out[pending[ok]] = m[ok] >> U64(32)
-            pending = pending[~ok]
-        return out
-
-    def _lemire64(self, idx: np.ndarray, rng: np.ndarray) -> np.ndarray:
-        """Lemire's bounded draw on raw 64-bit words (2³²−1 < rng < 2⁶⁴−1)."""
-        rng_excl = rng + U64(1)
-        # (2^64 - rng_excl) % rng_excl without 128-bit ints.
-        threshold = (U64(0) - rng_excl) % rng_excl
-        out = np.empty(idx.shape, dtype=U64)
-        pending = np.arange(idx.size)
-        while pending.size:
-            word = self._next64(idx[pending])
-            excl = rng_excl[pending]
-            hi = _mulhi64(word, excl)
-            ok = (word * excl) >= threshold[pending]
-            out[pending[ok]] = hi[ok]
-            pending = pending[~ok]
-        return out
 
 
 _VERIFIED: bool | None = None

@@ -156,14 +156,21 @@ def gnp_random(n: int, p: float, seed: int | np.random.Generator | None = 0) -> 
         last = -1  # rank of the previously emitted edge
         block = min(_CHUNK, m + 6 * math.isqrt(m + 1) + 64)
         while True:
-            gaps = 1 + np.floor(
-                np.log(1.0 - rng.random(block)) / lp
-            ).astype(np.int64)
+            # A gap past the last rank ends the stream whatever its size,
+            # so clip it before the int64 cast, which would wrap it (tiny
+            # p gives float gaps past 2^63, or inf).  Every gap is then at
+            # most total + 1, so the cumulative sum reaches total before
+            # it could wrap (total < 2^62 here), and the stream ends at
+            # the first rank past the last one, not at the block's end.
+            with np.errstate(over="ignore"):
+                skip = np.floor(np.log(1.0 - rng.random(block)) / lp)
+            np.minimum(skip, total, out=skip)
             block = _CHUNK
-            ranks = last + np.cumsum(gaps)
-            done = bool(ranks[-1] >= total)
+            ranks = last + np.cumsum(1 + skip.astype(np.int64))
+            past = ranks >= total
+            done = bool(past.any())
             if done:
-                ranks = ranks[ranks < total]
+                ranks = ranks[: int(np.argmax(past))]
             else:
                 last = int(ranks[-1])
             if ranks.size:

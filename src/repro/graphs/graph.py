@@ -767,40 +767,65 @@ class Graph:
         """The edges ``eids`` on just their endpoints, relabeled in order.
 
         ``eids`` must be ascending, distinct, in-range edge ids (e.g. a
-        ``flatnonzero`` over an edge mask).  Returns ``(sub, vertices)``:
-        ``vertices`` lists the edges' endpoints ascending, ``sub`` has
-        vertex ``i`` for ``vertices[i]`` and edge ``j`` for ``eids[j]``,
-        and weights follow their edges.  The relabeling is monotone, so
-        every ascending-id order (sorted neighbor lists, proposals by
-        source) is the same in ``sub`` as here.
+        ``flatnonzero`` over an edge mask); anything else raises
+        ``ValueError``.  Returns ``(sub, vertices)``: ``vertices`` lists
+        the edges' endpoints ascending, ``sub`` has vertex ``i`` for
+        ``vertices[i]`` and edge ``j`` for ``eids[j]``, and weights
+        follow their edges.  The relabeling is monotone, so every
+        ascending-id order (sorted neighbor lists, proposals by source)
+        is the same in ``sub`` as here.
 
         Unlike :meth:`subgraph`, vertices without a kept edge are
-        dropped, and ``sub``'s CSR is cut out of this graph's validated
-        one in O(n + m) — no sort and no re-validation.  Each vertex
-        keeps its port order, which is the edge-id order a fresh
-        ``Graph`` build of the same edges would produce.
+        dropped, and ``sub``'s CSR is cut out of the kept vertices' own
+        rows of this graph's validated CSR — no sort, no re-validation,
+        and no pass over the rest of the graph beyond one bit per
+        vertex and per edge: the cost follows the kept vertices'
+        degrees.  Each vertex keeps its port order, which is the
+        edge-id order a fresh ``Graph`` build of the same edges would
+        produce.
         """
         eids = np.asarray(eids, dtype=np.int64)
-        on = np.zeros(self.m, dtype=bool)
-        on[eids] = True
+        k = eids.size
+        if eids.ndim != 1 or k and (
+            eids[0] < 0 or eids[-1] >= self.m or (np.diff(eids) <= 0).any()
+        ):
+            raise ValueError(
+                "support_subgraph needs ascending, distinct edge ids in "
+                f"[0, {self.m}), got {eids.reshape(-1)[:8].tolist()}"
+                f"{' ...' if k > 8 else ''}"
+            )
         lo, hi = self._lo[eids], self._hi[eids]
         used = np.zeros(self.n, dtype=bool)
         used[lo] = True
         used[hi] = True
         vertices = np.flatnonzero(used)
-        relabel = np.cumsum(used) - 1
-        keep = on[self._eids]
-        before = np.zeros(self._indices.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=before[1:])
+        size = vertices.size
         idt = self.index_dtype
+        relabel = np.empty(self.n, dtype=idt)
+        relabel[vertices] = np.arange(size, dtype=idt)
+        renumber = np.empty(self.m, dtype=idt)
+        renumber[eids] = np.arange(k, dtype=idt)
+        on = np.zeros(self.m, dtype=bool)
+        on[eids] = True
+        # The kept vertices' CSR rows end to end (every row is nonempty),
+        # then the slots whose edge is kept, counted per row.
+        start = self._indptr[vertices].astype(np.int64)
+        deg = self._indptr[vertices + 1] - start
+        first = np.cumsum(deg) - deg  # each row's offset in the expansion
+        slot = np.arange(int(deg.sum()), dtype=np.int64)
+        slot += np.repeat(start - first, deg)
+        keep = on[self._eids[slot]]
+        indptr = np.zeros(size + 1, dtype=idt)
+        np.cumsum(np.add.reduceat(keep, first, dtype=np.intp), out=indptr[1:])
+        slot = slot[keep]
         sub = Graph.__new__(Graph)
-        sub.n, sub.m = int(vertices.size), int(eids.size)
-        sub._lo = relabel[lo].astype(idt)
-        sub._hi = relabel[hi].astype(idt)
+        sub.n, sub.m = int(size), int(k)
+        sub._lo = relabel[lo]
+        sub._hi = relabel[hi]
         sub._set_arrays(
-            np.append(before[self._indptr[vertices]], before[-1]).astype(idt),
-            relabel[self._indices[keep]].astype(idt),
-            (np.cumsum(on) - 1)[self._eids[keep]].astype(idt),
+            indptr,
+            relabel[self._indices[slot]],
+            renumber[self._eids[slot]],
             None if self._weights is None else self._weights[eids],
         )
         return sub, vertices

@@ -40,6 +40,11 @@ class TestCommands:
         assert main(["generic", "--n", "16", "--p", "0.15", "--k", "2"]) == 0
         assert "conflict graph" in capsys.readouterr().out
 
+    def test_generic_tiny_p(self, capsys):
+        # gnp_random's float gaps pass 2^63 here; the stream must end.
+        assert main(["generic", "--p", "1e-300"]) == 0
+        assert "0 edges" in capsys.readouterr().out
+
     def test_weighted(self, capsys):
         assert main(["weighted", "--n", "20", "--p", "0.2"]) == 0
         assert "Thm 4.5" in capsys.readouterr().out

@@ -8,6 +8,8 @@ derived weight sits right at the ``_EPS_W`` threshold.  The vectorized
 weight-class helper gets the same treatment against its scalar twin.
 """
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +20,8 @@ from repro.core.weighted_mwm import (
     _EPS_W,
     derived_weights,
     derived_weights_array,
+    weighted_mwm,
+    weighted_mwm_batched,
     wrap_gain,
     wrap_path,
 )
@@ -26,7 +30,10 @@ from repro.graphs.generators import gnp_random
 from repro.graphs.weights import assign_uniform_weights
 from repro.matching.matching import Matching
 
-from tests.conftest import matchable
+from tests.conftest import graphs, matchable
+
+#: the module itself (``repro.core`` re-exports a function of its name)
+weighted_module = import_module("repro.core.weighted_mwm")
 
 _slow = settings(
     max_examples=40,
@@ -122,6 +129,77 @@ class TestDerivedWeightsKernel:
             scalar = wrap_gain(g, m, 0, 1)
             assert wm[0] == scalar
             assert (wm[0] > _EPS_W) == (scalar > _EPS_W)
+
+
+class TestBatchedPipeline:
+    """``weighted_mwm_batched`` against the generator loop, lane by lane.
+
+    The batched pipeline keeps each lane's w_M from one iteration to the
+    next and recomputes only the edges at vertices whose mate changed;
+    the generator loop recomputes every edge with the kernel.  Weights
+    in {1, 2, 3} tie often, so derived weights land exactly on 0 (such
+    an edge must stay out of the support), and equal matchings,
+    ``RunResult``s and iteration counts pin every iteration's update.
+    """
+
+    @given(graphs(max_n=12), st.data())
+    @_slow
+    def test_matches_generator(self, g0, data):
+        g = g0.with_weights(data.draw(
+            st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                     min_size=g0.m, max_size=g0.m),
+            label="weights",
+        ))
+        seeds = data.draw(
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+            label="seeds",
+        )
+        adaptive = data.draw(st.booleans(), label="adaptive")
+        batched = weighted_mwm_batched(g, seeds, adaptive=adaptive)
+        for s, (m_b, res_b, it_b) in zip(seeds, batched):
+            m_g, res_g, it_g = weighted_mwm(g, seed=s, adaptive=adaptive)
+            assert sorted(m_b.edges()) == sorted(m_g.edges()), f"seed {s}"
+            assert res_b == res_g and it_b == it_g, f"seed {s}"
+
+    @given(graphs(max_n=12), st.data())
+    @settings(_slow, max_examples=120)
+    def test_every_update_equals_the_kernel(self, g0, data):
+        # On so small a graph most updates change rows holding more than
+        # a quarter of the lanes' edges, and the kernel recomputes them
+        # whole; disjoint ballast edges on fresh vertices are matched in
+        # iteration 1 and never move again, so from iteration 2 on the
+        # update takes the changed rows' path.  After every update each
+        # box lane's w_M, positive mask and matched weights must equal
+        # the kernel's on the lanes' new mates.
+        weights = data.draw(
+            st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                     min_size=g0.m, max_size=g0.m),
+            label="weights",
+        )
+        ballast = 8 * g0.m + 8
+        lo, hi = g0.endpoints_array()
+        edges = list(zip(lo.tolist(), hi.tolist()))
+        edges += [(g0.n + 2 * i, g0.n + 2 * i + 1) for i in range(ballast)]
+        g = Graph(g0.n + 2 * ballast, edges, weights + [2.0] * ballast)
+        seeds = data.draw(
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+            label="seeds",
+        )
+        real = weighted_module._rederive
+        updates = []
+
+        def checked(g_, mate, vw, wm, pos, lanes, changed):
+            real(g_, mate, vw, wm, pos, lanes, changed)
+            want_wm, want_vw = weighted_module._derived_weights(g_, mate[lanes])
+            assert wm[lanes].tobytes() == want_wm.tobytes()
+            assert vw[lanes].tobytes() == want_vw.tobytes()
+            assert (pos[lanes] == (want_wm > _EPS_W)).all()
+            updates.append(lanes.size)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weighted_module, "_rederive", checked)
+            weighted_mwm_batched(g, seeds, adaptive=data.draw(st.booleans()))
+        assert len(updates) >= (1 if g0.m else 0)
 
 
 class TestWeightClassArray:

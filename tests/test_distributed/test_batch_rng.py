@@ -11,6 +11,8 @@ per-lane bounds, interleaved widths, and multi-word seeds.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.batch_rng import LaneRngs, verify_replication
 
@@ -133,3 +135,69 @@ class TestKeyedLanes:
     def test_one_id_per_lane_vertex(self):
         with pytest.raises(ValueError, match="one id per lane vertex"):
             LaneRngs([0], 3, node_ids=np.array([0, 1]))
+
+
+#: Exclusive range widths ``high - low`` across every tier: 1 draws
+#: nothing (a one-candidate ``choice``), 2 is a coin flip, 2³²−1 is the
+#: last 32-bit Lemire width, 2³² the raw 32-bit word, and above it
+#: 64-bit Lemire.
+WIDTHS = st.one_of(
+    st.just(1),
+    st.just(2),
+    st.integers(3, 1000),
+    st.sampled_from([2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]),
+    st.integers(2**32 + 2, 2**62),
+)
+
+
+class TestDrawNet:
+    """Random draw scripts against real ``Generator`` objects.
+
+    Each step draws once on a random subset of lanes, with int32 or
+    int64 lane ids, one shared ``high`` or one per lane, and widths from
+    every tier, so 32-bit and 64-bit draws interleave on the same lanes
+    (the half-word buffer carries across them) and a call's ranges may
+    span tiers.
+    """
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scripts_match_generators(self, data):
+        seeds = data.draw(
+            st.lists(st.integers(0, 2**40), min_size=1, max_size=3), label="seeds"
+        )
+        n = data.draw(st.integers(1, 5), label="n")
+        lanes = LaneRngs(seeds, n)
+        rngs = _reference(seeds, n)
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            idx = sorted(data.draw(
+                st.lists(st.integers(0, len(rngs) - 1), unique=True), label="lanes"
+            ))
+            dtype = data.draw(st.sampled_from([np.int32, np.int64]), label="dtype")
+            low = data.draw(st.integers(-3, 3), label="low")
+            if data.draw(st.booleans(), label="per_lane"):
+                widths = data.draw(
+                    st.lists(WIDTHS, min_size=len(idx), max_size=len(idx)),
+                    label="widths",
+                )
+                high = low + np.array(widths, dtype=np.int64)
+                want = [int(rngs[i].integers(low, low + w)) for i, w in zip(idx, widths)]
+            else:
+                width = data.draw(WIDTHS, label="width")
+                high = low + width
+                want = [int(rngs[i].integers(low, high)) for i in idx]
+            got = lanes.integers(low, high, np.array(idx, dtype=dtype))
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    def test_one_call_spans_every_tier(self):
+        seeds, n = [7, 8], 4
+        lanes = LaneRngs(seeds, n)
+        rngs = _reference(seeds, n)
+        widths = [1, 2, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 3]
+        idx = np.arange(len(rngs), dtype=np.int32)
+        for _ in range(3):
+            got = lanes.integers(0, np.array(widths), idx)
+            assert got.tolist() == [
+                int(r.integers(0, w)) for r, w in zip(rngs, widths)
+            ]

@@ -33,10 +33,16 @@ from repro.baselines.lps_interleaved import (
     lps_interleaved_array,
     lps_interleaved_program,
 )
-from repro.baselines.lps_mwm import lps_mwm, lps_mwm_batched
+from repro.baselines.lps_mwm import (
+    _lps_params,
+    _weight_class,
+    lps_mwm,
+    lps_mwm_batched,
+)
 from repro.baselines.luby_mis import luby_mis, luby_mis_batched, verify_mis
 from repro.core.weighted_mwm import (
     _EPS_W,
+    default_iterations,
     derived_weights_array,
     weighted_mwm,
     weighted_mwm_batched,
@@ -278,33 +284,68 @@ class TestCompactedBox:
         assert messages[1].startswith(f"{g.n} node(s) still running after 5 ")
 
     def test_box_graph_is_the_union_support(self, monkeypatch):
+        # Every box call, at every iteration, against the full w_M
+        # kernel on the mates the lanes hold when the call is made: the
+        # support and its node ids, and each lane's half-edge classes
+        # and broadcast degrees, element by element.
         g = _gapped_gnp()
         seeds = [0, 1, 2]
-        calls = []
-        real = weighted_module.BatchedArrayBackend
+        node_ids, calls = [], []
+        real_ctx = weighted_module.BatchedArrayContext
+        real_box = weighted_module.lps_mwm_array_batched
 
-        def spy(graph, program, params=None, **kwargs):
-            calls.append((graph, params, kwargs.get("node_ids")))
-            return real(graph, program, params=params, **kwargs)
+        def ctx_spy(graph, box_seeds, *args, **kwargs):
+            node_ids.append(kwargs.get("node_ids"))
+            return real_ctx(graph, box_seeds, *args, **kwargs)
 
-        monkeypatch.setattr(weighted_module, "BatchedArrayBackend", spy)
-        weighted_mwm_batched(g, seeds, iterations=3)
+        def box_spy(ctx, **params):
+            calls.append((ctx.graph, params))
+            return real_box(ctx, **params)
+
+        monkeypatch.setattr(weighted_module, "BatchedArrayContext", ctx_spy)
+        monkeypatch.setattr(weighted_module, "lps_mwm_array_batched", box_spy)
+        weighted_mwm_batched(g, seeds)
         monkeypatch.undo()
-        assert len(calls) == 3
+        assert len(node_ids) == len(calls) >= 3
         lo, hi = g.endpoints_array()
-        for it, (sub, params, node_ids) in enumerate(calls[1:], start=2):
+        num_classes = _lps_params(g, None, None)["num_classes"]
+        # A lane whose w_M has no positive edge skips the box, and its
+        # mates stay put, so the calls are iterations 1..k and
+        # iteration k + 1 (if it runs) has no positive edge at all.
+        checked = range(1, min(len(calls) + 1, default_iterations(0.1, 0.2)) + 1)
+        for it in checked:
             mates = np.stack([
                 m.mate_array()
                 for m, _, _ in weighted_mwm_batched(g, seeds, iterations=it - 1)
             ])
-            pos = derived_weights_array(g, mates) > _EPS_W
-            support = np.flatnonzero(pos.any(axis=0))
+            wm = derived_weights_array(g, mates)
+            pos = wm > _EPS_W
+            if it > len(calls):
+                assert not pos.any(), f"iteration {it}"
+                continue
+            sub, params = calls[it - 1]
+            box = np.flatnonzero(pos.any(axis=1))
+            support = np.flatnonzero(pos[box].any(axis=0))
             verts = np.unique(np.concatenate([lo[support], hi[support]]))
             assert sub.n == verts.size < g.n, f"iteration {it}"
-            assert np.array_equal(node_ids, verts), f"iteration {it}"
-            assert params["he_cls"].shape == (
-                int(pos.any(axis=1).sum()), 2 * support.size
-            ), f"iteration {it}"
+            assert np.array_equal(node_ids[it - 1], verts), f"iteration {it}"
+            s_lo, s_hi = sub.endpoints_array()
+            assert verts[s_lo].tolist() == lo[support].tolist()
+            assert verts[s_hi].tolist() == hi[support].tolist()
+            edge = support[sub.adjacency_arrays()[2]]  # per half-edge
+            want_cls = np.full((box.size, edge.size), num_classes)
+            want_deg = np.zeros((box.size, verts.size), dtype=np.int64)
+            for r, lane in enumerate(box):
+                wmax = wm[lane][pos[lane]].max()
+                for t, e in enumerate(edge):
+                    if pos[lane, e]:
+                        want_cls[r, t] = _weight_class(wm[lane, e], wmax)
+                for e in np.flatnonzero(pos[lane]):
+                    want_deg[r, np.searchsorted(verts, [lo[e], hi[e]])] += 1
+            assert params["he_cls"].tolist() == want_cls.tolist(), f"iteration {it}"
+            assert params["lane_degrees"].tolist() == want_deg.tolist(), (
+                f"iteration {it}"
+            )
 
 
 class TestBatchedMatchesGoldens:

@@ -57,6 +57,13 @@ class TestGnp:
         g = gnp_random(100, 0.2, seed=5)  # Graph() would raise otherwise
         assert all(u < v for u, v in g.edges())
 
+    @pytest.mark.parametrize("p", [1e-300, 5e-324, 1e-17])
+    def test_tiny_p_returns_isolated_vertices(self, p):
+        # The float gaps pass 2^63 (or overflow to inf): clipped before
+        # the int64 cast, the first one ends the stream.
+        g = gnp_random(10, p, seed=1)
+        assert (g.n, g.m) == (10, 0)
+
 
 def _gnp_fixed_blocks(n, p, seed):
     """``gnp_random``'s loop with every block 2^18 uniforms long (oracle)."""
@@ -96,9 +103,9 @@ def _assert_same_graph(g, h):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-# Below about p = 1e-17 the int64 cast of a gap overflows, in both loops
-# alike, and the stream never ends; that defect does not depend on the
-# block sizes these tests are about.
+# Below about p = 1e-17 the oracle's unclipped int64 cast of a gap
+# overflows and its stream never ends (``gnp_random`` clips the gaps, see
+# ``TestGnp``); block sizes do not depend on it.
 probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0))
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graphs.graph as graph_mod
-from repro.graphs import Graph
+from repro.graphs import Graph, gnp_random
 from repro.graphs.graph import forced_index_dtype
 
 from tests.conftest import assert_same_csr, graphs
@@ -290,6 +290,21 @@ class TestStructure:
         assert sub.weights_array().tolist() == [1.0, 3.0, 5.0]
         empty, none = g.support_subgraph(np.array([], dtype=np.int64))
         assert (empty.n, empty.m, none.size) == (0, 0, 0)
+
+    @pytest.mark.parametrize("tier", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "eids", [[3, 1], [2, 2], [-1, 2], [0, 25], [[0, 1]]],
+        ids=["descending", "repeated", "negative", "past_m", "2d"],
+    )
+    def test_support_subgraph_rejects_bad_ids(self, tier, eids):
+        # Cut from unchecked ids, the CSR came out silently corrupt:
+        # [3, 1] gave edge ids that disagree with the endpoint arrays,
+        # [2, 2] an m of 2 over 2 half-edges.
+        with forced_index_dtype(tier):
+            g = gnp_random(12, 0.4, seed=1)
+        assert g.index_dtype == np.dtype(tier) and g.m == 25
+        with pytest.raises(ValueError, match="ascending, distinct edge ids"):
+            g.support_subgraph(np.array(eids))
 
     @pytest.mark.parametrize("tier", [np.int32, np.int64])
     @settings(max_examples=60, deadline=None)
