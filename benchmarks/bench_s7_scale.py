@@ -16,7 +16,10 @@ bench measures three things:
 
 * **scale curves** (under ``"curves"``) — time + peak-RSS vs n for
   Luby MIS and generic MCM (k=1, ``keep_views=False``) on the array
-  backend, up to n=10^6 in the committed run.  Each curve cell runs in
+  backend, up to n=10^6 in the committed run, and for generic MCM at
+  k=2 (``generic_mcm_k2``, n=2000 to 2·10^4), whose depth-6 flood
+  fills the balls and so runs the flood's bit-parallel kernel (the
+  k=1 flood never switches to it).  Each curve cell runs in
   a **fresh subprocess** and reads its peak RSS from ``VmHWM`` in
   ``/proc/self/status``: the cell's own peak, not the bench harness's
   high-water mark (Linux's ``ru_maxrss`` also counts the peak of the
@@ -39,15 +42,17 @@ Run as a script for the JSON artifact::
     PYTHONPATH=src python benchmarks/bench_s7_scale.py --out s7.json
 
 ``--quick`` restricts to the n=240 kopt cell, the n=10^4 dtype cell,
-the build-peak cell and one n=10^5 curve point per workload;
+the build-peak cell, one n=10^5 curve point per k=1 workload and the
+k=2 n=2000 generic-MCM point;
 ``--check`` exits 2 if (a) the kopt array leg is slower than the
 generator leg, (b) any curve cell at n <= 2·10^5 peaked above
-1536 MiB, (c) the generic-MCM n=10^5 seed-1 cell's rounds, messages,
-bits, peak message size, matching size or conflict-graph size differ
-from ``MCM_PIN``, or (d) the n=10^6 build added more than 2x its
-finished arrays to RSS — the CI fail-if-slower, peak-RSS,
-flood-accounting and build-peak gate.  The committed
-full run lives at ``benchmarks/results/s7_scale.json``.
+1536 MiB, (c) the generic-MCM k=1 n=10^5 or k=2 n=2000 seed-1 cell's
+rounds, messages, bits, peak message size, matching size or
+conflict-graph size differ from ``MCM_PIN`` or ``MCM_K2_PIN``, or
+(d) the n=10^6 build added more than 2x its finished arrays to RSS —
+the CI fail-if-slower, peak-RSS, flood-accounting and build-peak gate.
+The committed full run, with its ``host`` line, lives at
+``benchmarks/results/s7_scale.json``.
 """
 
 from __future__ import annotations
@@ -97,6 +102,22 @@ MCM_PIN = {
     "max_message_bits": 3_317,
     "matching_size": 40_164,
     "conflict_nodes": 200_242,
+}
+
+#: ``--check`` pins the generic-MCM k=2 n=2000 seed-1 curve cell (the
+#: perfbench ``single_seed`` shape) to these counters, measured with the
+#: flood's ragged search alone: its depth-6 phase switches to bit rows.
+MCM_K2_PIN = {
+    "n": 2000,
+    "k": 2,
+    "seed": 1,
+    "rounds": 8,
+    "charged_rounds": 54,
+    "messages": 132_829,
+    "bits": 897_816_306,
+    "max_message_bits": 72_129,
+    "matching_size": 905,
+    "conflict_nodes": 4_409,
 }
 
 #: Structural cap of the compact int32 index tier: indices/eids hold
@@ -204,8 +225,9 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
     elif spec["workload"] == "generic_mcm":
         from repro.core.generic_mcm import generic_mcm
 
+        out["k"] = k = int(spec.get("k", 1))
         t0 = time.perf_counter()
-        m, stats = generic_mcm(g, k=1, seed=seed, backend="array",
+        m, stats = generic_mcm(g, k=k, seed=seed, backend="array",
                                keep_views=False)
         out["run_s"] = time.perf_counter() - t0
         res = stats.result
@@ -223,11 +245,13 @@ def _curve_payload(spec: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def curve_cell(workload: str, n: int, seed: int = 1) -> dict[str, Any]:
+def curve_cell(
+    workload: str, n: int, seed: int = 1, k: int = 1
+) -> dict[str, Any]:
     """One scale-curve point, in a fresh child for honest peak RSS."""
     import repro
 
-    spec = {"workload": workload, "n": n, "seed": seed}
+    spec = {"workload": workload, "n": n, "seed": seed, "k": k}
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ)
@@ -333,9 +357,11 @@ def run(quick: bool) -> dict[str, Any]:
         curves = {
             "luby_mis": [curve_cell("luby_mis", 100_000)],
             "generic_mcm": [curve_cell("generic_mcm", 100_000)],
+            "generic_mcm_k2": [curve_cell("generic_mcm", 2_000, k=2)],
         }
-        return {"quick": True, "cells": cells, "build_peak": build_peak,
-                "curves": curves, "ceiling": [], "largest_graph": None}
+        return {"quick": True, "host": harness.host(), "cells": cells,
+                "build_peak": build_peak, "curves": curves, "ceiling": [],
+                "largest_graph": None}
 
     cells = [
         cell_kopt(240, REPS),
@@ -347,6 +373,9 @@ def run(quick: bool) -> dict[str, Any]:
                    for n in (10_000, 100_000, 300_000, 1_000_000)]
         for workload in ("luby_mis", "generic_mcm")
     }
+    curves["generic_mcm_k2"] = [
+        curve_cell("generic_mcm", n, k=2) for n in (2_000, 5_000, 20_000)
+    ]
     ceiling = [curve_cell("luby_mis", n) for n in (3_000_000, 10_000_000)]
     largest = ceiling[-1]
     largest_graph = {
@@ -366,8 +395,8 @@ def run(quick: bool) -> dict[str, Any]:
                 "ceiling above is time-bounded, not memory-bounded "
                 "(peak RSS well under this host's RAM).",
     }
-    return {"quick": False, "cells": cells, "build_peak": build_peak,
-            "curves": curves, "ceiling": ceiling,
+    return {"quick": False, "host": harness.host(), "cells": cells,
+            "build_peak": build_peak, "curves": curves, "ceiling": ceiling,
             "largest_graph": largest_graph}
 
 
@@ -394,17 +423,18 @@ def gate(data: dict[str, Any]) -> list[str]:
             f"its {bp['graph_mb']:.0f} MiB of arrays to RSS "
             f"(> {MAX_BUILD_PEAK_RATIO:.1f}x)"
         )
-    mcm = harness.find_cell(
-        {"cells": data["curves"]["generic_mcm"]},
-        n=MCM_PIN["n"], seed=MCM_PIN["seed"],
-    )
-    moved = [f"{k} {mcm.get(k)} != {v}" for k, v in MCM_PIN.items()
-             if mcm.get(k) != v]
-    if moved:
-        failures.append(
-            f"generic_mcm n={MCM_PIN['n']} seed {MCM_PIN['seed']} "
-            f"counters moved: {', '.join(moved)}"
+    for curve, pin in (("generic_mcm", MCM_PIN),
+                       ("generic_mcm_k2", MCM_K2_PIN)):
+        mcm = harness.find_cell(
+            {"cells": data["curves"][curve]}, n=pin["n"], seed=pin["seed"],
         )
+        moved = [f"{k} {mcm.get(k)} != {v}" for k, v in pin.items()
+                 if mcm.get(k) != v]
+        if moved:
+            failures.append(
+                f"{curve} n={pin['n']} seed {pin['seed']} "
+                f"counters moved: {', '.join(moved)}"
+            )
     return failures
 
 

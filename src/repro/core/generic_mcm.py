@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Generator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.distributed.backends import (
     BatchedArrayContext,
     int_payload_bits,
     run_program_batched,
+    segment_bounds,
 )
 from repro.distributed.message import Sized
 from repro.distributed.network import RunResult
@@ -56,9 +57,16 @@ from repro.matching.matching import Matching
 _VERTEX = "v"
 _EDGE = "e"
 
-#: int8 level cells shared by one block of the array flood's
-#: breadth-first searches: a block holds ``FLOOD_CELLS // n`` sources.
+#: Bytes of scratch the flood works in.  A block of the ragged search
+#: holds ``FLOOD_CELLS // n`` sources, one int8 level cell per (source,
+#: vertex); a bit layer gathers neighbour rows and unpacks rows to one
+#: byte per (row, source) at most ``FLOOD_CELLS`` bytes at a time.
 FLOOD_CELLS = 1 << 24
+
+#: What one CSR slot of the ragged search costs, in words of a bit
+#: layer: a block goes bit-parallel at the first layer whose frontier's
+#: slots, times this ratio, exceed one whole-graph bit layer.
+FLOOD_SWITCH = 8
 
 
 def flood_views_program(
@@ -91,6 +99,162 @@ def flood_views_program(
     return frozenset(known) if keep_views else None
 
 
+def _switches(layer: int, slots: int, words: int) -> bool:
+    """The switch rule: does a block run its layers from ``layer`` on bits?
+
+    ``slots`` is the CSR slot total of the block's ragged frontier and
+    ``words`` the cost of one bit layer (:class:`_BitFlood`).  The rule
+    reads only these counts; ``layer`` lets a test force the switch.
+    """
+    return FLOOD_SWITCH * slots > words
+
+
+def _bit_rows(layers: list[np.ndarray], n: int, words: int) -> np.ndarray:
+    """A block's cells ``j * n + u`` as bit ``j % 64`` of word ``j // 64``
+    of row ``u``: one ``(n, words)`` ``uint64`` array."""
+    rows = np.zeros(n * words, dtype=np.uint64)
+    for cells in layers:
+        j, u = np.divmod(cells, n)
+        np.bitwise_or.at(
+            rows, u * words + (j >> 6), np.uint64(1) << (j & 63).astype(np.uint64)
+        )
+    return rows.reshape(n, words)
+
+
+class _BitFlood:
+    """The flood's bit-parallel kernel: 64 sources to a ``uint64`` word.
+
+    Row ``u`` of a block's layer has bit ``b`` of word ``j`` set when
+    ``u`` lies in that layer of source ``first + 64j + b``.  The next
+    layer is the OR of the neighbours' rows minus the ball so far; an
+    edge's record goes out in round ``min(d(lo), d(hi))``, so the edges
+    of layer ``i`` are ``(F[lo] | F[hi]) & ~(P[lo] | P[hi])`` with ``F``
+    the layer and ``P`` the ball before it.  A layer's per-source bits
+    are the record sizes summed over the rows that carry the source's
+    bit.  Records come in runs of equal size (vertex ids by bit length,
+    edges sorted by size once); the rows are unpacked to one byte per
+    source, and pieces of at most 255 rows of one run are counted per
+    source and weighted by their run's size.  A layer over a block of
+    ``count`` sources and ``W = ceil(count / 64)`` words costs ``2m·W``
+    gathered words plus ``(n + m)·count`` unpacked bytes, whatever its
+    size: the gathers and the unpacking run over row chunks of at most
+    ``FLOOD_CELLS`` bytes.
+    """
+
+    def __init__(self, g: Graph, vbits: np.ndarray, ebits: np.ndarray) -> None:
+        self.n = g.n
+        indptr, self.indices, _ = g.adjacency_arrays()
+        # Degree-0 rows stay zero: reduceat would hand them a neighbour.
+        self.nonempty = np.flatnonzero(np.diff(indptr))
+        self.starts = indptr[self.nonempty]
+        self.ends = indptr[self.nonempty + 1]
+        self.vbits = vbits
+        self.order = np.argsort(ebits, kind="stable")
+        self.ebits = ebits[self.order]
+        lo, hi = g.endpoints_array()
+        self.lo, self.hi = lo[self.order], hi[self.order]
+
+    def run(
+        self,
+        layers: list[np.ndarray],
+        hops: int,
+        count: int,
+        vkeys: list[np.ndarray] | None,
+        ekeys: list[np.ndarray] | None,
+    ) -> Iterator[np.ndarray]:
+        """Run a block's layers ``i = len(layers) - 1`` on, up to ``hops``.
+
+        ``layers`` holds the ragged search's cells of layers ``0..i``.
+        Yields each layer's per-source bits until the frontier empties.
+        With key lists, appends the (source, vertex) keys of the layers
+        past ``i`` and the (source, edge) keys of layers ``i`` on.
+        """
+        words = -(-count // 64)
+        # Chunks of rows unpack to at most FLOOD_CELLS bytes and end on
+        # piece cuts: every run's start, and every grid-th row.
+        step = max(1, FLOOD_CELLS // (64 * words))
+        grid = min(step, 255)
+        step -= step % grid
+        vcuts, ecuts = (
+            np.union1d(np.arange(0, sizes.size, grid), segment_bounds(sizes))
+            for sizes in (self.vbits, self.ebits)
+        )
+        front = _bit_rows(layers[-1:], self.n, words)
+        seen = _bit_rows(layers[:-1], self.n, words)
+        for i in range(len(layers) - 1, hops):
+            yield _tally(
+                lambda a, b: front[a:b], self.vbits, vcuts, step, count,
+                vkeys if i >= len(layers) else None, None,
+            ) + _tally(
+                lambda a, b: self._edge_rows(front, seen, a, b),
+                self.ebits, ecuts, step, count, ekeys, self.order,
+            )
+            if i + 1 == hops:
+                return
+            seen |= front
+            front = self._neighbors(front)
+            front &= ~seen
+            if not front.any():
+                return
+
+    def _edge_rows(self, front, seen, a: int, b: int) -> np.ndarray:
+        lo, hi = self.lo[a:b], self.hi[a:b]
+        rows = front[lo] | front[hi]
+        rows &= ~(seen[lo] | seen[hi])
+        return rows
+
+    def _neighbors(self, front: np.ndarray) -> np.ndarray:
+        """Each row's OR of its neighbours' rows."""
+        out = np.zeros_like(front)
+        cap = max(1, FLOOD_CELLS // front[:1].nbytes)  # slots per gather
+        a = 0
+        while a < self.starts.size:
+            base = self.starts[a]
+            b = max(a + 1, int(np.searchsorted(self.ends, base + cap, "right")))
+            out[self.nonempty[a:b]] = np.bitwise_or.reduceat(
+                front[self.indices[base:self.ends[b - 1]]],
+                self.starts[a:b] - base,
+                axis=0,
+            )
+            a = b
+        return out
+
+
+def _tally(rows, sizes, cuts, step, count, keys, ids) -> np.ndarray:
+    """Per-source bits of bit rows ``rows(a, b)`` of records sized ``sizes``.
+
+    ``cuts`` splits the records into pieces of at most 255 rows of one
+    size, and every multiple of ``step`` is a cut.  Returns the sums of
+    the ``count`` sources.  With ``keys`` a list, appends ``source * stride +
+    record`` for every set bit (record ``ids[k]`` of row ``k``, or ``k``
+    itself when ``ids`` is None; the stride is the record count).
+    """
+    stride = sizes.size
+    sent = np.zeros(count, dtype=np.int64)
+    for a in range(0, stride, step):
+        b = min(a + step, stride)
+        # Bit s of a row is byte s of its little-endian unpacking.
+        bitmap = np.unpackbits(
+            rows(a, b).astype("<u8", copy=False).view(np.uint8),
+            axis=1, bitorder="little",
+        )
+        # A piece's 0/1 bytes add as uint64 words with no carry between
+        # bytes, so one add counts eight sources.
+        lanes = bitmap.view(np.uint64)
+        first, last = np.searchsorted(cuts, (a, b))
+        piece = (cuts[first:last + 1] - a).tolist()
+        counts = np.stack([
+            lanes[c:d].sum(axis=0) for c, d in zip(piece, piece[1:])
+        ])
+        sent += (sizes[cuts[first:last]] @ counts.view(np.uint8))[:count]
+        if keys is not None:
+            k, src = np.nonzero(bitmap)
+            k += a
+            keys.append(src * stride + (k if ids is None else ids[k]))
+        del bitmap, lanes  # before the next chunk is gathered and unpacked
+    return sent
+
+
 def flood_views_array(
     ctx: BatchedArrayContext, depth: int, mates: list[int],
     keep_views: bool = True,
@@ -108,16 +272,24 @@ def flood_views_array(
     ``bits[i, v]`` — the size of that broadcast — from one
     breadth-first search per source over vertex ids, then replays the
     rows through the context's accounting: ``v`` sends in round ``i``
-    iff ``L_i(v)`` is non-empty and ``deg(v) > 0``.  Rounds, messages,
-    bits and the peak match the generator run bit for bit; the
-    ``max_rounds`` error is raised during the replay, after the search.
+    iff ``L_i(v)`` is non-empty and ``deg(v) > 0``.  Once no source has
+    a layer left, the remaining rounds carry no message and replay as
+    one :meth:`~BatchedArrayContext.idle_steps` call.  Rounds,
+    messages, bits and the peak match the generator run bit for bit;
+    the ``max_rounds`` error is raised during the replay, after the
+    search.
 
-    The searches run in blocks of ``FLOOD_CELLS // n`` sources that
-    share one int8 level scratch (0 = unseen, else ``level % 3 + 1``:
-    a neighbour of layer ``i`` lies in layer ``i - 1``, ``i`` or
-    ``i + 1``); every round expands the block's frontier over its CSR
-    slots in one ragged pass.  The work is
-    ``sum_v sum_{u in B_{depth-1}(v)} deg(u)`` candidate slots.
+    The searches run in blocks of ``FLOOD_CELLS // n`` sources, on two
+    kernels.  A block starts ragged: the sources share one int8 level
+    scratch (0 = unseen, else ``level % 3 + 1``: a neighbour of layer
+    ``i`` lies in layer ``i - 1``, ``i`` or ``i + 1``), and every
+    round expands the block's frontier over its CSR slots in one pass,
+    so a layer costs its frontier's slots.  Once the balls fill the
+    graph that is more than a whole-graph pass: at the first layer
+    where ``FLOOD_SWITCH`` times the frontier's slots exceed one bit
+    layer (:func:`_switches`), the block converts its cells to bit rows
+    and runs its remaining layers 64 sources to a word
+    (:class:`_BitFlood`), as in multi-source BFS.
 
     With ``keep_views=True`` the search runs one layer further, and
     node ``v``'s view is the vertex records of its radius-``depth``
@@ -137,10 +309,9 @@ def flood_views_array(
     deg = np.diff(indptr).astype(np.int64)
     lo, hi = g.endpoints_array()
     # Record sizes: ("v", id, free) is 8 (tag str) + ipb(id) + 1 (bool
-    # flag), ("e", a, b, matched) is 8 + ipb(a) + ipb(b) + 1.  Float64
-    # so bincount sums them exactly: per-node totals stay far below 2^53.
-    vbits = (9 + int_payload_bits(np.arange(n))).astype(np.float64)
-    ebits = (9 + int_payload_bits(lo) + int_payload_bits(hi)).astype(np.float64)
+    # flag), ("e", a, b, matched) is 8 + ipb(a) + ipb(b) + 1.
+    vbits = 9 + int_payload_bits(np.arange(n))
+    ebits = 9 + int_payload_bits(lo) + int_payload_bits(hi)
     if keep_views:
         mate = np.asarray(mates, dtype=np.int64)
         vrec = [(_VERTEX, v, free) for v, free in enumerate((mate == -1).tolist())]
@@ -150,23 +321,48 @@ def flood_views_array(
         ]
         views: list[frozenset] = []
     hops = depth + 1 if keep_views else depth
-    bits = np.zeros((depth, n), dtype=np.int64)
+    # bits[i][v]: the size of v's round-i broadcast, for the layers some
+    # source reaches; the rounds after them are silent.
+    bits: list[np.ndarray] = []
+
+    def row(i: int) -> np.ndarray:
+        while len(bits) <= i:
+            bits.append(np.zeros(n, dtype=np.int64))
+        return bits[i]
+
     block = max(1, min(n, FLOOD_CELLS // max(n, 1)))
     level = np.zeros(block * n, dtype=np.int8)
+    bit_flood = None
     for first in range(0, n, block):
         count = min(block, n - first)
+        bit_layer = 2 * num_edges * -(-count // 64) + (n + num_edges) * count // 8
+
         # Cell j * n + u holds u's level in the search from first + j.
         front = np.arange(count, dtype=np.int64) * (n + 1) + first
         level[front] = 1
         layers = [front]
-        edge_keys = []
+        # Views' keys past the ragged layers; an edgeless bit search adds none.
+        vert_keys: list[np.ndarray] = []
+        edge_keys = [np.zeros(0, dtype=np.int64)]
         for i in range(hops):
             src, u = np.divmod(front, n)
             cnt = deg[u]
+            slots = int(cnt.sum())
+            if _switches(i, slots, bit_layer):
+                if bit_flood is None:
+                    bit_flood = _BitFlood(g, vbits, ebits)
+                for j, sent in enumerate(bit_flood.run(
+                    layers, hops, count,
+                    vert_keys if keep_views else None,
+                    edge_keys if keep_views else None,
+                ), i):
+                    if j < depth:
+                        row(j)[first:first + count] = sent
+                break
             # One ragged expansion pass: slot j of frontier entry k is
             # indptr[u_k] + j, a running arange plus a per-entry base.
             base = indptr[u].astype(np.int64) - (np.cumsum(cnt) - cnt)
-            slot = np.arange(int(cnt.sum()), dtype=np.int64)
+            slot = np.arange(slots, dtype=np.int64)
             slot += np.repeat(base, cnt)
             w = indices[slot]
             slot_src = np.repeat(src, cnt)
@@ -182,7 +378,7 @@ def flood_views_array(
             near_src = slot_src[near]
             near_eid = eids[slot[near]]
             if i < depth:
-                bits[i, first:first + count] = np.bincount(
+                row(i)[first:first + count] = np.bincount(
                     src, weights=vbits[u], minlength=count
                 ) + np.bincount(near_src, weights=ebits[near_eid], minlength=count)
             if keep_views:
@@ -197,7 +393,7 @@ def flood_views_array(
         for layer in layers:
             level[layer] = 0
         if keep_views:
-            vkeys = np.sort(np.concatenate(layers))
+            vkeys = np.sort(np.concatenate(layers + vert_keys))
             # Each incident edge is near to exactly one layer: no dups.
             ekeys = np.sort(np.concatenate(edge_keys))
             heads = np.arange(count + 1, dtype=np.int64)
@@ -211,12 +407,14 @@ def flood_views_array(
                     map(erec.__getitem__, es[eb[j]:eb[j + 1]]),
                 )))
     live = np.full(1, n)
-    for i in range(depth):
+    for sent in bits:
         ctx.begin_step(live)
         # account_groups drops the groups of degree-0 senders itself.
-        senders = np.flatnonzero(bits[i])
-        ctx.account_groups(bits[i, senders], deg[senders], np.zeros_like(senders))
+        senders = np.flatnonzero(sent)
+        ctx.account_groups(sent[senders], deg[senders], np.zeros_like(senders))
         ctx.end_step(live > 0)
+    if n:  # no source has a layer left: the rest of the rounds are silent
+        ctx.idle_steps(live, depth - len(bits))
     ctx.begin_step(live)  # final resume: every program returns
     return [views] if keep_views else None
 
