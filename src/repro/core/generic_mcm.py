@@ -342,8 +342,8 @@ def flood_views_array(
         level[front] = 1
         layers = [front]
         # Views' keys past the ragged layers; an edgeless bit search adds none.
-        vert_keys: list[np.ndarray] = []
-        edge_keys = [np.zeros(0, dtype=np.int64)]
+        vert_keys = [] if keep_views else None
+        edge_keys = [np.zeros(0, dtype=np.int64)] if keep_views else None
         for i in range(hops):
             src, u = np.divmod(front, n)
             cnt = deg[u]
@@ -351,11 +351,9 @@ def flood_views_array(
             if _switches(i, slots, bit_layer):
                 if bit_flood is None:
                     bit_flood = _BitFlood(g, vbits, ebits)
-                for j, sent in enumerate(bit_flood.run(
-                    layers, hops, count,
-                    vert_keys if keep_views else None,
-                    edge_keys if keep_views else None,
-                ), i):
+                for j, sent in enumerate(
+                    bit_flood.run(layers, hops, count, vert_keys, edge_keys), i
+                ):
                     if j < depth:
                         row(j)[first:first + count] = sent
                 break
@@ -413,7 +411,9 @@ def flood_views_array(
         senders = np.flatnonzero(sent)
         ctx.account_groups(sent[senders], deg[senders], np.zeros_like(senders))
         ctx.end_step(live > 0)
-    if n:  # no source has a layer left: the rest of the rounds are silent
+    # No source has a layer left: the rest of the rounds are silent (an
+    # empty graph has no node to yield, so it gains no round).
+    if n:
         ctx.idle_steps(live, depth - len(bits))
     ctx.begin_step(live)  # final resume: every program returns
     return [views] if keep_views else None

@@ -113,7 +113,7 @@ def _flood(g, backend, depth, keep_views, max_rounds=1_000_000):
 
 @functools.cache
 def _reference(shape, depth, keep_views):
-    """The generator flood of a shape, run once per session: the run
+    """The generator flood of a shape, run once per test run: the run
     without views is the run with views, its outputs all ``None``."""
     if not keep_views:
         res = _reference(shape, depth, True)
