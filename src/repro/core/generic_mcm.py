@@ -133,11 +133,11 @@ class _BitFlood:
     are the record sizes summed over the rows that carry the source's
     bit.  Records come in runs of equal size (vertex ids by bit length,
     edges sorted by size once); the rows are unpacked to one byte per
-    source, and pieces of at most 255 rows of one run are counted per
-    source and weighted by their run's size.  A layer over a block of
-    ``count`` sources and ``W = ceil(count / 64)`` words costs ``2m·W``
-    gathered words plus ``(n + m)·count`` unpacked bytes, whatever its
-    size: the gathers and the unpacking run over row chunks of at most
+    source, and each run's bytes are summed per source in int32 and
+    weighted by the run's size.  A layer over a block of ``count``
+    sources and ``W = ceil(count / 64)`` words costs ``2m·W`` gathered
+    words plus ``(n + m)·count`` unpacked bytes, whatever its size: the
+    gathers and the unpacking run over row chunks of at most
     ``FLOOD_CELLS`` bytes.
     """
 
@@ -153,6 +153,8 @@ class _BitFlood:
         self.ebits = ebits[self.order]
         lo, hi = g.endpoints_array()
         self.lo, self.hi = lo[self.order], hi[self.order]
+        self.vruns = segment_bounds(vbits)
+        self.eruns = segment_bounds(self.ebits)
 
     def run(
         self,
@@ -170,24 +172,16 @@ class _BitFlood:
         past ``i`` and the (source, edge) keys of layers ``i`` on.
         """
         words = -(-count // 64)
-        # Chunks of rows unpack to at most FLOOD_CELLS bytes and end on
-        # piece cuts: every run's start, and every grid-th row.
-        step = max(1, FLOOD_CELLS // (64 * words))
-        grid = min(step, 255)
-        step -= step % grid
-        vcuts, ecuts = (
-            np.union1d(np.arange(0, sizes.size, grid), segment_bounds(sizes))
-            for sizes in (self.vbits, self.ebits)
-        )
+        step = max(1, FLOOD_CELLS // (64 * words))  # rows per unpacked chunk
         front = _bit_rows(layers[-1:], self.n, words)
         seen = _bit_rows(layers[:-1], self.n, words)
         for i in range(len(layers) - 1, hops):
             yield _tally(
-                lambda a, b: front[a:b], self.vbits, vcuts, step, count,
+                lambda a, b: front[a:b], self.vbits, self.vruns, step, count,
                 vkeys if i >= len(layers) else None, None,
             ) + _tally(
                 lambda a, b: self._edge_rows(front, seen, a, b),
-                self.ebits, ecuts, step, count, ekeys, self.order,
+                self.ebits, self.eruns, step, count, ekeys, self.order,
             )
             if i + 1 == hops:
                 return
@@ -220,17 +214,17 @@ class _BitFlood:
         return out
 
 
-def _tally(rows, sizes, cuts, step, count, keys, ids) -> np.ndarray:
+def _tally(rows, sizes, runs, step, count, keys, ids) -> np.ndarray:
     """Per-source bits of bit rows ``rows(a, b)`` of records sized ``sizes``.
 
-    ``cuts`` splits the records into pieces of at most 255 rows of one
-    size, and every multiple of ``step`` is a cut.  Returns the sums of
-    the ``count`` sources.  With ``keys`` a list, appends ``source * stride +
+    ``runs`` bounds the runs of equal size (:func:`segment_bounds`), and
+    the rows are unpacked ``step`` at a time.  Returns the sums of the
+    ``count`` sources.  With ``keys`` a list, appends ``source * stride +
     record`` for every set bit (record ``ids[k]`` of row ``k``, or ``k``
     itself when ``ids`` is None; the stride is the record count).
     """
     stride = sizes.size
-    sent = np.zeros(count, dtype=np.int64)
+    sent = np.zeros(-(-count // 64) * 64, dtype=np.int64)
     for a in range(0, stride, step):
         b = min(a + step, stride)
         # Bit s of a row is byte s of its little-endian unpacking.
@@ -238,21 +232,16 @@ def _tally(rows, sizes, cuts, step, count, keys, ids) -> np.ndarray:
             rows(a, b).astype("<u8", copy=False).view(np.uint8),
             axis=1, bitorder="little",
         )
-        # A piece's 0/1 bytes add as uint64 words with no carry between
-        # bytes, so one add counts eight sources.
-        lanes = bitmap.view(np.uint64)
-        first, last = np.searchsorted(cuts, (a, b))
-        piece = (cuts[first:last + 1] - a).tolist()
-        counts = np.stack([
-            lanes[c:d].sum(axis=0) for c, d in zip(piece, piece[1:])
-        ])
-        sent += (sizes[cuts[first:last]] @ counts.view(np.uint8))[:count]
+        # Each run's rows counted per source, weighted by the run's size.
+        cuts = np.unique(np.clip(runs, a, b)).tolist()
+        for c, d in zip(cuts, cuts[1:]):
+            sent += sizes[c] * bitmap[c - a:d - a].sum(axis=0, dtype=np.int32)
         if keys is not None:
             k, src = np.nonzero(bitmap)
             k += a
             keys.append(src * stride + (k if ids is None else ids[k]))
-        del bitmap, lanes  # before the next chunk is gathered and unpacked
-    return sent
+        del bitmap  # before the next chunk is gathered and unpacked
+    return sent[:count]
 
 
 def flood_views_array(

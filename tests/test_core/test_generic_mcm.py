@@ -86,15 +86,16 @@ def _identity_cases():
     """The switch rule, no switch, and a switch forced at every layer a
     search reaches, under one block and under small blocks and chunks
     (views there under the rule and without a switch only); one-source
-    blocks (chunks of one row) under the rule, on the shapes of at most
-    9 vertices."""
+    blocks (chunks of one row) under the rule and without a switch, on
+    every shape but multiword."""
     for shape, g in sorted(FLOOD_SHAPES.items()):
         switches = ["rule", "never", *range(min(_layers_reached(g), 8))]
         for switch in switches:
             yield shape, None, switch
             yield shape, SMALL_CELLS.get(shape, 256), switch
-        if g.n <= 9:
+        if shape != "multiword":
             yield shape, 1, "rule"
+            yield shape, 1, "never"
 
 
 def _flood(g, backend, depth, keep_views, max_rounds=1_000_000):
@@ -229,8 +230,8 @@ class TestArrayFloodIdentity:
             assert got == want, budget
 
     def test_bit_kernel_equals_ragged_search(self):
-        # Runs of more than 255 equal-size records (vertex ids 256..511,
-        # and the commonest edge sizes) are counted piece by piece.
+        # Runs of hundreds of equal-size records (vertex ids 256..511,
+        # and the commonest edge sizes) in a block of ten words.
         g = gnp_random(600, 0.01, seed=3)
         with pytest.MonkeyPatch.context() as never:
             _set_switch(never, "never")
